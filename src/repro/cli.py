@@ -66,16 +66,17 @@ REPORT_OUT_DIR = os.path.join("results", "figures")
 from contextlib import nullcontext
 
 from repro import telemetry
-from repro.scenarios.cache import ResultCache, fingerprint_spec
+from repro.scenarios.cache import ResultCache
+from repro.scenarios.executor import RunExecutor
 from repro.scenarios.registry import get_scenario, scenarios
-from repro.scenarios.build import run_scenario
 from repro.scenarios.store import ResultStore, encode_record
 from repro.scenarios.sweep import (
+    SweepRun,
     SweepRunner,
     compact_stores,
     heartbeat_path,
     manifest_path,
-    run_env,
+    run_fingerprint,
     shard_skew,
 )
 
@@ -237,44 +238,26 @@ def cmd_show(args: argparse.Namespace) -> int:
 def cmd_run(args: argparse.Namespace) -> int:
     factory = get_scenario(args.scenario)
     params, overrides = _split_overrides(factory, args.set, args.override, args.engine)
-    spec = factory.spec(**params)
-    if overrides:
-        spec = spec.with_overrides(**overrides)
-    fingerprint = fingerprint_spec(spec, args.seed)
+    run = SweepRun(
+        index=0, seed=args.seed, params={**params, **overrides}, scenario=args.scenario
+    )
+    fingerprint = run_fingerprint(run)  # resolves the spec: bad input fails here
     cache = ResultCache(args.cache) if args.cache else None
     started = time.perf_counter()
-    record = cache.get(fingerprint) if cache is not None else None
-    if record is not None:
-        print(f"cache hit {fingerprint} in {args.cache}", file=sys.stderr)
-    else:
-        with telemetry.forced(True) if args.telemetry else nullcontext():
-            record = run_scenario(spec, seed=args.seed)
-        if cache is not None:
-            cache.put(fingerprint, record)
+    forced = telemetry.forced(True) if args.telemetry else nullcontext()
+    with forced, RunExecutor(max_retries=0, cache=cache) as executor:
+        outcome = executor.submit(run, fingerprint).result()
     elapsed = time.perf_counter() - started
-    record["run"] = {
-        "index": 0,
-        "seed": args.seed,
-        "params": {**params, **overrides},
-        "scenario": args.scenario,
-        "engine": spec.engine.kind,
-        "fingerprint": fingerprint,
-        "env": run_env(),
-    }
-    snapshot = telemetry.take_last_run()
-    if snapshot is not None:
-        section = {
-            key: snapshot[key]
-            for key in ("counters", "gauges", "histograms")
-            if key in snapshot
-        }
-        if section:
-            record["run"]["telemetry"] = section
-        if args.telemetry_out:
-            with open(args.telemetry_out, "w", encoding="utf-8") as fh:
-                json.dump(snapshot, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-            print(f"telemetry snapshot written to {args.telemetry_out}", file=sys.stderr)
+    if outcome.error is not None:
+        raise SystemExit(f"error: run failed: {outcome.error}")
+    if outcome.source == "cached":
+        print(f"cache hit {fingerprint} in {args.cache}", file=sys.stderr)
+    record = outcome.stamp(run)
+    if outcome.telemetry is not None and args.telemetry_out:
+        with open(args.telemetry_out, "w", encoding="utf-8") as fh:
+            json.dump(outcome.telemetry, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        print(f"telemetry snapshot written to {args.telemetry_out}", file=sys.stderr)
     if args.out:
         ResultStore(args.out).append(record)
         print(f"appended 1 record to {args.out}", file=sys.stderr)

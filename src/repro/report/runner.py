@@ -5,7 +5,8 @@ For every requested figure the runner
 1. resolves the figure's :class:`~repro.report.figures.RunRequest` list into
    concrete scenario specs (applying per-figure metrics overrides such as
    ``with_series`` / ``with_trace``),
-2. executes the runs — serially or over a worker pool — or reuses a matching
+2. submits the runs to the shared
+   :class:`~repro.scenarios.executor.RunExecutor` — or reuses a matching
    JSONL dataset from a previous invocation (``reuse=True``), validated via a
    fingerprint of the exact request list,
 3. reduces the records with the figure's ``build`` function and writes
@@ -23,7 +24,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-import multiprocessing
 import os
 import sys
 import time
@@ -32,9 +32,10 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.report.figures import FIGURES, FigureData, FigureDef, RunRequest, figure_names
 from repro.scenarios.cache import ResultCache, canonical_json, fingerprint
+from repro.scenarios.executor import RunExecutor
 from repro.scenarios.registry import get_scenario
 from repro.scenarios.store import ResultStore
-from repro.scenarios.sweep import SweepRun, execute_run, stamp_record
+from repro.scenarios.sweep import SweepRun
 
 DEFAULT_OUT_DIR = os.path.join("results", "figures")
 
@@ -74,44 +75,27 @@ def _to_sweep_run(request: RunRequest, index: int) -> SweepRun:
 
 
 def _execute_requests(
+    figure: str,
+    requests: Sequence[RunRequest],
     runs: Sequence[SweepRun],
     jobs: int,
     progress=None,
     cache: Optional[ResultCache] = None,
 ) -> List[Dict[str, Any]]:
-    """Execute resolved runs, consulting the shared result cache first."""
-    records: List[Dict[str, Any]] = [None] * len(runs)  # type: ignore[list-item]
-    to_run: List[SweepRun] = []
-    if cache is not None:
-        for run, fp in zip(runs, _run_fingerprints(runs)):
-            pure = cache.get(fp)
-            if pure is not None:
-                records[run.index] = stamp_record(pure, run, run.resolve_spec(), fp)
-            else:
-                to_run.append(run)
-    else:
-        to_run = list(runs)
-
-    done = len(runs) - len(to_run)
-
-    def _commit(record: Dict[str, Any]) -> None:
-        nonlocal done
-        records[record["run"]["index"]] = record
-        if cache is not None:
-            fp = record["run"].get("fingerprint")
-            if fp is not None:
-                cache.put(fp, record)
-        done += 1
-        if progress is not None:
-            progress(done, len(runs))
-
-    if jobs <= 1 or len(to_run) <= 1:
-        for run in to_run:
-            _commit(execute_run(run))
-    else:
-        with multiprocessing.Pool(processes=jobs) as pool:
-            for record in pool.imap(execute_run, to_run, chunksize=1):
-                _commit(record)
+    """Records of the resolved runs, in order; a run that failed raises."""
+    records: List[Dict[str, Any]] = []
+    with RunExecutor(jobs, cache=cache) as executor:
+        outcomes = executor.map(runs, _run_fingerprints(runs))
+        for request, run, outcome in zip(requests, runs, outcomes):
+            if outcome.error is not None:
+                raise RuntimeError(
+                    f"figure {figure!r}: scenario {request.scenario!r} seed "
+                    f"{run.seed} failed after {outcome.attempts} attempt(s): "
+                    f"{outcome.error}"
+                )
+            records.append(outcome.stamp(run))
+            if progress is not None:
+                progress(len(records), len(runs))
     return records
 
 
@@ -235,6 +219,8 @@ def run_report(
             log(f"[{name}] running {len(runs)} simulations (jobs={jobs})...")
             hits_before = result_cache.hits if result_cache is not None else 0
             records = _execute_requests(
+                name,
+                requests,
                 runs,
                 jobs,
                 progress=lambda done, total: log(f"[{name}]   {done}/{total} done"),

@@ -3,7 +3,8 @@
 * :mod:`repro.scenarios.spec` — JSON-serialisable scenario descriptions,
 * :mod:`repro.scenarios.build` — spec -> live simulation builders,
 * :mod:`repro.scenarios.registry` — named scenarios for the CLI and sweeps,
-* :mod:`repro.scenarios.sweep` — parameter grids over worker processes,
+* :mod:`repro.scenarios.sweep` — parameter grids: ordered, resumable, sharded,
+* :mod:`repro.scenarios.executor` — the one cache/pool/retry run executor,
 * :mod:`repro.scenarios.store` — append-only JSONL results.
 
 Quick use::
@@ -58,8 +59,8 @@ from repro.scenarios.sweep import (
     execute_run,
     expand_grid,
     manifest_path,
-    sweep,
 )
+from repro.scenarios.executor import Outcome, RunExecutor
 
 __all__ = [
     "BackgroundFlowSpec",
@@ -76,9 +77,11 @@ __all__ = [
     "EngineSpec",
     "MetricsSpec",
     "NetworkEventSpec",
+    "Outcome",
     "ReceiverSpec",
     "ResultCache",
     "ResultStore",
+    "RunExecutor",
     "ScenarioFactory",
     "ScenarioSpec",
     "StarSpec",
@@ -105,5 +108,4 @@ __all__ = [
     "run_scenario",
     "scenario_names",
     "scenarios",
-    "sweep",
 ]

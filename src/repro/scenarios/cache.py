@@ -47,15 +47,32 @@ def canonical_json(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), default=str)
 
 
-def fingerprint(spec_dict: Mapping[str, Any], seed: int) -> str:
-    """Stable hash of one simulation: canonical spec dict plus seed."""
-    payload = canonical_json({"seed": seed, "spec": spec_dict})
+def _digest(spec_json: str, seed: int) -> str:
+    # Spelt out so that the spec part can be encoded once and reused; equal
+    # to canonical_json({"seed": seed, "spec": <the spec dict>}).
+    payload = '{"seed":%s,"spec":%s}' % (canonical_json(seed), spec_json)
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:FINGERPRINT_LEN]
 
 
+def fingerprint(spec_dict: Mapping[str, Any], seed: int) -> str:
+    """Stable hash of one simulation: canonical spec dict plus seed."""
+    return _digest(canonical_json(spec_dict), seed)
+
+
 def fingerprint_spec(spec: Any, seed: int) -> str:
-    """:func:`fingerprint` for a live :class:`ScenarioSpec` instance."""
-    return fingerprint(spec.to_dict(), seed)
+    """:func:`fingerprint` for a live :class:`ScenarioSpec` instance.
+
+    Specs are immutable, so a small one keeps its canonical encoding: the
+    replications of a grid point encode their shared spec once, which is
+    most of what a cache hit costs.  A large spec (thousands of receivers)
+    is not made to pin megabytes of JSON to save a sliver of a long run.
+    """
+    spec_json = vars(spec).get("_canonical_json")
+    if spec_json is None:
+        spec_json = canonical_json(spec.to_dict())
+        if len(spec_json) <= 1 << 16:
+            object.__setattr__(spec, "_canonical_json", spec_json)
+    return _digest(spec_json, seed)
 
 
 def pure_record(record: Mapping[str, Any]) -> Dict[str, Any]:

@@ -1,9 +1,15 @@
 """Parameter-grid sweep runner: resumable, sharded, cached, fault-tolerant.
 
 A sweep expands a parameter grid (cartesian product) times ``replications``
-seeded repetitions into an ordered list of runs, executes them either
-serially or across a pool of worker processes, and streams one JSON record
-per run to a :class:`~repro.scenarios.store.ResultStore` as it completes.
+seeded repetitions into an ordered list of runs, submits them to the shared
+:class:`~repro.scenarios.executor.RunExecutor` and streams one JSON record
+per run, in run order, to a :class:`~repro.scenarios.store.ResultStore`.
+
+This module owns the *unit of work* (:class:`SweepRun`, how it resolves to a
+spec, how its record is stamped) and what is particular to a sweep: the
+ordered commit, the store, the manifest, the heartbeat, shards and
+compaction.  Cache lookups, worker processes, retries and dead-worker
+recovery belong to the executor.
 
 Determinism contract: each run is the pure function
 ``run_scenario(spec, seed)`` — the spec is rebuilt from its dict form inside
@@ -23,15 +29,14 @@ Orchestration features on top of the plain grid runner:
   (repairing a truncated trailing line), skips everything already done and
   continues exactly where it left off; a completed sweep is a no-op.
 * **Result cache** — with a :class:`~repro.scenarios.cache.ResultCache`,
-  runs whose fingerprint is already cached are reconstructed without
-  simulating, and fresh results are inserted for future invocations.
+  the executor answers runs whose fingerprint is already cached without
+  simulating, and inserts fresh results for future invocations.
 * **Shards** — ``shard=(i, n)`` executes only runs with ``index % n == i``
   (each shard gets its own store/manifest); :func:`compact_stores` merges
   shard files back into one sorted, deduplicated store.
-* **Fault tolerance** — a run that raises is retried (bounded by
-  ``max_retries``) and finally recorded as a failure entry instead of
-  aborting the sweep; a worker process that dies (OOM kill, segfault)
-  breaks only its pool, which is rebuilt and the in-flight runs resubmitted.
+* **Fault tolerance** — a run the executor gave up on (it raised, or killed
+  its worker, more than ``max_retries`` times) is recorded as a failure
+  entry instead of aborting the sweep.
 
 Seeds are derived as ``base_seed + run_index`` with the run index enumerating
 (grid point, replication) pairs in grid order; two sweeps over the same grid
@@ -47,16 +52,12 @@ import os
 import platform
 import sys
 import time
-from collections import deque
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import (
     Any,
     Callable,
     Dict,
     Iterable,
-    Iterator,
     List,
     Mapping,
     Optional,
@@ -126,7 +127,7 @@ _SPEC_MEMO: Dict[Any, ScenarioSpec] = {}
 _SPEC_MEMO_LIMIT = 256
 
 
-def _resolve_spec_cached(run: "SweepRun") -> ScenarioSpec:
+def resolve_spec_cached(run: "SweepRun") -> ScenarioSpec:
     if run.scenario is None:
         return run.resolve_spec()
     try:
@@ -177,6 +178,7 @@ def stamp_record(
     run: SweepRun,
     spec: ScenarioSpec,
     fingerprint: Optional[str],
+    snapshot: Optional[Mapping[str, Any]] = None,
 ) -> Dict[str, Any]:
     """Attach the ``run`` provenance block to a pure simulation record.
 
@@ -184,6 +186,13 @@ def stamp_record(
     deterministic function of the run position and the spec, so a record
     reconstructed from the result cache is byte-identical to a freshly
     simulated one.
+
+    ``snapshot`` is the telemetry snapshot of the simulation that produced
+    the record, when telemetry was enabled (``REPRO_TELEMETRY``, inherited
+    by pool workers).  Only its deterministic sections are embedded, under
+    ``run.telemetry`` — the wall-clock spans are deliberately excluded so
+    stores stay byte-identical across serial/parallel/resumed executions
+    even with telemetry on.
     """
     record["run"] = {
         "index": run.index,
@@ -194,28 +203,6 @@ def stamp_record(
         "fingerprint": fingerprint,
         "env": run_env(),
     }
-    return record
-
-
-def run_fingerprint(run: SweepRun) -> str:
-    """The spec fingerprint of one run (resolves the spec if needed)."""
-    return fingerprint_spec(_resolve_spec_cached(run), run.seed)
-
-
-def execute_run(run: SweepRun) -> Dict[str, Any]:
-    """Worker entry point: execute one run and annotate its provenance.
-
-    When telemetry is enabled (``REPRO_TELEMETRY``, inherited by pool
-    workers) the deterministic sections of the run's telemetry snapshot are
-    embedded under ``run.telemetry`` — the wall-clock spans are deliberately
-    excluded so stores stay byte-identical across serial/parallel/resumed
-    executions even with telemetry on.
-    """
-    spec = _resolve_spec_cached(run)
-    fingerprint = fingerprint_spec(spec, run.seed)
-    record = run_scenario(spec, seed=run.seed)
-    record = stamp_record(record, run, spec, fingerprint)
-    snapshot = telemetry.take_last_run()
     if snapshot is not None:
         section = {
             key: snapshot[key]
@@ -227,25 +214,40 @@ def execute_run(run: SweepRun) -> Dict[str, Any]:
     return record
 
 
-def _pool_execute(
-    run: SweepRun,
-) -> Tuple[int, Optional[Dict[str, Any]], Optional[str], float]:
-    """Pool worker wrapper: never raise, forward failures to the parent.
+def run_fingerprint(run: SweepRun) -> str:
+    """The spec fingerprint of one run (resolves the spec if needed)."""
+    return fingerprint_spec(resolve_spec_cached(run), run.seed)
 
-    An exception that escaped into the pool machinery would poison the
-    whole ``imap`` stream; returning ``(index, None, error, wall)`` instead
-    lets the parent retry the one failed run and keep the sweep going.  The
-    per-run wall time feeds worker-utilisation accounting.
+
+def execute_run(run: SweepRun) -> Dict[str, Any]:
+    """Execute one run in this process and annotate its provenance."""
+    spec = resolve_spec_cached(run)
+    record = run_scenario(spec, seed=run.seed)
+    return stamp_record(
+        record, run, spec, fingerprint_spec(spec, run.seed), telemetry.take_last_run()
+    )
+
+
+def pool_execute(
+    run: SweepRun,
+) -> Tuple[Optional[Dict[str, Any]], Optional[Dict[str, Any]], Optional[str], float]:
+    """The executor's worker entry point: never raise, report failures.
+
+    Returns ``(pure record, telemetry snapshot, error, wall)``.  An
+    exception that escaped into the pool machinery would come back as an
+    opaque remote traceback; the error string lets the executor retry the
+    one failed run.  The per-run wall time feeds worker-utilisation
+    accounting.
     """
     started = time.perf_counter()
     try:
-        record = execute_run(run)
-        return (run.index, record, None, time.perf_counter() - started)
+        record = run_scenario(resolve_spec_cached(run), seed=run.seed)
+        return (record, telemetry.take_last_run(), None, time.perf_counter() - started)
     except Exception as exc:
-        return (run.index, None, f"{type(exc).__name__}: {exc}", time.perf_counter() - started)
+        return (None, None, f"{type(exc).__name__}: {exc}", time.perf_counter() - started)
 
 
-def _failure_record(run: SweepRun, error: str, retries: int) -> Dict[str, Any]:
+def failure_record(run: SweepRun, error: str, retries: int) -> Dict[str, Any]:
     """Terminal failure entry written in place of a run's result."""
     try:
         fingerprint: Optional[str] = run_fingerprint(run)
@@ -267,15 +269,6 @@ def _failure_record(run: SweepRun, error: str, retries: int) -> Dict[str, Any]:
             "env": run_env(),
         },
     }
-
-
-# Public names for the pieces the simulation service (repro.service) reuses:
-# the pool worker entry point, the terminal-failure record shape and the
-# memoised spec resolution are one implementation shared by batch sweeps and
-# the daemon's persistent worker pool.
-pool_execute = _pool_execute
-failure_record = _failure_record
-resolve_spec_cached = _resolve_spec_cached
 
 
 # ------------------------------------------------------------------ manifest
@@ -627,68 +620,6 @@ class SweepRunner:
 
     # ------------------------------------------------------------ execution
 
-    def _serial_results(
-        self, runs: Sequence[SweepRun]
-    ) -> Iterator[Tuple[SweepRun, Optional[Dict[str, Any]], Optional[str], bool, float]]:
-        for run in runs:
-            started = time.perf_counter()
-            try:
-                record = execute_run(run)
-                yield run, record, None, True, time.perf_counter() - started
-            except Exception as exc:
-                error = f"{type(exc).__name__}: {exc}"
-                yield run, None, error, True, time.perf_counter() - started
-
-    def _pool_results(
-        self, runs: Sequence[SweepRun]
-    ) -> Iterator[Tuple[SweepRun, Optional[Dict[str, Any]], Optional[str], bool, float]]:
-        """Yield results in run order from a fault-tolerant worker pool.
-
-        Futures are submitted through a bounded window (the input list can
-        be huge).  A worker that dies abruptly breaks the whole executor
-        (``BrokenProcessPool``); the pool is rebuilt and every run without
-        a committed result is resubmitted.  The break is attributed to the
-        run whose result we were waiting on — after ``max_retries``
-        rebuilds blamed on the same run, it is reported as failed instead
-        of resubmitted, so one poisonous run cannot wedge the sweep.
-        """
-        pending: List[SweepRun] = list(runs)
-        blame: Dict[int, int] = {}
-        while pending:
-            executor = ProcessPoolExecutor(max_workers=self.jobs)
-            window: deque = deque()
-            submitted = 0
-            window_size = self.jobs * 4
-            try:
-                while window or submitted < len(pending):
-                    while submitted < len(pending) and len(window) < window_size:
-                        run = pending[submitted]
-                        window.append((run, executor.submit(_pool_execute, run)))
-                        submitted += 1
-                    run, future = window.popleft()
-                    try:
-                        _index, record, error, wall = future.result()
-                    except BrokenProcessPool:
-                        self.stats.retried += 1
-                        self.stats.pool_rebuilds += 1
-                        blame[run.index] = blame.get(run.index, 0) + 1
-                        survivors = [run] + [r for r, _f in window] + pending[submitted:]
-                        if blame[run.index] > self.max_retries:
-                            # Not retriable in the parent either: whatever
-                            # killed the workers would kill the sweep too.
-                            yield run, None, (
-                                "worker process died while executing this run "
-                                f"({blame[run.index]} attempts)"
-                            ), False, 0.0
-                            survivors = survivors[1:]
-                        pending = survivors
-                        break  # rebuild the executor over the survivors
-                    yield run, record, error, True, wall
-                else:
-                    pending = []
-            finally:
-                executor.shutdown(wait=False, cancel_futures=True)
-
     def execute(
         self,
         store: Optional[ResultStore] = None,
@@ -701,8 +632,7 @@ class SweepRunner:
         """Run the sweep; returns records in run order (when ``collect``).
 
         ``progress(done, total, record)`` is invoked after every committed
-        run, in run order (parallel execution is consumed from an ordered
-        result stream).  ``done`` counts completed runs including those
+        run, in run order.  ``done`` counts completed runs including those
         resumed from the store.
 
         With a ``store``, records are appended as they complete — memory
@@ -714,8 +644,8 @@ class SweepRunner:
         tests/CI and for budgeted execution).  With a ``cache``, runs whose
         spec fingerprint is already cached skip simulation entirely.
 
-        Failures never abort the sweep: a raising run is retried up to
-        ``max_retries`` times and then recorded as a failure entry
+        Failures never abort the sweep: a run the executor gave up on after
+        ``max_retries`` retries is recorded as a failure entry
         (``{"failed": true, "error": ...}``); counts are in :attr:`stats`.
         """
         runs = self.shard_runs()
@@ -774,65 +704,35 @@ class SweepRunner:
 
         pending = [r for r in runs if r.index not in completed]
 
-        # Cache lookups happen up front: hits are reconstructed in the
-        # parent, only misses are dispatched to workers.
-        hits: Dict[int, Dict[str, Any]] = {}
-        to_run: List[SweepRun] = []
-        for run in pending:
-            if cache is not None:
-                spec = _resolve_spec_cached(run)
-                fp = fingerprint_spec(spec, run.seed)
-                pure = cache.get(fp)
-                if pure is not None:
-                    hits[run.index] = stamp_record(pure, run, spec, fp)
-                    continue
-            to_run.append(run)
+        # Imported here because the executor is built on this module's unit
+        # of work (SweepRun, pool_execute, stamp_record).
+        from repro.scenarios.executor import RunExecutor
 
-        if self.jobs == 1 or len(to_run) <= 1:
-            results = self._serial_results(to_run)
-        else:
-            results = self._pool_results(to_run)
-
+        executor = RunExecutor(self.jobs, self.max_retries, cache)
         records: List[Dict[str, Any]] = []
         committed_now = 0
         stopped_early = False
         appender_cm = store.appender() if store is not None else None
         append = appender_cm.__enter__() if appender_cm is not None else None
         try:
-            for run in pending:
-                if run.index in hits:
-                    record = hits.pop(run.index)
+            # The executor runs at most its window ahead of this loop, so
+            # memory stays O(window) however long the sweep is.
+            for run, outcome in zip(pending, executor.map(pending)):
+                record = outcome.stamp(run)
+                if outcome.source == "executed":
+                    stats.retried += outcome.attempts - 1
+                if outcome.error is not None:
+                    stats.failed += 1
+                    status = "failed"
+                    if manifest is not None:
+                        manifest.failed[run.index] = outcome.error
+                elif outcome.source == "executed":
+                    stats.executed += 1
+                    status = "executed"
+                else:  # cached, or sharing the simulation of an earlier run
                     stats.cached += 1
                     status = "cached"
-                    wall = 0.0
-                else:
-                    _r, record, error, retriable, wall = next(results)
-                    if error is not None and retriable:
-                        for _attempt in range(self.max_retries):
-                            stats.retried += 1
-                            retry_started = time.perf_counter()
-                            try:
-                                record = execute_run(run)
-                                error = None
-                            except Exception as exc:
-                                error = f"{type(exc).__name__}: {exc}"
-                            wall += time.perf_counter() - retry_started
-                            if error is None:
-                                break
-                    if error is not None:
-                        record = _failure_record(run, error, self.max_retries)
-                        stats.failed += 1
-                        status = "failed"
-                        if manifest is not None:
-                            manifest.failed[run.index] = error
-                    else:
-                        stats.executed += 1
-                        status = "executed"
-                        if cache is not None:
-                            fp = record["run"].get("fingerprint")
-                            if fp is not None:
-                                cache.put(fp, record)
-                stats.busy_s += wall
+                stats.busy_s += outcome.wall
                 if collect:
                     records.append(record)
                 if append is not None:
@@ -850,7 +750,7 @@ class SweepRunner:
                             "index": run.index,
                             "seed": run.seed,
                             "status": status,
-                            "wall_s": round(wall, 6),
+                            "wall_s": round(outcome.wall, 6),
                             "completed": len(manifest.completed),
                             "total": len(runs),
                             "executed": stats.executed,
@@ -867,9 +767,8 @@ class SweepRunner:
         finally:
             if appender_cm is not None:
                 appender_cm.__exit__(None, None, None)
-            # Closing the (possibly still-live) pool generator shuts its
-            # executor down via its own finally clause; a no-op otherwise.
-            results.close()
+            executor.close()
+            stats.pool_rebuilds = executor.pool_rebuilds
             stats.wall_s = time.perf_counter() - started
             if manifest is not None:
                 manifest.wall_s = base_wall + stats.wall_s
@@ -991,65 +890,3 @@ def shard_skew(shard_paths: Sequence[str]) -> List[Dict[str, Any]]:
             }
         )
     return rows
-
-
-def sweep(
-    scenario,
-    grid: Optional[Mapping[str, Sequence[Any]]] = None,
-    params: Optional[Mapping[str, Any]] = None,
-    replications: int = 1,
-    base_seed: int = 1,
-    jobs: int = 1,
-    out: Optional[str] = None,
-    verbose: bool = False,
-    cache: Optional[str] = None,
-    shard: Optional[Tuple[int, int]] = None,
-    resume: bool = True,
-    max_retries: int = 2,
-) -> List[Dict[str, Any]]:
-    """Convenience wrapper: build a :class:`SweepRunner` and execute it."""
-    runner = SweepRunner(
-        scenario,
-        grid=grid,
-        params=params,
-        replications=replications,
-        base_seed=base_seed,
-        jobs=jobs,
-        shard=shard,
-        max_retries=max_retries,
-    )
-    store = ResultStore(out) if out is not None else None
-    result_cache = ResultCache(cache) if cache is not None else None
-    started = time.perf_counter()
-
-    # All progress/diagnostic output goes to stderr: stdout is reserved for
-    # record/summary data so `repro sweep ... | jq` style pipelines work.
-    if verbose and out is not None:
-        print(
-            f"sweep -> {out} (manifest {manifest_path(out)}, "
-            f"heartbeat {heartbeat_path(out)})",
-            file=sys.stderr,
-        )
-
-    def progress(done: int, total: int, record: Dict[str, Any]) -> None:
-        if verbose:
-            elapsed = time.perf_counter() - started
-            stats = runner.stats
-            fresh = done - stats.resumed
-            eta = elapsed / fresh * (total - done) if fresh > 0 else 0.0
-            rate = record.get("tfmcc_mean_bps")
-            label = f"tfmcc={rate / 1e3:.1f} kbit/s" if rate is not None else "FAILED"
-            print(
-                f"[{done}/{total}] seed={record['run']['seed']} {label} "
-                f"({elapsed:.1f}s elapsed, eta {eta:.0f}s, "
-                f"cache {stats.cached} hit / {stats.executed} miss, "
-                f"{stats.retried} retried)",
-                file=sys.stderr,
-            )
-
-    records = runner.execute(
-        store=store, progress=progress, cache=result_cache, resume=resume
-    )
-    if verbose:
-        print(f"sweep complete: {runner.stats.summary()}", file=sys.stderr)
-    return records

@@ -1,56 +1,41 @@
-"""Job scheduler: a persistent worker pool with coalescing and recovery.
+"""Job scheduler: jobs, journal and events over the shared run executor.
 
 The scheduler owns the daemon's long-lived state: the job table, the
-fingerprint-keyed task queue, one :class:`ProcessPoolExecutor` shared by
-every job, the spec-fingerprint :class:`~repro.scenarios.cache.ResultCache`,
-the service :class:`~repro.scenarios.store.ResultStore` and the
-:class:`~repro.service.jobs.JobJournal`.
+spec-fingerprint :class:`~repro.scenarios.cache.ResultCache`, the service
+:class:`~repro.scenarios.store.ResultStore`, the
+:class:`~repro.service.jobs.JobJournal` and one persistent
+:class:`~repro.scenarios.executor.RunExecutor` shared by every job.
 
-Execution reuses the sweep runner's machinery wholesale: units are
-:class:`~repro.scenarios.sweep.SweepRun` objects executed by the same
-:func:`~repro.scenarios.sweep.pool_execute` worker entry point (never
-raises; failures come back as error strings and are retried up to
-``max_retries``), and a worker that dies abruptly breaks the pool, which
-is rebuilt with blame attached to the fingerprint whose future broke —
-after ``max_retries`` rebuilds that unit is failed instead of resubmitted,
-so one poisonous spec cannot wedge the service.
-
-Deduplication is the service's headline trick: tasks are keyed by spec
-fingerprint, so two clients submitting the same ``(spec, seed)`` share one
-simulation (*in-flight coalescing*, counted in ``service.units_coalesced``)
-and anything already in the result cache is answered instantly without
-touching the pool at all.
+Execution is the executor's business: units are
+:class:`~repro.scenarios.sweep.SweepRun` objects submitted by fingerprint,
+so anything already cached is answered without touching the pool, two
+clients submitting the same ``(spec, seed)`` share one simulation
+(*coalescing*, counted in ``service.units_coalesced``), a unit that raises
+is retried up to ``max_retries`` times and a worker that dies takes down
+only its pool.  The scheduler turns each unit's outcome into what is its
+own: a stamped record in the store, a journal line, an SSE event and the
+job's state.
 
 Threading model: HTTP handler threads call :meth:`submit`, :meth:`cancel`
 and the read accessors; one internal dispatcher thread consumes an event
-queue (new units, future completions, drain).  All mutable state is
-guarded by one re-entrant lock — the per-event critical sections are tiny
-compared to a simulation, so contention is irrelevant.
+queue (new units, unit outcomes, drain).  All mutable state is guarded by
+one re-entrant lock — the per-event critical sections are tiny compared to
+a simulation, so contention is irrelevant.
 """
 
 from __future__ import annotations
 
-import copy
 import os
 import queue
 import threading
 import time
-from collections import deque
-from concurrent.futures import Future, ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from concurrent.futures import Future
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.scenarios.cache import ResultCache, pure_record
+from repro.scenarios.cache import ResultCache
+from repro.scenarios.executor import Outcome, RunExecutor
 from repro.scenarios.store import ResultStore
-from repro.scenarios.sweep import (
-    SweepRun,
-    failure_record,
-    pool_execute,
-    resolve_spec_cached,
-    run_fingerprint,
-    stamp_record,
-)
+from repro.scenarios.sweep import failure_record, run_fingerprint
 from repro.service.jobs import Job, JobJournal, expand_payload
 from repro.telemetry.core import Telemetry
 
@@ -63,21 +48,8 @@ class UnknownJob(KeyError):
     """Raised for job ids the scheduler has never seen (HTTP 404)."""
 
 
-@dataclass
-class _Task:
-    """One distinct (spec, seed) simulation and the units waiting on it."""
-
-    fingerprint: str
-    run: SweepRun
-    waiters: List[Tuple[Job, int]] = field(default_factory=list)
-    attempts: int = 0
-
-
 class Scheduler:
     """Persistent job scheduler behind the HTTP control API."""
-
-    #: In-flight window multiplier (tasks dispatched per worker slot).
-    WINDOW = 2
 
     def __init__(
         self,
@@ -86,8 +58,6 @@ class Scheduler:
         max_retries: int = 2,
         verbose: bool = False,
     ):
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
         os.makedirs(data_dir, exist_ok=True)
         self.data_dir = data_dir
         self.workers = workers
@@ -99,18 +69,18 @@ class Scheduler:
         self.telemetry = Telemetry()
         self.started = time.time()
 
+        # Isolated: even one worker is a process of its own, so a unit that
+        # kills the process it runs in cannot take the daemon with it.
+        # (Also rejects workers < 1.)
+        self.executor = RunExecutor(workers, max_retries, self.cache, isolated=True)
+
         self._lock = threading.RLock()
         self._jobs: "Dict[str, Job]" = {}
         self._results: Dict[str, Dict[int, Dict[str, Any]]] = {}
-        self._tasks: Dict[str, _Task] = {}
-        self._pending: "deque[str]" = deque()
-        self._inflight: Dict[str, Future] = {}
-        self._generation = 0
+        self._futures: Dict[str, List[Future]] = {}
         self._counter = 0
         self._draining = False
-        self._drained = threading.Event()
         self._events: "queue.Queue[Tuple[str, Any]]" = queue.Queue()
-        self._executor: Optional[ProcessPoolExecutor] = None
 
         self._recover()
         self._thread = threading.Thread(
@@ -165,7 +135,7 @@ class Scheduler:
     def cancel(self, job_id: str) -> bool:
         """Cancel a job; returns False when it already reached a terminal state.
 
-        Pending units are dropped immediately.  A unit already in flight
+        Units not yet dispatched are cancelled.  A unit already in flight
         cannot be preempted inside its worker process — its result is still
         cached on arrival (it is a pure record) but no longer delivered to
         this job.  Coalesced units of *other* jobs sharing a fingerprint
@@ -175,13 +145,10 @@ class Scheduler:
             job = self.job(job_id)
             if job.terminal:
                 return False
-            job.state = "cancelled"
-            job.finished = time.time()
-            for task in self._tasks.values():
-                task.waiters = [(j, i) for j, i in task.waiters if j is not job]
-        self.journal.append({"op": "state", "id": job.id, "state": "cancelled"})
-        self.telemetry.inc("service.jobs_cancelled")
-        job.emit("state", state="cancelled", completed=job.completed, total=job.total)
+            futures = self._futures.get(job.id, ())
+            self._finalise(job, "cancelled")
+            for future in futures:
+                future.cancel()  # a no-op for units already dispatched
         return True
 
     def result(self, job_id: str) -> Optional[List[Dict[str, Any]]]:
@@ -210,15 +177,11 @@ class Scheduler:
             return failure_record(
                 job.units[index], job.failed_units[index], self.max_retries
             )
-        pure = self.cache.get(job.fingerprints[index])
+        fingerprint = job.fingerprints[index]
+        pure = self.cache.get(fingerprint)
         if pure is None:
             return None
-        return self._stamp(job, index, pure)
-
-    def _stamp(self, job: Job, index: int, pure: Dict[str, Any]) -> Dict[str, Any]:
-        run = job.units[index]
-        spec = resolve_spec_cached(run)
-        return stamp_record(copy.deepcopy(pure), run, spec, job.fingerprints[index])
+        return Outcome(fingerprint, "cached", pure).stamp(job.units[index])
 
     # ---------------------------------------------------------------- stats
 
@@ -229,9 +192,9 @@ class Scheduler:
                 by_state[job.state] = by_state.get(job.state, 0) + 1
             return {
                 "jobs": by_state,
-                "pending_tasks": len(self._pending),
-                "inflight_tasks": len(self._inflight),
-                "distinct_tasks": len(self._tasks),
+                "pending_tasks": self.executor.pending,
+                "inflight_tasks": self.executor.inflight,
+                "distinct_tasks": self.executor.pending + self.executor.inflight,
                 "cache_entries": len(self.cache),
                 "cache_hits": self.cache.hits,
                 "cache_misses": self.cache.misses,
@@ -246,9 +209,13 @@ class Scheduler:
             self.telemetry.gauge("service.jobs_active", sum(
                 1 for job in self._jobs.values() if not job.terminal
             ))
-            self.telemetry.gauge("service.tasks_pending", len(self._pending))
-            self.telemetry.gauge("service.tasks_inflight", len(self._inflight))
+            self.telemetry.gauge("service.tasks_pending", self.executor.pending)
+            self.telemetry.gauge("service.tasks_inflight", self.executor.inflight)
             self.telemetry.gauge("service.cache_entries", len(self.cache))
+            if self.executor.pool_rebuilds:
+                self.telemetry.counters["service.pool_rebuilds"] = (
+                    self.executor.pool_rebuilds
+                )
             return self.telemetry.snapshot()
 
     # ------------------------------------------------------------- recovery
@@ -264,22 +231,13 @@ class Scheduler:
             if op == "submit":
                 job_id = entry["id"]
                 payload = entry.get("payload") or {}
+                job = Job(id=job_id, payload=dict(payload), units=[], fingerprints=[])
                 try:
-                    units = expand_payload(payload)
-                    fingerprints = [run_fingerprint(unit) for unit in units]
+                    job.units = expand_payload(payload)
+                    job.fingerprints = [run_fingerprint(unit) for unit in job.units]
                 except Exception as exc:  # scenario gone, spec invalid, ...
-                    job = Job(id=job_id, payload=dict(payload), units=[], fingerprints=[])
-                    job.state = "failed"
+                    job.units, job.state = [], "failed"
                     job.failed_units[0] = f"unrecoverable payload: {exc}"
-                    self._jobs[job_id] = job
-                    self._results[job_id] = {}
-                    continue
-                job = Job(
-                    id=job_id,
-                    payload=dict(payload),
-                    units=units,
-                    fingerprints=fingerprints,
-                )
                 self._jobs[job_id] = job
                 self._results[job_id] = {}
             elif op == "unit":
@@ -311,7 +269,7 @@ class Scheduler:
                 if index not in job.done_units and index not in job.failed_units
             ]
             if not remaining:
-                self._finalise(job)
+                self._finalise(job, "failed" if job.failed_units else "done")
                 continue
             recovered += 1
             job.emit(
@@ -331,11 +289,6 @@ class Scheduler:
 
     # ------------------------------------------------------------ internals
 
-    def _ensure_executor(self) -> ProcessPoolExecutor:
-        if self._executor is None:
-            self._executor = ProcessPoolExecutor(max_workers=self.workers)
-        return self._executor
-
     def _loop(self) -> None:
         while True:
             kind, arg = self._events.get()
@@ -343,200 +296,90 @@ class Scheduler:
                 break
             try:
                 if kind == "units":
-                    job, indices = arg
-                    self._handle_units(job, indices)
+                    self._handle_units(*arg)
                 elif kind == "done":
-                    self._handle_done(*arg)
-                # "poke" falls through to the drain check below.
+                    self._unit_done(*arg)
+                else:  # "sync": everything queued before it has been handled
+                    arg.set()
             except Exception:  # pragma: no cover - keep the dispatcher alive
                 import traceback
 
                 traceback.print_exc()
-            with self._lock:
-                if self._draining and not self._inflight:
-                    self._drained.set()
 
     def _handle_units(self, job: Job, indices: List[int]) -> None:
         with self._lock:
             if job.terminal:
                 return
+            futures = self._futures.setdefault(job.id, [])
             for index in indices:
                 if job.terminal:
-                    break
-                fingerprint = job.fingerprints[index]
-                pure = self.cache.get(fingerprint)
-                if pure is not None:
-                    self.telemetry.inc("service.units_cached")
-                    self._complete_unit(job, index, pure, source="cached")
+                    return
+                future = self.executor.submit(job.units[index], job.fingerprints[index])
+                if future.done():  # a cache hit: commit it before the state event
+                    self._unit_done(job, index, future)
                     continue
-                task = self._tasks.get(fingerprint)
-                if task is not None:
-                    task.waiters.append((job, index))
-                    self.telemetry.inc("service.units_coalesced")
-                    job.emit("coalesced", unit=index, fingerprint=fingerprint)
-                    continue
-                self._tasks[fingerprint] = _Task(
-                    fingerprint=fingerprint,
-                    run=job.units[index],
-                    waiters=[(job, index)],
+                futures.append(future)
+                future.add_done_callback(
+                    lambda f, index=index: self._events.put(("done", (job, index, f)))
                 )
-                self._pending.append(fingerprint)
             if not job.terminal and job.state == "queued":
                 job.state = "running"
                 self.journal.append({"op": "state", "id": job.id, "state": "running"})
                 job.emit("state", state="running", completed=job.completed, total=job.total)
-        self._dispatch()
 
-    def _dispatch(self) -> None:
-        with self._lock:
-            if self._draining:
-                return
-            window = self.workers * self.WINDOW
-            while self._pending and len(self._inflight) < window:
-                fingerprint = self._pending.popleft()
-                task = self._tasks.get(fingerprint)
-                if task is None or fingerprint in self._inflight:
-                    continue
-                if not task.waiters:  # every waiter cancelled before dispatch
-                    del self._tasks[fingerprint]
-                    continue
-                future = self._ensure_executor().submit(pool_execute, task.run)
-                self._inflight[fingerprint] = future
-                generation = self._generation
-                future.add_done_callback(
-                    lambda f, fp=fingerprint, gen=generation: self._events.put(
-                        ("done", (fp, gen, f))
-                    )
-                )
-
-    def _handle_done(self, fingerprint: str, generation: int, future: Future) -> None:
-        with self._lock:
-            if generation != self._generation:
-                return  # stale future from before a pool rebuild
-            self._inflight.pop(fingerprint, None)
-            task = self._tasks.get(fingerprint)
-            if task is None:
-                return
-            try:
-                _index, record, error, _wall = future.result()
-            except BrokenProcessPool:
-                self._rebuild_pool(blame=fingerprint)
-                return
-            except Exception as exc:  # cancelled futures during shutdown etc.
-                record, error = None, f"{type(exc).__name__}: {exc}"
-            if error is not None:
-                task.attempts += 1
-                if task.attempts <= self.max_retries:
-                    self.telemetry.inc("service.units_retried")
-                    self._pending.appendleft(fingerprint)
-                else:
-                    self._fail_task(task, error)
-                    del self._tasks[fingerprint]
-            else:
-                pure = pure_record(record)
-                self.cache.put(fingerprint, pure)
+    def _unit_done(self, job: Job, index: int, future: Future) -> None:
+        """Turn one unit's outcome into store, journal, event and job state."""
+        if future.cancelled():  # the job was cancelled, or the executor closed
+            return
+        outcome: Outcome = future.result()
+        if outcome.source != "executed":
+            self.telemetry.inc(f"service.units_{outcome.source}")
+        else:
+            if outcome.attempts > 1:
+                self.telemetry.inc("service.units_retried", outcome.attempts - 1)
+            if outcome.error is None:
                 self.telemetry.inc("service.units_executed")
-                for position, (job, index) in enumerate(task.waiters):
-                    if job.terminal:
-                        continue
-                    source = "executed" if position == 0 else "coalesced"
-                    self._complete_unit(job, index, pure, source=source)
-                del self._tasks[fingerprint]
-        self._dispatch()
-
-    def _rebuild_pool(self, blame: str) -> None:
-        """Replace a broken executor and resubmit its in-flight tasks."""
-        self.telemetry.inc("service.pool_rebuilds")
-        self._generation += 1
-        if self._executor is not None:
-            self._executor.shutdown(wait=False, cancel_futures=True)
-            self._executor = None
-        survivors = list(self._inflight)
-        self._inflight.clear()
-        for fingerprint in survivors:
-            task = self._tasks.get(fingerprint)
-            if task is None:
-                continue
-            if fingerprint == blame:
-                task.attempts += 1
-                if task.attempts > self.max_retries:
-                    self._fail_task(
-                        task,
-                        "worker process died while executing this run "
-                        f"({task.attempts} attempts)",
-                    )
-                    del self._tasks[fingerprint]
-                    continue
-                self.telemetry.inc("service.units_retried")
-            self._pending.appendleft(fingerprint)
-        self._dispatch()
-
-    def _fail_task(self, task: _Task, error: str) -> None:
-        for job, index in task.waiters:
+        with self._lock:
             if job.terminal:
-                continue
-            job.failed_units[index] = error
-            self._results[job.id][index] = failure_record(
-                job.units[index], error, self.max_retries
-            )
-            self.telemetry.inc("service.units_failed")
+                return
+            record = outcome.stamp(job.units[index])
+            self._results[job.id][index] = record
+            if outcome.error is None:
+                self.store.append(record)
+                job.done_units.add(index)
+                job.sources[index] = outcome.source
+                detail = {"status": "done", "source": outcome.source}
+                rate = {"tfmcc_mean_bps": record.get("tfmcc_mean_bps")}
+            else:
+                job.failed_units[index] = outcome.error
+                self.telemetry.inc("service.units_failed")
+                detail = {"status": "failed", "error": outcome.error}
+                rate = {}
             self.journal.append(
                 {
                     "op": "unit",
                     "id": job.id,
                     "unit": index,
-                    "status": "failed",
-                    "fingerprint": task.fingerprint,
-                    "error": error,
+                    "fingerprint": job.fingerprints[index],
+                    **detail,
                 }
             )
             job.emit(
-                "unit",
-                unit=index,
-                status="failed",
-                error=error,
-                completed=job.completed,
-                total=job.total,
+                "unit", unit=index, completed=job.completed, total=job.total, **detail, **rate
             )
             if job.completed >= job.total:
-                self._finalise(job)
+                self._finalise(job, "failed" if job.failed_units else "done")
 
-    def _complete_unit(
-        self, job: Job, index: int, pure: Dict[str, Any], source: str
-    ) -> None:
-        stamped = self._stamp(job, index, pure)
-        self.store.append(stamped)
-        job.done_units.add(index)
-        job.sources[index] = source
-        self._results[job.id][index] = stamped
-        self.journal.append(
-            {
-                "op": "unit",
-                "id": job.id,
-                "unit": index,
-                "status": "done",
-                "fingerprint": job.fingerprints[index],
-                "source": source,
-            }
-        )
-        job.emit(
-            "unit",
-            unit=index,
-            status="done",
-            source=source,
-            completed=job.completed,
-            total=job.total,
-            tfmcc_mean_bps=stamped.get("tfmcc_mean_bps"),
-        )
-        if job.completed >= job.total:
-            self._finalise(job)
-
-    def _finalise(self, job: Job) -> None:
-        job.state = "failed" if job.failed_units else "done"
-        job.finished = time.time()
-        self.journal.append({"op": "state", "id": job.id, "state": job.state})
-        self.telemetry.inc(f"service.jobs_{job.state}")
-        job.emit("state", state=job.state, completed=job.completed, total=job.total)
+    def _finalise(self, job: Job, state: str) -> None:
+        self._futures.pop(job.id, None)
+        self.journal.append({"op": "state", "id": job.id, "state": state})
+        # Under the job's condition, so an SSE watcher sees the terminal
+        # state together with its event and never closes one event short.
+        with job.cond:
+            job.state = state
+            job.finished = time.time()
+            job.emit("state", state=state, completed=job.completed, total=job.total)
+        self.telemetry.inc(f"service.jobs_{state}")
 
     # ------------------------------------------------------------- shutdown
 
@@ -547,20 +390,17 @@ class Scheduler:
         next start.  Returns True when the pool drained within ``timeout``.
         """
         self._draining = True
-        self._events.put(("poke", None))
-        drained = self._drained.wait(timeout)
+        drained = self.executor.close(wait=True, timeout=timeout)
+        handled = threading.Event()
+        self._events.put(("sync", handled))
+        handled.wait(timeout)
         with self._lock:
             self.journal.compact(self._jobs)
-        if self._executor is not None:
-            self._executor.shutdown(wait=drained, cancel_futures=not drained)
-            self._executor = None
         return drained
 
     def close(self) -> None:
         """Stop the dispatcher thread and release the journal handle."""
         self._events.put(("stop", None))
         self._thread.join(timeout=10.0)
-        if self._executor is not None:
-            self._executor.shutdown(wait=False, cancel_futures=True)
-            self._executor = None
+        self.executor.close()
         self.journal.close()

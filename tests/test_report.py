@@ -2,6 +2,9 @@
 
 import csv
 import json
+import os
+import sys
+from dataclasses import replace
 
 import pytest
 
@@ -177,6 +180,31 @@ def test_run_report_does_not_reuse_truncated_datasets(tmp_path, tiny_figure):
     run_report(figures=[tiny_figure], quick=True, out_dir=out, plots=False,
                reuse=True, log=messages.append)
     assert any("running" in m for m in messages)
+
+
+def test_run_report_raises_when_a_run_fails(tmp_path, tiny_figure, monkeypatch):
+    """A failed run stops the report with one error; no failure record is built on."""
+    attempts = []
+
+    def broken(spec, seed=None, **kwargs):
+        attempts.append(seed)
+        raise ValueError("simulated crash")
+
+    monkeypatch.setattr(sys.modules["repro.scenarios.sweep"], "run_scenario", broken)
+    unbuildable = replace(
+        FIGURES[tiny_figure], build=lambda records, quick: pytest.fail("build ran")
+    )
+    monkeypatch.setitem(FIGURES, tiny_figure, unbuildable)
+    with pytest.raises(RuntimeError) as err:
+        run_report(
+            figures=[tiny_figure], quick=True, out_dir=str(tmp_path / "figs"),
+            plots=False, log=lambda msg: None,
+        )
+    message = str(err.value)
+    assert tiny_figure in message and "'fairness'" in message and "seed 1" in message
+    assert "ValueError: simulated crash" in message
+    assert attempts == [1, 1, 1]  # the bounded retries sweeps get
+    assert not os.path.exists(tmp_path / "figs" / "data" / f"{tiny_figure}.jsonl")
 
 
 def test_run_report_rejects_unknown_figures(tmp_path):

@@ -25,6 +25,7 @@ import time
 import pytest
 
 import repro
+from repro import telemetry
 from repro.scenarios.cache import ResultCache, pure_record
 from repro.scenarios.store import encode_record
 from repro.service import ReproService, ServiceClient, ServiceError
@@ -395,6 +396,132 @@ def test_service_record_matches_repro_run_cache(service, client, tmp_path):
     )
     # Same machine, same provenance shape: even the full records agree.
     assert encode_record(service_record) == encode_record(direct_record)
+
+
+def test_service_record_carries_run_telemetry_like_repro_run(tmp_path):
+    """With telemetry on, a service record equals the ``repro run`` record
+    and ``/metrics`` exposes the fleet (run-level) section."""
+    with telemetry.forced(True):  # set before the pool forks; workers inherit it
+        svc = ReproService(
+            str(tmp_path / "data"), uds=str(tmp_path / "repro.sock"), workers=1
+        ).start()
+        try:
+            client = ServiceClient(svc.endpoint)
+            job = client.submit(tiny_payload(seed=93))
+            assert client.wait(job["id"], timeout=300)["state"] == "done"
+            service_record = client.result(job["id"])
+            again = client.submit(tiny_payload(seed=93))
+            assert client.wait(again["id"], timeout=60)["sources"]["cached"] == 1
+            cached_record = client.result(again["id"])
+            metrics = client.metrics()
+        finally:
+            svc.shutdown(timeout=120)
+    section = service_record["run"]["telemetry"]
+    assert section["counters"]["engine.events_total"] == service_record["events"]
+    assert "spans" not in section
+    assert "telemetry" not in cached_record["run"]  # nothing was simulated for it
+    stored = [json.loads(line) for line in open(svc.scheduler.store.path)]
+    assert stored[0]["run"]["telemetry"] == section
+    assert f"repro_engine_events_total_total {service_record['events']}" in metrics
+    out = subprocess.run(
+        [
+            sys.executable, "-m", "repro", "run", "fairness", "--seed", "93",
+            "--set", "duration=4.0", "--set", "num_tcp=2", "--json",
+        ],
+        cwd=str(tmp_path),
+        env={**os.environ, "PYTHONPATH": SRC_DIR, "REPRO_TELEMETRY": "1"},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert encode_record(service_record) == encode_record(json.loads(out.stdout))
+
+
+# ------------------------------------------------- failures behind the API
+
+
+sweep_mod = sys.modules["repro.scenarios.sweep"]
+
+
+def test_deterministic_unit_failure_ends_job_failed(service, client, monkeypatch):
+    def broken(spec, seed=None, **kwargs):
+        raise RuntimeError("deterministic bug")
+
+    monkeypatch.setattr(sweep_mod, "run_scenario", broken)  # before the pool forks
+    job = client.submit(tiny_payload(seed=94))
+    final = client.wait(job["id"], timeout=120)
+    assert final["state"] == "failed" and final["completed"] == 1
+    record = client.result(job["id"])
+    assert record["failed"] is True
+    assert record["error"] == "RuntimeError: deterministic bug"
+    assert record["run"]["seed"] == 94
+    assert record["run"]["retries"] == service.scheduler.max_retries
+    tallies = counters(service)
+    assert tallies["service.units_failed"] == 1
+    assert tallies["service.units_retried"] == service.scheduler.max_retries
+    assert "service.units_executed" not in tallies
+
+
+def test_worker_sigkill_mid_job_still_ends_done(service, client, tmp_path, monkeypatch):
+    real = sweep_mod.run_scenario
+    flag = tmp_path / "kill-once"
+    flag.write_text("armed")
+
+    def killer(spec, seed=None, **kwargs):
+        if seed == 99 and flag.exists():  # one seed: two workers must not race for the flag
+            flag.unlink()
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(spec, seed=seed, **kwargs)
+
+    monkeypatch.setattr(sweep_mod, "run_scenario", killer)
+    job = client.submit(
+        {"scenario": "fairness", "seed": 98, "params": dict(TINY), "replications": 3}
+    )
+    final = client.wait(job["id"], timeout=300)
+    assert final["state"] == "done" and final["completed"] == 3
+    assert [r["run"]["seed"] for r in client.result(job["id"])["records"]] == [98, 99, 100]
+    tallies = counters(service)
+    assert tallies["service.pool_rebuilds"] >= 1
+    assert tallies["service.units_retried"] == tallies["service.pool_rebuilds"]
+    assert tallies["service.units_executed"] == 3
+
+
+def test_cancel_skips_units_not_yet_dispatched(tmp_path, monkeypatch):
+    """Cancelling a job cancels its queued futures: only what was already in
+    flight is ever simulated."""
+    calls = tmp_path / "calls"
+    go = tmp_path / "go"
+
+    def held(spec, seed=None, **kwargs):
+        with open(calls, "a") as fh:
+            fh.write(f"{seed}\n")
+        while not go.exists():
+            time.sleep(0.01)
+        return {"scenario": spec.name, "seed": seed, "tfmcc_mean_bps": 1.0}
+
+    monkeypatch.setattr(sweep_mod, "run_scenario", held)
+    svc = ReproService(
+        str(tmp_path / "data"), uds=str(tmp_path / "repro.sock"), workers=1
+    ).start()
+    try:
+        client = ServiceClient(svc.endpoint)
+        job = client.submit(
+            {"scenario": "fairness", "seed": 200, "params": dict(TINY), "replications": 9}
+        )
+        deadline = time.monotonic() + 30
+        while not calls.exists() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        stats = svc.scheduler.stats()
+        assert stats["inflight_tasks"] + stats["pending_tasks"] == 9
+        assert client.cancel(job["id"])["cancelled"] is True
+        go.write_text("")
+        after = client.submit(tiny_payload(seed=300))
+        assert client.wait(after["id"], timeout=120)["state"] == "done"
+    finally:
+        svc.shutdown(timeout=120)
+    simulated = [int(seed) for seed in calls.read_text().split()]
+    assert len(simulated) == stats["inflight_tasks"] + 1  # the window, then seed 300
+    assert simulated[-1] == 300
 
 
 def test_end_to_end_concurrent_clients(service):

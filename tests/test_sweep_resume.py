@@ -13,6 +13,7 @@ Covers the sweep orchestrator's acceptance properties:
   aborting the sweep; a killed worker only breaks (and rebuilds) its pool.
 """
 
+import hashlib
 import json
 import os
 import signal
@@ -35,9 +36,10 @@ from repro.scenarios import (
     manifest_path,
 )
 from repro.scenarios.cache import fingerprint_spec
+from repro.scenarios.executor import WINDOW
 
-# ``repro.scenarios.sweep`` the attribute is the convenience *function*
-# (re-exported by the package); fetch the module itself for monkeypatching.
+# The module whose ``run_scenario`` the worker entry point calls: patching it
+# (before a pool forks) is the seam for injecting failures into runs.
 sweep_mod = sys.modules["repro.scenarios.sweep"]
 
 TINY = {"duration": 4.0, "num_tcp": 2}
@@ -63,6 +65,27 @@ def test_fingerprint_is_canonical():
     assert fingerprint(dict(reversed(list(spec_dict.items()))), 7) == fp
     # The seed does.
     assert fingerprint(spec_dict, 8) != fp
+
+
+def test_fingerprint_spec_equals_the_fingerprint_of_its_dict():
+    """The per-spec encoding memo must not change a single fingerprint."""
+    spec = get_scenario("fairness").spec(**TINY)
+    canonical = hashlib.sha256(
+        json.dumps(
+            {"seed": 7, "spec": spec.to_dict()}, sort_keys=True, separators=(",", ":")
+        ).encode("utf-8")
+    ).hexdigest()[:16]
+    assert fingerprint(spec.to_dict(), 7) == canonical
+    assert fingerprint_spec(spec, 7) == canonical
+    assert fingerprint_spec(spec, 7) == canonical  # now from the memo
+    assert fingerprint_spec(spec, 8) == fingerprint(spec.to_dict(), 8) != canonical
+    # A derived spec never inherits its parent's encoding.
+    longer = spec.with_overrides(duration=9.0)
+    assert fingerprint_spec(longer, 7) == fingerprint(longer.to_dict(), 7) != canonical
+    # A large spec is not made to carry megabytes of JSON around.
+    large = get_scenario("scaling").spec(num_receivers=2000)
+    assert fingerprint_spec(large, 7) == fingerprint(large.to_dict(), 7)
+    assert "_canonical_json" in vars(spec) and "_canonical_json" not in vars(large)
 
 
 def test_fingerprint_is_stable_across_processes():
@@ -206,6 +229,24 @@ def test_warm_cache_rerun_runs_zero_simulations(tmp_path, monkeypatch):
     assert warm_store.read_bytes() == cold_store.read_bytes()
 
 
+def test_warm_sweep_looks_up_only_its_window(tmp_path, monkeypatch):
+    """Cache hits are answered inside the bounded window, not all up front."""
+
+    def instant(spec, seed=None, **kwargs):
+        return {"scenario": spec.name, "seed": seed, "tfmcc_mean_bps": 1.0}
+
+    monkeypatch.setattr(sweep_mod, "run_scenario", instant)
+    path = str(tmp_path / "cache.jsonl")
+    tiny_runner(replications=50).execute(cache=ResultCache(path), collect=False)
+    for jobs in (1, 2):
+        cache = ResultCache(path)
+        runner = tiny_runner(replications=50, jobs=jobs)
+        store = ResultStore(str(tmp_path / f"warm{jobs}.jsonl"))
+        runner.execute(store=store, cache=cache, stop_after=1, collect=False)
+        assert runner.stats.cached == 1 and runner.stats.executed == 0
+        assert cache.hits <= (1 if jobs == 1 else jobs * WINDOW) + 1
+
+
 # -------------------------------------------------------------------- shards
 
 
@@ -260,6 +301,34 @@ def test_transient_failure_is_retried(tmp_path, monkeypatch):
     runner = tiny_runner()
     store = tmp_path / "s.jsonl"
     runner.execute(store=ResultStore(str(store)))
+    assert runner.stats.retried == 1 and runner.stats.failed == 0
+    assert store.read_bytes() == ref.read_bytes()
+
+
+def test_flaky_run_is_retried_in_a_worker_not_the_parent(tmp_path, monkeypatch):
+    ref = tmp_path / "ref.jsonl"
+    tiny_runner().execute(store=ResultStore(str(ref)))
+
+    real = sweep_mod.run_scenario
+    pids = tmp_path / "pids"
+    flag = tmp_path / "fail-once"
+    flag.write_text("armed")
+
+    def flaky(spec, seed=None, **kwargs):
+        if seed == 3:
+            with open(pids, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            if flag.exists():
+                flag.unlink()
+                raise RuntimeError("transient")
+        return real(spec, seed=seed, **kwargs)
+
+    monkeypatch.setattr(sweep_mod, "run_scenario", flaky)
+    runner = tiny_runner(jobs=2)
+    store = tmp_path / "s.jsonl"
+    runner.execute(store=ResultStore(str(store)))
+    attempts = [int(pid) for pid in pids.read_text().split()]
+    assert len(attempts) == 2 and os.getpid() not in attempts
     assert runner.stats.retried == 1 and runner.stats.failed == 0
     assert store.read_bytes() == ref.read_bytes()
 
