@@ -3,9 +3,9 @@
 Every workload is deterministic (fixed seed, fixed parameters) so that two
 runs on the same machine measure the same simulation — the only thing that
 varies is how fast the engine chews through it.  Results are written as
-``BENCH_<name>.json`` files containing events/sec, wall time and peak RSS,
-and can be compared against committed baselines to catch performance
-regressions in CI (``python -m repro bench --quick --check``).
+``BENCH_<name>.json`` files containing wall time, link packets, events/sec
+and peak RSS, and can be compared against committed baselines to catch
+performance regressions in CI (``python -m repro bench --quick --check``).
 
 Workloads
 ---------
@@ -34,9 +34,13 @@ Workloads
     zero simulations.  The ``warm_speedup`` extra is the cold/warm wall
     ratio — the headline number of the fingerprint cache.
 
-The headline ``events_per_sec`` divides simulator events by the *total*
-workload wall time (topology build + run), which is what a sweep actually
-pays per replication; ``run_events_per_sec`` isolates the event loop.
+The gated number is ``wall_s``, the *total* workload wall time (topology
+build + run), which is what a sweep actually pays per replication.  A pinned
+seed fixes the simulated traffic (``link_packets``: packets serialised onto
+links, the work the network did), so wall time per workload is comparable
+across engine revisions.  ``events`` is not: it counts heap events, which an
+engine change may legitimately halve, so ``events_per_sec`` and
+``run_events_per_sec`` (the event loop alone) are informational only.
 """
 
 from __future__ import annotations
@@ -55,8 +59,8 @@ except ImportError:  # pragma: no cover - Windows has no resource module
 
 from repro.simulator.engine import Simulator
 
-#: Regression threshold for ``--check``: fail when events/sec drops by more
-#: than this fraction below the committed baseline.
+#: Regression threshold for ``--check``: fail when speed (1 / ``wall_s``)
+#: drops by more than this fraction below the committed baseline.
 DEFAULT_THRESHOLD = 0.25
 
 #: Default locations (relative to the repository root / CWD).
@@ -104,6 +108,7 @@ def _bench_engine_churn(quick: bool) -> Dict[str, Any]:
     run_s = time.perf_counter() - start
     return {
         "events": sim.events_processed,
+        "link_packets": 0,
         "build_s": 0.0,
         "run_s": run_s,
         "seed": 123,
@@ -146,6 +151,7 @@ def _scenario_workload(
     links = built.network.links
     return {
         "events": built.sim.events_processed,
+        "link_packets": sum(link.packets_sent for link in links),
         "build_s": built_at - start,
         "run_s": finished - built_at,
         "seed": seed,
@@ -233,6 +239,7 @@ def _bench_sweep_resume(quick: bool) -> Dict[str, Any]:
     assert warm.executed == 0, "warm cached re-run must perform zero simulations"
     return {
         "events": sum(r["events"] for r in records),
+        "link_packets": sum(r["links"]["packets_sent"] for r in records),
         "build_s": 0.0,
         "run_s": cold_s + warm_s,
         "seed": 1,
@@ -294,6 +301,7 @@ def _bench_serve_roundtrip(quick: bool) -> Dict[str, Any]:
     warm_s = warm_done - cold_done
     return {
         "events": record["events"],
+        "link_packets": record["links"]["packets_sent"],
         "build_s": built_at - start,
         "run_s": cold_s + warm_s,
         "seed": 1,
@@ -348,6 +356,7 @@ def run_workload(name: str, quick: bool = False) -> Dict[str, Any]:
         "seed": raw["seed"],
         "params": raw["params"],
         "events": events,
+        "link_packets": raw["link_packets"],
         "build_s": round(raw["build_s"], 4),
         "run_s": round(raw["run_s"], 4),
         "wall_s": round(wall, 4),
@@ -395,41 +404,45 @@ def compare_to_baseline(
 ) -> Tuple[bool, str]:
     """Check ``result`` against ``baseline``.
 
-    Returns ``(ok, message)``.  The check fails when events/sec drops more
-    than ``threshold`` below the baseline.  A differing event *count* (the
-    same pinned-seed workload must replay the same simulation) is reported
-    in the message but does not fail the check on its own: it usually means
-    the baseline was recorded for an older engine and needs refreshing.
+    Returns ``(ok, message)``.  The check fails when ``wall_s`` says the
+    workload runs more than ``threshold`` slower (speed = 1 / wall) than the
+    baseline.  A differing event *count* is reported in the message but does
+    not fail the check on its own: events are the engine's bookkeeping, and
+    an engine revision may spend fewer of them on the same traffic.
     """
-    base_eps = baseline.get("events_per_sec", 0.0)
-    new_eps = result.get("events_per_sec", 0.0)
-    ratio = (new_eps / base_eps) if base_eps > 0 else float("inf")
+    base_wall = baseline.get("wall_s", 0.0)
+    new_wall = result.get("wall_s", 0.0)
+    ratio = (base_wall / new_wall) if new_wall > 0 else float("inf")
     notes = []
     if baseline.get("events") != result.get("events"):
         notes.append(
             f"event count changed {baseline.get('events')} -> {result.get('events')} "
             "(baseline from a different engine revision?)"
         )
-    # Telemetry counter deltas: deterministic per pinned seed, so any shift
-    # against the baseline pinpoints *what* changed alongside the speed.
-    base_counters = baseline.get("counters") or {}
-    new_counters = result.get("counters") or {}
+    # Deterministic per pinned seed, so any shift against the baseline
+    # pinpoints *what* changed alongside the speed; ``link_packets`` moving
+    # means the simulated traffic itself differs and wall times no longer
+    # compare.
+    base_counters, new_counters = (
+        {"link_packets": record.get("link_packets"), **(record.get("counters") or {})}
+        for record in (baseline, result)
+    )
     for key in sorted(set(base_counters) | set(new_counters)):
         old, new = base_counters.get(key), new_counters.get(key)
         if old != new and old is not None and new is not None:
             notes.append(f"counter {key} changed {old} -> {new}")
-    if base_eps > 0 and ratio < 1.0 - threshold:
+    if base_wall > 0 and ratio < 1.0 - threshold:
         msg = (
-            f"REGRESSION: {result['name']} at {new_eps:,.0f} events/s is "
-            f"{(1.0 - ratio) * 100:.1f}% below baseline {base_eps:,.0f} events/s "
-            f"(threshold {threshold * 100:.0f}%)"
+            f"REGRESSION: {result['name']} at {new_wall:.4f}s runs at "
+            f"{ratio * 100:.0f}% of the baseline speed ({base_wall:.4f}s; "
+            f"threshold {threshold * 100:.0f}% slower)"
         )
         if notes:
             msg += "; " + "; ".join(notes)
         return False, msg
     msg = (
-        f"ok: {result['name']} at {new_eps:,.0f} events/s "
-        f"({ratio * 100:.0f}% of baseline {base_eps:,.0f})"
+        f"ok: {result['name']} at {new_wall:.4f}s "
+        f"({ratio * 100:.0f}% of baseline speed, {base_wall:.4f}s)"
     )
     if notes:
         msg += "; " + "; ".join(notes)
@@ -460,8 +473,9 @@ def run_bench(
         result = run_workload(name, quick=quick)
         path = write_result(result, out_dir)
         echo(
-            f"{name:<20} {result['events']:>9,d} events  "
-            f"{result['wall_s']:>8.2f}s  {result['events_per_sec']:>11,.0f} ev/s  "
+            f"{name:<20} {result['wall_s']:>8.2f}s  "
+            f"{result['link_packets']:>9,d} link pkts  {result['events']:>9,d} events  "
+            f"{result['events_per_sec']:>11,.0f} ev/s  "
             f"rss {result['peak_rss_kb'] / 1024:.0f} MB  -> {path}"
         )
         results.append(result)

@@ -893,7 +893,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument(
         "--check",
         action="store_true",
-        help="fail (exit 1) on events/sec regression against the committed baseline",
+        help="fail (exit 1) on a wall-time regression against the committed baseline",
     )
     p_bench.add_argument(
         "--out",
@@ -909,7 +909,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--threshold",
         type=float,
         default=BENCH_THRESHOLD,
-        help="allowed fractional events/sec drop before --check fails "
+        help="allowed fractional speed (1 / wall_s) drop before --check fails "
         f"(default {BENCH_THRESHOLD})",
     )
     p_bench.set_defaults(func=cmd_bench)

@@ -184,6 +184,24 @@ class LossEventDetector:
         self._last_send_time = send_time
         return new_events
 
+    def on_in_order_packet(self, seq: int, send_time: float, rtt: float) -> bool:
+        """Fast path: consume ``seq`` if it is exactly the expected packet.
+
+        Returns False, having changed nothing, on the first packet, a gap or
+        a reordering; the caller then takes :meth:`update_rtt` and
+        :meth:`on_packet`.  For the expected packet those two create no loss
+        event, and this does their bookkeeping in one call instead of three.
+        """
+        if seq != self._expected_seq:
+            return False
+        if rtt > 0:
+            self.rtt = rtt
+        self.packets_received += 1
+        self.history._open_interval += 1.0
+        self._expected_seq = seq + 1
+        self._last_send_time = send_time
+        return True
+
     # ------------------------------------------------------------ internals
 
     def _register_losses(self, count: int, next_send_time: float) -> int:

@@ -196,7 +196,7 @@ class TFMCCReceiver(Agent):
         self.packets_received += 1
         self.bytes_received += size
         if self.monitor is not None:
-            self.monitor.record(receiver_id, size)
+            self.monitor.record(receiver_id, size, now)
         arrivals = self._arrivals
         if len(arrivals) == RECEIVE_RATE_WINDOW:
             # deque(maxlen) is about to evict the oldest entry.
@@ -222,22 +222,27 @@ class TFMCCReceiver(Agent):
             self._maybe_rescale_history()
         else:
             rtt.adjust_from_one_way_delay(timestamp, now)
-        self.detector.update_rtt(rtt.rtt)
-
-        # --- loss detection.  The rate seeding the loss history is computed
-        # only when the first loss event actually occurs; neither the RTT
-        # update nor the detector touches the arrival window, so the value
-        # matches what a per-packet snapshot would have produced.
-        history = self.history
-        had_loss_before = history.has_loss
-        new_loss_events = self.detector.on_packet(header.seq, timestamp)
-        if new_loss_events > 0:
-            if not had_loss_before:
-                self._seed_loss_history(self.receive_rate())
-            if self.probe is not None:
-                self.probe.emit(
-                    "loss_event", now, receiver_id, new_loss_events, history.loss_event_rate
-                )
+        # --- loss detection.  An in-order arrival (the common case) only
+        # advances the detector; the loss history is consulted only when a
+        # gap or reordering sends the packet down the full path.  The rate
+        # seeding the loss history is computed only when the first loss
+        # event actually occurs; neither the RTT update nor the detector
+        # touches the arrival window, so the value matches what a per-packet
+        # snapshot would have produced.
+        detector = self.detector
+        seq = header.seq
+        if not detector.on_in_order_packet(seq, timestamp, rtt.rtt):
+            detector.update_rtt(rtt.rtt)
+            history = self.history
+            had_loss_before = history.has_loss
+            new_loss_events = detector.on_packet(seq, timestamp)
+            if new_loss_events > 0:
+                if not had_loss_before:
+                    self._seed_loss_history(self.receive_rate())
+                if self.probe is not None:
+                    self.probe.emit(
+                        "loss_event", now, receiver_id, new_loss_events, history.loss_event_rate
+                    )
 
         # --- feedback round handling
         if header.round_id != self.current_round:

@@ -20,7 +20,8 @@ Hot-path design notes
   inner batch: the ``until`` comparison and the ``now`` write are per
   distinct time, not per event (packet bursts, simultaneous feedback and
   cohort steps frequently collide on one timestamp).
-* :meth:`Simulator.reschedule` is a fast path for the dominant
+* :meth:`Simulator.reschedule` (and its absolute-time form
+  :meth:`Simulator.reschedule_at`) is a fast path for the dominant
   recurring-timer pattern (media senders, CBR sources, link drains): when
   the previous handle has already fired it is reused in place, so a
   periodic timer costs zero allocations per tick.
@@ -208,20 +209,40 @@ class Simulator:
     ) -> EventHandle:
         """Re-arm a (possibly fired) timer ``delay`` seconds from now.
 
+        See :meth:`reschedule_at`, which this is the relative-time form of.
+        """
+        if delay < 0:
+            raise SimulationError(f"cannot schedule event in the past (delay={delay})")
+        return self.reschedule_at(handle, self.now + delay, callback, *args)
+
+    def reschedule_at(
+        self,
+        handle: Optional[EventHandle],
+        time: float,
+        callback: Callable[..., Any],
+        *args: Any,
+    ) -> EventHandle:
+        """Re-arm a (possibly fired) timer at absolute simulation ``time``.
+
         This is the fast path for recurring timers.  If ``handle`` already
         fired (the common case: a timer re-arming itself from its own
         callback) the same object is reused without allocating; the caller
         gets the identical handle back, freshly pending.  A still-pending
         handle is cancelled first; ``None`` simply schedules.  In every case
-        the returned handle behaves exactly as if ``schedule`` had been
+        the returned handle behaves exactly as if ``schedule_at`` had been
         called, including its position in the tie-breaking order.
+
+        The absolute form exists because ``now + (time - now)`` is not
+        ``time`` in floating point: a link drain must fire at exactly the
+        instant its serialiser frees up.
         """
-        if delay < 0:
-            raise SimulationError(f"cannot schedule event in the past (delay={delay})")
+        if time < self.now:
+            raise SimulationError(
+                f"cannot schedule event at {time} before current time {self.now}"
+            )
         if handle is not None:
             if handle.fired and not handle.cancelled:
                 self.reschedule_fast_hits += 1
-                time = self.now + delay
                 seq = self._seq
                 self._seq = seq + 1
                 handle.time = time
@@ -233,7 +254,7 @@ class Simulator:
                 return handle
             if not handle.cancelled:
                 handle.cancel()
-        return self.schedule(delay, callback, *args)
+        return self.schedule_at(time, callback, *args)
 
     def stop(self) -> None:
         """Stop the run loop after the current event finishes."""

@@ -5,6 +5,12 @@ attached queue while the link is busy serialising a previous packet, then take
 ``size * 8 / bandwidth`` seconds to transmit followed by ``delay`` seconds of
 propagation before arriving at the downstream node.
 
+Serialisation and propagation are one heap event: starting a transmission
+records when the serialiser frees up (``_tx_end``) and schedules the arrival
+at ``_tx_end + delay`` directly.  A second event -- the queue drain, armed at
+exactly ``_tx_end`` -- exists only while packets are waiting, so a busy
+bottleneck costs two events per packet and an idle leaf one.
+
 Non-congestive loss is applied at enqueue time through a single seam: an
 optional :class:`~repro.channel.models.ChannelModel` whose
 ``should_drop(rng, now, packet)`` decides each packet's fate.  The legacy
@@ -112,24 +118,32 @@ class Link:
             bind_rng(sim.rng)
         self._queue_tracks_idle = isinstance(self.queue, REDQueue)
         self.name = name or f"{src.node_id}->{dst.node_id}"
-        self._busy = False
         #: True while the link is administratively/physically down
         #: (see :meth:`set_down`); every offered packet is dropped.
         self.down = False
-        # Reusable drain-event handle: one recurring event walks the queue
-        # (dequeue + transmit), rather than allocating a fresh event per
-        # queued packet (see Simulator.reschedule).
+        # Serialiser state.  The frame last started occupies the serialiser
+        # until ``_tx_end``; ``_tx_arrival`` is its arrival event (whose
+        # ``args[0]`` is the packet), kept so the counter readers can
+        # discount it and set_down() can cut it.
+        self._tx_end = 0.0
+        self._tx_arrival = None
+        # Reusable drain-event handle: while packets wait, one recurring
+        # event walks the queue (dequeue + transmit), rather than allocating
+        # a fresh event per queued packet (see Simulator.reschedule_at).
+        self._draining = False
         self._drain = None
-        # Statistics
-        self.packets_sent = 0
-        self.bytes_sent = 0
+        # Statistics.  The send counters are committed when a transmission
+        # starts; the public readers subtract the frame still on the
+        # serialiser, so they are exact at any instant.
+        self._packets_sent = 0
+        self._bytes_sent = 0
+        self._bytes_per_flow: Dict[str, int] = {}
         self.random_drops = 0
         self.down_drops = 0
         #: Channel drops broken down by the dropping model's ``cause``
         #: ("random", "burst", "per", "collision", ...); sums to
         #: :attr:`random_drops`.
         self.drops_by_cause: Dict[str, int] = {}
-        self.bytes_per_flow: Dict[str, int] = {}
         if self._channel is not None:
             self._channel.bind(self)
 
@@ -138,8 +152,8 @@ class Link:
     def transmission_time(self, packet: Packet) -> float:
         """Serialisation time of ``packet`` on this link in seconds.
 
-        Keep in sync with the inlined copy in :meth:`_start_transmission`
-        (inlined there because it runs once per transmitted packet).
+        Keep in sync with the inlined copy in :meth:`_transmit` (inlined
+        there because it runs once per transmitted packet).
         """
         return packet.size * 8.0 / self.bandwidth
 
@@ -148,15 +162,28 @@ class Link:
         if self.down:
             self.down_drops += 1
             return False
+        sim = self.sim
+        now = sim.now
         channel = self._channel
-        if channel is not None and channel.should_drop(self.sim.rng, self.sim.now, packet):
+        if channel is not None and channel.should_drop(sim.rng, now, packet):
             self.random_drops += 1
             cause = channel.cause
             self.drops_by_cause[cause] = self.drops_by_cause.get(cause, 0) + 1
             return False
-        if self._busy:
-            return self.queue.enqueue(packet, self.sim.now)
-        self._start_transmission(packet)
+        if now < self._tx_end or self._draining:
+            # The packet has to wait: only now does the link need a second
+            # event, at the exact instant the serialiser frees up.
+            if not self.queue.enqueue(packet, now):
+                return False
+            if not self._draining:
+                self._draining = True
+                self._drain = sim.reschedule_at(self._drain, self._tx_end, self._drain_queue)
+            return True
+        if self._queue_tracks_idle:
+            # Applied lazily: the queue has been idle since the last frame
+            # left the serialiser.
+            self.queue.mark_idle(self._tx_end)
+        self._transmit(packet, now)
         return True
 
     # -------------------------------------------------------- channel shims
@@ -219,7 +246,34 @@ class Link:
 
     @property
     def busy(self) -> bool:
-        return self._busy
+        """True while a frame is being serialised or packets are waiting."""
+        return self.sim.now < self._tx_end or self._draining
+
+    def _frame_on_serialiser(self) -> Optional[Packet]:
+        """The packet whose serialisation has started but not finished."""
+        if self.sim.now < self._tx_end:
+            return self._tx_arrival.args[0]
+        return None
+
+    @property
+    def packets_sent(self) -> int:
+        """Packets fully serialised onto the wire."""
+        return self._packets_sent - (self._frame_on_serialiser() is not None)
+
+    @property
+    def bytes_sent(self) -> int:
+        """Bytes fully serialised onto the wire."""
+        frame = self._frame_on_serialiser()
+        return self._bytes_sent - (frame.size if frame is not None else 0)
+
+    @property
+    def bytes_per_flow(self) -> Dict[str, int]:
+        """Bytes fully serialised onto the wire, by flow id (a snapshot)."""
+        per_flow = dict(self._bytes_per_flow)
+        frame = self._frame_on_serialiser()
+        if frame is not None:
+            per_flow[frame.flow_id] -= frame.size
+        return per_flow
 
     def utilisation(self, duration: float) -> float:
         """Fraction of capacity used over ``duration`` seconds."""
@@ -301,23 +355,29 @@ class Link:
         """Take the link down: flush the queue, stop the drain, drop all input.
 
         Queued packets and the packet currently being serialised (its frame
-        is cut) are counted in :attr:`down_drops`.  Packets already
-        propagating are on the wire and still arrive.  Idempotent.
+        is cut: it never arrives and is not counted as sent) are counted in
+        :attr:`down_drops`.  Packets already propagating are on the wire and
+        still arrive.  Idempotent.
         """
         if self.down:
             return
         self.down = True
         while self.queue.dequeue() is not None:
             self.down_drops += 1
-        # Cancelling the pending drain event kills the in-flight
-        # serialisation; reschedule() copes with a cancelled handle when the
-        # link later comes back up.
-        if self._drain is not None and self._drain.pending:
+        if self._draining:
+            # reschedule_at() copes with the cancelled handle when the link
+            # later comes back up.
             self._drain.cancel()
+            self._draining = False
+        frame = self._frame_on_serialiser()
+        if frame is not None:
+            self._tx_arrival.cancel()
+            self._packets_sent -= 1
+            self._bytes_sent -= frame.size
+            self._bytes_per_flow[frame.flow_id] -= frame.size
             self.down_drops += 1
-        self._busy = False
-        if self._queue_tracks_idle:
-            self.queue.mark_idle(self.sim.now)
+        # The serialiser is free (and the queue idle) from this instant.
+        self._tx_end = self.sim.now
 
     def set_up(self) -> None:
         """Bring the link back up; it starts idle with an empty queue."""
@@ -325,31 +385,30 @@ class Link:
 
     # ------------------------------------------------------------ internals
 
-    def _start_transmission(self, packet: Packet) -> None:
-        self._busy = True
-        hold = packet.size * 8.0 / self.bandwidth  # inlined transmission_time()
-        if self.jitter > 0.0:
-            hold += self.sim.rng.random() * self.jitter
-        # Reuse the single drain handle: zero allocations while the link
-        # works through its queue.
-        self._drain = self.sim.reschedule(self._drain, hold, self._finish_transmission, packet)
-
-    def _finish_transmission(self, packet: Packet) -> None:
+    def _transmit(self, packet: Packet, now: float) -> None:
+        """Start serialising ``packet``: one event takes it to the far end."""
+        sim = self.sim
         size = packet.size
-        self.packets_sent += 1
-        self.bytes_sent += size
+        hold = size * 8.0 / self.bandwidth  # inlined transmission_time()
+        if self.jitter > 0.0:
+            hold += sim.rng.random() * self.jitter
+        self._tx_end = end = now + hold
+        self._packets_sent += 1
+        self._bytes_sent += size
         flow_id = packet.flow_id
-        per_flow = self.bytes_per_flow
+        per_flow = self._bytes_per_flow
         per_flow[flow_id] = per_flow.get(flow_id, 0) + size
-        # Propagation: packet arrives at the downstream node after `delay`.
-        self.sim.schedule(self.delay, self.dst.receive, packet, self)
-        nxt = self.queue.dequeue()
-        if nxt is not None:
-            self._start_transmission(nxt)
+        # Propagation: the packet arrives `delay` after its last bit left.
+        self._tx_arrival = sim.schedule_at(end + self.delay, self.dst.receive, packet, self)
+
+    def _drain_queue(self) -> None:
+        """The serialiser freed up with packets waiting: send the next one."""
+        queue = self.queue
+        self._transmit(queue.dequeue(), self.sim.now)
+        if len(queue):
+            self._drain = self.sim.reschedule_at(self._drain, self._tx_end, self._drain_queue)
         else:
-            self._busy = False
-            if self._queue_tracks_idle:
-                self.queue.mark_idle(self.sim.now)
+            self._draining = False
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

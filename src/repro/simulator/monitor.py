@@ -69,15 +69,19 @@ class ThroughputMonitor:
         self._bins: Dict[str, List[int]] = {}
 
     def record(self, flow_id: str, size: int, when: Optional[float] = None) -> None:
-        """Record ``size`` bytes received for ``flow_id``."""
-        t = self.sim.now if when is None else when
-        index = int(t / self.interval)
+        """Record ``size`` bytes received for ``flow_id`` at ``when`` (default: now).
+
+        Per-packet callers that already hold the current time pass it.
+        """
+        index = int((self.sim.now if when is None else when) / self.interval)
         bins = self._bins.get(flow_id)
         if bins is None:
             bins = self._bins[flow_id] = []
-        if index >= len(bins):
-            bins.extend([0] * (index + 1 - len(bins)))
-        bins[index] += size
+        try:
+            bins[index] += size
+        except IndexError:  # first packet of a new bin
+            bins.extend([0] * (index - len(bins)))
+            bins.append(size)
 
     def flows(self) -> List[str]:
         """All flow ids that recorded any traffic."""

@@ -117,19 +117,54 @@ class Node:
     def send(self, packet: Packet) -> None:
         """Send a locally originated packet."""
         if packet.is_multicast:
-            self._forward_multicast(packet, incoming=None, local_origin=True)
+            self.receive(packet, None, packet.flow_id)
         else:
             self._forward_unicast(packet)
 
-    def receive(self, packet: Packet, from_link: Optional["Link"] = None) -> None:
-        """Handle a packet arriving from a link (or locally)."""
-        if packet.is_multicast:
-            self._forward_multicast(packet, incoming=from_link, local_origin=False)
+    def receive(
+        self,
+        packet: Packet,
+        from_link: Optional["Link"] = None,
+        origin_flow: Optional[str] = None,
+    ) -> None:
+        """Handle a packet arriving from a link (or locally).
+
+        ``origin_flow`` is set only by :meth:`send`: a locally originated
+        multicast packet is never delivered back to the sending agent.  The
+        multicast case is handled in this one frame because it runs once per
+        receiver per data packet.
+        """
+        group = packet.group
+        if group is None:  # unicast
+            if packet.dst == self.node_id:
+                self._deliver(packet)
+            else:
+                self._forward_unicast(packet)
             return
-        if packet.dst == self.node_id:
-            self._deliver(packet)
-            return
-        self._forward_unicast(packet)
+        members = self.group_members.get(group)
+        if members:
+            # Copy: a receive() may trigger membership changes mid-loop.
+            for agent in (members[0],) if len(members) == 1 else tuple(members):
+                if agent.flow_id != origin_flow:
+                    self.packets_delivered += 1
+                    agent.receive(packet)
+        # Forward downstream along the distribution tree (deterministic order).
+        routes = self.mcast_routes.get(group)
+        if routes:
+            incoming_id = from_link.src.node_id if from_link is not None else None
+            key = (group, incoming_id)
+            targets = self._mcast_cache.get(key)
+            if targets is None:
+                links = self.links
+                targets = tuple(
+                    links[neighbour].enqueue
+                    for neighbour in routes
+                    if neighbour != incoming_id and neighbour in links
+                )
+                self._mcast_cache[key] = targets
+            self.packets_forwarded += len(targets)
+            for enqueue in targets:
+                enqueue(packet)
 
     # ------------------------------------------------------------ internals
 
@@ -156,43 +191,6 @@ class Node:
             return
         self.packets_forwarded += 1
         link.enqueue(packet)
-
-    def _forward_multicast(
-        self, packet: Packet, incoming: Optional["Link"], local_origin: bool
-    ) -> None:
-        group = packet.group
-        # Deliver to local members (but never back to the sending agent).
-        members = self.group_members.get(group)
-        if members:
-            if len(members) == 1:
-                agent = members[0]
-                if not (local_origin and agent.flow_id == packet.flow_id):
-                    self.packets_delivered += 1
-                    agent.receive(packet)
-            else:
-                # Copy: a receive() may trigger membership changes mid-loop.
-                for agent in tuple(members):
-                    if local_origin and agent.flow_id == packet.flow_id:
-                        continue
-                    self.packets_delivered += 1
-                    agent.receive(packet)
-        # Forward downstream along the distribution tree (deterministic order).
-        routes = self.mcast_routes.get(group)
-        if routes:
-            incoming_id = incoming.src.node_id if incoming is not None else None
-            key = (group, incoming_id)
-            targets = self._mcast_cache.get(key)
-            if targets is None:
-                links = self.links
-                targets = tuple(
-                    links[neighbour].enqueue
-                    for neighbour in routes
-                    if neighbour != incoming_id and neighbour in links
-                )
-                self._mcast_cache[key] = targets
-            self.packets_forwarded += len(targets)
-            for enqueue in targets:
-                enqueue(packet)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Node({self.node_id}, links={list(self.links)}, agents={list(self.agents)})"

@@ -81,6 +81,15 @@ def format_profile(
     if wall_per_sim is not None:
         lines.append(f"wall per simulated second: {wall_per_sim:.4f} s")
 
+    link_packets = counters.get("link.packets_sent", 0)
+    if link_packets:
+        # The engine's structural cost: 1 on an idle link (one arrival event
+        # per packet), 2 where packets queue (arrival + drain).
+        lines.append(
+            f"link packets: {link_packets:,}"
+            f" ({events_total / link_packets:.2f} events per link packet)"
+        )
+
     phase_keys = [k for k in spans if k.startswith("phase.")]
     if phase_keys:
         phase_total = sum(spans[k]["total_s"] for k in phase_keys)

@@ -28,19 +28,40 @@ def test_write_result_and_baseline_roundtrip(tmp_path):
 
 
 def test_compare_to_baseline_flags_regression():
-    result = {"name": "x", "events": 100, "events_per_sec": 70.0}
-    baseline = {"name": "x", "events": 100, "events_per_sec": 100.0}
+    result = {"name": "x", "events": 100, "wall_s": 1.0}
+    baseline = {"name": "x", "events": 100, "wall_s": 0.7}
     ok, message = bench.compare_to_baseline(result, baseline, threshold=0.25)
     assert not ok and "REGRESSION" in message
     ok, _message = bench.compare_to_baseline(result, baseline, threshold=0.5)
     assert ok
 
 
+def test_compare_to_baseline_gates_wall_time_not_event_rate():
+    """Halving the events of a workload while cutting its wall time is a
+    speed-up; the old events/s gate called it a 33% regression."""
+    baseline = {"name": "x", "events": 1000, "link_packets": 500, "wall_s": 1.0,
+                "events_per_sec": 1000.0}
+    result = {"name": "x", "events": 500, "link_packets": 500, "wall_s": 0.75,
+              "events_per_sec": 666.7}
+    ok, message = bench.compare_to_baseline(result, baseline)
+    assert ok and "event count changed 1000 -> 500" in message
+    assert "link_packets" not in message  # same traffic: wall times compare
+    slower = dict(result, wall_s=1.5, link_packets=501)
+    ok, message = bench.compare_to_baseline(slower, baseline)
+    assert not ok and "counter link_packets changed 500 -> 501" in message
+
+
 def test_compare_to_baseline_notes_event_count_drift():
-    result = {"name": "x", "events": 101, "events_per_sec": 100.0}
-    baseline = {"name": "x", "events": 100, "events_per_sec": 100.0}
+    result = {"name": "x", "events": 101, "wall_s": 1.0}
+    baseline = {"name": "x", "events": 100, "wall_s": 1.0}
     ok, message = bench.compare_to_baseline(result, baseline)
     assert ok and "event count changed" in message
+
+
+def test_scenario_workloads_record_link_packets():
+    result = bench.run_workload("dumbbell_fairness", quick=True)
+    assert result["link_packets"] > 0
+    assert bench.run_workload("engine_churn", quick=True)["link_packets"] == 0
 
 
 def test_run_bench_check_fails_without_baseline(tmp_path):

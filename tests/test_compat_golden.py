@@ -11,6 +11,12 @@ Regenerate (only legitimate when a change intentionally alters simulation
 behaviour — never to paper over an accidental difference)::
 
     PYTHONPATH=src python tests/test_compat_golden.py --regen
+
+The top-level ``events`` count is the one field an engine change may move:
+it says how many heap events the engine spent, not what the network did
+(merging a link's serialisation and propagation events halved it).  A
+regeneration for such a change must show the old and new records equal
+once ``events`` is deleted; every other field moving is a behaviour change.
 """
 
 import json

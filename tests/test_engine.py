@@ -229,6 +229,35 @@ def test_recurring_reschedule_self_rearm():
     assert ticks == [1.0, 2.0, 3.0, 4.0, 5.0]
 
 
+def test_reschedule_at_fires_at_the_exact_absolute_time():
+    """``now + (end - now)`` is not ``end`` in floating point, which is why a
+    link drain re-arms at an absolute time."""
+    sim = Simulator(seed=1)
+    now, end = 0.009, 0.027
+    assert now + (end - now) != end
+    fired = []
+    first = sim.schedule_at(now, lambda: None)
+    sim.run()
+    assert sim.now == now
+    again = sim.reschedule_at(first, end, lambda: fired.append(sim.now))
+    assert again is first and again.pending  # same zero-allocation reuse
+    assert sim.reschedule_fast_hits == 1
+    sim.run()
+    assert fired == [end]
+    with pytest.raises(SimulationError):
+        sim.reschedule_at(again, now, lambda: None)  # in the past
+
+
+def test_reschedule_at_cancels_pending_and_accepts_none():
+    sim = Simulator(seed=1)
+    seen = []
+    pending = sim.reschedule_at(None, 1.0, seen.append, "old")
+    fresh = sim.reschedule_at(pending, 2.0, seen.append, "new")
+    assert fresh is not pending and pending.cancelled
+    sim.run()
+    assert seen == ["new"] and sim.now == 2.0
+
+
 def test_event_order_is_identical_with_and_without_compaction():
     def build(extra_cancelled):
         sim = Simulator(seed=1)

@@ -7,6 +7,8 @@ counts, and the EngineUnavailableError path when numpy is missing.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engines import (
     EngineFactory,
@@ -80,6 +82,118 @@ def test_unavailable_engine_raises_at_build_not_at_spec(monkeypatch):
         get_engine("cohort").build(spec, seed=1)
     with pytest.raises(EngineUnavailableError, match="numpy"):
         get_engine("cohort").check_available()
+
+
+# ------------------------------------------------- exact engine structure
+
+
+def test_exact_engine_spends_one_event_per_link_packet_on_fan_out():
+    """Structural perf guard: on multicast fan-out every leaf is idle, so a
+    packet on a link costs one heap event (its arrival).  A second event per
+    leaf packet (a serialisation-finish event) must not grow back."""
+    spec = get_scenario("scaling").spec(num_receivers=50, duration=8.0)
+    built = get_engine("exact").build(spec, seed=1)
+    built.run()
+    link_packets = sum(link.packets_sent for link in built.network.links)
+    assert link_packets > 1000
+    assert built.sim.events_processed / link_packets <= 1.05
+
+
+def _drive_receiver(seqs, reference):
+    """Feed data packets with sequence numbers ``seqs`` to one TFMCCReceiver.
+
+    ``reference`` disables the in-order fast path, so every packet takes
+    ``update_rtt`` + ``LossEventDetector.on_packet`` as before the split.
+    """
+    from repro.core.headers import DataHeader
+    from repro.core.receiver import TFMCCReceiver
+    from repro.simulator.engine import Simulator
+    from repro.simulator.node import Agent
+    from repro.simulator.packet import Packet
+    from repro.simulator.topology import Network
+
+    class Reports(Agent):
+        def __init__(self, sim):
+            super().__init__(sim, "session")
+            self.headers = []
+
+        def receive(self, packet):
+            self.headers.append(packet.payload)
+
+    sim = Simulator(seed=7)
+    net = Network(sim)
+    net.add_duplex_link("s", "r", 1e7, 0.01)
+    net.build_routes()
+    reports = Reports(sim)
+    net.attach("s", reports)
+    receiver = TFMCCReceiver(sim, "r0", "session", "s", "group")
+    net.attach("r", receiver)
+    if reference:
+        receiver.detector.on_in_order_packet = lambda seq, send_time, rtt: False
+
+    def deliver(index, seq):
+        header = DataHeader(
+            seq=seq,
+            timestamp=sim.now - 0.02,
+            send_rate=50_000.0,
+            round_id=index // 25,
+            max_rtt=0.5,
+            is_slowstart=index < 30,
+            clr_id="r0" if index >= 60 else None,  # CLR: immediate feedback
+        )
+        if index % 17 == 5:  # an RTT echo now and then
+            header.echo_receiver_id = "r0"
+            header.echo_timestamp = sim.now - 0.045
+            header.echo_delay = 0.005
+        receiver.receive(Packet(src="s", dst=None, flow_id="session", size=1000,
+                                group="group", seq=seq, payload=header))
+
+    for index, seq in enumerate(seqs):
+        sim.schedule_at(0.05 + index * 0.01, deliver, index, seq)
+    sim.run()
+    detector, history = receiver.detector, receiver.history
+    return {
+        "loss_events": detector.loss_events,
+        "packets_lost": detector.packets_lost,
+        "packets_received": detector.packets_received,
+        "expected_seq": detector.expected_seq,
+        "detector_rtt": detector.rtt,
+        "intervals": history.intervals,
+        "open_interval": history.open_interval,
+        "loss_event_rate": history.loss_event_rate,
+        "feedback_sent": receiver.feedback_sent,
+        "feedback_suppressed": receiver.feedback_suppressed,
+        "rtt": receiver.rtt.rtt,
+        "reports": [
+            (h.round_id, h.calculated_rate, h.loss_event_rate, h.rtt) for h in reports.headers
+        ],
+    }
+
+
+GAPPED_AND_REORDERED = (
+    list(range(20)) + list(range(22, 40))  # a two-packet gap
+    + [42, 40, 41]  # reordering: 40 and 41 arrive late
+    + list(range(43, 60)) + [59]  # a duplicate
+    + [75] + list(range(76, 120))  # a gap spanning several RTTs
+)
+
+
+def test_receiver_fast_path_split_matches_the_full_detector_path():
+    fast = _drive_receiver(GAPPED_AND_REORDERED, reference=False)
+    full = _drive_receiver(GAPPED_AND_REORDERED, reference=True)
+    assert fast == full
+    assert fast["loss_events"] >= 3 and fast["feedback_sent"] > 0
+    assert len(fast["intervals"]) >= 2 and fast["reports"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.sampled_from([1, 1, 1, 1, 1, 2, 3, 12, 0, -1, -2]), min_size=5, max_size=120))
+def test_receiver_fast_path_split_matches_on_generated_sequences(steps):
+    seqs, seq = [], 0
+    for step in steps:
+        seq = max(seq + step, 0)
+        seqs.append(seq)
+    assert _drive_receiver(seqs, reference=False) == _drive_receiver(seqs, reference=True)
 
 
 # ------------------------------------------------------- cohort cross-check
