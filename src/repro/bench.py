@@ -140,8 +140,12 @@ def _scenario_workload(
     spec = get_scenario(scenario).spec(duration=duration, **params)
     if engine is not None:
         spec = spec.with_overrides(**{"engine.kind": engine})
+    factory = get_engine(spec.engine.kind)
+    # The availability probe performs the engine's lazy imports (numpy, for
+    # cohort): a once-per-process cost that is not part of building a scenario.
+    factory.check_available()
     start = time.perf_counter()
-    built = get_engine(spec.engine.kind).build(spec, seed=seed)
+    built = factory.build(spec, seed=seed)
     built_at = time.perf_counter()
     built.run()
     finished = time.perf_counter()

@@ -46,6 +46,8 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field, replace
+from itertools import repeat
+from operator import attrgetter, is_not
 from time import perf_counter
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -107,20 +109,12 @@ def _stationary_loss_rate(impairment: Any, packet_size: int = 1000) -> float:
     return min(max(rate, 0.0), 1.0)
 
 
-def _leaf_properties(topology: Any, node: str, packet_size: int = 1000) -> Tuple[float, float]:
-    """(private loss rate, one-way leaf delay) of a receiver node."""
-    from repro.scenarios.spec import StarSpec
-
-    if isinstance(topology, StarSpec):
-        match = _LEAF_NODE.match(node)
-        if match:
-            index = int(match.group(1))
-            if index < len(topology.leaves):
-                leaf = topology.leaves[index]
-                return _stationary_loss_rate(leaf.impairment, packet_size), leaf.delay
-    # Dumbbell access links carry no configured loss; chains/custom
-    # topologies keep every receiver exact-adjacent anyway.
-    return 0.0, 0.0
+def _star_leaf(star: Any, node: str) -> Optional[Any]:
+    """The leaf edge of a StarSpec that ``node`` sits behind, if it is one."""
+    match = _LEAF_NODE.match(node)
+    if match and int(match.group(1)) < len(star.leaves):
+        return star.leaves[int(match.group(1))]
+    return None
 
 
 def _used_nodes(spec: Any, flows: Tuple[Any, ...]) -> set:
@@ -166,14 +160,19 @@ def _pruned_topology(topology: Any, used: set) -> Any:
     return topology
 
 
+def _receiver_id(flow_name: str, receivers: Tuple[Any, ...], index: int) -> str:
+    """The id the session gives receiver ``index`` of a flow."""
+    return receivers[index].receiver_id or f"{flow_name}-rcv{index}"
+
+
 @dataclass
 class _CohortPlan:
     """Per-flow partition of receivers into exact tracers and the cohort."""
 
     flow_index: int
     flow_name: str
-    #: (original receiver index, receiver id, node) per cohort member.
-    members: List[Tuple[int, str, str]] = field(default_factory=list)
+    #: Position of every cohort member in the flow's receiver tuple (int array).
+    member_index: Any
 
 
 def _partition_spec(spec: Any, engine: Any) -> Tuple[Any, List[_CohortPlan]]:
@@ -183,36 +182,38 @@ def _partition_spec(spec: Any, engine: Any) -> Tuple[Any, List[_CohortPlan]]:
     they match the ids the full exact run would assign) and one plan per
     flow that actually has a cohort.
     """
+    np = _numpy()
     plans: List[_CohortPlan] = []
     new_flows = []
-    changed = False
     for flow_index, flow in enumerate(spec.flows):
-        if flow.kind != "tfmcc" or len(flow.receivers) <= engine.tracer_receivers:
+        receivers = flow.receivers
+        count = len(receivers)
+        if flow.kind != "tfmcc" or count <= engine.tracer_receivers:
             new_flows.append(flow)
             continue
-        plan = _CohortPlan(flow_index=flow_index, flow_name=flow.name)
-        kept = []
-        static_kept = 0
-        for index, receiver in enumerate(flow.receivers):
-            rid = receiver.receiver_id or f"{flow.name}-rcv{index}"
-            scheduled = receiver.join_at > 0.0 or receiver.leave_at is not None
-            if scheduled or static_kept < engine.tracer_receivers:
-                # Pin the id the full exact run would have assigned (the
-                # session numbers receivers in spec order), so tracer
-                # monitor/trace ids match exact-mode records and cannot
-                # collide with cohort ids.
-                kept.append(replace(receiver, receiver_id=rid))
-                if not scheduled:
-                    static_kept += 1
-            else:
-                plan.members.append((index, rid, receiver.node))
-        if plan.members:
-            changed = True
-            new_flows.append(replace(flow, receivers=tuple(kept)))
-            plans.append(plan)
-        else:
+        # Receivers with a membership schedule stay exact, as do the first
+        # tracer_receivers static ones; read off the spec without a Python
+        # frame per receiver.
+        exact = np.fromiter(map(attrgetter("join_at"), receivers), float, count) > 0.0
+        exact |= np.fromiter(
+            map(is_not, map(attrgetter("leave_at"), receivers), repeat(None)), bool, count
+        )
+        static = np.flatnonzero(~exact)
+        member_index = static[engine.tracer_receivers :]
+        if not len(member_index):
             new_flows.append(flow)
-    if not changed:
+            continue
+        exact[static[: engine.tracer_receivers]] = True
+        # Pin the id the full exact run would have assigned (the session
+        # numbers receivers in spec order), so tracer monitor/trace ids
+        # match exact-mode records and cannot collide with cohort ids.
+        kept = tuple(
+            replace(receivers[i], receiver_id=_receiver_id(flow.name, receivers, i))
+            for i in np.flatnonzero(exact).tolist()
+        )
+        new_flows.append(replace(flow, receivers=kept))
+        plans.append(_CohortPlan(flow_index, flow.name, member_index))
+    if not plans:
         return spec, []
     flows = tuple(new_flows)
     topology = _pruned_topology(spec.topology, _used_nodes(spec, flows))
@@ -236,10 +237,13 @@ class _FlowCohort:
         self.sender = session.sender
         self.config = session.config
         self.engine = spec.engine
-        self.ids = [rid for _, rid, _ in plan.members]
-        self._id_set = set(self.ids)
-        self.nodes = [node for _, _, node in plan.members]
-        n = len(self.ids)
+        # Members are positions in the flow's receiver tuple; ids and nodes
+        # are read off it for the few members that report.
+        self._flow_name = plan.flow_name
+        self._receivers = spec.flows[plan.flow_index].receivers
+        self._member_index = plan.member_index
+        self._reported: Dict[str, int] = {}
+        n = len(plan.member_index)
         self.n = n
         # Deterministic in (spec, seed): independent of the simulator RNG so
         # cohort draws do not perturb the exact sub-simulation's stream.
@@ -255,23 +259,32 @@ class _FlowCohort:
         self.seeded = False
         # Per-receiver loss and delay offsets from private (non-shared)
         # path segments, resolved against the *original* topology.
+        # Only star leaves carry either: dumbbell access links have no
+        # configured loss, and chains/custom topologies keep every receiver
+        # exact-adjacent anyway.
+        from repro.scenarios.spec import StarSpec
+
         packet_size = int(self.config.packet_size)
-        private = np.empty(n, dtype=float)
-        delays = np.empty(n, dtype=float)
-        for i, node in enumerate(self.nodes):
-            loss, delay = _leaf_properties(spec.topology, node, packet_size)
-            private[i] = loss
-            delays[i] = delay
-        anchor_node = None
-        exact_static = [
-            r for r in self._reduced_receivers(spec, plan) if r.join_at <= 0.0
-        ]
-        if exact_static:
-            anchor_node = exact_static[0].node
-        _, anchor_delay = _leaf_properties(spec.topology, anchor_node or "")
+        self._refresh_rows = None
+        private = np.zeros(n, dtype=float)
+        delays = np.zeros(n, dtype=float)
+        anchor_delay = 0.0
+        if isinstance(spec.topology, StarSpec):
+            star, receivers = spec.topology, self._receivers
+            nodes = [receivers[i].node for i in plan.member_index.tolist()]
+            for i, node in enumerate(nodes):
+                leaf = _star_leaf(star, node)
+                if leaf is not None:
+                    private[i] = _stationary_loss_rate(leaf.impairment, packet_size)
+                    delays[i] = leaf.delay
+            # The first receiver present from t=0 is always an exact one.
+            anchor = next((r for r in self._receivers if r.join_at <= 0.0), None)
+            anchor_leaf = _star_leaf(star, anchor.node) if anchor is not None else None
+            if anchor_leaf is not None:
+                anchor_delay = anchor_leaf.delay
+            self._init_channel_refresh(np, star, nodes, spec.dynamics.mobility, packet_size)
         self.private_loss = private
         self.rtt_offset = 2.0 * (delays - anchor_delay)
-        self._init_channel_refresh(np, spec, packet_size)
         # Static multiplicative RTT jitter (access-link serialisation and
         # queueing differ slightly per receiver).
         self.rtt_jitter = self.rng.uniform(0.95, 1.05, size=n)
@@ -288,15 +301,17 @@ class _FlowCohort:
         self.step_wall_s = 0.0
         self._telem = _telemetry_active()
 
-    @staticmethod
-    def _reduced_receivers(spec: Any, plan: _CohortPlan) -> Tuple[Any, ...]:
-        return spec.flows[plan.flow_index].receivers if plan.flow_index < len(
-            spec.flows
-        ) else ()
+    def member_id(self, position: int) -> str:
+        """Receiver id of the cohort member at array ``position``."""
+        return _receiver_id(
+            self._flow_name, self._receivers, int(self._member_index[position])
+        )
 
     # --------------------------------------------- channel loss-rate refresh
 
-    def _init_channel_refresh(self, np: Any, spec: Any, packet_size: int) -> None:
+    def _init_channel_refresh(
+        self, np: Any, star: Any, member_nodes: List[str], mobility: Optional[Any], packet_size: int
+    ) -> None:
         """Precompute the arrays for mobility-driven per-step PER refresh.
 
         Cohort members have no live ``Link`` (their star leaves are pruned),
@@ -306,24 +321,16 @@ class _FlowCohort:
         SNR-driven ``snr_per`` channel and known endpoint positions take
         part; everyone else keeps their static stationary rate.
         """
-        from repro.scenarios.spec import StarSpec
-
-        self._mobility = spec.dynamics.mobility
-        self._refresh_rows = None
-        mobility, topology = self._mobility, spec.topology
-        if mobility is None or not isinstance(topology, StarSpec):
-            return
-        if mobility.position_at("hub", 0.0) is None:
+        self._mobility = mobility
+        if mobility is None or mobility.position_at("hub", 0.0) is None:
             return
         rows: List[int] = []
         nodes: List[str] = []
         path_params: List[Tuple[float, float, float, float]] = []
         modulations: List[str] = []
-        for i, node in enumerate(self.nodes):
-            match = _LEAF_NODE.match(node)
-            if not match or int(match.group(1)) >= len(topology.leaves):
-                continue
-            channel = topology.leaves[int(match.group(1))].impairment.channel
+        for i, node in enumerate(member_nodes):
+            leaf = _star_leaf(star, node)
+            channel = leaf.impairment.channel if leaf is not None else None
             if channel is None or channel.kind != "snr_per":
                 continue
             params = channel.params
@@ -543,17 +550,18 @@ class _FlowCohort:
             self.suppressed += int(np.count_nonzero(eligible)) - len(reporters)
         # The CLR (when it is a cohort receiver) refreshes its report every
         # step regardless of suppression: CLR reports are never suppressed.
-        clr_id = self.sender.clr_id
-        if clr_id in self._id_set:
-            clr_index = self.ids.index(clr_id)
-            if clr_index not in reporters:
-                reporters.insert(0, clr_index)
+        # A cohort member the sender knows of has reported before.
+        clr_index = self._reported.get(self.sender.clr_id)
+        if clr_index is not None and clr_index not in reporters:
+            reporters.insert(0, clr_index)
         for index in reporters:
             self._inject_report(index, float(calc[index]), float(p[index]), float(rtt[index]), now)
 
     def _inject_report(self, index: int, calc: float, p: float, rtt: float, now: float) -> None:
+        receiver_id = self.member_id(index)
+        self._reported[receiver_id] = index
         header = FeedbackHeader(
-            receiver_id=self.ids[index],
+            receiver_id=receiver_id,
             round_id=self.sender.round_id,
             timestamp=now,
             calculated_rate=calc,
@@ -565,7 +573,7 @@ class _FlowCohort:
         )
         self._feedback_seq += 1
         packet = Packet(
-            src=self.nodes[index],
+            src=self._receivers[self._member_index[index]].node,
             dst=self.session.sender_node,
             flow_id=self.session.flow_id,
             size=self.FEEDBACK_PACKET_SIZE,

@@ -47,14 +47,14 @@ def _run_fingerprints(runs: Sequence[SweepRun]) -> List[str]:
     return [fingerprint(run.spec_dict, run.seed) for run in runs]
 
 
-def _fingerprint(runs: Sequence[SweepRun]) -> str:
+def _fingerprint(run_fingerprints: List[str]) -> str:
     """Stable hash of the exact run list, for safe dataset reuse.
 
     Built from the per-run spec fingerprints shared with the sweep/cache
     layer, so any change to a resolved spec — not just to the request
     parameters — invalidates a stale dataset.
     """
-    payload = canonical_json(_run_fingerprints(runs))
+    payload = canonical_json(run_fingerprints)
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
 
@@ -78,6 +78,7 @@ def _execute_requests(
     figure: str,
     requests: Sequence[RunRequest],
     runs: Sequence[SweepRun],
+    run_fingerprints: Sequence[str],
     jobs: int,
     progress=None,
     cache: Optional[ResultCache] = None,
@@ -85,7 +86,7 @@ def _execute_requests(
     """Records of the resolved runs, in order; a run that failed raises."""
     records: List[Dict[str, Any]] = []
     with RunExecutor(jobs, cache=cache) as executor:
-        outcomes = executor.map(runs, _run_fingerprints(runs))
+        outcomes = executor.map(runs, run_fingerprints)
         for request, run, outcome in zip(requests, runs, outcomes):
             if outcome.error is not None:
                 raise RuntimeError(
@@ -207,7 +208,10 @@ def run_report(
         figure = FIGURES[name]
         requests = figure.requests(quick)
         runs = [_to_sweep_run(request, i) for i, request in enumerate(requests)]
-        dataset_fp = _fingerprint(runs)
+        # Encoding a 10k-receiver spec is not free: one pass serves both the
+        # dataset-reuse hash and the executor's cache keys.
+        run_fingerprints = _run_fingerprints(runs)
+        dataset_fp = _fingerprint(run_fingerprints)
         records_path = os.path.join(data_dir, f"{name}.jsonl")
         records = (
             _load_reusable(records_path, dataset_fp, len(runs)) if reuse else None
@@ -222,6 +226,7 @@ def run_report(
                 name,
                 requests,
                 runs,
+                run_fingerprints,
                 jobs,
                 progress=lambda done, total: log(f"[{name}]   {done}/{total} done"),
                 cache=result_cache,

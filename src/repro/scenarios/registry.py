@@ -213,7 +213,7 @@ def scaling_spec(
         tfmcc=(
             TfmccFlowSpec(
                 sender_node="src0",
-                receivers=tuple(ReceiverSpec(node=f"dst{i}") for i in range(num_receivers)),
+                receivers=tuple([ReceiverSpec(f"dst{i}") for i in range(num_receivers)]),
             ),
         ),
         metrics=MetricsSpec(warmup_fraction=warmup_fraction),

@@ -15,11 +15,48 @@ simulation-core split: everything in this module is inert data; the
 
 from __future__ import annotations
 
+import copy
 import json
-from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
+from functools import lru_cache
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Type, TypeVar
 
 T = TypeVar("T")
+
+_ATOMIC_TYPES = frozenset((str, int, float, bool, type(None)))
+
+
+@lru_cache(maxsize=None)
+def _field_names(cls: type) -> Tuple[str, ...]:
+    return tuple(f.name for f in fields(cls))
+
+
+def _plain(obj: Any) -> Any:
+    """Plain-data form of a spec value: dataclasses become dicts, field by field.
+
+    What ``dataclasses.asdict`` returns, without its deep copies: containers
+    are rebuilt (callers mutate the result, which must not reach the frozen
+    spec), tuples stay tuples, atoms are shared.  A spec may hold 10^5
+    receivers, so :class:`ReceiverSpec` is spelt out as one dict literal;
+    a value that is neither spec nor plain JSON data is copied as it is.
+    """
+    cls = type(obj)
+    if cls in _ATOMIC_TYPES:
+        return obj
+    if cls is ReceiverSpec:
+        return {
+            "node": obj.node,
+            "receiver_id": obj.receiver_id,
+            "join_at": obj.join_at,
+            "leave_at": obj.leave_at,
+        }
+    if cls is tuple or cls is list:
+        return cls([_plain(item) for item in obj])
+    if cls is dict:
+        return {key: _plain(value) for key, value in obj.items()}
+    if is_dataclass(obj):
+        return {name: _plain(getattr(obj, name)) for name in _field_names(cls)}
+    return copy.deepcopy(obj)
 
 
 def _from_mapping(cls: Type[T], data: Mapping[str, Any]) -> T:
@@ -254,7 +291,7 @@ class TopologySpec:
     kind = "abstract"
 
     def to_dict(self) -> Dict[str, Any]:
-        data = asdict(self)
+        data = _plain(self)
         data["kind"] = self.kind
         return data
 
@@ -330,21 +367,44 @@ def topology_from_dict(data: Mapping[str, Any]) -> TopologySpec:
 # ------------------------------------------------------------------- traffic
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, slots=True)
 class ReceiverSpec:
-    """One TFMCC receiver: where it sits and when it is a member."""
+    """One TFMCC receiver: where it sits and when it is a member.
+
+    The one spec class that exists 10^5 times in a spec, so its constructor
+    is written out: the generated frozen ``__init__`` pays one
+    ``object.__setattr__`` per field plus a ``__post_init__`` call, which
+    was most of resolving a 100k-receiver scenario.
+    """
 
     node: str
     receiver_id: Optional[str] = None
     join_at: float = 0.0
     leave_at: Optional[float] = None
 
-    def __post_init__(self) -> None:
-        if self.leave_at is not None and self.leave_at <= self.join_at:
+    def __init__(
+        self,
+        node: str,
+        receiver_id: Optional[str] = None,
+        join_at: float = 0.0,
+        leave_at: Optional[float] = None,
+    ) -> None:
+        if leave_at is not None and leave_at <= join_at:
             raise ValueError(
-                f"receiver at {self.node!r}: leave_at ({self.leave_at}) must be "
-                f"after join_at ({self.join_at})"
+                f"receiver at {node!r}: leave_at ({leave_at}) must be "
+                f"after join_at ({join_at})"
             )
+        # The slot descriptors write past the frozen __setattr__.
+        _set_node(self, node)
+        _set_receiver_id(self, receiver_id)
+        _set_join_at(self, join_at)
+        _set_leave_at(self, leave_at)
+
+
+_set_node = ReceiverSpec.node.__set__
+_set_receiver_id = ReceiverSpec.receiver_id.__set__
+_set_join_at = ReceiverSpec.join_at.__set__
+_set_leave_at = ReceiverSpec.leave_at.__set__
 
 
 @dataclass(frozen=True)
@@ -1025,10 +1085,12 @@ class ScenarioSpec:
         on :meth:`from_dict`, which still also accepts pre-redesign dicts
         that carry ``tfmcc`` / ``tcp`` / ``background`` keys instead.
         """
-        data = asdict(self)
-        data["topology"] = self.topology.to_dict()
-        for legacy_field in LEGACY_TRAFFIC_FIELDS:
-            data.pop(legacy_field, None)
+        data: Dict[str, Any] = {}
+        for name in _field_names(ScenarioSpec):
+            if name == "topology":
+                data[name] = self.topology.to_dict()
+            elif name not in LEGACY_TRAFFIC_FIELDS:
+                data[name] = _plain(getattr(self, name))
         return data
 
     def to_json(self, indent: Optional[int] = None) -> str:

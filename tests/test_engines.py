@@ -259,7 +259,9 @@ def test_cohort_vs_exact_clr_identity(scaling_200_pair):
         sender = built.sessions[0].sender
         assert sender.clr_id in valid_ids, f"CLR {sender.clr_id!r} not a flow receiver"
     # The cohort run's sender heard feedback from vectorised receivers.
-    cohort_ids = set(cohort.cohorts[0].ids)
+    members = cohort.cohorts[0]
+    cohort_ids = {members.member_id(i) for i in range(members.n)}
+    assert cohort_ids == {f"tfmcc0-rcv{i}" for i in range(2, 200)}
     assert cohort_ids.isdisjoint(set(cohort.sessions[0].receivers))
     assert cohort.cohorts[0].reports_injected > 0
 

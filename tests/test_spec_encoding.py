@@ -1,0 +1,384 @@
+"""The canonical spec encoding: an oracle, pinned identities and cost guards.
+
+``ScenarioSpec.to_dict`` used to be ``dataclasses.asdict``, which deep-copies
+every receiver: on a 100k-receiver spec the cache key cost twice the
+simulation.  It is now a hand-written walker, and these tests hold it to
+three things:
+
+* it produces what ``asdict`` produced (the old implementation is kept here
+  as the reference), so no fingerprint moved;
+* the fingerprints of the registry scenarios equal the table generated at
+  the last commit that still used ``asdict`` (``tests/data/fingerprints.json``);
+* its cost per receiver, counted in calls (deterministic, unlike wall
+  clock), stays a small constant — in the encoder and in the cohort build.
+"""
+
+import cProfile
+import dataclasses
+import glob
+import json
+import os
+import pstats
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.scenarios import fingerprint_spec, get_scenario, scenario_names
+from repro.scenarios.cache import canonical_json
+from repro.scenarios.spec import (
+    LEGACY_TRAFFIC_FIELDS,
+    ChainSpec,
+    ChannelSpec,
+    CustomSpec,
+    DumbbellSpec,
+    DuplexLinkSpec,
+    DynamicsSpec,
+    EdgeSpec,
+    EngineSpec,
+    FlowSpec,
+    GilbertElliottSpec,
+    ImpairmentSpec,
+    MetricsSpec,
+    MobilitySpec,
+    NetworkEventSpec,
+    ReceiverSpec,
+    ScenarioSpec,
+    StarSpec,
+    WaypointSpec,
+)
+
+HERE = os.path.dirname(__file__)
+SRC = os.path.join(HERE, os.pardir, "src", "repro")
+PINNED_PATH = os.path.join(HERE, "data", "fingerprints.json")
+
+
+def reference_to_dict(spec):
+    """``ScenarioSpec.to_dict`` as it was while it used ``dataclasses.asdict``."""
+    data = dataclasses.asdict(spec)
+    data["topology"] = dataclasses.asdict(spec.topology)
+    data["topology"]["kind"] = spec.topology.kind
+    for legacy_field in LEGACY_TRAFFIC_FIELDS:
+        data.pop(legacy_field, None)
+    return data
+
+
+def assert_encodes_like_asdict(spec):
+    encoded, reference = spec.to_dict(), reference_to_dict(spec)
+    assert encoded == reference  # also tells tuples from lists
+    assert list(encoded) == list(reference)
+    assert canonical_json(encoded) == canonical_json(reference)
+    assert ScenarioSpec.from_dict(encoded) == spec
+
+
+def registry_variants(name):
+    spec = get_scenario(name).spec()
+    return {"exact": spec, "cohort": spec.with_overrides(**{"engine.kind": "cohort"})}
+
+
+# ---------------------------------------------------------------- the oracle
+
+
+@pytest.mark.parametrize("name", scenario_names())
+def test_registry_scenarios_encode_like_asdict(name):
+    for spec in registry_variants(name).values():
+        assert_encodes_like_asdict(spec)
+
+
+fractions = st.floats(min_value=0.0, max_value=0.9, allow_nan=False)
+times = st.floats(min_value=0.0, max_value=50.0, allow_nan=False)
+positive = st.floats(min_value=0.001, max_value=1e8, allow_nan=False)
+nodes = st.sampled_from(["source", "hub", "leaf0", "leaf1", "n0", "n1", "dst0", "récv"])
+
+gilbert_elliotts = st.builds(
+    GilbertElliottSpec,
+    p_good_bad=fractions,
+    p_bad_good=fractions,
+    loss_good=fractions,
+    loss_bad=fractions,
+)
+channels = st.one_of(
+    st.builds(lambda rate: ChannelSpec("bernoulli", {"loss_rate": rate}), fractions),
+    st.builds(
+        lambda a, b: ChannelSpec("gilbert_elliott", {"p_good_bad": a, "p_bad_good": b}),
+        fractions,
+        fractions,
+    ),
+    st.builds(
+        lambda snr, modulation: ChannelSpec(
+            "snr_per", {"snr_db": snr, "modulation": modulation}
+        ),
+        st.floats(min_value=-5.0, max_value=30.0, allow_nan=False),
+        st.sampled_from(["bpsk", "qpsk"]),
+    ),
+    st.builds(lambda d: ChannelSpec("snr_per", {"distance": d}), positive),
+)
+jitters = st.one_of(st.none(), fractions)
+impairments = st.one_of(
+    st.builds(ImpairmentSpec, loss_rate=fractions, jitter=jitters),
+    st.builds(ImpairmentSpec, jitter=jitters, gilbert_elliott=gilbert_elliotts),
+    st.builds(ImpairmentSpec, jitter=jitters, channel=channels),
+)
+edges = st.builds(
+    EdgeSpec,
+    bandwidth=positive,
+    delay=fractions,
+    queue_limit=st.integers(1, 500),
+    impairment=impairments,
+)
+links = st.builds(
+    DuplexLinkSpec, a=nodes, b=nodes, bandwidth=positive, delay=fractions, impairment=impairments
+)
+extra_links = st.lists(links, max_size=3).map(tuple)
+topologies = st.one_of(
+    st.builds(
+        StarSpec,
+        leaves=st.lists(edges, min_size=1, max_size=4).map(tuple),
+        jitter=jitters,
+        extra_links=extra_links,
+    ),
+    st.builds(
+        ChainSpec,
+        hops=st.lists(edges, min_size=1, max_size=4).map(tuple),
+        jitter=jitters,
+        extra_links=extra_links,
+    ),
+    st.builds(CustomSpec, extra_links=st.lists(links, min_size=1, max_size=4).map(tuple)),
+    st.builds(
+        DumbbellSpec,
+        num_right=st.integers(1, 8),
+        access_queue_limit=st.one_of(st.none(), st.integers(1, 99)),
+        access_jitter=jitters,
+    ),
+)
+
+
+@st.composite
+def receivers(draw):
+    join_at = draw(st.one_of(st.just(0.0), times))
+    stay = draw(st.one_of(st.none(), st.floats(min_value=0.5, max_value=20.0)))
+    return ReceiverSpec(
+        node=draw(nodes),
+        receiver_id=draw(st.one_of(st.none(), st.sampled_from(["late-rcv", "r1", "über"]))),
+        join_at=join_at,
+        leave_at=None if stay is None else join_at + stay,
+    )
+
+
+tfmcc_params = st.fixed_dictionaries(
+    {},
+    optional={
+        "max_rtt": st.floats(min_value=0.05, max_value=1.0),
+        "packet_size": st.integers(200, 1500),
+        "loss_interval_weights": st.just([5.0, 5.0, 5.0, 5.0, 4.0, 3.0, 2.0, 1.0]),
+        "bias_method": st.sampled_from(["none", "offset", "modified_offset"]),
+    },
+)
+flows = st.one_of(
+    st.builds(
+        FlowSpec,
+        kind=st.just("tfmcc"),
+        src=nodes,
+        receivers=st.lists(receivers(), max_size=5).map(tuple),
+        start=times,
+        params=tfmcc_params,
+    ),
+    st.builds(FlowSpec, kind=st.sampled_from(["tcp-reno", "tfrc"]), src=nodes, dst=nodes),
+    st.builds(
+        FlowSpec,
+        kind=st.just("cbr"),
+        src=nodes,
+        dst=nodes,
+        params=st.fixed_dictionaries(
+            {"rate_bps": positive}, optional={"packet_size": st.integers(64, 1500)}
+        ),
+    ),
+    st.builds(
+        FlowSpec,
+        kind=st.just("onoff"),
+        src=nodes,
+        dst=nodes,
+        params=st.fixed_dictionaries(
+            {"rate_bps": positive},
+            optional={"on_time": positive, "off_time": positive, "exponential": st.booleans()},
+        ),
+    ),
+)
+events = st.one_of(
+    st.builds(
+        NetworkEventSpec, at=times, kind=st.sampled_from(["link_down", "link_up"]), a=nodes, b=nodes
+    ),
+    st.builds(
+        NetworkEventSpec,
+        at=times,
+        kind=st.just("link_update"),
+        a=nodes,
+        b=nodes,
+        bandwidth=positive,
+        loss_rate=st.one_of(st.none(), fractions),
+        gilbert_elliott=st.one_of(st.none(), gilbert_elliotts),
+        direction=st.sampled_from(["both", "forward", "reverse"]),
+    ),
+    st.builds(
+        NetworkEventSpec, at=times, kind=st.just("channel_update"), a=nodes, b=nodes, channel=channels
+    ),
+    st.builds(
+        NetworkEventSpec,
+        at=times,
+        kind=st.just("channel_update"),
+        a=nodes,
+        b=nodes,
+        snr_db=st.floats(min_value=0.0, max_value=30.0),
+    ),
+    st.builds(NetworkEventSpec, at=times, kind=st.just("receiver_join"), node=nodes),
+    st.builds(
+        NetworkEventSpec, at=times, kind=st.just("receiver_leave"), receiver_id=st.just("r1")
+    ),
+)
+coordinates = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False)
+mobilities = st.builds(
+    MobilitySpec,
+    positions=st.dictionaries(nodes, st.tuples(coordinates, coordinates), max_size=4),
+    waypoints=st.lists(
+        st.builds(WaypointSpec, node=nodes, at=times, x=coordinates, y=coordinates), max_size=4
+    ).map(lambda points: tuple(sorted(points, key=lambda w: w.at))),
+    update_interval=st.floats(min_value=0.1, max_value=5.0),
+)
+dynamics = st.builds(
+    DynamicsSpec,
+    events=st.lists(events, max_size=4).map(tuple),
+    mobility=st.one_of(st.none(), mobilities),
+)
+metrics = st.builds(
+    MetricsSpec,
+    interval=st.floats(min_value=0.1, max_value=5.0),
+    with_series=st.booleans(),
+    with_trace=st.booleans(),
+)
+engines = st.builds(
+    EngineSpec,
+    kind=st.sampled_from(["exact", "cohort"]),
+    tracer_receivers=st.integers(1, 4),
+    step_interval=st.one_of(st.none(), st.floats(min_value=0.1, max_value=5.0)),
+)
+
+
+@st.composite
+def scenario_specs(draw):
+    flow_list = draw(st.lists(flows, min_size=1, max_size=4))
+    # Every generated spec has a TFMCC flow, so membership events are legal.
+    flow_list.insert(0, FlowSpec(kind="tfmcc", src="source", receivers=(draw(receivers()),)))
+    return ScenarioSpec(
+        name=draw(st.sampled_from(["generated", "généré"])),
+        duration=60.0,
+        topology=draw(topologies),
+        flows=tuple(flow_list),
+        metrics=draw(metrics),
+        dynamics=draw(dynamics),
+        description=draw(st.text(max_size=12)),
+        engine=draw(engines),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(scenario_specs())
+def test_generated_specs_encode_like_asdict(spec):
+    assert_encodes_like_asdict(spec)
+
+
+def test_legacy_field_specs_encode_like_asdict():
+    # Traffic given through the pre-redesign tfmcc=/tcp=/background= fields
+    # appears under "flows" only, as before.
+    spec = get_scenario("background-traffic").spec()
+    assert spec.tfmcc and spec.background
+    assert not set(LEGACY_TRAFFIC_FIELDS) & set(spec.to_dict())
+    assert_encodes_like_asdict(spec)
+
+
+# ------------------------------------------------------- pinned identities
+
+
+def test_registry_fingerprints_match_the_pinned_table():
+    """No fingerprint moved since the table was generated with ``asdict``.
+
+    A change that alters the spec format on purpose regenerates the table
+    and says so; every cache, manifest and stored record keyed by the old
+    fingerprints is orphaned by it.
+    """
+    with open(PINNED_PATH, encoding="utf-8") as fh:
+        pinned = json.load(fh)
+    seen = {}
+    for name in scenario_names():
+        for variant, spec in registry_variants(name).items():
+            for seed in (1, 2):
+                seen[f"{name}|{variant}|{seed}"] = fingerprint_spec(spec, seed)
+    assert seen == pinned
+
+
+def test_mutating_the_encoded_dict_leaves_the_spec_alone():
+    spec = get_scenario("protocol_mix").spec()
+    before = fingerprint_spec(spec, 1)
+    object.__delattr__(spec, "_canonical_json")  # make the next call encode again
+    data = spec.to_dict()
+    flow = next(f for f in data["flows"] if f["params"])
+    flow["params"]["rate_bps"] = -1.0
+    flow["params"]["injected"] = {"nested": [1, 2]}
+    data["flows"][0]["receivers"][0]["node"] = "elsewhere"
+    data["topology"]["bottleneck_bps"] = 1.0
+    data["metrics"]["with_trace"] = True
+    data["dynamics"]["events"] = "gone"
+    assert fingerprint_spec(spec, 1) == before
+    assert spec.to_dict() == reference_to_dict(spec)
+
+    wireless = get_scenario("wireless_last_hop").spec()
+    data = wireless.to_dict()
+    data["topology"]["leaves"][0]["impairment"]["channel"]["params"]["snr_db"] = -40.0
+    assert wireless.topology.leaves[0].impairment.channel.params["snr_db"] == 13.0
+
+
+# ------------------------------------------------------ guards against regrowth
+
+
+def profiled_calls(function):
+    profile = cProfile.Profile()
+    profile.enable()
+    try:
+        function()
+    finally:
+        profile.disable()
+    return pstats.Stats(profile).total_calls
+
+
+def test_fingerprint_costs_a_constant_number_of_calls_per_receiver():
+    receivers = 2000
+    spec = get_scenario("scaling").spec(num_receivers=receivers)
+    calls = profiled_calls(lambda: fingerprint_spec(spec, 1))
+    # asdict made about ten calls (and a deep copy) per receiver.
+    assert calls < 2 * receivers, f"{calls / receivers:.1f} calls per receiver"
+
+
+def test_cohort_build_makes_no_call_per_member():
+    pytest.importorskip("numpy")
+    from repro.engines import get_engine
+
+    members = 20_000
+    spec = get_scenario("scaling").spec(num_receivers=members + 2)
+    spec = spec.with_overrides(**{"engine.kind": "cohort"})
+    factory = get_engine("cohort")
+    factory.check_available()
+    built = []
+    calls = profiled_calls(lambda: built.append(factory.build(spec, seed=1)))
+    assert built[0].cohorts[0].n == members
+    # Every call of the build, not only those inside engines/cohort.py.
+    assert calls < 0.5 * members, f"{calls / members:.2f} calls per member"
+
+
+def test_no_asdict_in_the_scenario_layer():
+    for path in glob.glob(os.path.join(SRC, "scenarios", "*.py")):
+        with open(path, encoding="utf-8") as fh:
+            assert "asdict(" not in fh.read(), path
+
+
+def test_cohort_engine_never_scans_a_member_list():
+    with open(os.path.join(SRC, "engines", "cohort.py"), encoding="utf-8") as fh:
+        assert ".index(" not in fh.read()
