@@ -254,7 +254,9 @@ class _FlowCohort:
         self.weights = weights
         self.weight_sum = float(weights.sum())
         self.history_len = len(weights)
-        self.intervals = np.zeros((n, self.history_len), dtype=float)
+        # One row per history slot (newest first), one column per member:
+        # the rate kernel sweeps whole slots, which must be contiguous.
+        self.intervals = np.zeros((self.history_len, n), dtype=float)
         self.open_pkts = np.zeros(n, dtype=float)
         self.seeded = False
         # Per-receiver loss and delay offsets from private (non-shared)
@@ -443,8 +445,8 @@ class _FlowCohort:
             # i.i.d. assumption.  Broadcasting the anchor's history instead
             # would zero the cross-receiver variance and with it the
             # order-statistic degradation the cohort exists to reproduce.
-            draws = self.rng.exponential(mean_interval, size=self.intervals.shape)
-            self.intervals[:] = np.maximum(draws, 1.0)
+            draws = self.rng.exponential(mean_interval, size=(self.n, self.history_len))
+            np.maximum(draws.T, 1.0, out=self.intervals)
             self.open_pkts[:] = self.rng.random(self.n) * max(history.open_interval, 0.0)
             self._anchor_events = anchor.detector.loss_events
             self.seeded = True
@@ -474,8 +476,8 @@ class _FlowCohort:
                     continue
                 draws = self.rng.exponential(mean_interval, size=(hits, count))
                 np.maximum(draws, 1.0, out=draws)
-                self.intervals[rows, count:] = self.intervals[rows, : self.history_len - count]
-                self.intervals[rows, :count] = draws
+                self.intervals[count:, rows] = self.intervals[: self.history_len - count, rows]
+                self.intervals[:count, rows] = draws.T
             # Residual open interval: a uniform fraction of this round's
             # packets for receivers whose last event fell inside the round.
             self.open_pkts[hit] = packets * self.rng.random(int(np.count_nonzero(hit)))
@@ -485,14 +487,19 @@ class _FlowCohort:
 
     def _rates(self, np: Any, anchor: Any) -> Tuple[Any, Any, Any]:
         """Vectorised (calculated rate, loss-event rate, rtt) per receiver."""
-        closed_avg = self.intervals @ self.weights / self.weight_sum
+        # Weighted sums accumulated newest interval first, one elementwise
+        # multiply-add per history slot.  A BLAS product of the same history
+        # takes 2-13 ms here against 1.5, and rounds differently from one
+        # CPU's kernel to the next, so a record's low bits depended on the host.
+        intervals, weights = self.intervals, self.weights
+        closed = intervals[0] * weights[0]
         # average_loss_interval: include the open interval when that raises
         # the average (history discounting of the open interval).
-        with_open = (
-            self.open_pkts * self.weights[0]
-            + self.intervals[:, :-1] @ self.weights[1:]
-        ) / self.weight_sum
-        avg = np.maximum(closed_avg, with_open)
+        with_open = self.open_pkts * weights[0]
+        for slot in range(1, self.history_len):
+            closed += intervals[slot] * weights[slot]
+            with_open += intervals[slot - 1] * weights[slot]
+        avg = np.maximum(closed / self.weight_sum, with_open / self.weight_sum)
         p = np.clip(1.0 / np.maximum(avg, 1.0), MIN_LOSS_RATE, MAX_LOSS_RATE)
         anchor_rtt = anchor.rtt.rtt
         rtt = np.maximum(anchor_rtt * self.rtt_jitter + self.rtt_offset, 1e-3)

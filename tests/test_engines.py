@@ -292,6 +292,52 @@ def test_cohort_scales_past_exact_wall_time():
     assert wall < 5.0
 
 
+def test_cohort_rates_match_a_fixed_order_reference_bit_for_bit():
+    """The rate kernel is elementwise IEEE arithmetic in a stated order.
+
+    It used to go through BLAS matrix products, whose rounding depends on
+    the kernel OpenBLAS picks for the host CPU; the plain-Python loop below
+    is the definition now, and any machine must reproduce it exactly.
+    """
+    import math
+
+    import numpy as np
+
+    from repro.core.equations import MAX_LOSS_RATE, MIN_LOSS_RATE
+
+    spec = get_scenario("scaling").spec(num_receivers=66, duration=30.0)
+    built = get_engine("cohort").build(
+        spec.with_overrides(**{"engine.kind": "cohort"}), seed=5
+    )
+    built.run()
+    cohort = built.cohorts[0]
+    assert cohort.n == 64 and cohort.seeded
+    anchor = cohort._anchor()
+    calc, p, rtt = cohort._rates(np, anchor)
+
+    weights = [float(w) for w in cohort.config.loss_interval_weights]
+    weight_sum = cohort.weight_sum
+    distinct = set()
+    for i in range(cohort.n):
+        history = [float(x) for x in cohort.intervals[:, i]]  # newest first
+        closed = history[0] * weights[0]
+        with_open = float(cohort.open_pkts[i]) * weights[0]
+        for slot in range(1, len(weights)):
+            closed += history[slot] * weights[slot]
+            with_open += history[slot - 1] * weights[slot]
+        average = max(closed / weight_sum, with_open / weight_sum)
+        p_i = min(max(1.0 / max(average, 1.0), MIN_LOSS_RATE), MAX_LOSS_RATE)
+        rtt_i = max(
+            anchor.rtt.rtt * float(cohort.rtt_jitter[i]) + float(cohort.rtt_offset[i]), 1e-3
+        )
+        fast = rtt_i * math.sqrt(2.0 * p_i / 3.0)
+        timeout = (4.0 * rtt_i) * (3.0 * math.sqrt(3.0 * p_i / 8.0)) * p_i * (1.0 + 32.0 * p_i * p_i)
+        assert (float(p[i]), float(rtt[i])) == (p_i, rtt_i)
+        assert float(calc[i]) == cohort.config.packet_size / (fast + timeout)
+        distinct.add(float(calc[i]))
+    assert len(distinct) == cohort.n  # 64 different histories, not one broadcast
+
+
 # -------------------------------------------------------- sweep determinism
 
 
