@@ -112,8 +112,10 @@ def _stationary_loss_rate(impairment: Any, packet_size: int = 1000) -> float:
 def _star_leaf(star: Any, node: str) -> Optional[Any]:
     """The leaf edge of a StarSpec that ``node`` sits behind, if it is one."""
     match = _LEAF_NODE.match(node)
-    if match and int(match.group(1)) < len(star.leaves):
-        return star.leaves[int(match.group(1))]
+    if match:
+        index = int(match.group(1))
+        if index < len(star.leaves):
+            return star.leaves[index]
     return None
 
 
@@ -488,9 +490,10 @@ class _FlowCohort:
     def _rates(self, np: Any, anchor: Any) -> Tuple[Any, Any, Any]:
         """Vectorised (calculated rate, loss-event rate, rtt) per receiver."""
         # Weighted sums accumulated newest interval first, one elementwise
-        # multiply-add per history slot.  A BLAS product of the same history
-        # takes 2-13 ms here against 1.5, and rounds differently from one
-        # CPU's kernel to the next, so a record's low bits depended on the host.
+        # multiply-add per history slot.  A BLAS product of an (n, 8) history
+        # is no faster (and several times slower when its threads contend for
+        # cores), and it rounds differently from one CPU's kernel to the
+        # next, which made a record's low bits depend on the host.
         intervals, weights = self.intervals, self.weights
         closed = intervals[0] * weights[0]
         # average_loss_interval: include the open interval when that raises
