@@ -7,9 +7,7 @@ from repro.experiments.scaling_experiment import figure7_scaling, figure17_loss_
 
 def test_fig07_throughput_scaling(benchmark):
     """Figure 7: throughput vs number of receivers for two loss distributions."""
-    points = benchmark(
-        figure7_scaling, receiver_counts=(1, 10, 100, 1000, 10000), samples=300
-    )
+    points = benchmark(figure7_scaling, receiver_counts=(1, 10, 100, 1000, 10000))
     rows = [("receivers", "constant-loss kbit/s", "realistic kbit/s")]
     for point in points:
         rows.append(
@@ -28,8 +26,8 @@ def test_fig07_ablation_history_length(benchmark):
     """Ablation: longer loss history alleviates the degradation (Section 3)."""
 
     def run():
-        short = figure7_scaling(receiver_counts=(1, 1000), samples=200, history_length=8)
-        long = figure7_scaling(receiver_counts=(1, 1000), samples=200, history_length=32)
+        short = figure7_scaling(receiver_counts=(1, 1000), history_length=8)
+        long = figure7_scaling(receiver_counts=(1, 1000), history_length=32)
         return short, long
 
     short, long = benchmark(run)

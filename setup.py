@@ -11,7 +11,8 @@ The core simulator is stdlib-only.  Optional extras:
     (``--engine cohort``); without it the engine raises
     ``EngineUnavailableError`` at build time.
 ``report``
-    scientific stack for the paper-figure report pipeline.
+    numpy for the analysis models of the paper-figure report pipeline and
+    matplotlib for its PNGs (without it the datasets are still written).
 """
 
 from setuptools import find_packages, setup
@@ -29,6 +30,6 @@ setup(
     install_requires=[],
     extras_require={
         "cohort": ["numpy"],
-        "report": ["numpy", "scipy", "matplotlib"],
+        "report": ["numpy", "matplotlib"],
     },
 )

@@ -10,8 +10,8 @@ This subpackage implements those models:
   duplicate feedback messages and response-time model,
 * :mod:`repro.analysis.feedback_rounds` -- a standalone Monte-Carlo simulator
   of a single feedback round (timer draws, network delays, suppression),
-* :mod:`repro.analysis.scaling` -- gamma/exponential order-statistics model
-  of the throughput degradation with many receivers,
+* :mod:`repro.analysis.scaling` -- exact order-statistic integral of the
+  throughput degradation with many receivers,
 * :mod:`repro.analysis.tcp_model` -- loss-events-per-RTT curve.
 """
 

@@ -59,9 +59,9 @@ import os
 
 from repro.bench import DEFAULT_OUT_DIR as BENCH_OUT_DIR, DEFAULT_THRESHOLD as BENCH_THRESHOLD
 
-# Mirrors repro.report.runner.DEFAULT_OUT_DIR; the report package (and its
-# scipy/matplotlib-needing dependencies) is imported lazily in cmd_report so
-# the rest of the CLI keeps its stdlib-only footprint.
+# Mirrors repro.report.runner.DEFAULT_OUT_DIR; the report package (and the
+# numpy its analysis models need) is imported lazily in cmd_report so the
+# rest of the CLI keeps its stdlib-only footprint.
 REPORT_OUT_DIR = os.path.join("results", "figures")
 from contextlib import nullcontext
 

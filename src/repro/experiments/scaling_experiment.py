@@ -11,10 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
-from repro.analysis.scaling import (
-    expected_minimum_rate_constant_loss,
-    expected_minimum_rate_heterogeneous,
-)
+from repro.analysis.scaling import throughput_scaling_curve
 from repro.analysis.tcp_model import loss_events_per_rtt_curve, peak_loss_events_per_rtt
 from repro.core.config import loss_interval_weights
 
@@ -32,9 +29,7 @@ def figure7_scaling(
     receiver_counts: Sequence[int] = (1, 10, 100, 1000, 10000),
     loss_rate: float = 0.1,
     rtt: float = 0.05,
-    samples: int = 500,
     history_length: int = 8,
-    seed: int = 7,
 ) -> List[ScalingPoint]:
     """Figure 7: throughput vs receiver count for the two loss distributions.
 
@@ -42,17 +37,10 @@ def figure7_scaling(
     (e.g. to 32) alleviates the degradation at the cost of responsiveness --
     the ablation benchmark sweeps this parameter.
     """
-    weights = loss_interval_weights(history_length)
-    points = []
-    for n in receiver_counts:
-        constant = expected_minimum_rate_constant_loss(
-            n, loss_rate=loss_rate, rtt=rtt, weights=weights, samples=samples, seed=seed
-        )
-        realistic = expected_minimum_rate_heterogeneous(
-            n, rtt=rtt, weights=weights, samples=max(samples // 4, 50), seed=seed
-        )
-        points.append(ScalingPoint(n, constant * 8.0 / 1e3, realistic * 8.0 / 1e3))
-    return points
+    curve = throughput_scaling_curve(
+        receiver_counts, loss_rate, rtt, weights=loss_interval_weights(history_length)
+    )
+    return [ScalingPoint(*point) for point in curve]
 
 
 def figure17_loss_events_per_rtt() -> Tuple[List[Tuple[float, float]], Tuple[float, float]]:

@@ -406,16 +406,14 @@ def _scaling_build(records: List[Dict[str, Any]], quick: bool) -> FigureData:
         _measured_loss_rate(grouped.get(base_n, [])) or _measured_loss_rate(records),
         tol["min_loss_rate"],
     )
-    model_base = expected_minimum_rate_constant_loss(base_n, p_measured, NOMINAL_RTT)
+    model = {
+        n: expected_minimum_rate_constant_loss(n, p_measured, NOMINAL_RTT) for n, _, _ in curve
+    }
     dataset: List[Dict[str, Any]] = []
     overlay: List[Dict[str, Any]] = []
     checks: List[Check] = []
     for n, throughput, sim_ratio in curve:
-        model_ratio = (
-            expected_minimum_rate_constant_loss(n, p_measured, NOMINAL_RTT) / model_base
-            if model_base > 0
-            else 0.0
-        )
+        model_ratio = model[n] / model[base_n] if model[base_n] > 0 else 0.0
         engines = {record_engine(r) for r in grouped[n]}
         dataset.append(
             {

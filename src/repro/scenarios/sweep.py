@@ -157,11 +157,13 @@ def run_env() -> Dict[str, Any]:
     """
     global _RUN_ENV
     if _RUN_ENV is None:
-        try:
-            import numpy
+        # The version without the import: numpy is 0.1-0.2 s that an
+        # exact-engine run or a cache hit never needs.
+        from importlib import metadata
 
-            numpy_version: Optional[str] = numpy.__version__
-        except ImportError:
+        try:
+            numpy_version: Optional[str] = metadata.version("numpy")
+        except metadata.PackageNotFoundError:
             numpy_version = None
         _RUN_ENV = {
             "cpus": os.cpu_count(),

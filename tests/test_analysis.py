@@ -1,5 +1,9 @@
 """Tests for the analytical models (feedback, scaling, TCP-model curves)."""
 
+import math
+import random
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,13 +17,17 @@ from repro.analysis.feedback_model import (
 )
 from repro.analysis.feedback_rounds import FeedbackRoundSimulator, timer_cdf_points
 from repro.analysis.scaling import (
+    GRID_DOUBLINGS,
+    _expected_minimum,
     expected_minimum_rate_constant_loss,
     expected_minimum_rate_heterogeneous,
-    gamma_minimum_expectation,
+    realistic_loss_classes,
     realistic_loss_distribution,
     throughput_scaling_curve,
 )
 from repro.analysis.tcp_model import loss_events_per_rtt_curve, peak_loss_events_per_rtt
+from repro.core.config import DEFAULT_LOSS_INTERVAL_WEIGHTS, loss_interval_weights
+from repro.core.equations import padhye_throughput
 from repro.core.feedback import BiasMethod
 
 
@@ -133,42 +141,135 @@ class TestFeedbackRounds:
         assert result.best_reported_value >= result.true_minimum_value - 1e-12
 
 
+# Independent oracles for the exact integral in ``repro.analysis.scaling``:
+# the brute-force Monte-Carlo it replaced and the moment-matched gamma
+# approximation.  They live here, not under ``src/``, so that nothing the
+# package ships can select them.
+
+
+def monte_carlo_minimum(num_receivers, weights, draw_loss_rates, samples=20000, seed=99):
+    """Mean and standard error of the sampled minimum weighted-average interval.
+
+    ``draw_loss_rates()`` returns the per-receiver loss rates of one sample.
+    """
+    rng = np.random.default_rng(seed)
+    w = np.asarray(weights, dtype=float)
+    w = w / w.sum()
+    minima = np.empty(samples)
+    for s in range(samples):
+        means = 1.0 / np.asarray(draw_loss_rates())
+        intervals = rng.exponential(1.0, size=(num_receivers, len(w))) * means[:, None]
+        minima[s] = (intervals @ w).min()
+    return float(minima.mean()), float(minima.std(ddof=1) / np.sqrt(samples))
+
+
+def effective_history_shape(weights):
+    """Kish's effective sample size of the weighted average: the shape of the
+    gamma distribution matching its first two moments."""
+    return sum(weights) ** 2 / sum(w * w for w in weights)
+
+
+def gamma_minimum_expectation(num_receivers, shape, scale=1.0, grid=4000):
+    """E[min of n i.i.d. Gamma(shape, scale)] = Integral_0^inf (1 - F(x))^n dx."""
+    stats = pytest.importorskip("scipy.stats")
+    if num_receivers < 1:
+        raise ValueError("num_receivers must be >= 1")
+    dist = stats.gamma(shape, scale=scale)
+    xs = np.linspace(0.0, float(dist.ppf(1.0 - 1e-12)), grid)
+    survival = dist.sf(xs) ** num_receivers
+    return float(np.sum((survival[1:] + survival[:-1]) * np.diff(xs)) / 2.0)
+
+
+def everyone(num_receivers, loss_rate=1.0):
+    """`_expected_minimum` population arguments of ``n`` identical receivers."""
+    return np.array([num_receivers]), np.ones((1, 1)), np.array([loss_rate])
+
+
 class TestScaling:
     def test_single_receiver_matches_fair_rate(self):
-        rate = expected_minimum_rate_constant_loss(1, loss_rate=0.1, rtt=0.05, samples=400)
-        assert 250e3 < rate * 8 < 350e3
+        # One receiver's expected average interval is exactly 1/p.
+        for p in (0.005, 0.1, 0.5):
+            rate = expected_minimum_rate_constant_loss(1, loss_rate=p, rtt=0.05)
+            assert rate == pytest.approx(padhye_throughput(1000, 0.05, p), rel=1e-9)
+        assert 250e3 < expected_minimum_rate_constant_loss(1, loss_rate=0.1, rtt=0.05) * 8 < 350e3
 
     def test_throughput_decreases_with_receiver_count(self):
-        few = expected_minimum_rate_constant_loss(1, samples=300)
-        many = expected_minimum_rate_constant_loss(500, samples=300)
-        assert many < few
+        rates = [
+            expected_minimum_rate_constant_loss(n) for n in (1, 2, 5, 50, 500, 10**4, 10**6)
+        ]
+        assert all(later < earlier for earlier, later in zip(rates, rates[1:]))
 
     def test_realistic_distribution_degrades_less(self):
-        curve = throughput_scaling_curve([1, 200], samples=200)
+        curve = throughput_scaling_curve([1, 200])
         constant_drop = curve[0][1] / max(curve[1][1], 1e-9)
         realistic_drop = curve[0][2] / max(curve[1][2], 1e-9)
         assert realistic_drop < constant_drop
 
     def test_longer_history_alleviates_degradation(self):
-        from repro.core.config import loss_interval_weights
-
-        short = expected_minimum_rate_constant_loss(
-            200, weights=loss_interval_weights(8), samples=300
-        )
-        long = expected_minimum_rate_constant_loss(
-            200, weights=loss_interval_weights(32), samples=300
-        )
-        assert long > short
+        rates = [
+            expected_minimum_rate_constant_loss(200, weights=loss_interval_weights(m))
+            for m in (2, 4, 8, 16, 32, 64)
+        ]
+        assert all(longer > shorter for shorter, longer in zip(rates, rates[1:]))
 
     def test_realistic_loss_distribution_shape(self):
-        import random
-
         rates = realistic_loss_distribution(1000, random.Random(1))
         assert len(rates) == 1000
         assert all(0.004 < r <= 0.10 for r in rates)
         high = sum(1 for r in rates if r >= 0.05)
         low = sum(1 for r in rates if r < 0.02)
         assert high < low  # only a few receivers in the high-loss range
+        # The sampler draws from the class table the integral uses.
+        classes = realistic_loss_classes(1000)
+        assert [count for count, _, _ in classes] == [high, 1000 - high - low, low]
+
+    @pytest.mark.parametrize("history", [8, 32])
+    @pytest.mark.parametrize("num_receivers", [2, 16, 200, 1000])
+    def test_integral_within_monte_carlo_error(self, num_receivers, history):
+        weights = loss_interval_weights(history)
+        exact = _expected_minimum(weights, *everyone(num_receivers))
+        mean, stderr = monte_carlo_minimum(num_receivers, weights, lambda: np.ones(num_receivers))
+        assert abs(exact - mean) < 3.0 * stderr
+        assert stderr < 0.005 * exact  # the oracle is sharp enough to mean something
+
+    @pytest.mark.parametrize("num_receivers", [50, 1000])
+    def test_heterogeneous_integral_within_monte_carlo_error(self, num_receivers):
+        rng = random.Random(5)
+        mean, stderr = monte_carlo_minimum(
+            num_receivers,
+            DEFAULT_LOSS_INTERVAL_WEIGHTS,
+            lambda: realistic_loss_distribution(num_receivers, rng),
+        )
+        rate = expected_minimum_rate_heterogeneous(num_receivers)
+        # The control equation falls with the loss rate 1 / E[min].
+        assert padhye_throughput(1000, 0.05, 1.0 / (mean - 3.0 * stderr)) < rate
+        assert rate < padhye_throughput(1000, 0.05, 1.0 / (mean + 3.0 * stderr))
+
+    def test_heterogeneous_single_receiver_closed_form(self):
+        # The only receiver sits in the high class: E[1/p], p ~ U(0.05, 0.10).
+        rate = expected_minimum_rate_heterogeneous(1)
+        assert rate == pytest.approx(padhye_throughput(1000, 0.05, 0.05 / math.log(2.0)), rel=1e-7)
+
+    @pytest.mark.parametrize("num_receivers", [1, 10**3, 10**5, 10**6])
+    def test_grid_doubling_stability(self, num_receivers):
+        for weights in (DEFAULT_LOSS_INTERVAL_WEIGHTS, loss_interval_weights(32)):
+            coarse = _expected_minimum(weights, *everyone(num_receivers))
+            fine = _expected_minimum(weights, *everyone(num_receivers), GRID_DOUBLINGS + 1)
+            assert coarse == pytest.approx(fine, rel=1e-6)
+
+    @pytest.mark.parametrize("num_receivers", [1, 7, 300, 10**5])
+    def test_single_interval_history_is_minimum_of_exponentials(self, num_receivers):
+        # The density does not vanish at the origin, so the trapezoid is only
+        # second order here: (n h)^2 / 12 with n h < 0.04 on the re-laid grid.
+        for p in (1.0, 0.02):
+            expected = _expected_minimum((1,), *everyone(num_receivers, p))
+            assert expected == pytest.approx(1.0 / (num_receivers * p), rel=1e-4)
+
+    def test_moment_matched_gamma_approximates_the_integral(self):
+        shape = effective_history_shape(DEFAULT_LOSS_INTERVAL_WEIGHTS)
+        for n in (1, 10, 1000):
+            exact = _expected_minimum(DEFAULT_LOSS_INTERVAL_WEIGHTS, *everyone(n))
+            assert gamma_minimum_expectation(n, shape, 1.0 / shape) == pytest.approx(exact, rel=0.1)
 
     def test_gamma_minimum_expectation_decreases(self):
         one = gamma_minimum_expectation(1, shape=7.0, scale=1.4)
@@ -181,6 +282,10 @@ class TestScaling:
             expected_minimum_rate_constant_loss(0)
         with pytest.raises(ValueError):
             expected_minimum_rate_constant_loss(10, loss_rate=0.0)
+        with pytest.raises(ValueError):
+            expected_minimum_rate_constant_loss(10, weights=(0.0, 0.0))
+        with pytest.raises(ValueError):
+            expected_minimum_rate_heterogeneous(0)
         with pytest.raises(ValueError):
             gamma_minimum_expectation(0, shape=1.0)
 

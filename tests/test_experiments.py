@@ -154,7 +154,7 @@ def test_feedback_figure_helpers():
 
 
 def test_scaling_figure_helpers():
-    points = figure7_scaling(receiver_counts=(1, 50), samples=100)
+    points = figure7_scaling(receiver_counts=(1, 50))
     assert len(points) == 2
     assert points[1].constant_loss_kbps < points[0].constant_loss_kbps
     curve, peak = figure17_loss_events_per_rtt()

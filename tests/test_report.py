@@ -3,11 +3,13 @@
 import csv
 import json
 import os
+import subprocess
 import sys
 from dataclasses import replace
 
 import pytest
 
+import repro
 from repro.cli import main as cli_main
 from repro.report import FIGURES, figure_names, get_figure, run_report
 from repro.report.figures import (
@@ -18,6 +20,8 @@ from repro.report.figures import (
     RunRequest,
     register_figure,
 )
+
+SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
 
 def _fake_fairness_record(num_tcp, seed, tfmcc=1e6, tcp=1e6):
@@ -264,6 +268,37 @@ def test_render_all_registered_figures_from_canned_data(tmp_path):
         report = FigureReport(FIGURES[name], data, quick=True)
         path = str(tmp_path / f"{name}.png")
         assert render_figure(report, path) is True
+
+
+# ----------------------------------------------------------- dependencies
+
+
+def test_importing_the_report_package_loads_no_scipy():
+    code = (
+        "import sys\n"
+        "import repro.report\n"
+        "loaded = sorted(name for name in sys.modules if name.split('.')[0] == 'scipy')\n"
+        "assert not loaded, loaded[:5]\n"
+    )
+    subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": SRC_DIR},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+
+
+def test_no_source_file_mentions_scipy():
+    offenders = []
+    for folder, _dirs, names in os.walk(os.path.join(SRC_DIR, "repro")):
+        for name in names:
+            if name.endswith(".py"):
+                path = os.path.join(folder, name)
+                with open(path, encoding="utf-8") as fh:
+                    if "scipy" in fh.read():
+                        offenders.append(os.path.relpath(path, SRC_DIR))
+    assert not offenders, offenders
 
 
 # --------------------------------------------------------------------- CLI

@@ -2,9 +2,12 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro import telemetry
 from repro.cli import main
 from repro.scenarios.build import run_scenario
@@ -23,6 +26,8 @@ from repro.simulator.engine import Simulator
 from repro.simulator.queues import DropTailQueue, REDQueue
 from repro.telemetry.core import Telemetry, format_key, merge_snapshots, split_key
 from repro.telemetry.export import snapshot_from_source, to_prometheus
+
+SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
 
 def _spec(duration=3.0, **params):
@@ -161,6 +166,25 @@ def test_run_env_keys_and_record_stamp(tmp_path):
     assert records[0]["run"]["env"] == env
     # Telemetry absent by default.
     assert "telemetry" not in records[0]["run"]
+
+
+def test_exact_run_stamps_numpy_version_without_importing_numpy():
+    code = (
+        "import sys\n"
+        "from repro.cli import main\n"
+        "assert main(['run', 'fairness', '--set', 'duration=3.0', '--set', 'num_tcp=1']) == 0\n"
+        "assert 'numpy' not in sys.modules, 'an exact-engine run imported numpy'\n"
+        "from repro.scenarios.sweep import run_env\n"
+        "import numpy\n"
+        "assert run_env()['numpy'] == numpy.__version__\n"
+    )
+    subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": SRC_DIR},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
 
 
 # --------------------------------------------------------------------- sweep
