@@ -9,7 +9,7 @@ from conftest import report
 
 from repro.analysis.feedback_rounds import FeedbackRoundSimulator
 from repro.core.feedback import BiasMethod
-from repro.experiments import fairness
+from repro.scenarios import get_scenario, run_scenario
 
 
 def test_ablation_cancellation_delta(benchmark):
@@ -40,13 +40,13 @@ def test_ablation_bias_method_full_protocol(benchmark):
     from repro.core.config import TFMCCConfig
 
     def run():
+        spec = get_scenario("fairness").spec(
+            num_tcp=2, bottleneck_bps=8e6, duration=48.0, warmup_fraction=0.4
+        )
         out = {}
         for method in (BiasMethod.MODIFIED_OFFSET, BiasMethod.NONE):
-            config = TFMCCConfig(bias_method=method)
-            result = fairness.run_shared_bottleneck(
-                scale="quick", num_tcp=6, duration=120.0, seed=33, config=config
-            )
-            out[method.value] = result.tfmcc_to_tcp_ratio()
+            ablated = spec.with_tfmcc_config(TFMCCConfig(bias_method=method))
+            out[method.value] = run_scenario(ablated, seed=33)["tfmcc_tcp_ratio"]
         return out
 
     ratios = benchmark.pedantic(run, iterations=1, rounds=1)
@@ -61,8 +61,7 @@ def test_ablation_bias_method_full_protocol(benchmark):
 def test_ablation_red_vs_droptail(benchmark):
     """Fairness with RED queues at the bottleneck (paper: fairness improves)."""
     from repro.simulator.queues import REDQueue
-    from repro import Simulator, Network, TFMCCSession, ThroughputMonitor
-    from repro.experiments.common import add_tcp_flow
+    from repro import Network, Simulator, TCPRenoSender, TCPSink, TFMCCSession, ThroughputMonitor
 
     def run(queue_factory=None):
         sim = Simulator(seed=44)
@@ -80,7 +79,10 @@ def test_ablation_red_vs_droptail(benchmark):
         receiver = session.add_receiver("dst0")
         session.start(0.0)
         for i in range(1, 4):
-            add_tcp_flow(sim, net, f"tcp{i}", f"src{i}", f"dst{i}", monitor)
+            tcp = TCPRenoSender(sim, f"tcp{i}", f"dst{i}", monitor=monitor)
+            net.attach(f"src{i}", tcp)
+            net.attach(f"dst{i}", TCPSink(sim, f"tcp{i}", f"src{i}", monitor=monitor))
+            tcp.start(0.0)
         sim.run(until=80.0)
         tfmcc = monitor.average_throughput(receiver.receiver_id, 30.0, 80.0)
         tcp = sum(monitor.average_throughput(f"tcp{i}", 30.0, 80.0) for i in range(1, 4)) / 3

@@ -1,50 +1,17 @@
-"""Benchmarks for the fairness figures (Figures 9 and 10)."""
+"""Figures 9 and 10: the checks of the fairness report figures."""
 
-from conftest import report
-
-from repro.experiments import fairness
+from conftest import assert_checks
 
 
-def test_fig09_shared_bottleneck(benchmark):
-    """Figure 9: one TFMCC flow and many TCP flows over one bottleneck."""
-    result = benchmark.pedantic(
-        fairness.run_shared_bottleneck, kwargs={"scale": "quick"}, iterations=1, rounds=1
-    )
-    ratio = result.tfmcc_to_tcp_ratio()
-    report(
-        "Figure 9: single shared bottleneck",
-        [
-            ("flow", "kbit/s"),
-            ("TFMCC", round(result.mean_bps("tfmcc") / 1e3, 1)),
-            ("TCP (mean)", round(result.mean_bps("tcp") / 1e3, 1)),
-            ("fair share", round(result.extra["fair_share_bps"] / 1e3, 1)),
-            ("TFMCC/TCP ratio (paper ~1.0)", round(ratio, 2)),
-            ("TFMCC rate CoV", round(result.extra["tfmcc_smoothness_cov"], 2)),
-            ("TCP rate CoV", round(result.extra["tcp_smoothness_cov"], 2)),
-        ],
-    )
-    # TFMCC's medium-term throughput is comparable to TCP's ...
-    assert 0.4 < ratio < 2.0
-    # ... and its rate is smoother (lower coefficient of variation).
-    assert result.extra["tfmcc_smoothness_cov"] < result.extra["tcp_smoothness_cov"]
+def test_fig09_shared_bottleneck(quick_figure):
+    """Figure 9: Jain index and TFMCC/TCP ratio per number of TCP flows."""
+    assert_checks(quick_figure("fairness"), "jain(")
+    assert_checks(quick_figure("fairness"), "tfmcc_tcp_ratio(")
+    # ... and the TFMCC rate is the smoother one.
+    assert_checks(quick_figure("smoothness"), "tfmcc_smoother_than_tcp")
 
 
-def test_fig10_individual_bottlenecks(benchmark):
-    """Figure 10: separate 1 Mbit/s tail circuits, one TCP flow per tail."""
-    result = benchmark.pedantic(
-        fairness.run_individual_bottlenecks, kwargs={"scale": "quick"}, iterations=1, rounds=1
-    )
-    ratio = result.tfmcc_to_tcp_ratio()
-    report(
-        "Figure 10: individual bottlenecks",
-        [
-            ("flow", "kbit/s"),
-            ("TFMCC (mean over receivers)", round(result.mean_bps("tfmcc") / 1e3, 1)),
-            ("TCP (mean)", round(result.mean_bps("tcp") / 1e3, 1)),
-            ("TFMCC/TCP ratio (paper ~0.7)", round(ratio, 2)),
-        ],
-    )
-    # TFMCC tracks the most-constrained receiver, so it gets less than TCP,
-    # but it must not collapse to zero.
-    assert ratio < 1.0
-    assert result.mean_bps("tfmcc") > 0.05 * result.extra["fair_share_bps"]
+def test_fig10_individual_bottlenecks(quick_figure):
+    """Figure 10: below TCP's rate (paper: ~70 %), but not collapsed."""
+    assert_checks(quick_figure("individual_bottlenecks"), "tfmcc_tcp_ratio")
+    assert_checks(quick_figure("individual_bottlenecks"), "tfmcc_share_of_fair_rate")

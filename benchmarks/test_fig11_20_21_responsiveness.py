@@ -1,72 +1,18 @@
-"""Benchmarks for the responsiveness figures (Figures 11, 20 and 21)."""
+"""Figures 11, 20 and 21: the per-phase checks of the membership figure."""
 
-from conftest import report
-
-from repro.experiments import responsiveness
+from conftest import assert_checks
 
 
-def test_fig11_loss_responsiveness(benchmark):
-    """Figure 11: staggered joins/leaves of receivers with increasing loss."""
-    result, phases = benchmark.pedantic(
-        responsiveness.run_staggered_join_leave,
-        kwargs={"scale": "quick"},
-        iterations=1,
-        rounds=1,
-    )
-    rows = [("phase", "window (s)", "TFMCC kbit/s", "TCP on worst link kbit/s")]
-    for phase in phases:
-        worst_tcp = min(phase.tcp_bps.values()) if phase.tcp_bps else 0.0
-        rows.append(
-            (
-                phase.label,
-                f"{round(phase.t_start)}-{round(phase.t_end)}",
-                round(phase.tfmcc_bps / 1e3, 1),
-                round(worst_tcp / 1e3, 1),
-            )
-        )
-    report("Figure 11: responsiveness to changes in the loss rate", rows)
-    assert len(phases) >= 5
-    # When the 12.5 %-loss receiver is a member the rate is far below the
-    # rate with only the 0.1 %-loss receiver.
-    lowest = min(p.tfmcc_bps for p in phases[2:-1] if p.tfmcc_bps > 0)
-    highest = max(p.tfmcc_bps for p in phases)
-    assert lowest < 0.6 * highest
+def test_fig11_loss_responsiveness(quick_figure):
+    """Figure 11: the rate follows the lossiest current member."""
+    assert_checks(quick_figure("membership"), "fig11_")
 
 
-def test_fig20_delay_responsiveness(benchmark):
-    """Figure 20: staggered joins of receivers with increasing RTT."""
-    result, phases = benchmark.pedantic(
-        responsiveness.run_staggered_join_leave,
-        kwargs={"scale": "quick", "link_delays": (0.03, 0.06, 0.12, 0.24)},
-        iterations=1,
-        rounds=1,
-    )
-    rows = [("phase", "TFMCC kbit/s")]
-    for phase in phases:
-        rows.append((phase.label, round(phase.tfmcc_bps / 1e3, 1)))
-    report("Figure 20: responsiveness to network delay", rows)
-    assert result.name == "fig20_delay_responsiveness"
-    assert len(phases) >= 5
+def test_fig20_delay_responsiveness(quick_figure):
+    """Figure 20: as Figure 11 with link delays instead of loss rates."""
+    assert_checks(quick_figure("membership"), "fig20_")
 
 
-def test_fig21_increasing_congestion(benchmark):
-    """Figure 21: number of competing TCP flows doubles every phase."""
-    result, phases = benchmark.pedantic(
-        responsiveness.run_increasing_congestion,
-        kwargs={"scale": "quick"},
-        iterations=1,
-        rounds=1,
-    )
-    rows = [("phase", "active flows", "TFMCC kbit/s", "mean TCP kbit/s")]
-    for i, phase in enumerate(phases):
-        mean_tcp = (
-            sum(phase.tcp_bps.values()) / len(phase.tcp_bps) if phase.tcp_bps else 0.0
-        )
-        rows.append(
-            (phase.label, 1 + len(phase.tcp_bps), round(phase.tfmcc_bps / 1e3, 1), round(mean_tcp / 1e3, 1))
-        )
-    report("Figure 21: responsiveness to increased congestion", rows)
-    # The TFMCC share in the last (most congested) phase is well below the
-    # share it had when the first competitors arrived.
-    active_phases = [p for p in phases[1:] if p.tfmcc_bps > 0]
-    assert active_phases[-1].tfmcc_bps < active_phases[0].tfmcc_bps * 1.2
+def test_fig21_increasing_congestion(quick_figure):
+    """Figure 21: the rate falls as the competing TCP flows double."""
+    assert_checks(quick_figure("membership"), "fig21_")

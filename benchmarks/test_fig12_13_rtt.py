@@ -1,40 +1,13 @@
-"""Benchmarks for the RTT-measurement figures (Figures 12 and 13)."""
+"""Figures 12 and 13: the checks of the rtt report figure."""
 
-from conftest import report
-
-from repro.experiments import rtt_experiments
+from conftest import assert_checks
 
 
-def test_fig12_rtt_acquisition(benchmark):
-    """Figure 12: number of receivers with a valid RTT estimate over time."""
-    result = benchmark.pedantic(
-        rtt_experiments.run_rtt_acquisition,
-        kwargs={"scale": "quick", "num_receivers": 200, "duration": 120.0},
-        iterations=1,
-        rounds=1,
-    )
-    rows = [("time (s)", "receivers with valid RTT", f"of {result.num_receivers}")]
-    for t, count in result.samples[:: max(1, len(result.samples) // 12)]:
-        rows.append((round(t, 1), count, ""))
-    report("Figure 12: rate of initial RTT measurements", rows)
-    counts = [count for _t, count in result.samples]
-    # Monotone non-decreasing acquisition, a handful per feedback round.
-    assert all(a <= b for a, b in zip(counts, counts[1:]))
-    assert counts[-1] > counts[len(counts) // 4]
-    assert counts[-1] <= result.num_receivers
+def test_fig12_rtt_acquisition(quick_figure):
+    """Figure 12: receivers with a valid RTT keep growing, each counted once."""
+    assert_checks(quick_figure("rtt"), "fig12_")
 
 
-def test_fig13_rtt_change_reaction(benchmark):
-    """Figure 13: delay until a receiver whose RTT increased becomes the CLR."""
-    results = benchmark.pedantic(
-        rtt_experiments.run_rtt_change_reaction,
-        kwargs={"scale": "quick", "num_receivers": 100, "change_times": (10.0, 40.0)},
-        iterations=1,
-        rounds=1,
-    )
-    rows = [("time of change (s)", "reaction delay (s)", "reacted")]
-    for entry in results:
-        rows.append((round(entry.change_time, 1), round(entry.reaction_delay, 1), entry.reacted))
-    report("Figure 13: responsiveness to changes in the RTT", rows)
-    assert len(results) == 2
-    assert all(r.reaction_delay > 0 for r in results)
+def test_fig13_rtt_change_reaction(quick_figure):
+    """Figure 13: the receiver whose RTT stepped up becomes CLR, faster later."""
+    assert_checks(quick_figure("rtt"), "fig13_")

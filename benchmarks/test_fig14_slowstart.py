@@ -1,40 +1,9 @@
-"""Benchmark for the slowstart figure (Figure 14)."""
+"""Figure 14: the checks of the slowstart report figure."""
 
-from conftest import report
-
-from repro.experiments import slowstart
+from conftest import assert_checks
 
 
-def test_fig14_max_slowstart_rate(benchmark):
-    """Figure 14: maximum slowstart rate vs number of receivers, 3 scenarios."""
-
-    def run():
-        out = {}
-        for scenario in ("alone", "one_tcp", "high_mux"):
-            out[scenario] = slowstart.run_max_slowstart_rate(
-                scale="quick",
-                receiver_counts=(2, 8),
-                scenario=scenario,
-                num_tcp_high_mux=6,
-            )
-        return out
-
-    results = benchmark.pedantic(run, iterations=1, rounds=1)
-    rows = [("scenario", "receivers", "max slowstart rate kbit/s", "fair rate kbit/s")]
-    for scenario, entries in results.items():
-        for entry in entries:
-            rows.append(
-                (
-                    scenario,
-                    entry.num_receivers,
-                    round(entry.max_slowstart_rate_bps / 1e3, 1),
-                    round(entry.fair_rate_bps / 1e3, 1),
-                )
-            )
-    report("Figure 14: maximum slowstart rate", rows)
-    alone = results["alone"][0]
-    high_mux = results["high_mux"][0]
-    # On an empty link slowstart overshoots towards ~2x the bottleneck; with
-    # heavy competition the overshoot stays below that.
-    assert alone.max_slowstart_rate_bps > high_mux.max_slowstart_rate_bps * 0.5
-    assert all(e.max_slowstart_rate_bps > 0 for entries in results.values() for e in entries)
+def test_fig14_max_slowstart_rate(quick_figure):
+    """Peak slowstart rate per (competing TCP flows, receivers); alone is highest."""
+    assert_checks(quick_figure("slowstart"), "peak_over_fair_rate(")
+    assert_checks(quick_figure("slowstart"), "alone_over_high_multiplexing")

@@ -1,49 +1,13 @@
-"""Benchmarks for the late-join figures (Figures 15 and 16)."""
+"""Figures 15 and 16: the checks of the late_join report figure."""
 
-from conftest import report
-
-from repro.experiments import late_join
+from conftest import assert_checks
 
 
-def _rows(result):
-    return [
-        ("phase", "TFMCC kbit/s"),
-        ("before join", round(result.before_join_bps / 1e3, 1)),
-        ("slow receiver joined", round(result.during_join_bps / 1e3, 1)),
-        ("after leave", round(result.after_leave_bps / 1e3, 1)),
-        ("tail bandwidth", round(result.tail_bps / 1e3, 1)),
-        (
-            "CLR switch delay (s)",
-            round(result.clr_switch_delay, 2) if result.clr_switch_delay is not None else "n/a",
-        ),
-    ]
+def test_fig15_late_join(quick_figure):
+    """Figure 15: CLR hand-off, rate down towards the tail, recovery after."""
+    assert_checks(quick_figure("late_join"), "fig15_")
 
 
-def test_fig15_late_join(benchmark):
-    """Figure 15: late join of a receiver behind a 200 kbit/s bottleneck."""
-    result = benchmark.pedantic(
-        late_join.run_late_join, kwargs={"scale": "quick"}, iterations=1, rounds=1
-    )
-    report("Figure 15: late join of a low-rate receiver", _rows(result))
-    # The rate adapts down towards the slow tail while the receiver is a
-    # member and recovers after it leaves; it never collapses to zero.
-    assert result.during_join_bps < result.before_join_bps
-    assert result.during_join_bps > 0
-    assert result.after_leave_bps > result.during_join_bps
-
-
-def test_fig16_late_join_with_tcp(benchmark):
-    """Figure 16: as Figure 15, with a TCP flow sharing the slow tail."""
-    result = benchmark.pedantic(
-        late_join.run_late_join,
-        kwargs={"scale": "quick", "with_tcp_on_tail": True},
-        iterations=1,
-        rounds=1,
-    )
-    rows = _rows(result)
-    rows.append(("TCP on tail while joined", round(result.tcp_on_tail_during_bps / 1e3, 1)))
-    rows.append(("TCP on tail after leave", round(result.tcp_on_tail_after_bps / 1e3, 1)))
-    report("Figure 16: late join with TCP on the slow tail", rows)
-    assert result.during_join_bps < result.before_join_bps
-    # The TCP flow on the tail recovers after the multicast receiver leaves.
-    assert result.tcp_on_tail_after_bps > 0
+def test_fig16_late_join_with_tcp(quick_figure):
+    """Figure 16: the same, and the tail's TCP flow gets the tail back."""
+    assert_checks(quick_figure("late_join"), "fig16_")

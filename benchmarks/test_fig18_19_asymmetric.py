@@ -1,40 +1,13 @@
-"""Benchmarks for the asymmetric-path figures (Figures 18 and 19)."""
+"""Figures 18 and 19: the checks of the asymmetric report figure."""
 
-from conftest import report
-
-from repro.experiments import asymmetric
+from conftest import assert_checks
 
 
-def test_fig18_return_path_traffic(benchmark):
-    """Figure 18: competing TCP traffic on the receivers' return paths."""
-    result = benchmark.pedantic(
-        asymmetric.run_return_path_traffic, kwargs={"scale": "quick"}, iterations=1, rounds=1
-    )
-    rows = [("flow", "kbit/s")]
-    rows.append(("TFMCC (worst receiver)", round(result.tfmcc_bps / 1e3, 1)))
-    for fid, bps in sorted(result.tcp_bps.items()):
-        rows.append((fid, round(bps / 1e3, 1)))
-    rows.append(("(return-path flows)", len(result.return_flows_bps)))
-    report("Figure 18: competing traffic on return paths", rows)
-    # TFMCC keeps a useful share of the forward path regardless of the amount
-    # of return-path traffic.
-    assert result.tfmcc_bps > 0.05 * min(result.tcp_bps.values())
+def test_fig18_return_path_traffic(quick_figure):
+    """Figure 18: TFMCC keeps its share whatever runs on the return paths."""
+    assert_checks(quick_figure("asymmetric"), "fig18_")
 
 
-def test_fig19_lossy_return_paths(benchmark):
-    """Figure 19: 0-30 % loss on the feedback/ACK paths."""
-    result = benchmark.pedantic(
-        asymmetric.run_lossy_return_paths, kwargs={"scale": "quick"}, iterations=1, rounds=1
-    )
-    rows = [("flow", "kbit/s")]
-    rows.append(("TFMCC (mean over receivers)", round(result.tfmcc_bps / 1e3, 1)))
-    for fid, bps in sorted(result.tcp_bps.items()):
-        rows.append((fid, round(bps / 1e3, 1)))
-    report("Figure 19: lossy return paths", rows)
-    # TFMCC is insensitive to the loss of receiver reports: it keeps a
-    # nonzero share even though one feedback path drops 30 % of reports.
-    assert result.tfmcc_bps > 0
-    # TCP with a clean ACK path is no slower than TCP with 30 % ACK loss by
-    # more than the cumulative-ACK robustness allows (sanity of the setup).
-    assert result.tcp_bps["tcp0"] > 0
-    assert result.tcp_bps["tcp30"] > 0
+def test_fig19_lossy_return_paths(quick_figure):
+    """Figure 19: report loss does not slow TFMCC; TCP survives ACK loss."""
+    assert_checks(quick_figure("asymmetric"), "fig19_")

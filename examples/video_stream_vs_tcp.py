@@ -18,11 +18,12 @@ import argparse
 from repro import (
     Network,
     Simulator,
+    TCPRenoSender,
+    TCPSink,
     TFMCCSession,
     ThroughputMonitor,
     fairness_index,
 )
-from repro.experiments.common import add_tcp_flow
 
 
 def main(time_scale: float = 1.0) -> None:
@@ -42,7 +43,10 @@ def main(time_scale: float = 1.0) -> None:
     receivers = [session.add_receiver(f"dst{i}") for i in range(4)]
     session.start(0.0)
     for i in range(1, num_tcp + 1):
-        add_tcp_flow(sim, network, f"tcp{i}", f"src{i}", f"dst{i % 4}", monitor)
+        tcp = TCPRenoSender(sim, f"tcp{i}", f"dst{i % 4}", monitor=monitor)
+        network.attach(f"src{i}", tcp)
+        network.attach(f"dst{i % 4}", TCPSink(sim, f"tcp{i}", f"src{i}", monitor=monitor))
+        tcp.start(0.0)
 
     duration = 120.0 * time_scale
     sim.run(until=duration)

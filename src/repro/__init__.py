@@ -9,15 +9,15 @@ The package bundles:
   wrapper (:class:`repro.session.TFMCCSession`),
 * analytical models of the feedback mechanism and throughput scaling
   (:mod:`repro.analysis`),
-* the experiment drivers that regenerate every figure of the paper
-  (:mod:`repro.experiments`),
-* a declarative scenario subsystem with a named-scenario registry and a
-  parallel sweep runner (:mod:`repro.scenarios`), exposed on the command
-  line as ``python -m repro``; its traffic model is a unified, pluggable
-  flow API backed by the protocol registry (:mod:`repro.protocols`),
+* a declarative scenario subsystem with a named-scenario registry — one
+  scenario per simulated experiment of the paper — and a parallel sweep
+  runner (:mod:`repro.scenarios`), exposed on the command line as
+  ``python -m repro``; its traffic model is a unified, pluggable flow API
+  backed by the protocol registry (:mod:`repro.protocols`),
 * a metrics subsystem — trace probes, paper metrics, sweep aggregation —
   (:mod:`repro.metrics`) and the paper-figure reporting layer on top of it
-  (:mod:`repro.report`, ``python -m repro report``).
+  (:mod:`repro.report`, ``python -m repro report``), which regenerates
+  every simulated figure of the paper with a check verdict.
 """
 
 from repro.core.config import TFMCCConfig

@@ -217,6 +217,8 @@ class TFMCCReceiver(Agent):
 
         # --- RTT measurement / adjustment
         if header.echo_receiver_id == receiver_id:
+            if self.probe is not None and not rtt.has_valid_measurement:
+                self.probe.emit("rtt_acquired", now, receiver_id)
             rtt.update_from_echo(now, header.echo_timestamp, header.echo_delay)
             rtt.record_one_way_reference(timestamp, now)
             self._maybe_rescale_history()

@@ -497,6 +497,10 @@ class TFMCCSender(Agent):
         if self.in_slowstart:
             self.in_slowstart = False
             self.slowstart_exited_at = self.sim.now
+            if self.probe is not None:
+                self.probe.emit(
+                    "slowstart_exit", self.sim.now, self.flow_id, self.current_rate_bps
+                )
 
     # ------------------------------------------------------------ echo scheduling
 

@@ -37,6 +37,10 @@ Channels emitted by the built-in probes
 ``route_rebuild`` ``(t, reason, topology_version)`` unicast-route rebuilds
                  (and multicast re-grafts) triggered by live topology
                  changes (emitted by ``Network``).
+``rtt_acquired`` ``(t, receiver_id)`` a receiver's first real (echo-based) RTT
+                 measurement; at most once per receiver.
+``slowstart_exit`` ``(t, flow_id, rate_bps)`` the sender leaving slowstart and
+                 the rate it had reached; at most once per sender.
 
 The recorder is deliberately dumb — ordered tuples per channel — so emitting
 is one dict lookup and one list append on the hot path.  Interpretation lives
@@ -194,6 +198,7 @@ def summarise_trace(
     recorder: TraceRecorder,
     warmup: float = 0.0,
     loss_intervals: Optional[Sequence[Sequence[float]]] = None,
+    time_resolved: bool = False,
 ) -> Dict[str, Any]:
     """Reduce a finished run's trace to a JSON-compatible summary.
 
@@ -201,6 +206,9 @@ def summarise_trace(
     convention of the throughput metrics).  ``loss_intervals`` optionally
     supplies the per-receiver closed loss intervals collected at run end, so
     the summary can include Section-2.3 loss-interval statistics.
+    ``time_resolved`` (a run that asked for both ``with_trace`` and
+    ``with_series``) gives static runs the ``dynamics`` section too, plus
+    the two emit-once channels; a ``with_trace``-only summary is unchanged.
     """
     rounds = [e for e in recorder.events("round") if e[0] >= warmup]
     feedback_per_round = [e[4] for e in rounds]
@@ -233,11 +241,12 @@ def summarise_trace(
         }
     dynamics_events = recorder.events("dynamics")
     route_rebuilds = recorder.events("route_rebuild")
-    if dynamics_events or route_rebuilds:
+    if dynamics_events or route_rebuilds or time_resolved:
         # Time-resolved detail for the responsiveness analysis: when did the
         # scripted events fire, when were routes rebuilt, when did the CLR
         # switch and how did the sender rate evolve round by round.  Only
-        # present for dynamics runs, so static-run summaries are unchanged.
+        # present for dynamics runs (or on request), so static-run
+        # summaries are unchanged.
         # Each entry carries the sender flow id (last element) so multi-flow
         # scenarios stay distinguishable after the reduction.
         summary["dynamics"] = {
@@ -246,6 +255,13 @@ def summarise_trace(
             "clr_switches": [[e[0], e[2], e[1]] for e in recorder.events("clr_change")][:500],
             "rate_series": [[e[0], e[3], e[1]] for e in recorder.events("round")][:2000],
         }
+        if time_resolved:
+            summary["dynamics"]["rtt_acquired"] = [
+                list(e) for e in recorder.events("rtt_acquired")
+            ][:2000]
+            summary["dynamics"]["slowstart_exit"] = [
+                list(e) for e in recorder.events("slowstart_exit")
+            ]
     channel_events = recorder.events("channel")
     mobility_events = recorder.events("mobility")
     if channel_events or mobility_events:

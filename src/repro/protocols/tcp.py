@@ -32,9 +32,8 @@ def _check_params(params) -> None:
 
 
 def _build_tcp(built: "BuiltScenario", flow: "FlowSpec") -> BuiltFlow:
-    # Same construction order as experiments.common.add_tcp_flow (sender,
-    # sink, attach src, attach dst, start, stop) — the order is part of the
-    # determinism contract.
+    # Construction order (sender, sink, attach src, attach dst, start, stop)
+    # is part of the determinism contract.
     sender = TCPRenoSender(
         built.sim, flow.name, flow.dst, monitor=built.monitor, **flow.params
     )

@@ -3,8 +3,8 @@
 Also hosts the :class:`TFMCCConfig` <-> JSON-params bridge shared with the
 TFRC factory: every protocol constant of the paper can travel inside
 ``FlowSpec.params`` (and therefore inside scenario JSON, sweep grids and
-``--override`` paths) instead of the old non-serialisable ``config=``
-side-channel of ``build_scenario``.
+``--override`` paths); ``ScenarioSpec.with_tfmcc_config`` applies a whole
+config object to a spec.
 """
 
 from __future__ import annotations
@@ -83,7 +83,7 @@ def _build_tfmcc(built: "BuiltScenario", flow: "FlowSpec") -> BuiltFlow:
     )
     rids: List[str] = []
     # Receivers with join_at=0 are created at build time, before the sender
-    # starts (matching the hand-written drivers); any positive join_at is
+    # starts; any positive join_at is
     # honoured literally via the event queue, as are leaves.
     for rs in flow.receivers:
         if rs.join_at <= 0.0:

@@ -282,6 +282,7 @@ def run_report(
 def summarise(reports: Sequence[FigureReport]) -> str:
     """One-line-per-figure summary for the CLI."""
     lines = []
+    width = max((len(report.figure.name) for report in reports), default=0)
     for report in reports:
         n_checks = len(report.data.checks)
         n_failed = len(report.failed_checks)
@@ -289,5 +290,5 @@ def summarise(reports: Sequence[FigureReport]) -> str:
         outputs = ", ".join(
             os.path.basename(path) for key, path in sorted(report.paths.items()) if key != "records"
         )
-        lines.append(f"{report.figure.name:<12} {status:<24} {outputs}")
+        lines.append(f"{report.figure.name:<{width}} {status:<24} {outputs}")
     return "\n".join(lines)

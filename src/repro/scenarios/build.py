@@ -22,7 +22,6 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro import telemetry
 from repro.channel import SnrPerChannel
-from repro.core.config import TFMCCConfig
 from repro.telemetry.collect import collect_run
 from repro.metrics.trace import (
     ChannelStateProbe,
@@ -150,8 +149,7 @@ def build_network(sim: Simulator, topo: TopologySpec) -> Network:
     elif isinstance(topo, StarSpec):
         jitter = topo.jitter
         if jitter is None and topo.leaves:
-            # Same phase-effect mitigation as the experiment drivers: one
-            # packet time at the slowest leaf.
+            # Phase-effect mitigation: one packet time at the slowest leaf.
             jitter = 1000.0 * 8.0 / min(leaf.bandwidth for leaf in topo.leaves)
         net = Network(sim)
         net.add_duplex_link("source", "hub", topo.hub_bps, topo.hub_delay, jitter=jitter or 0.0)
@@ -379,26 +377,19 @@ class BuiltScenario:
 def build_scenario(
     spec: ScenarioSpec,
     seed: int = 1,
-    config: Optional[TFMCCConfig] = None,
     recorder: Optional[TraceRecorder] = None,
 ) -> BuiltScenario:
     """Materialise ``spec`` into a ready-to-run simulation.
 
     Every flow in ``spec.flows`` is built, in spec order, by the factory its
-    ``kind`` names in the protocol registry (:mod:`repro.protocols`).
-
-    ``config`` is deprecated: it now round-trips through the spec
-    (``spec.with_tfmcc_config(config)`` serialises it into every TFMCC
-    flow's ``params``) rather than bypassing it, so the effective spec is
-    exactly what a sweep worker or JSON file would see.  New code should put
-    protocol parameters in ``FlowSpec.params`` directly.  ``recorder``
-    attaches the structured trace probes; when None,
+    ``kind`` names in the protocol registry (:mod:`repro.protocols`);
+    protocol parameters live in ``FlowSpec.params``
+    (``spec.with_tfmcc_config(config)`` writes a whole config there).
+    ``recorder`` attaches the structured trace probes; when None,
     ``spec.metrics.with_trace`` creates one implicitly so that tracing also
     works through the multiprocessing sweep path (the recorder itself stays
     in the worker, the record carries its summary).
     """
-    if config is not None:
-        spec = spec.with_tfmcc_config(config)
     sim = Simulator(seed=seed)
     network = build_network(sim, spec.topology)
     monitor = ThroughputMonitor(sim, interval=spec.metrics.interval)
@@ -528,7 +519,10 @@ def collect_record(built: BuiltScenario) -> Dict[str, Any]:
             for history in built_flow.loss_histories
         )
         record["trace"] = summarise_trace(
-            built.recorder, warmup=t_start, loss_intervals=loss_intervals
+            built.recorder,
+            warmup=t_start,
+            loss_intervals=loss_intervals,
+            time_resolved=spec.metrics.with_trace and spec.metrics.with_series,
         )
     return record
 
@@ -536,7 +530,6 @@ def collect_record(built: BuiltScenario) -> Dict[str, Any]:
 def run_scenario(
     spec: ScenarioSpec,
     seed: int = 1,
-    config: Optional[TFMCCConfig] = None,
     recorder: Optional[TraceRecorder] = None,
 ) -> Dict[str, Any]:
     """Build, run and summarise ``spec`` — deterministic in (spec, seed).
@@ -544,22 +537,13 @@ def run_scenario(
     Dispatches on ``spec.engine.kind`` through the engine registry; the
     default ``"exact"`` engine is this module's :func:`build_scenario`, so
     default-spec records are byte-identical to the pre-registry behaviour.
-
-    ``config`` is deprecated (see :func:`build_scenario`): prefer protocol
-    parameters in ``FlowSpec.params``, e.g. via
-    ``spec.with_overrides(**{"flows.0.params.max_rtt": 0.3})``.
     """
+    from repro.engines import get_engine
+
     with telemetry.run_scope() as tel:
         if tel is not None:
             t0 = perf_counter()
-        if config is not None:
-            # The deprecated global-config path predates the engine registry
-            # and only the exact builder understands it.
-            built = build_scenario(spec, seed=seed, config=config, recorder=recorder)
-        else:
-            from repro.engines import get_engine
-
-            built = get_engine(spec.engine.kind).build(spec, seed=seed, recorder=recorder)
+        built = get_engine(spec.engine.kind).build(spec, seed=seed, recorder=recorder)
         if tel is None:
             built.run()
             return built.collect()

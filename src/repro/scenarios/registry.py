@@ -2,30 +2,39 @@
 
 Each entry maps a name to a *factory*: a function that turns keyword
 parameters into a concrete :class:`ScenarioSpec`.  The registry is what the
-``python -m repro`` CLI lists, runs and sweeps; the spec-builder functions are
-also reused by the hand-written experiment drivers (``experiments/fairness``
-and ``experiments/late_join`` are thin wrappers over them).
+``python -m repro`` CLI lists, runs and sweeps, and what every report figure
+(:mod:`repro.report.figures`) requests its runs from — each simulated figure
+of the paper is one or more of these scenarios plus a reduction.
 
 Registered scenarios
 --------------------
 ``fairness``                Figure 9: TFMCC + N TCP over one bottleneck.
 ``individual-bottlenecks``  Figure 10: per-receiver tail circuits.
 ``scaling``                 Receiver-count scaling on one bottleneck.
+``responsiveness``          Figures 11/20: staggered joins/leaves on a star
+                            of lossy (or, with ``link_delays``, slow) leaves.
+``rtt_acquisition``         Figure 12: first RTT measurements, one bottleneck.
+``rtt_step``                Figure 13: one receiver's RTT steps up mid-run.
+``slowstart``               Figure 14: slowstart alone / against TCP flows.
 ``late-join``               Figures 15/16: slow receiver joins mid-session.
-``responsiveness``          Figure 11: staggered joins/leaves on lossy star.
+``return_path_traffic``     Figure 18: TCP flows on the receivers' return paths.
+``lossy_return_paths``      Figure 19: lossy feedback/ACK paths.
+``increasing_congestion``   Figure 21: the TCP flow count doubles per phase.
 ``bursty-loss``             NEW: Gilbert-Elliott bursty-loss multicast.
 ``background-traffic``      NEW: on-off CBR contention on the bottleneck.
 ``flash-crowd``             NEW: a crowd of receivers joins almost at once.
 ``link_failure_reroute``    DYNAMICS: primary-link failure, reroute + re-graft.
-``bandwidth_step``          DYNAMICS: bottleneck bandwidth step (Figure 13).
-``loss_step_responsiveness`` DYNAMICS: loss step + CLR hand-off (Figure 17).
+``bandwidth_step``          DYNAMICS: bottleneck bandwidth step.
+``loss_step_responsiveness`` DYNAMICS: loss step + CLR hand-off.
 ``receiver_churn``          DYNAMICS: scripted join/leave churn schedules.
 ``tfmcc_vs_tfrc``           FLOWS: TFMCC vs its unicast ancestor, same path.
 ``protocol_mix``            FLOWS: every registered transport on one bottleneck.
 
-Default parameter values are sized for interactive CLI use (seconds, not
-minutes, of wall clock); pass e.g. ``--set duration=200`` for paper-like
-runs.
+The DYNAMICS scenarios are extensions in the spirit of the paper's
+responsiveness experiments (Figures 11, 20 and 21), not reproductions of a
+numbered figure.  Default parameter values are sized for interactive CLI use
+(seconds, not minutes, of wall clock); the report figures pass the paper's
+values, and so does e.g. ``--set duration=200``.
 """
 
 from __future__ import annotations
@@ -98,6 +107,16 @@ def register(factory: ScenarioFactory) -> ScenarioFactory:
     return factory
 
 
+def scenario(name: str, description: str) -> Callable[[Callable[..., ScenarioSpec]], Any]:
+    """Decorator: register the spec builder below it as the named scenario."""
+
+    def decorate(build: Callable[..., ScenarioSpec]) -> Callable[..., ScenarioSpec]:
+        register(ScenarioFactory(name=name, description=description, build=build))
+        return build
+
+    return decorate
+
+
 def get_scenario(name: str) -> ScenarioFactory:
     try:
         return _REGISTRY[name]
@@ -118,6 +137,7 @@ def scenarios() -> List[ScenarioFactory]:
 # ------------------------------------------------------- paper-equivalent specs
 
 
+@scenario("fairness", "TFMCC and N TCP flows over one shared bottleneck (Figure 9)")
 def shared_bottleneck_spec(
     num_tcp: int = 4,
     bottleneck_bps: float = 4e6,
@@ -149,6 +169,10 @@ def shared_bottleneck_spec(
     )
 
 
+@scenario(
+    "individual-bottlenecks",
+    "Each receiver behind its own tail circuit with one TCP (Figure 10)",
+)
 def individual_bottlenecks_spec(
     num_receivers: int = 6,
     tail_bps: float = 1e6,
@@ -184,6 +208,7 @@ def individual_bottlenecks_spec(
     )
 
 
+@scenario("scaling", "Receiver-count scaling over a shared bottleneck (Figure 7 companion)")
 def scaling_spec(
     num_receivers: int = 8,
     bottleneck_bps: float = 2e6,
@@ -223,6 +248,7 @@ def scaling_spec(
     )
 
 
+@scenario("late-join", "A receiver behind a slow tail joins mid-session (Figures 15/16)")
 def late_join_spec(
     num_main_receivers: int = 2,
     num_tcp: int = 2,
@@ -273,6 +299,10 @@ def late_join_spec(
     )
 
 
+@scenario(
+    "responsiveness",
+    "Staggered joins/leaves on a star of lossy or slow leaves (Figures 11/20)",
+)
 def responsiveness_spec(
     loss_rates: Sequence[float] = (0.001, 0.005, 0.025, 0.125),
     link_bps: float = 5e6,
@@ -280,13 +310,26 @@ def responsiveness_spec(
     join_interval: float = 10.0,
     duration: float = 90.0,
     warmup_fraction: float = 0.1,
+    link_delays: Optional[Sequence[float]] = None,
 ) -> ScenarioSpec:
-    """Figure 11 family: staggered joins/leaves on a star with lossy leaves."""
-    loss_rates = tuple(loss_rates)
-    leaves = tuple(
-        EdgeSpec(bandwidth=link_bps, delay=0.03, impairment=ImpairmentSpec(loss_rate=p))
-        for p in loss_rates
-    )
+    """Figures 11/20 family: staggered joins/leaves on a star.
+
+    Receiver ``i`` joins at ``first_join + (i - 1) * join_interval`` (receiver
+    0 is a member throughout) and they leave in reverse order; a TCP flow to
+    every leaf runs for the whole time.  The leaves differ in loss rate
+    (Figure 11) or, when ``link_delays`` gives one RTT per leaf, in delay on
+    loss-free links (Figure 20; ``loss_rates`` is then ignored).
+    """
+    if link_delays is not None:
+        # One-way link delay = RTT / 2.
+        leaves = tuple(EdgeSpec(bandwidth=link_bps, delay=d / 2.0) for d in link_delays)
+        loss_rates = (0.0,) * len(leaves)
+    else:
+        loss_rates = tuple(loss_rates)
+        leaves = tuple(
+            EdgeSpec(bandwidth=link_bps, delay=0.03, impairment=ImpairmentSpec(loss_rate=p))
+            for p in loss_rates
+        )
     receivers = [ReceiverSpec(node="leaf0", receiver_id="rcv0")]
     leave_start = first_join + (len(loss_rates) - 1) * join_interval
     for i in range(1, len(loss_rates)):
@@ -298,13 +341,272 @@ def responsiveness_spec(
         )
     return ScenarioSpec(
         name="responsiveness",
-        description="Staggered joins/leaves on a lossy star (Figure 11)",
+        description=(
+            "Staggered joins/leaves on a lossy star (Figure 11)"
+            if link_delays is None
+            else "Staggered joins/leaves on a star of slow leaves (Figure 20)"
+        ),
         duration=duration,
         topology=StarSpec(leaves=leaves, hub_bps=link_bps * 8),
         tfmcc=(TfmccFlowSpec(sender_node="source", receivers=tuple(receivers)),),
         tcp=tuple(
             TcpFlowSpec(flow_id=f"tcp{i}", src="source", dst=f"leaf{i}")
             for i in range(len(loss_rates))
+        ),
+        metrics=MetricsSpec(warmup_fraction=warmup_fraction),
+    )
+
+
+@scenario("rtt_acquisition", "Initial RTT measurements behind one shared bottleneck (Figure 12)")
+def rtt_acquisition_spec(
+    num_receivers: int = 20,
+    bottleneck_bps: float = 4e6,
+    min_delay: float = 0.03,
+    max_delay: float = 0.07,
+    duration: float = 40.0,
+    warmup_fraction: float = 0.25,
+) -> ScenarioSpec:
+    """Figure 12: how fast a receiver set acquires its first RTT measurements.
+
+    Every receiver sits behind the same bottleneck (highly correlated loss,
+    the worst case: all of them want to report at once) on its own
+    uncongested leaf, with one-way leaf delays spread evenly over
+    ``min_delay``..``max_delay`` (paper: RTTs of 60-140 ms) and the 500 ms
+    initial RTT.  The trace's ``rtt_acquired`` channel is the figure's curve.
+    """
+    spread = (max_delay - min_delay) / max(num_receivers - 1, 1)
+    leaves = tuple(
+        EdgeSpec(bottleneck_bps * 20, min_delay + spread * i) for i in range(num_receivers)
+    )
+    return ScenarioSpec(
+        name="rtt_acquisition",
+        description="Initial RTT measurements of a receiver set behind one bottleneck (Figure 12)",
+        duration=duration,
+        topology=StarSpec(
+            leaves=leaves,
+            hub_bps=bottleneck_bps,
+            hub_delay=0.005,
+            jitter=1000.0 * 8.0 / bottleneck_bps,
+        ),
+        tfmcc=(
+            TfmccFlowSpec(
+                sender_node="source",
+                receivers=tuple(ReceiverSpec(f"leaf{i}") for i in range(num_receivers)),
+            ),
+        ),
+        metrics=MetricsSpec(warmup_fraction=warmup_fraction, with_trace=True),
+    )
+
+
+@scenario("rtt_step", "One receiver's RTT steps up: time until it is the CLR (Figure 13)")
+def rtt_step_spec(
+    num_receivers: int = 10,
+    step_at: float = 10.0,
+    base_delay: float = 0.03,
+    high_delay: float = 0.3,
+    loss_rate: float = 0.02,
+    link_bps: float = 2e6,
+    duration: float = 60.0,
+    warmup_fraction: float = 0.1,
+) -> ScenarioSpec:
+    """Figure 13: one receiver's RTT rises sharply; when does it become CLR?
+
+    All receivers see independent loss at the same rate, so the CLR is
+    whoever reports the lowest rate at the moment.  At ``step_at`` the
+    one-way delay of ``leaf0`` (receiver ``stepped``) goes from
+    ``base_delay`` to ``high_delay``: its calculated rate drops and the
+    sender must hand it the CLR role.  The later the step, the more
+    receivers already hold a measured RTT and the faster the reaction.
+    """
+    leaf = EdgeSpec(link_bps, base_delay, impairment=ImpairmentSpec(loss_rate=loss_rate))
+    receivers = (ReceiverSpec("leaf0", receiver_id="stepped"),) + tuple(
+        ReceiverSpec(f"leaf{i}") for i in range(1, num_receivers)
+    )
+    return ScenarioSpec(
+        name="rtt_step",
+        description="RTT step on one receiver's link: time until it is the CLR (Figure 13)",
+        duration=duration,
+        topology=StarSpec(leaves=(leaf,) * num_receivers, hub_bps=link_bps * 10),
+        tfmcc=(TfmccFlowSpec(sender_node="source", receivers=receivers),),
+        dynamics=DynamicsSpec(
+            events=(
+                NetworkEventSpec(
+                    at=step_at, kind="link_update", a="leaf0", b="hub", delay=high_delay
+                ),
+            )
+        ),
+        metrics=MetricsSpec(warmup_fraction=warmup_fraction, with_trace=True),
+    )
+
+
+@scenario("slowstart", "Slowstart alone or against running TCP flows (Figure 14)")
+def slowstart_spec(
+    num_receivers: int = 2,
+    num_tcp: int = 0,
+    fair_rate_bps: float = 1e6,
+    duration: float = 24.0,
+    warmup_fraction: float = 0.25,
+) -> ScenarioSpec:
+    """Figure 14: the rate TFMCC reaches in slowstart.
+
+    ``num_tcp`` greedy TCP flows are already running when the TFMCC session
+    starts (0: alone on the link, 1: one competitor, several: high
+    statistical multiplexing); the bottleneck is ``fair_rate_bps`` per flow,
+    so the TFMCC fair rate is the same in all three settings.  The trace's
+    ``slowstart_exit`` channel carries the exit time and rate.
+    """
+    bottleneck = fair_rate_bps * (num_tcp + 1)
+    topology = DumbbellSpec(
+        num_left=num_tcp + 1,
+        num_right=max(num_receivers, num_tcp + 1),
+        bottleneck_bps=bottleneck,
+        bottleneck_delay=0.02,
+        access_bps=bottleneck * 12.5,
+        access_delay=0.001,
+    )
+    return ScenarioSpec(
+        name="slowstart",
+        description="TFMCC slowstart alone or against running TCP flows (Figure 14)",
+        duration=duration,
+        topology=topology,
+        tfmcc=(
+            TfmccFlowSpec(
+                sender_node="src0",
+                receivers=tuple(ReceiverSpec(f"dst{i}") for i in range(num_receivers)),
+                start=0.1,
+            ),
+        ),
+        tcp=tuple(
+            TcpFlowSpec(flow_id=f"tcp{i}", src=f"src{i}", dst=f"dst{i}")
+            for i in range(1, num_tcp + 1)
+        ),
+        metrics=MetricsSpec(warmup_fraction=warmup_fraction, with_trace=True),
+    )
+
+
+def _leaf_star(num_leaves: int, link_bps: float, delay: float) -> Dict[str, Any]:
+    """Topology and TFMCC flow shared by the two asymmetric-path scenarios."""
+    return {
+        "topology": StarSpec(
+            leaves=(EdgeSpec(link_bps, delay),) * num_leaves, hub_bps=link_bps * 4
+        ),
+        "tfmcc": (
+            TfmccFlowSpec(
+                sender_node="source",
+                receivers=tuple(ReceiverSpec(f"leaf{i}") for i in range(num_leaves)),
+            ),
+        ),
+    }
+
+
+@scenario("return_path_traffic", "TCP flows on the receivers' return paths (Figure 18)")
+def return_path_traffic_spec(
+    return_flow_counts: Sequence[int] = (0, 1, 2, 4),
+    link_bps: float = 1e6,
+    delay: float = 0.02,
+    duration: float = 48.0,
+    warmup_fraction: float = 0.4,
+) -> ScenarioSpec:
+    """Figure 18: competing TCP traffic on the receivers' return paths.
+
+    Leaf ``i`` carries one forward TCP flow (``tcp_fwd<i>``) next to the
+    TFMCC receiver, plus ``return_flow_counts[i]`` TCP flows in the
+    leaf-to-source direction (``tcp_ret<i>_<j>``) that queue ahead of the
+    receiver reports and the forward flows' ACKs.
+    """
+    counts = tuple(return_flow_counts)
+    forward = [
+        TcpFlowSpec(flow_id=f"tcp_fwd{i}", src="source", dst=f"leaf{i}")
+        for i in range(len(counts))
+    ]
+    reverse = [
+        TcpFlowSpec(flow_id=f"tcp_ret{i}_{j}", src=f"leaf{i}", dst="source")
+        for i, count in enumerate(counts)
+        for j in range(count)
+    ]
+    return ScenarioSpec(
+        name="return_path_traffic",
+        description="TCP flows on the receivers' return paths (Figure 18)",
+        duration=duration,
+        tcp=tuple(forward + reverse),
+        metrics=MetricsSpec(warmup_fraction=warmup_fraction),
+        **_leaf_star(len(counts), link_bps, delay),
+    )
+
+
+@scenario("lossy_return_paths", "Lossy feedback and ACK paths (Figure 19)")
+def lossy_return_paths_spec(
+    return_loss_rates: Sequence[float] = (0.0, 0.1, 0.2, 0.3),
+    link_bps: float = 4e6,
+    delay: float = 0.02,
+    duration: float = 48.0,
+    warmup_fraction: float = 0.4,
+) -> ScenarioSpec:
+    """Figure 19: the paths back to the sender lose packets.
+
+    The leaf-to-hub direction of leaf ``i`` drops ``return_loss_rates[i]`` of
+    everything it carries — receiver reports for TFMCC, ACKs for the TCP
+    flow ``tcp<i>`` — from t = 0 on (a reverse-direction ``link_update``, so
+    the same schedule applies to any other scenario's links).
+    """
+    rates = tuple(return_loss_rates)
+    events = tuple(
+        NetworkEventSpec(
+            at=0.0, kind="link_update", a="hub", b=f"leaf{i}", loss_rate=p, direction="reverse"
+        )
+        for i, p in enumerate(rates)
+        if p > 0
+    )
+    return ScenarioSpec(
+        name="lossy_return_paths",
+        description="Lossy feedback and ACK paths (Figure 19)",
+        duration=duration,
+        tcp=tuple(
+            TcpFlowSpec(flow_id=f"tcp{i}", src="source", dst=f"leaf{i}")
+            for i in range(len(rates))
+        ),
+        dynamics=DynamicsSpec(events=events),
+        metrics=MetricsSpec(warmup_fraction=warmup_fraction),
+        **_leaf_star(len(rates), link_bps, delay),
+    )
+
+
+@scenario("increasing_congestion", "Competing TCP flow count doubles every phase (Figure 21)")
+def increasing_congestion_spec(
+    flow_counts: Sequence[int] = (1, 2, 4, 8),
+    link_bps: float = 8e6,
+    rtt: float = 0.06,
+    phase_length: float = 20.0,
+    warmup_fraction: float = 0.1,
+) -> ScenarioSpec:
+    """Figure 21: the number of competing TCP flows doubles every phase.
+
+    One TFMCC flow has the bottleneck to itself for the first
+    ``phase_length`` seconds; ``flow_counts[i]`` further TCP flows start at
+    the beginning of phase ``i + 1``.  TFMCC and TCP should both settle near
+    half of their previous share each time.
+    """
+    total = sum(flow_counts)
+    starts = [
+        phase_length * (phase + 1) for phase, count in enumerate(flow_counts) for _ in range(count)
+    ]
+    topology = DumbbellSpec(
+        num_left=total + 1,
+        num_right=total + 1,
+        bottleneck_bps=link_bps,
+        bottleneck_delay=rtt / 2.0 - 0.002,
+        access_bps=link_bps * 12.5,
+        access_delay=0.001,
+    )
+    return ScenarioSpec(
+        name="increasing_congestion",
+        description="Competing TCP flow count doubles every phase (Figure 21)",
+        duration=phase_length * (len(flow_counts) + 1),
+        topology=topology,
+        tfmcc=(TfmccFlowSpec(sender_node="src0", receivers=(ReceiverSpec("dst0"),)),),
+        tcp=tuple(
+            TcpFlowSpec(flow_id=f"tcp{i}", src=f"src{i}", dst=f"dst{i}", start=start)
+            for i, start in enumerate(starts, 1)
         ),
         metrics=MetricsSpec(warmup_fraction=warmup_fraction),
     )
@@ -324,6 +626,7 @@ def gilbert_elliott_from_burst(loss_rate: float, burst_length: float) -> Gilbert
     return GilbertElliottSpec(p_good_bad=p_good_bad, p_bad_good=p_bad_good)
 
 
+@scenario("bursty-loss", "Gilbert-Elliott bursty-loss receiver next to clean receivers (new)")
 def bursty_loss_spec(
     loss_rate: float = 0.02,
     burst_length: float = 8.0,
@@ -367,6 +670,7 @@ def bursty_loss_spec(
     )
 
 
+@scenario("background-traffic", "Inelastic on-off background load on the bottleneck (new)")
 def background_traffic_spec(
     bg_fraction: float = 0.3,
     num_background: int = 2,
@@ -426,6 +730,7 @@ def background_traffic_spec(
     )
 
 
+@scenario("flash-crowd", "A crowd of receivers joins within a short window (new)")
 def flash_crowd_spec(
     num_receivers: int = 12,
     join_at: float = 15.0,
@@ -473,6 +778,10 @@ def flash_crowd_spec(
 # ------------------------------------------------------- dynamics scenarios
 
 
+@scenario(
+    "link_failure_reroute",
+    "Primary-link failure with reroute, tree re-graft and CLR hand-off (dynamics)",
+)
 def link_failure_reroute_spec(
     primary_bps: float = 4e6,
     backup_bps: float = 0.5e6,
@@ -489,8 +798,9 @@ def link_failure_reroute_spec(
     backup path around it.  At ``fail_at`` the primary link fails: unicast
     routes reconverge onto the backup, the distribution tree re-grafts, and
     ``rcv_far`` — now limited to ``backup_bps`` — reports and takes over as
-    CLR within a few feedback rounds (the paper's Figures 13-19 reaction
-    pattern).  ``recover_at`` (None disables) restores the primary link.
+    CLR within a few feedback rounds (the reaction the paper shows for
+    membership changes in Figures 11 and 15).  ``recover_at`` (None
+    disables) restores the primary link.
     """
     if not backup_bps < near_bps < primary_bps:
         raise ValueError("expected backup_bps < near_bps < primary_bps")
@@ -527,6 +837,7 @@ def link_failure_reroute_spec(
     )
 
 
+@scenario("bandwidth_step", "Step change of the bottleneck bandwidth mid-session (dynamics)")
 def bandwidth_step_spec(
     bottleneck_bps: float = 2e6,
     step_factor: float = 0.4,
@@ -536,7 +847,7 @@ def bandwidth_step_spec(
     duration: float = 55.0,
     warmup_fraction: float = 0.1,
 ) -> ScenarioSpec:
-    """NEW: step change of the bottleneck bandwidth (Figure 13 family).
+    """NEW: step change of the bottleneck bandwidth (in the spirit of Figure 21).
 
     A dumbbell whose bottleneck steps down to ``step_factor`` of its
     capacity at ``step_at`` and back up at ``restore_at`` (None disables).
@@ -591,6 +902,7 @@ def bandwidth_step_spec(
     )
 
 
+@scenario("loss_step_responsiveness", "Loss-rate step on one leaf with CLR hand-off (dynamics)")
 def loss_step_spec(
     base_loss: float = 0.002,
     step_loss: float = 0.08,
@@ -600,7 +912,7 @@ def loss_step_spec(
     duration: float = 40.0,
     warmup_fraction: float = 0.1,
 ) -> ScenarioSpec:
-    """NEW: loss-rate step on one receiver's link (Figure 17 family).
+    """NEW: loss-rate step on one receiver's link (in the spirit of Figure 11).
 
     A star with two lossy leaves: ``leaf0`` starts nearly clean
     (``base_loss``) and steps to ``step_loss`` at ``step_at``; ``leaf1``
@@ -644,6 +956,7 @@ def loss_step_spec(
     )
 
 
+@scenario("receiver_churn", "Scripted receiver join/leave churn schedules (dynamics)")
 def receiver_churn_spec(
     num_churners: int = 6,
     first_join: float = 8.0,
@@ -708,6 +1021,7 @@ def receiver_churn_spec(
 # ------------------------------------------------------ mixed-protocol flows
 
 
+@scenario("tfmcc_vs_tfrc", "TFMCC (single receiver) vs unicast TFRC on one bottleneck (flows)")
 def tfmcc_vs_tfrc_spec(
     bottleneck_bps: float = 2e6,
     bottleneck_delay: float = 0.02,
@@ -744,6 +1058,7 @@ def tfmcc_vs_tfrc_spec(
     )
 
 
+@scenario("protocol_mix", "One flow of every registered transport on one bottleneck (flows)")
 def protocol_mix_spec(
     bottleneck_bps: float = 4e6,
     bottleneck_delay: float = 0.02,
@@ -804,6 +1119,7 @@ def protocol_mix_spec(
     )
 
 
+@scenario("wireless_last_hop", "TFMCC/TFRC/TCP over one bottleneck with snr_per wireless last hops")
 def wireless_last_hop_spec(
     snr_db: float = 13.0,
     modulation: str = "qpsk",
@@ -852,6 +1168,7 @@ def wireless_last_hop_spec(
     )
 
 
+@scenario("mobile_receiver", "TFMCC receiver walking out of wireless range and back (mobility)")
 def mobile_receiver_spec(
     near_m: float = 5.0,
     far_m: float = 12.0,
@@ -901,119 +1218,3 @@ def mobile_receiver_spec(
         ),
         metrics=MetricsSpec(warmup_fraction=warmup_fraction, with_trace=True),
     )
-
-
-# ------------------------------------------------------------- registration
-
-register(
-    ScenarioFactory(
-        name="fairness",
-        description="TFMCC and N TCP flows over one shared bottleneck (Figure 9)",
-        build=shared_bottleneck_spec,
-    )
-)
-register(
-    ScenarioFactory(
-        name="individual-bottlenecks",
-        description="Each receiver behind its own tail circuit with one TCP (Figure 10)",
-        build=individual_bottlenecks_spec,
-    )
-)
-register(
-    ScenarioFactory(
-        name="scaling",
-        description="Receiver-count scaling over a shared bottleneck (Figure 7 companion)",
-        build=scaling_spec,
-    )
-)
-register(
-    ScenarioFactory(
-        name="late-join",
-        description="A receiver behind a slow tail joins mid-session (Figures 15/16)",
-        build=late_join_spec,
-    )
-)
-register(
-    ScenarioFactory(
-        name="responsiveness",
-        description="Staggered joins/leaves on a star with lossy leaves (Figure 11)",
-        build=responsiveness_spec,
-    )
-)
-register(
-    ScenarioFactory(
-        name="bursty-loss",
-        description="Gilbert-Elliott bursty-loss receiver next to clean receivers (new)",
-        build=bursty_loss_spec,
-    )
-)
-register(
-    ScenarioFactory(
-        name="background-traffic",
-        description="Inelastic on-off background load on the bottleneck (new)",
-        build=background_traffic_spec,
-    )
-)
-register(
-    ScenarioFactory(
-        name="flash-crowd",
-        description="A crowd of receivers joins within a short window (new)",
-        build=flash_crowd_spec,
-    )
-)
-register(
-    ScenarioFactory(
-        name="link_failure_reroute",
-        description="Primary-link failure with reroute, tree re-graft and CLR hand-off (dynamics)",
-        build=link_failure_reroute_spec,
-    )
-)
-register(
-    ScenarioFactory(
-        name="bandwidth_step",
-        description="Step change of the bottleneck bandwidth mid-session (dynamics)",
-        build=bandwidth_step_spec,
-    )
-)
-register(
-    ScenarioFactory(
-        name="loss_step_responsiveness",
-        description="Loss-rate step on one leaf with CLR hand-off (dynamics)",
-        build=loss_step_spec,
-    )
-)
-register(
-    ScenarioFactory(
-        name="receiver_churn",
-        description="Scripted receiver join/leave churn schedules (dynamics)",
-        build=receiver_churn_spec,
-    )
-)
-register(
-    ScenarioFactory(
-        name="tfmcc_vs_tfrc",
-        description="TFMCC (single receiver) vs unicast TFRC on one bottleneck (flows)",
-        build=tfmcc_vs_tfrc_spec,
-    )
-)
-register(
-    ScenarioFactory(
-        name="protocol_mix",
-        description="One flow of every registered transport on one bottleneck (flows)",
-        build=protocol_mix_spec,
-    )
-)
-register(
-    ScenarioFactory(
-        name="wireless_last_hop",
-        description="TFMCC/TFRC/TCP over one bottleneck with snr_per wireless last hops",
-        build=wireless_last_hop_spec,
-    )
-)
-register(
-    ScenarioFactory(
-        name="mobile_receiver",
-        description="TFMCC receiver walking out of wireless range and back (mobility)",
-        build=mobile_receiver_spec,
-    )
-)

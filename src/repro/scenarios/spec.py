@@ -1167,8 +1167,6 @@ class ScenarioSpec:
         The config is serialised into each tfmcc flow's ``params`` (replacing
         whatever was there), so the returned spec is self-contained: it
         JSON-round-trips and sweeps with the protocol parameters intact.
-        This is the spec-level replacement for the old ``build_scenario``
-        ``config=`` side-channel.
         """
         from repro.protocols import config_to_params
 

@@ -3,7 +3,7 @@
 :class:`TFMCCSession` is the main entry point of the public API: it creates a
 TFMCC sender on one node, receivers on other nodes, joins them to a multicast
 group, and offers convenience methods for dynamic membership (join / leave at
-a given simulation time), which the responsiveness and late-join experiments
+a given simulation time), which the responsiveness and late-join scenarios
 use heavily.  The scenario layer's ``tfmcc`` protocol factory
 (:mod:`repro.protocols.tfmcc`) builds sessions from declarative
 :class:`~repro.scenarios.spec.FlowSpec` data; this class remains the
@@ -188,10 +188,6 @@ class TFMCCSession:
     @property
     def receiver_list(self) -> List[TFMCCReceiver]:
         return list(self.receivers.values())
-
-    def receivers_with_valid_rtt(self) -> int:
-        """Number of receivers that have made at least one real RTT measurement."""
-        return sum(1 for r in self.receivers.values() if r.rtt.has_valid_measurement)
 
     def average_receive_rate_bps(self, t_start: float = 0.0, t_end: Optional[float] = None) -> float:
         """Average throughput (bits/s) over all receivers from the monitor."""

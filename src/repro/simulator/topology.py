@@ -138,7 +138,6 @@ class Network:
         delay: float,
         queue_limit: int = 50,
         loss_rate: float = 0.0,
-        reverse_loss_rate: Optional[float] = None,
         queue_factory: Optional[Callable[[], PacketQueue]] = None,
         jitter: float = 0.0,
         loss_model_factory: Optional[Callable[[], GilbertElliottLoss]] = None,
@@ -146,8 +145,6 @@ class Network:
     ) -> Tuple[Link, Link]:
         """Add a bidirectional link (two unidirectional links) between a and b.
 
-        ``reverse_loss_rate`` allows asymmetric loss (used by the lossy
-        return-path experiment, Figure 19); it defaults to ``loss_rate``.
         ``loss_model_factory`` builds one stateful loss process (e.g.
         :class:`~repro.simulator.link.GilbertElliottLoss`) per direction;
         ``channel_factory`` likewise builds one explicit channel model per
@@ -171,7 +168,7 @@ class Network:
             bandwidth,
             delay,
             queue_limit,
-            loss_rate if reverse_loss_rate is None else reverse_loss_rate,
+            loss_rate,
             queue_factory,
             jitter,
             loss_model_factory() if loss_model_factory is not None else None,

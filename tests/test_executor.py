@@ -9,9 +9,11 @@ pid that produced them.
 """
 
 import ast
+import importlib
 import multiprocessing
 import os
 import pathlib
+import re
 import signal
 import sys
 import threading
@@ -240,10 +242,27 @@ def test_close_cancels_queued_units_and_refuses_new_ones(fake):
 # ------------------------------------------------- the copies cannot grow back
 
 
+def package_sources():
+    root = pathlib.Path(repro.__file__).parent
+    return {str(p.relative_to(root)): p.read_text() for p in root.rglob("*.py")}
+
+
+def test_no_parallel_tree_of_hand_built_experiments():
+    """One place wires topologies and flows.  The ``experiments`` package of
+    hand-built drivers is gone; only the builder, the protocol and engine
+    factories and the session may instantiate the wiring classes, so an
+    experiment stays a spec that can be swept, cached and served."""
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module(repro.__name__ + ".experiments")
+    allowed = ("scenarios/build.py", "protocols/", "engines/", "session.py")
+    wiring = re.compile(r"(?<!class )\b(Network|TFMCCSession|TCPRenoSender)\(")
+    sources = sorted(package_sources().items())
+    assert [n for n, text in sources if not n.startswith(allowed) and wiring.search(text)] == []
+
+
 def test_execution_machinery_exists_exactly_once():
     """One pool, one dead-worker handler, one place that builds ``run`` blocks."""
-    root = pathlib.Path(repro.__file__).parent
-    sources = {str(p.relative_to(root)): p.read_text() for p in root.rglob("*.py")}
+    sources = package_sources()
 
     def sites(needle):
         return [name for name, text in sorted(sources.items()) for _ in range(text.count(needle))]

@@ -1,8 +1,8 @@
 """Tests for the unified flow/protocol API of the scenario layer.
 
 Covers the protocol registry, :class:`FlowSpec` validation, the legacy
-``tfmcc=``/``tcp=``/``background=`` compatibility shim, the ``config=``
-side-channel round-trip, per-flow protocol parameters as sweep axes, the
+``tfmcc=``/``tcp=``/``background=`` compatibility shim, the TFMCCConfig
+<-> flow-params round-trip, per-flow protocol parameters as sweep axes, the
 mixed-protocol registry scenarios and the TFRC trace probes.
 """
 
@@ -206,7 +206,7 @@ def test_legacy_override_paths_still_work_on_legacy_shaped_specs():
         mix.with_overrides(tcp=())
 
 
-# ------------------------------------------------------ config= side-channel
+# --------------------------------------------------- config <-> flow params
 
 
 def _custom_config():
@@ -233,14 +233,16 @@ def test_config_params_round_trip():
 def test_build_scenario_config_round_trips_through_spec():
     spec = get_scenario("scaling").spec(num_receivers=2, duration=5.0)
     config = _custom_config()
-    via_kwarg = build_scenario(spec, seed=5, config=config)
-    via_kwarg.run()
     via_spec = spec.with_tfmcc_config(config)
     assert via_spec.flows[0].params["max_rtt"] == 0.3
-    assert via_kwarg.spec == via_spec  # the kwarg was folded into the spec
-    assert via_kwarg.collect() == run_scenario(via_spec, seed=5)
+    built = build_scenario(via_spec, seed=5)
+    built.run()
+    assert built.collect() == run_scenario(via_spec, seed=5)
     # And the effective config actually reached the session.
-    assert via_kwarg.sessions[0].config == config
+    assert built.sessions[0].config == config
+    # The spec is the only way in: the old config= side-channel is gone.
+    with pytest.raises(TypeError):
+        build_scenario(spec, seed=5, config=config)
 
 
 def test_config_bearing_spec_survives_json_and_parallel_sweep(tmp_path):

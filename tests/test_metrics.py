@@ -191,6 +191,49 @@ def test_with_trace_does_not_change_measured_results():
     assert plain == traced
 
 
+def test_time_resolved_reduction_needs_both_flags():
+    """``with_trace`` + ``with_series`` adds the time series; each alone adds nothing."""
+    recorder = TraceRecorder()
+    recorder.emit("round", 2.5, "f", 0, 1e5, 2, 1)
+    recorder.emit("clr_change", 3.0, "f", "r1", 8e4)
+    recorder.emit("rtt_acquired", 0.4, "r1")
+    recorder.emit("slowstart_exit", 3.0, "f", 1.2e5)
+    assert "dynamics" not in summarise_trace(recorder)
+    resolved = summarise_trace(recorder, time_resolved=True)["dynamics"]
+    assert resolved == {
+        "events": [],  # nothing was scripted
+        "route_rebuilds": 0,
+        "clr_switches": [[3.0, "r1", "f"]],
+        "rate_series": [[2.5, 1e5, "f"]],
+        "rtt_acquired": [[0.4, "r1"]],
+        "slowstart_exit": [[3.0, "f", 1.2e5]],
+    }
+    # A dynamics run without the request keeps the four keys it always had.
+    recorder.emit("dynamics", 1.0, "link_update", "a<->b")
+    assert len(summarise_trace(recorder)["dynamics"]) == 4
+
+
+def test_static_run_gets_the_time_series_only_with_both_flags():
+    import hashlib
+
+    from repro.scenarios.store import encode_record
+
+    spec = get_scenario("scaling").spec(num_receivers=4, duration=8.0)
+    traced = run_scenario(spec.with_overrides(**{"metrics.with_trace": True}), seed=1)
+    assert "dynamics" not in traced["trace"]
+    # Byte-identical to the record the commit before the two new trace
+    # channels produced (sha256 of the encoded record, taken there).
+    assert hashlib.sha256(encode_record(traced).encode()).hexdigest()[:16] == "6a7ba67d7f9772f5"
+    flags = {"metrics.with_trace": True, "metrics.with_series": True}
+    both = run_scenario(spec.with_overrides(**flags), seed=1)
+    resolved = both["trace"].pop("dynamics")
+    assert both["trace"] == traced["trace"] and len(both["series"]) == 4
+    # Each receiver measures its RTT once; the sender leaves slowstart once.
+    acquired = [rid for _t, rid in resolved["rtt_acquired"]]
+    assert 1 <= len(acquired) == len(set(acquired)) <= 4
+    assert len(resolved["slowstart_exit"]) <= 1 and resolved["rate_series"]
+
+
 # ------------------------------------------------------------------- store
 
 

@@ -44,8 +44,11 @@ def _fake_fairness_record(num_tcp, seed, tfmcc=1e6, tcp=1e6):
 # ---------------------------------------------------------------- registry
 
 
+NEW_FIGURES = "individual_bottlenecks membership rtt slowstart late_join asymmetric".split()
+
+
 def test_figure_registry_contains_the_paper_figures():
-    assert {"fairness", "smoothness", "scaling", "feedback"} <= set(figure_names())
+    assert {"fairness", "smoothness", "scaling", "feedback", *NEW_FIGURES} <= set(figure_names())
     with pytest.raises(KeyError):
         get_figure("no-such-figure")
     for name in figure_names():
@@ -96,6 +99,139 @@ def test_scaling_build_normalises_and_overlays_model():
     model = [row["model_ratio"] for row in data.overlay]
     assert model[0] == pytest.approx(1.0)
     assert model[1] < 1.0 and model[2] < model[1]  # the model degrades with n
+
+
+# ------------------------------------- builds ported from the former drivers
+
+
+def _steps(edges, values):
+    """A per-second series holding ``values[i]`` over ``edges[i]..edges[i+1]``."""
+    return [
+        [float(t), value]
+        for (start, end), value in zip(zip(edges, edges[1:]), values)
+        for t in range(start, end)
+    ]
+
+
+def _canned(scenario, params, duration=70.0, dynamics=None, **fields):
+    record = {"scenario": scenario, "seed": 1, "duration": duration, "run": {"params": params}}
+    if dynamics is not None:
+        record["trace"] = {"dynamics": dynamics}
+    return {**record, **fields}
+
+
+def _flows(**rates_by_kind):
+    return [
+        {"id": f"{kind}{i}", "kind": kind, "avg_bps": rate}
+        for kind, rates in rates_by_kind.items()
+        for i, rate in enumerate(rates)
+    ]
+
+
+def _canned_records(good):
+    """Records for each ported figure; ``good=False`` breaks the paper's claim in each."""
+    # membership: Figure 11/20 phases by worst member, Figure 21 phases by competition.
+    staged = {"first_join": 10.0, "join_interval": 10.0}
+    by_worst = [3e6, 2e6, 1e6, 0.3e6, 1e6, 2e6, 3e6] if good else [3e6] * 7
+    staged_fields = {
+        "flows": _flows(tfmcc=[1e6], tcp=[1e6] * 4),
+        "series": {
+            "tfmcc0": _steps(list(range(0, 80, 10)), by_worst),
+            **{f"tcp{i}": _steps([0, 70], [1e6]) for i in range(4)},
+        },
+    }
+    contended = [0.2e6, 4e6, 1e6] if good else [0.2e6, 1e6, 2e6]
+    congestion = _canned(
+        "increasing_congestion",
+        {"flow_counts": [1, 2], "phase_length": 10.0},
+        duration=30.0,
+        flows=_flows(tfmcc=[1e6]),
+        series={
+            "tfmcc0": _steps([0, 10, 20, 30], contended),
+            **{f"tcp{i}": _steps([0, 30], [1e6]) for i in (1, 2, 3)},
+        },
+    )
+    # rtt: acquisitions stop early / the stepped receiver never becomes CLR.
+    acquired = [[t, f"r{t}"] for t in ((1, 2, 3, 9, 14) if good else (1, 2, 3))]
+    switches = [[1.0, "other", "f"]] + ([[9.0, "stepped", "f"]] if good else [])
+    step_event = [5.0, "link_update", "leaf0<->hub"]
+
+    def slowstart(num_tcp, exit_rate):
+        rounds = [[2.5, 0.02e6, "f"], [7.5, 0.3e6, "f"]]  # the second one is after the exit
+        params = {"num_tcp": num_tcp, "num_receivers": 2, "fair_rate_bps": 1e6}
+        exit_and_rounds = {"slowstart_exit": [[6.0, "f", exit_rate]], "rate_series": rounds}
+        return _canned("slowstart", params, dynamics=exit_and_rounds)
+
+    def late_join(with_tcp):
+        joined = 0.2e6 if good else 1.2e6
+        return _canned(
+            "late-join",
+            {"join_time": 20.0, "leave_time": 40.0, "tail_bps": 2e5, "with_tcp_on_tail": with_tcp},
+            duration=60.0,
+            flows=_flows(tfmcc=[1e6, 0.2e6]),
+            series={
+                "tfmcc0": _steps([0, 20, 40, 60], [1e6, joined, 0.9e6]),
+                "tcp_slow": _steps([0, 60], [0.15e6]),
+            },
+            dynamics={"clr_switches": [[22.0, "late-rcv", "f"]] if good else []},
+        )
+
+    tails = {"tfmcc_mean_bps": 0.35e6 if good else 0.6e6, "tcp_mean_bps": 0.5e6}
+    tfmcc = [0.3e6] * 4 if good else [1e3] * 4  # per-leaf rates: a useful share / starved
+    return {
+        "individual_bottlenecks": [
+            # TFMCC below TCP on the same tails / above it.
+            _canned("individual-bottlenecks", {"num_receivers": 4, "tail_bps": 1e6}, **tails)
+        ],
+        "membership": [
+            _canned("responsiveness", staged, **staged_fields),
+            _canned("responsiveness", {**staged, "link_delays": [0.03, 0.06]}, **staged_fields),
+            congestion,
+        ],
+        "rtt": [
+            _canned("rtt_acquisition", {"num_receivers": 8}, 16.0, {"rtt_acquired": acquired}),
+            _canned("rtt_step", {}, dynamics={"events": [step_event], "clr_switches": switches}),
+        ],
+        "slowstart": [slowstart(0, 0.9e6 if good else 0.05e6), slowstart(6, 0.3e6)],
+        "late_join": [late_join(False), late_join(True)],
+        "asymmetric": [
+            _canned(
+                "return_path_traffic",
+                {"return_flow_counts": [0, 1, 2, 4]},
+                flows=_flows(tfmcc=tfmcc, tcp=[0.3e6] * 4 + [0.1e6] * 7),
+            ),
+            _canned(
+                "lossy_return_paths",
+                {"return_loss_rates": [0.0, 0.1, 0.2, 0.3]},
+                flows=_flows(tfmcc=tfmcc, tcp=[1e6, 0.9e6, 0.8e6, 0.6e6]),
+            ),
+        ],
+    }
+
+
+@pytest.mark.parametrize("name", NEW_FIGURES)
+def test_ported_figure_builds_pass_and_flag(name):
+    good = FIGURES[name].build(_canned_records(True)[name], True)
+    assert good.dataset and good.checks
+    assert [c.name for c in good.checks if not c.passed] == []
+    bad = FIGURES[name].build(_canned_records(False)[name], True)
+    assert any(not c.passed for c in bad.checks)
+
+
+def test_ported_builds_reduce_what_the_drivers_reported():
+    records = _canned_records(True)
+    phases = FIGURES["membership"].build(records["membership"], True).dataset
+    assert [row["tfmcc_bps"] for row in phases[:4]] == [3e6, 2e6, 1e6, 0.3e6]
+    assert [row["setting"][0] for row in phases if row["paper_figure"] == 21] == list("013")
+    rtt = FIGURES["rtt"].build(records["rtt"], True).dataset
+    assert [row["receivers_with_rtt"] for row in rtt[:-1]] == [2, 3, 3, 3, 4, 4, 5, 5]
+    assert rtt[-1] == {"paper_figure": 13, "t": 5.0, "reaction_s": 4.0}
+    alone, mux = FIGURES["slowstart"].build(records["slowstart"], True).dataset
+    assert alone["peak_slowstart_bps"] == 0.9e6 and alone["slowstart_s"] == 6.0
+    assert mux["peak_over_fair_rate"] == pytest.approx(0.3)  # the later 7.5 s round is ignored
+    fig15, fig16 = FIGURES["late_join"].build(records["late_join"], True).dataset
+    assert (fig15["before_join_bps"], fig15["during_join_bps"]) == (1e6, 0.2e6)
+    assert fig15["clr_switch_delay_s"] == 2.0 and fig16["tcp_on_tail_after_bps"] == 0.15e6
 
 
 # ------------------------------------------------------------------ runner
@@ -235,17 +371,9 @@ def test_render_all_registered_figures_from_canned_data(tmp_path):
     from repro.report.plotting import render_figure
     from repro.report.runner import FigureReport
 
+    fairness_records = [_fake_fairness_record(1, 1, 1.8e6, 2e6), _fake_fairness_record(4, 1)]
     canned = {
-        "fairness": FigureData(
-            dataset=[
-                {"num_tcp": 1, "tfmcc_mean_bps": 1.8e6, "tcp_mean_bps": 2e6},
-                {"num_tcp": 4, "tfmcc_mean_bps": 0.7e6, "tcp_mean_bps": 0.75e6},
-            ],
-            overlay=[
-                {"num_tcp": 1, "fair_share_bps": 2e6},
-                {"num_tcp": 4, "fair_share_bps": 0.8e6},
-            ],
-        ),
+        "fairness": FIGURES["fairness"].build(fairness_records, True),
         "smoothness": FigureData(
             dataset=[
                 {"flow": "tfmcc0", "kind": "tfmcc", "rate_cov": 0.2},
@@ -264,6 +392,8 @@ def test_render_all_registered_figures_from_canned_data(tmp_path):
             overlay=[{"num_receivers": n, "model_messages_per_round": 1.3} for n in (2, 8)],
         ),
     }
+    for name in NEW_FIGURES:
+        canned[name] = FIGURES[name].build(_canned_records(True)[name], True)
     for name, data in canned.items():
         report = FigureReport(FIGURES[name], data, quick=True)
         path = str(tmp_path / f"{name}.png")
@@ -314,7 +444,7 @@ def test_cli_default_out_dir_matches_runner():
 def test_cli_report_list(capsys):
     assert cli_main(["report", "--list"]) == 0
     out = capsys.readouterr().out
-    for name in ("fairness", "smoothness", "scaling", "feedback"):
+    for name in ["fairness", "smoothness", "scaling", "feedback"] + NEW_FIGURES:
         assert name in out
 
 

@@ -146,6 +146,12 @@ def test_registry_contains_paper_and_new_scenarios():
         "receiver_churn",
         "tfmcc_vs_tfrc",
         "protocol_mix",
+        "rtt_acquisition",
+        "rtt_step",
+        "slowstart",
+        "return_path_traffic",
+        "lossy_return_paths",
+        "increasing_congestion",
     ):
         assert expected in names
     assert len(scenarios()) == len(names)

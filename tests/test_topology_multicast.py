@@ -56,7 +56,8 @@ class TestTopology:
     def test_asymmetric_reverse_loss(self):
         sim = Simulator(seed=1)
         net = Network(sim)
-        fwd, bwd = net.add_duplex_link("a", "b", 1e6, 0.01, loss_rate=0.0, reverse_loss_rate=0.2)
+        fwd, bwd = net.add_duplex_link("a", "b", 1e6, 0.01)
+        bwd.set_loss_rate(0.2)  # what a direction="reverse" link_update does
         assert fwd.loss_rate == 0.0
         assert bwd.loss_rate == pytest.approx(0.2)
 
