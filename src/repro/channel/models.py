@@ -10,10 +10,10 @@ events.
 The four built-in models:
 
 ``bernoulli``
-    Independent per-packet loss with a fixed ``loss_rate`` — the spec shim for
-    the legacy ``Link.loss_rate`` field.
+    Independent per-packet loss with a fixed ``loss_rate`` — what a link's
+    ``loss_rate`` shorthand installs.
 ``gilbert_elliott``
-    Two-state Markov bursty loss — the legacy ``Link.loss_model`` process.
+    Two-state Markov bursty loss.
 ``snr_per``
     Wireless link: an SNR (either given directly or derived from a
     log-distance path-loss model) is mapped through a modulation-keyed

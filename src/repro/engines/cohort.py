@@ -87,28 +87,6 @@ _LEAF_NODE = re.compile(r"^leaf(\d+)$")
 # ----------------------------------------------------------- spec reduction
 
 
-def _stationary_loss_rate(impairment: Any, packet_size: int = 1000) -> float:
-    """Long-run loss probability of a link impairment spec.
-
-    Channel models contribute their analytic ``expected_loss_rate`` (at
-    ``packet_size``); load-dependent models (contention) report 0 — the
-    cohort cannot anticipate collision load, so contention-heavy receivers
-    should stay exact tracers.
-    """
-    rate = float(impairment.loss_rate or 0.0)
-    ge = impairment.gilbert_elliott
-    if ge is not None:
-        denom = ge.p_good_bad + ge.p_bad_good
-        bad_fraction = ge.p_good_bad / denom if denom > 0 else 0.0
-        rate = 1.0 - (1.0 - rate) * (
-            1.0 - (bad_fraction * ge.loss_bad + (1.0 - bad_fraction) * ge.loss_good)
-        )
-    channel = getattr(impairment, "channel", None)
-    if channel is not None:
-        rate = 1.0 - (1.0 - rate) * (1.0 - channel.expected_loss_rate(packet_size))
-    return min(max(rate, 0.0), 1.0)
-
-
 def _star_leaf(star: Any, node: str) -> Optional[Any]:
     """The leaf edge of a StarSpec that ``node`` sits behind, if it is one."""
     match = _LEAF_NODE.match(node)
@@ -219,7 +197,7 @@ def _partition_spec(spec: Any, engine: Any) -> Tuple[Any, List[_CohortPlan]]:
         return spec, []
     flows = tuple(new_flows)
     topology = _pruned_topology(spec.topology, _used_nodes(spec, flows))
-    reduced = replace(spec, flows=flows, tfmcc=(), tcp=(), background=(), topology=topology)
+    reduced = replace(spec, flows=flows, topology=topology)
     return reduced, plans
 
 
@@ -279,7 +257,10 @@ class _FlowCohort:
             for i, node in enumerate(nodes):
                 leaf = _star_leaf(star, node)
                 if leaf is not None:
-                    private[i] = _stationary_loss_rate(leaf.impairment, packet_size)
+                    # Load-driven models (contention) report 0: the cohort
+                    # cannot anticipate collision load, so receivers behind
+                    # them should stay exact tracers.
+                    private[i] = leaf.impairment.expected_loss_rate(packet_size)
                     delays[i] = leaf.delay
             # The first receiver present from t=0 is always an exact one.
             anchor = next((r for r in self._receivers if r.join_at <= 0.0), None)

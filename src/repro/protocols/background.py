@@ -1,8 +1,7 @@
 """Open-loop background traffic factories: CBR and on-off sources.
 
 Both register as unicast flow kinds whose ``params`` carry the source
-shape; records label them ``"background"`` exactly as the legacy
-``BackgroundFlowSpec`` path did.
+shape; records label both ``"background"``.
 """
 
 from __future__ import annotations

@@ -22,7 +22,6 @@ from repro.scenarios.registry import (
     scenarios,
 )
 from repro.scenarios.spec import (
-    BackgroundFlowSpec,
     ChainSpec,
     CustomSpec,
     DumbbellSpec,
@@ -38,8 +37,6 @@ from repro.scenarios.spec import (
     ReceiverSpec,
     ScenarioSpec,
     StarSpec,
-    TcpFlowSpec,
-    TfmccFlowSpec,
     TopologySpec,
 )
 from repro.scenarios.cache import (
@@ -63,7 +60,6 @@ from repro.scenarios.sweep import (
 from repro.scenarios.executor import Outcome, RunExecutor
 
 __all__ = [
-    "BackgroundFlowSpec",
     "BuiltScenario",
     "ChainSpec",
     "CustomSpec",
@@ -89,8 +85,6 @@ __all__ = [
     "SweepRun",
     "SweepRunner",
     "SweepStats",
-    "TcpFlowSpec",
-    "TfmccFlowSpec",
     "TopologySpec",
     "build_network",
     "build_scenario",

@@ -43,24 +43,9 @@ from repro.scenarios.spec import (
 )
 from repro.session import TFMCCSession
 from repro.simulator.engine import Simulator
-from repro.simulator.link import GilbertElliottLoss
 from repro.simulator.monitor import ThroughputMonitor, fairness_index
 from repro.simulator.sources import TrafficSink
 from repro.simulator.topology import Network
-
-
-def _loss_model_factory(impairment: ImpairmentSpec):
-    ge = impairment.gilbert_elliott
-    if ge is None:
-        return None
-    return lambda: GilbertElliottLoss(ge.p_good_bad, ge.p_bad_good, ge.loss_good, ge.loss_bad)
-
-
-def _channel_factory(impairment: ImpairmentSpec):
-    """Per-direction factory for an explicit ``ImpairmentSpec.channel``."""
-    if impairment.channel is None:
-        return None
-    return impairment.channel.build
 
 
 def _topology_impairments(topo: TopologySpec) -> List[ImpairmentSpec]:
@@ -102,10 +87,8 @@ def _add_duplex(net: Network, link: DuplexLinkSpec) -> None:
         link.bandwidth,
         link.delay,
         link.queue_limit,
-        link.impairment.loss_rate,
         jitter=_jitter(link.impairment),
-        loss_model_factory=_loss_model_factory(link.impairment),
-        channel_factory=_channel_factory(link.impairment),
+        channel_factory=link.impairment.channel_factory(),
     )
 
 
@@ -160,10 +143,8 @@ def build_network(sim: Simulator, topo: TopologySpec) -> Network:
                 leaf.bandwidth,
                 leaf.delay,
                 leaf.queue_limit,
-                leaf.impairment.loss_rate,
                 jitter=_jitter(leaf.impairment, jitter),
-                loss_model_factory=_loss_model_factory(leaf.impairment),
-                channel_factory=_channel_factory(leaf.impairment),
+                channel_factory=leaf.impairment.channel_factory(),
             )
     elif isinstance(topo, ChainSpec):
         jitter = topo.jitter
@@ -177,10 +158,8 @@ def build_network(sim: Simulator, topo: TopologySpec) -> Network:
                 hop.bandwidth,
                 hop.delay,
                 hop.queue_limit,
-                hop.impairment.loss_rate,
                 jitter=_jitter(hop.impairment, jitter),
-                loss_model_factory=_loss_model_factory(hop.impairment),
-                channel_factory=_channel_factory(hop.impairment),
+                channel_factory=hop.impairment.channel_factory(),
             )
     elif isinstance(topo, CustomSpec):
         net = Network(sim)
@@ -249,11 +228,8 @@ def _apply_link_event(built: "BuiltScenario", event: NetworkEventSpec) -> None:
         for link in links:
             link.set_loss_rate(event.loss_rate)
     if event.gilbert_elliott is not None:
-        ge = event.gilbert_elliott
         for link in links:
-            link.set_loss_model(
-                GilbertElliottLoss(ge.p_good_bad, ge.p_bad_good, ge.loss_good, ge.loss_bad)
-            )
+            link.set_channel(event.gilbert_elliott.build())
     if event.delay is not None:
         # Delay is the routing weight: routes and trees rebuild.
         net.set_link_delay(event.a, event.b, event.delay)

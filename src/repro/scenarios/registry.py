@@ -41,10 +41,9 @@ from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.scenarios.spec import (
-    BackgroundFlowSpec,
     ChannelSpec,
     CustomSpec,
     DumbbellSpec,
@@ -60,8 +59,6 @@ from repro.scenarios.spec import (
     ReceiverSpec,
     ScenarioSpec,
     StarSpec,
-    TcpFlowSpec,
-    TfmccFlowSpec,
     WaypointSpec,
 )
 
@@ -137,6 +134,22 @@ def scenarios() -> List[ScenarioFactory]:
 # ------------------------------------------------------- paper-equivalent specs
 
 
+def _dumbbell_tcp_flows(num_tcp: int) -> Tuple[FlowSpec, ...]:
+    """``tcp<i>`` from ``src<i>`` to ``dst<i>``; pair 0 is the TFMCC flow's."""
+    return tuple(
+        FlowSpec(kind="tcp-reno", name=f"tcp{i}", src=f"src{i}", dst=f"dst{i}")
+        for i in range(1, num_tcp + 1)
+    )
+
+
+def _star_tcp_flows(num_leaves: int) -> Tuple[FlowSpec, ...]:
+    """``tcp<i>`` from the star's source to ``leaf<i>``, one per leaf."""
+    return tuple(
+        FlowSpec(kind="tcp-reno", name=f"tcp{i}", src="source", dst=f"leaf{i}")
+        for i in range(num_leaves)
+    )
+
+
 @scenario("fairness", "TFMCC and N TCP flows over one shared bottleneck (Figure 9)")
 def shared_bottleneck_spec(
     num_tcp: int = 4,
@@ -160,11 +173,8 @@ def shared_bottleneck_spec(
         description="TFMCC and TCP sharing a single bottleneck (Figure 9)",
         duration=duration,
         topology=topology,
-        tfmcc=(TfmccFlowSpec(sender_node="src0", receivers=(ReceiverSpec(node="dst0"),)),),
-        tcp=tuple(
-            TcpFlowSpec(flow_id=f"tcp{i}", src=f"src{i}", dst=f"dst{i}")
-            for i in range(1, num_tcp + 1)
-        ),
+        flows=(FlowSpec(kind="tfmcc", src="src0", receivers=(ReceiverSpec(node="dst0"),)),)
+        + _dumbbell_tcp_flows(num_tcp),
         metrics=MetricsSpec(warmup_fraction=warmup_fraction, with_series=with_series),
     )
 
@@ -194,14 +204,15 @@ def individual_bottlenecks_spec(
         description="One tail circuit per receiver, one TCP per tail (Figure 10)",
         duration=duration,
         topology=CustomSpec(extra_links=tuple(links)),
-        tfmcc=(
-            TfmccFlowSpec(
-                sender_node="sender",
+        flows=(
+            FlowSpec(
+                kind="tfmcc",
+                src="sender",
                 receivers=tuple(ReceiverSpec(node=f"rcv{i}") for i in range(num_receivers)),
             ),
-        ),
-        tcp=tuple(
-            TcpFlowSpec(flow_id=f"tcp{i}", src=f"tcp_src{i}", dst=f"rcv{i}")
+        )
+        + tuple(
+            FlowSpec(kind="tcp-reno", name=f"tcp{i}", src=f"tcp_src{i}", dst=f"rcv{i}")
             for i in range(num_receivers)
         ),
         metrics=MetricsSpec(warmup_fraction=warmup_fraction),
@@ -235,9 +246,10 @@ def scaling_spec(
         description="Receiver-count scaling over a shared bottleneck (Figure 7 companion)",
         duration=duration,
         topology=topology,
-        tfmcc=(
-            TfmccFlowSpec(
-                sender_node="src0",
+        flows=(
+            FlowSpec(
+                kind="tfmcc",
+                src="src0",
                 # The one factory asked for 10^5 receivers: a list
                 # comprehension and a positional call cost a quarter less
                 # than a generator with a keyword.
@@ -282,19 +294,16 @@ def late_join_spec(
     ) + (
         ReceiverSpec(node="slow_rcv", receiver_id="late-rcv", join_at=join_time, leave_at=leave_time),
     )
-    tcp_flows = [
-        TcpFlowSpec(flow_id=f"tcp{i}", src=f"src{i}", dst=f"dst{i}")
-        for i in range(1, num_tcp + 1)
-    ]
+    flows = (FlowSpec(kind="tfmcc", src="src0", receivers=receivers),)
+    flows += _dumbbell_tcp_flows(num_tcp)
     if with_tcp_on_tail:
-        tcp_flows.append(TcpFlowSpec(flow_id="tcp_slow", src="tcp_slow_src", dst="slow_rcv"))
+        flows += (FlowSpec(kind="tcp-reno", name="tcp_slow", src="tcp_slow_src", dst="slow_rcv"),)
     return ScenarioSpec(
         name="late-join",
         description="Late join of a receiver behind a slow tail (Figures 15/16)",
         duration=duration,
         topology=topology,
-        tfmcc=(TfmccFlowSpec(sender_node="src0", receivers=receivers),),
-        tcp=tuple(tcp_flows),
+        flows=flows,
         metrics=MetricsSpec(warmup_fraction=warmup_fraction, with_series=with_series),
     )
 
@@ -348,11 +357,8 @@ def responsiveness_spec(
         ),
         duration=duration,
         topology=StarSpec(leaves=leaves, hub_bps=link_bps * 8),
-        tfmcc=(TfmccFlowSpec(sender_node="source", receivers=tuple(receivers)),),
-        tcp=tuple(
-            TcpFlowSpec(flow_id=f"tcp{i}", src="source", dst=f"leaf{i}")
-            for i in range(len(loss_rates))
-        ),
+        flows=(FlowSpec(kind="tfmcc", src="source", receivers=tuple(receivers)),)
+        + _star_tcp_flows(len(loss_rates)),
         metrics=MetricsSpec(warmup_fraction=warmup_fraction),
     )
 
@@ -388,9 +394,10 @@ def rtt_acquisition_spec(
             hub_delay=0.005,
             jitter=1000.0 * 8.0 / bottleneck_bps,
         ),
-        tfmcc=(
-            TfmccFlowSpec(
-                sender_node="source",
+        flows=(
+            FlowSpec(
+                kind="tfmcc",
+                src="source",
                 receivers=tuple(ReceiverSpec(f"leaf{i}") for i in range(num_receivers)),
             ),
         ),
@@ -427,7 +434,7 @@ def rtt_step_spec(
         description="RTT step on one receiver's link: time until it is the CLR (Figure 13)",
         duration=duration,
         topology=StarSpec(leaves=(leaf,) * num_receivers, hub_bps=link_bps * 10),
-        tfmcc=(TfmccFlowSpec(sender_node="source", receivers=receivers),),
+        flows=(FlowSpec(kind="tfmcc", src="source", receivers=receivers),),
         dynamics=DynamicsSpec(
             events=(
                 NetworkEventSpec(
@@ -469,34 +476,29 @@ def slowstart_spec(
         description="TFMCC slowstart alone or against running TCP flows (Figure 14)",
         duration=duration,
         topology=topology,
-        tfmcc=(
-            TfmccFlowSpec(
-                sender_node="src0",
+        flows=(
+            FlowSpec(
+                kind="tfmcc",
+                src="src0",
                 receivers=tuple(ReceiverSpec(f"dst{i}") for i in range(num_receivers)),
                 start=0.1,
             ),
-        ),
-        tcp=tuple(
-            TcpFlowSpec(flow_id=f"tcp{i}", src=f"src{i}", dst=f"dst{i}")
-            for i in range(1, num_tcp + 1)
-        ),
+        )
+        + _dumbbell_tcp_flows(num_tcp),
         metrics=MetricsSpec(warmup_fraction=warmup_fraction, with_trace=True),
     )
 
 
-def _leaf_star(num_leaves: int, link_bps: float, delay: float) -> Dict[str, Any]:
+def _leaf_star(num_leaves: int, link_bps: float, delay: float) -> Tuple[StarSpec, FlowSpec]:
     """Topology and TFMCC flow shared by the two asymmetric-path scenarios."""
-    return {
-        "topology": StarSpec(
-            leaves=(EdgeSpec(link_bps, delay),) * num_leaves, hub_bps=link_bps * 4
+    return (
+        StarSpec(leaves=(EdgeSpec(link_bps, delay),) * num_leaves, hub_bps=link_bps * 4),
+        FlowSpec(
+            kind="tfmcc",
+            src="source",
+            receivers=tuple(ReceiverSpec(f"leaf{i}") for i in range(num_leaves)),
         ),
-        "tfmcc": (
-            TfmccFlowSpec(
-                sender_node="source",
-                receivers=tuple(ReceiverSpec(f"leaf{i}") for i in range(num_leaves)),
-            ),
-        ),
-    }
+    )
 
 
 @scenario("return_path_traffic", "TCP flows on the receivers' return paths (Figure 18)")
@@ -515,12 +517,13 @@ def return_path_traffic_spec(
     receiver reports and the forward flows' ACKs.
     """
     counts = tuple(return_flow_counts)
+    topology, tfmcc = _leaf_star(len(counts), link_bps, delay)
     forward = [
-        TcpFlowSpec(flow_id=f"tcp_fwd{i}", src="source", dst=f"leaf{i}")
+        FlowSpec(kind="tcp-reno", name=f"tcp_fwd{i}", src="source", dst=f"leaf{i}")
         for i in range(len(counts))
     ]
     reverse = [
-        TcpFlowSpec(flow_id=f"tcp_ret{i}_{j}", src=f"leaf{i}", dst="source")
+        FlowSpec(kind="tcp-reno", name=f"tcp_ret{i}_{j}", src=f"leaf{i}", dst="source")
         for i, count in enumerate(counts)
         for j in range(count)
     ]
@@ -528,9 +531,9 @@ def return_path_traffic_spec(
         name="return_path_traffic",
         description="TCP flows on the receivers' return paths (Figure 18)",
         duration=duration,
-        tcp=tuple(forward + reverse),
+        topology=topology,
+        flows=(tfmcc, *forward, *reverse),
         metrics=MetricsSpec(warmup_fraction=warmup_fraction),
-        **_leaf_star(len(counts), link_bps, delay),
     )
 
 
@@ -550,6 +553,7 @@ def lossy_return_paths_spec(
     the same schedule applies to any other scenario's links).
     """
     rates = tuple(return_loss_rates)
+    topology, tfmcc = _leaf_star(len(rates), link_bps, delay)
     events = tuple(
         NetworkEventSpec(
             at=0.0, kind="link_update", a="hub", b=f"leaf{i}", loss_rate=p, direction="reverse"
@@ -561,13 +565,10 @@ def lossy_return_paths_spec(
         name="lossy_return_paths",
         description="Lossy feedback and ACK paths (Figure 19)",
         duration=duration,
-        tcp=tuple(
-            TcpFlowSpec(flow_id=f"tcp{i}", src="source", dst=f"leaf{i}")
-            for i in range(len(rates))
-        ),
+        topology=topology,
+        flows=(tfmcc,) + _star_tcp_flows(len(rates)),
         dynamics=DynamicsSpec(events=events),
         metrics=MetricsSpec(warmup_fraction=warmup_fraction),
-        **_leaf_star(len(rates), link_bps, delay),
     )
 
 
@@ -603,9 +604,9 @@ def increasing_congestion_spec(
         description="Competing TCP flow count doubles every phase (Figure 21)",
         duration=phase_length * (len(flow_counts) + 1),
         topology=topology,
-        tfmcc=(TfmccFlowSpec(sender_node="src0", receivers=(ReceiverSpec("dst0"),)),),
-        tcp=tuple(
-            TcpFlowSpec(flow_id=f"tcp{i}", src=f"src{i}", dst=f"dst{i}", start=start)
+        flows=(FlowSpec(kind="tfmcc", src="src0", receivers=(ReceiverSpec("dst0"),)),)
+        + tuple(
+            FlowSpec(kind="tcp-reno", name=f"tcp{i}", src=f"src{i}", dst=f"dst{i}", start=start)
             for i, start in enumerate(starts, 1)
         ),
         metrics=MetricsSpec(warmup_fraction=warmup_fraction),
@@ -656,16 +657,14 @@ def bursty_loss_spec(
         description="Multicast with one Gilbert-Elliott bursty-loss receiver",
         duration=duration,
         topology=StarSpec(leaves=leaves, hub_bps=link_bps * 8),
-        tfmcc=(
-            TfmccFlowSpec(
-                sender_node="source",
+        flows=(
+            FlowSpec(
+                kind="tfmcc",
+                src="source",
                 receivers=tuple(ReceiverSpec(node=f"leaf{i}") for i in range(num_leaves)),
             ),
-        ),
-        tcp=tuple(
-            TcpFlowSpec(flow_id=f"tcp{i}", src="source", dst=f"leaf{i}")
-            for i in range(num_leaves)
-        ),
+        )
+        + _star_tcp_flows(num_leaves),
         metrics=MetricsSpec(warmup_fraction=warmup_fraction),
     )
 
@@ -704,14 +703,20 @@ def background_traffic_spec(
     on_rate = per_source_avg / duty_cycle
     # bg_fraction=0 degenerates to the plain fairness setup: no sources.
     background = tuple(
-        BackgroundFlowSpec(
-            flow_id=f"bg{i}",
+        FlowSpec(
+            kind="onoff",
+            name=f"bg{i}",
             src=f"src{num_tcp + 1 + i}",
             dst=f"dst{num_tcp + 1 + i}",
-            rate_bps=on_rate,
-            kind="onoff",
-            on_time=on_time,
-            off_time=off_time,
+            # packet_size and exponential are the source's defaults; the
+            # scenario's fingerprint has always carried them.
+            params={
+                "rate_bps": on_rate,
+                "packet_size": 1000,
+                "on_time": on_time,
+                "off_time": off_time,
+                "exponential": True,
+            },
         )
         for i in range(num_background if on_rate > 0 else 0)
     )
@@ -720,12 +725,9 @@ def background_traffic_spec(
         description="TFMCC vs TCP under inelastic on-off background load",
         duration=duration,
         topology=topology,
-        tfmcc=(TfmccFlowSpec(sender_node="src0", receivers=(ReceiverSpec(node="dst0"),)),),
-        tcp=tuple(
-            TcpFlowSpec(flow_id=f"tcp{i}", src=f"src{i}", dst=f"dst{i}")
-            for i in range(1, num_tcp + 1)
-        ),
-        background=background,
+        flows=(FlowSpec(kind="tfmcc", src="src0", receivers=(ReceiverSpec(node="dst0"),)),)
+        + _dumbbell_tcp_flows(num_tcp)
+        + background,
         metrics=MetricsSpec(warmup_fraction=warmup_fraction),
     )
 
@@ -766,11 +768,8 @@ def flash_crowd_spec(
         description="A crowd of receivers joins within a short window",
         duration=duration,
         topology=topology,
-        tfmcc=(TfmccFlowSpec(sender_node="src0", receivers=receivers),),
-        tcp=tuple(
-            TcpFlowSpec(flow_id=f"tcp{i}", src=f"src{i}", dst=f"dst{i}")
-            for i in range(1, num_tcp + 1)
-        ),
+        flows=(FlowSpec(kind="tfmcc", src="src0", receivers=receivers),)
+        + _dumbbell_tcp_flows(num_tcp),
         metrics=MetricsSpec(warmup_fraction=warmup_fraction),
     )
 
@@ -826,9 +825,10 @@ def link_failure_reroute_spec(
         description="Primary-link failure: reroute, tree re-graft and CLR hand-off",
         duration=duration,
         topology=CustomSpec(extra_links=links),
-        tfmcc=(
-            TfmccFlowSpec(
-                sender_node="source",
+        flows=(
+            FlowSpec(
+                kind="tfmcc",
+                src="source",
                 receivers=(ReceiverSpec(node="rcv_near"), ReceiverSpec(node="rcv_far")),
             ),
         ),
@@ -891,9 +891,10 @@ def bandwidth_step_spec(
         description="Step change of the bottleneck bandwidth mid-session",
         duration=duration,
         topology=topology,
-        tfmcc=(
-            TfmccFlowSpec(
-                sender_node="src0",
+        flows=(
+            FlowSpec(
+                kind="tfmcc",
+                src="src0",
                 receivers=tuple(ReceiverSpec(node=f"dst{i}") for i in range(num_receivers)),
             ),
         ),
@@ -932,9 +933,10 @@ def loss_step_spec(
         description="Loss-rate step on one leaf: CLR hand-off when the worst receiver changes",
         duration=duration,
         topology=StarSpec(leaves=leaves, hub_bps=link_bps * 8),
-        tfmcc=(
-            TfmccFlowSpec(
-                sender_node="source",
+        flows=(
+            FlowSpec(
+                kind="tfmcc",
+                src="source",
                 receivers=(
                     ReceiverSpec(node="leaf0", receiver_id="stepped"),
                     ReceiverSpec(node="leaf1", receiver_id="static"),
@@ -1010,9 +1012,7 @@ def receiver_churn_spec(
         description="Scripted receiver join/leave churn with CLR hand-off",
         duration=duration,
         topology=topology,
-        tfmcc=(
-            TfmccFlowSpec(sender_node="src0", receivers=(ReceiverSpec(node="dst0"),)),
-        ),
+        flows=(FlowSpec(kind="tfmcc", src="src0", receivers=(ReceiverSpec(node="dst0"),)),),
         dynamics=DynamicsSpec(events=tuple(events)),
         metrics=MetricsSpec(warmup_fraction=warmup_fraction, with_trace=True),
     )

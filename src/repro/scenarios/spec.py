@@ -18,8 +18,8 @@ from __future__ import annotations
 import copy
 import json
 from dataclasses import dataclass, field, fields, is_dataclass, replace
-from functools import lru_cache
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Type, TypeVar
+from functools import lru_cache, partial
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Type, TypeVar
 
 T = TypeVar("T")
 
@@ -66,13 +66,6 @@ def _from_mapping(cls: Type[T], data: Mapping[str, Any]) -> T:
     if unknown:
         raise ValueError(f"unknown {cls.__name__} fields: {sorted(unknown)}")
     return cls(**data)
-
-
-def _replace_dataclass(obj: Any, field_name: str, value: Any) -> Any:
-    """``dataclasses.replace`` that routes ScenarioSpec through its shim."""
-    if isinstance(obj, ScenarioSpec):
-        return _replace_spec(obj, **{field_name: value})
-    return replace(obj, **{field_name: value})
 
 
 def _replace_nested(obj: Any, full_key: str, parts: Sequence[str], value: Any) -> Any:
@@ -125,7 +118,7 @@ def _replace_nested(obj: Any, full_key: str, parts: Sequence[str], value: Any) -
             f"(fields: {', '.join(sorted(f.name for f in fields(obj)))})"
         )
     new_value = value if not rest else _replace_nested(getattr(obj, head), full_key, rest, value)
-    return _replace_dataclass(obj, head, new_value)
+    return replace(obj, **{head: new_value})
 
 
 # --------------------------------------------------------------- impairments
@@ -133,20 +126,18 @@ def _replace_nested(obj: Any, full_key: str, parts: Sequence[str], value: Any) -
 
 @dataclass(frozen=True)
 class GilbertElliottSpec:
-    """Parameters of a two-state bursty-loss process (see ``simulator.link``)."""
+    """Parameters of a two-state bursty-loss process (see ``repro.channel``)."""
 
     p_good_bad: float
     p_bad_good: float
     loss_good: float = 0.0
     loss_bad: float = 1.0
 
-    @property
-    def stationary_loss_rate(self) -> float:
-        total = self.p_good_bad + self.p_bad_good
-        if total <= 0.0:
-            return self.loss_good
-        pi_bad = self.p_good_bad / total
-        return pi_bad * self.loss_bad + (1.0 - pi_bad) * self.loss_good
+    def build(self):
+        """Construct a fresh Gilbert-Elliott channel model in the GOOD state."""
+        from repro.channel import GilbertElliottLoss
+
+        return GilbertElliottLoss(self.p_good_bad, self.p_bad_good, self.loss_good, self.loss_bad)
 
 
 @dataclass(frozen=True)
@@ -204,9 +195,11 @@ class ImpairmentSpec:
     default (the phase-effect mitigation).  An explicit ``0.0`` forces a
     jitter-free link even when such a default is active.
 
-    ``loss_rate`` and ``gilbert_elliott`` are the legacy shims for the
-    ``bernoulli`` and ``gilbert_elliott`` channel kinds; ``channel`` names
-    any registered channel model.  At most one loss process may be given.
+    At most one loss process may be given: ``loss_rate`` (independent
+    Bernoulli loss), ``gilbert_elliott`` (two-state bursty loss) or
+    ``channel`` (any registered channel model).  This class is the one place
+    that resolves the three spellings: :meth:`channel_factory` for engines
+    that simulate the link, :meth:`expected_loss_rate` for those that model it.
     """
 
     loss_rate: float = 0.0
@@ -215,11 +208,31 @@ class ImpairmentSpec:
     channel: Optional[ChannelSpec] = None
 
     def __post_init__(self) -> None:
-        if self.channel is not None and (self.gilbert_elliott is not None or self.loss_rate):
+        if not 0.0 <= self.loss_rate < 1.0:
+            raise ValueError(f"impairment: loss_rate must be in [0, 1), got {self.loss_rate}")
+        # Unset is 0.0 or None; the spec classes define no falsy instances.
+        given = [n for n in ("loss_rate", "gilbert_elliott", "channel") if getattr(self, n)]
+        if len(given) > 1:
             raise ValueError(
-                "impairment: give either channel= or the legacy "
-                "loss_rate/gilbert_elliott shims, not both"
+                f"impairment: at most one loss process per link, got {' and '.join(given)}"
             )
+
+    def channel_factory(self) -> Optional[Callable[[], Any]]:
+        """Builder of a fresh channel model per link direction (None: lossless)."""
+        if self.channel is not None:
+            return self.channel.build
+        if self.gilbert_elliott is not None:
+            return self.gilbert_elliott.build
+        if self.loss_rate > 0.0:
+            from repro.channel import BernoulliChannel
+
+            return partial(BernoulliChannel, self.loss_rate)
+        return None
+
+    def expected_loss_rate(self, packet_size: int = 1000) -> float:
+        """Analytic long-run loss rate of the link (0 if lossless or load-driven)."""
+        factory = self.channel_factory()
+        return factory().expected_loss_rate(packet_size) if factory is not None else 0.0
 
     @staticmethod
     def from_dict(data: Mapping[str, Any]) -> "ImpairmentSpec":
@@ -408,64 +421,10 @@ _set_leave_at = ReceiverSpec.leave_at.__set__
 
 
 @dataclass(frozen=True)
-class TfmccFlowSpec:
-    """One TFMCC session: a sender node and its receiver membership schedule."""
-
-    sender_node: str
-    receivers: Tuple[ReceiverSpec, ...] = ()
-    start: float = 0.0
-    stop: Optional[float] = None
-    name: Optional[str] = None
-
-    @staticmethod
-    def from_dict(data: Mapping[str, Any]) -> "TfmccFlowSpec":
-        data = dict(data)
-        receivers = tuple(
-            _from_mapping(ReceiverSpec, r) for r in data.pop("receivers", ())
-        )
-        return _from_mapping(TfmccFlowSpec, {**data, "receivers": receivers})
-
-
-@dataclass(frozen=True)
-class TcpFlowSpec:
-    """One greedy TCP Reno flow."""
-
-    flow_id: str
-    src: str
-    dst: str
-    start: float = 0.0
-    stop: Optional[float] = None
-
-
-@dataclass(frozen=True)
-class BackgroundFlowSpec:
-    """One open-loop background flow (CBR or on-off)."""
-
-    flow_id: str
-    src: str
-    dst: str
-    rate_bps: float
-    packet_size: int = 1000
-    kind: str = "cbr"  # "cbr" | "onoff"
-    on_time: float = 1.0
-    off_time: float = 1.0
-    exponential: bool = True
-    start: float = 0.0
-    stop: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("cbr", "onoff"):
-            raise ValueError(f"unknown background flow kind {self.kind!r}")
-
-
-# ------------------------------------------------------- unified flow spec
-
-
-@dataclass(frozen=True)
 class FlowSpec:
     """One transport flow of any registered protocol kind.
 
-    The unified traffic unit of the scenario layer: ``kind`` names a
+    The traffic unit of the scenario layer: ``kind`` names a
     protocol registered in :mod:`repro.protocols` (built-ins: ``tfmcc``,
     ``tfrc``, ``tcp-reno``, ``cbr``, ``onoff``), ``src`` is the sending
     node, and the far end is either a unicast ``dst`` node or a tuple of
@@ -515,69 +474,11 @@ class FlowSpec:
         return _from_mapping(FlowSpec, {**data, "receivers": receivers, "params": params})
 
 
-#: Legacy ScenarioSpec traffic fields replaced by the unified ``flows``.
-LEGACY_TRAFFIC_FIELDS = ("tfmcc", "tcp", "background")
-
-
-def _legacy_to_flows(
-    tfmcc: Sequence[TfmccFlowSpec],
-    tcp: Sequence[TcpFlowSpec],
-    background: Sequence[BackgroundFlowSpec],
-) -> Tuple[FlowSpec, ...]:
-    """Normalise the legacy per-family traffic fields into unified flows.
-
-    Order (all tfmcc, then tcp, then background) matches the pre-redesign
-    builder's construction order, which is part of the determinism
-    contract: fixed-seed records of legacy specs stay byte-identical.
-    """
-    flows = []
-    for f in tfmcc:
-        flows.append(
-            FlowSpec(
-                kind="tfmcc",
-                src=f.sender_node,
-                receivers=f.receivers,
-                name=f.name,
-                start=f.start,
-                stop=f.stop,
-            )
-        )
-    for t in tcp:
-        flows.append(
-            FlowSpec(
-                kind="tcp-reno",
-                src=t.src,
-                dst=t.dst,
-                name=t.flow_id,
-                start=t.start,
-                stop=t.stop,
-            )
-        )
-    for b in background:
-        params: Dict[str, Any] = {"rate_bps": b.rate_bps, "packet_size": b.packet_size}
-        if b.kind == "onoff":
-            params.update(
-                on_time=b.on_time, off_time=b.off_time, exponential=b.exponential
-            )
-        flows.append(
-            FlowSpec(
-                kind=b.kind,
-                src=b.src,
-                dst=b.dst,
-                name=b.flow_id,
-                start=b.start,
-                stop=b.stop,
-                params=params,
-            )
-        )
-    return tuple(flows)
-
-
 def _canonicalise_flow_names(flows: Sequence[FlowSpec]) -> Tuple[FlowSpec, ...]:
     """Fill in default flow names (``<kind><per-kind-index>``), reject dupes.
 
-    The per-kind index counts *all* flows of the kind (named or not), which
-    reproduces the legacy builder's ``tfmcc{i}`` session naming exactly.
+    The per-kind index counts *all* flows of the kind (named or not), so a
+    default name says where the flow sits among its kind.
     """
     per_kind: Dict[str, int] = {}
     named: List[FlowSpec] = []
@@ -595,81 +496,6 @@ def _canonicalise_flow_names(flows: Sequence[FlowSpec]) -> Tuple[FlowSpec, ...]:
         seen[flow.name] = position
         named.append(flow)
     return tuple(named)
-
-
-def _legacy_views(
-    flows: Sequence[FlowSpec],
-) -> Tuple[Tuple[TfmccFlowSpec, ...], Tuple[TcpFlowSpec, ...], Tuple[BackgroundFlowSpec, ...]]:
-    """Derive the read-only legacy-field views of a canonical flow tuple.
-
-    The views keep old call sites (``spec.tcp`` etc.) working; flow kinds
-    without a legacy family (e.g. ``tfrc``) simply do not appear in them.
-    """
-    tfmcc: List[TfmccFlowSpec] = []
-    tcp: List[TcpFlowSpec] = []
-    background: List[BackgroundFlowSpec] = []
-    for f in flows:
-        if f.kind == "tfmcc":
-            tfmcc.append(
-                TfmccFlowSpec(
-                    sender_node=f.src,
-                    receivers=f.receivers,
-                    start=f.start,
-                    stop=f.stop,
-                    name=f.name,
-                )
-            )
-        elif f.kind == "tcp-reno":
-            tcp.append(
-                TcpFlowSpec(flow_id=f.name, src=f.src, dst=f.dst, start=f.start, stop=f.stop)
-            )
-        elif f.kind in ("cbr", "onoff"):
-            p = f.params
-            background.append(
-                BackgroundFlowSpec(
-                    flow_id=f.name,
-                    src=f.src,
-                    dst=f.dst,
-                    rate_bps=p["rate_bps"],
-                    packet_size=p.get("packet_size", 1000),
-                    kind=f.kind,
-                    on_time=p.get("on_time", 1.0),
-                    off_time=p.get("off_time", 1.0),
-                    exponential=p.get("exponential", True),
-                    start=f.start,
-                    stop=f.stop,
-                )
-            )
-    return tuple(tfmcc), tuple(tcp), tuple(background)
-
-
-def _replace_spec(spec: "ScenarioSpec", **changes: Any) -> "ScenarioSpec":
-    """``dataclasses.replace`` for ScenarioSpec, resolving flow authority.
-
-    ``flows`` and the legacy traffic fields describe the same traffic, so a
-    plain ``replace`` of one would conflict with the carried-over other.
-    Replacing ``flows`` drops the (derived) legacy views; replacing a legacy
-    field is honoured only when the spec is fully expressible in legacy
-    terms (otherwise flows of other kinds would be silently lost).
-    """
-    legacy_changed = [k for k in LEGACY_TRAFFIC_FIELDS if k in changes]
-    if "flows" in changes:
-        if legacy_changed:
-            raise ValueError(
-                "cannot replace 'flows' and legacy traffic fields "
-                f"({', '.join(legacy_changed)}) in one call"
-            )
-        for k in LEGACY_TRAFFIC_FIELDS:
-            changes.setdefault(k, ())
-    elif legacy_changed:
-        if _legacy_to_flows(spec.tfmcc, spec.tcp, spec.background) != spec.flows:
-            raise ValueError(
-                f"scenario {spec.name!r} contains flows the legacy "
-                f"tfmcc/tcp/background fields cannot express; replace "
-                f"'flows' (e.g. override flows.N.<field>) instead"
-            )
-        changes.setdefault("flows", ())
-    return replace(spec, **changes)
 
 
 # ------------------------------------------------------------------ dynamics
@@ -1022,21 +848,13 @@ class EngineSpec:
 class ScenarioSpec:
     """A complete, self-contained description of one simulation run.
 
-    Traffic is a single ordered tuple of :class:`FlowSpec` in ``flows``.
-    The pre-redesign per-family fields ``tfmcc`` / ``tcp`` / ``background``
-    remain as thin compatibility shims: passing them at construction (or in
-    a stored JSON dict) normalises them into ``flows`` in the historical
-    build order, and after construction they hold read-only views derived
-    from ``flows`` so existing call sites keep working.  Flow kinds without
-    a legacy family (e.g. ``tfrc``) appear only in ``flows``.
+    Traffic is a single ordered tuple of :class:`FlowSpec` in ``flows``;
+    flows are built in that order.
     """
 
     name: str
     duration: float
     topology: TopologySpec
-    tfmcc: Tuple[TfmccFlowSpec, ...] = ()
-    tcp: Tuple[TcpFlowSpec, ...] = ()
-    background: Tuple[BackgroundFlowSpec, ...] = ()
     metrics: MetricsSpec = field(default_factory=MetricsSpec)
     dynamics: DynamicsSpec = NO_DYNAMICS
     description: str = ""
@@ -1044,23 +862,7 @@ class ScenarioSpec:
     engine: EngineSpec = field(default_factory=EngineSpec)
 
     def __post_init__(self) -> None:
-        legacy = (tuple(self.tfmcc), tuple(self.tcp), tuple(self.background))
-        flows = tuple(self.flows)
-        if not flows:
-            flows = _legacy_to_flows(*legacy)
-        flows = _canonicalise_flow_names(flows)
-        views = _legacy_views(flows)
-        if any(legacy) and tuple(self.flows) and legacy != views:
-            raise ValueError(
-                f"scenario {self.name!r}: define traffic either via flows= or "
-                "via the legacy tfmcc=/tcp=/background= fields, not a "
-                "conflicting mix (use ScenarioSpec.with_overrides, which "
-                "resolves the two representations)"
-            )
-        object.__setattr__(self, "flows", flows)
-        object.__setattr__(self, "tfmcc", views[0])
-        object.__setattr__(self, "tcp", views[1])
-        object.__setattr__(self, "background", views[2])
+        object.__setattr__(self, "flows", _canonicalise_flow_names(self.flows))
         if self.duration <= 0:
             raise ValueError("duration must be positive")
         if not self.flows:
@@ -1071,7 +873,9 @@ class ScenarioSpec:
                     f"scenario {self.name!r}: dynamics event at t={event.at} "
                     f"never fires (duration is {self.duration})"
                 )
-            if event.kind in ("receiver_join", "receiver_leave") and not self.tfmcc:
+            if event.kind in ("receiver_join", "receiver_leave") and not any(
+                flow.kind == "tfmcc" for flow in self.flows
+            ):
                 raise ValueError(
                     f"scenario {self.name!r}: {event.kind} event but no TFMCC flow"
                 )
@@ -1079,17 +883,12 @@ class ScenarioSpec:
     # ------------------------------------------------------------ serialisation
 
     def to_dict(self) -> Dict[str, Any]:
-        """Canonical dict form: traffic appears under ``flows`` only.
-
-        The derived legacy views are omitted — they normalise back losslessly
-        on :meth:`from_dict`, which still also accepts pre-redesign dicts
-        that carry ``tfmcc`` / ``tcp`` / ``background`` keys instead.
-        """
+        """Canonical dict form, one key per field."""
         data: Dict[str, Any] = {}
         for name in _field_names(ScenarioSpec):
             if name == "topology":
                 data[name] = self.topology.to_dict()
-            elif name not in LEGACY_TRAFFIC_FIELDS:
+            else:
                 data[name] = _plain(getattr(self, name))
         return data
 
@@ -1097,15 +896,61 @@ class ScenarioSpec:
         return json.dumps(self.to_dict(), sort_keys=True, indent=indent)
 
     @staticmethod
+    def _flows_from_stored_families(data: Dict[str, Any]) -> List[Dict[str, Any]]:
+        """Pop a stored dict's per-family traffic lists, as ``flows`` dicts.
+
+        Specs stored before ``flows`` existed list traffic under ``tfmcc``,
+        ``tcp`` and ``background``.  Flows were built in that order, which
+        fixes every RNG draw downstream, so it is the order of the result;
+        background entries always carried ``packet_size`` (and on-off ones
+        their three shape fields), so those defaults are written out for the
+        fingerprint of a stored spec to stay what it was.
+        """
+        flows: List[Dict[str, Any]] = []
+        for family, kind, id_key, id_field in (
+            ("tfmcc", "tfmcc", "sender_node", "src"),
+            ("tcp", "tcp-reno", "flow_id", "name"),
+            ("background", "cbr", "flow_id", "name"),
+        ):
+            for entry in data.pop(family, ()):
+                entry = dict(entry)
+                try:
+                    flow = {"kind": kind, id_field: entry.pop(id_key)}
+                    if family == "background":
+                        flow["kind"] = entry.pop("kind", kind)
+                        if flow["kind"] not in ("cbr", "onoff"):
+                            raise ValueError(f"unknown background flow kind {flow['kind']!r}")
+                        flow["params"] = {
+                            "rate_bps": entry.pop("rate_bps"),
+                            "packet_size": entry.pop("packet_size", 1000),
+                        }
+                        shape = {
+                            "on_time": entry.pop("on_time", 1.0),
+                            "off_time": entry.pop("off_time", 1.0),
+                            "exponential": entry.pop("exponential", True),
+                        }
+                        if flow["kind"] == "onoff":
+                            flow["params"].update(shape)
+                except KeyError as exc:
+                    raise ValueError(f"{family!r} entry lacks {exc.args[0]!r}") from None
+                clash = sorted(set(entry) & set(flow))
+                if clash:
+                    raise ValueError(f"{family!r} entry cannot set {clash}")
+                flows.append({**flow, **entry})
+        return flows
+
+    @staticmethod
     def from_dict(data: Mapping[str, Any]) -> "ScenarioSpec":
         data = dict(data)
+        families = [key for key in ("tfmcc", "tcp", "background") if key in data]
+        if families:
+            if "flows" in data:
+                raise ValueError(
+                    f"scenario dict spells its traffic twice: 'flows' and {families}"
+                )
+            data["flows"] = ScenarioSpec._flows_from_stored_families(data)
         topology = topology_from_dict(data.pop("topology"))
         flows = tuple(FlowSpec.from_dict(f) for f in data.pop("flows", ()))
-        tfmcc = tuple(TfmccFlowSpec.from_dict(f) for f in data.pop("tfmcc", ()))
-        tcp = tuple(_from_mapping(TcpFlowSpec, f) for f in data.pop("tcp", ()))
-        background = tuple(
-            _from_mapping(BackgroundFlowSpec, f) for f in data.pop("background", ())
-        )
         metrics = data.pop("metrics", None)
         metrics = _from_mapping(MetricsSpec, metrics) if metrics is not None else MetricsSpec()
         dynamics = data.pop("dynamics", None)
@@ -1120,9 +965,6 @@ class ScenarioSpec:
                 **data,
                 "topology": topology,
                 "flows": flows,
-                "tfmcc": tfmcc,
-                "tcp": tcp,
-                "background": background,
                 "metrics": metrics,
                 "dynamics": dynamics,
                 "engine": engine,
@@ -1148,14 +990,12 @@ class ScenarioSpec:
 
         Protocol parameters live in each flow's ``params`` mapping, so the
         last form makes protocol ablations sweepable; a leaf params key may
-        be new (the spec left it at the protocol default).  Paths through
-        the legacy ``tfmcc``/``tcp``/``background`` views are honoured as
-        long as the spec is expressible in legacy terms.
+        be new (the spec left it at the protocol default).
         """
         spec = self
         flat = {k: v for k, v in changes.items() if "." not in k}
         if flat:
-            spec = _replace_spec(spec, **flat)
+            spec = replace(spec, **flat)
         for key, value in changes.items():
             if "." in key:
                 spec = _replace_nested(spec, key, key.split("."), value)
@@ -1175,4 +1015,4 @@ class ScenarioSpec:
             replace(f, params=dict(params)) if f.kind == "tfmcc" else f
             for f in self.flows
         )
-        return _replace_spec(self, flows=flows)
+        return replace(self, flows=flows)

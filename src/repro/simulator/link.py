@@ -13,11 +13,10 @@ bottleneck costs two events per packet and an idle leaf one.
 
 Non-congestive loss is applied at enqueue time through a single seam: an
 optional :class:`~repro.channel.models.ChannelModel` whose
-``should_drop(rng, now, packet)`` decides each packet's fate.  The legacy
-``loss_rate`` (independent Bernoulli loss) and ``loss_model``
-(:class:`GilbertElliottLoss` bursty loss) fields survive as shims that build
-the equivalent channel model; richer models (SNR->PER wireless links,
-shared-medium contention) come from :mod:`repro.channel`.
+``should_drop(rng, now, packet)`` decides each packet's fate.  Models
+(Bernoulli, Gilbert-Elliott bursty loss, SNR->PER wireless links,
+shared-medium contention) come from :mod:`repro.channel`; ``loss_rate`` is
+shorthand for the Bernoulli one.
 """
 
 from __future__ import annotations
@@ -53,16 +52,13 @@ class Link:
         Packet queue used while the link is busy; defaults to a 50-packet
         drop-tail queue as in the paper's ns-2 setups.
     loss_rate:
-        Independent Bernoulli drop probability applied to every packet
-        (shim: builds a ``bernoulli`` channel model when positive).
-    loss_model:
-        Optional stateful loss process (e.g. :class:`GilbertElliottLoss`)
-        consulted instead of ``loss_rate`` when set.  The instance must not
-        be shared between links.
+        Independent Bernoulli drop probability applied to every packet:
+        shorthand for ``channel=BernoulliChannel(loss_rate)``.
     channel:
-        Explicit channel model; takes precedence over both shims.  Use
-        :func:`repro.channel.get_channel` to build one from a registered
-        kind and JSON parameters.
+        Channel model consulted for every offered packet (not together with
+        a positive ``loss_rate``).  The instance must not be shared between
+        links.  Use :func:`repro.channel.get_channel` to build one from a
+        registered kind and JSON parameters.
     jitter:
         Maximum random per-packet processing delay in seconds, added to the
         serialisation time (uniformly distributed, FIFO order preserved).
@@ -83,7 +79,6 @@ class Link:
         loss_rate: float = 0.0,
         name: Optional[str] = None,
         jitter: float = 0.0,
-        loss_model: Optional[ChannelModel] = None,
         channel: Optional[ChannelModel] = None,
     ):
         if bandwidth <= 0:
@@ -97,15 +92,11 @@ class Link:
         self.dst = dst
         self.bandwidth = bandwidth
         self.delay = delay
-        self._loss_rate = loss_rate
-        if channel is not None:
-            self._channel: Optional[ChannelModel] = channel
-        elif loss_model is not None:
-            self._channel = loss_model
-        elif loss_rate > 0.0:
-            self._channel = BernoulliChannel(loss_rate)
-        else:
-            self._channel = None
+        if loss_rate > 0.0:
+            if channel is not None:
+                raise ValueError("link: at most one loss process, got loss_rate and channel")
+            channel = BernoulliChannel(loss_rate)
+        self._channel: Optional[ChannelModel] = channel
         if jitter < 0:
             raise ValueError("jitter cannot be negative")
         self.jitter = jitter
@@ -186,13 +177,6 @@ class Link:
         self._transmit(packet, now)
         return True
 
-    # -------------------------------------------------------- channel shims
-    #
-    # ``loss_rate`` and ``loss_model`` predate the channel seam; both are
-    # kept as lossless views so existing callers (tests mutate loss_rate
-    # directly, scenario specs carry gilbert_elliott blocks) keep their
-    # exact semantics, including RNG draw order and counts.
-
     @property
     def channel(self) -> Optional[ChannelModel]:
         """The channel model consulted for every offered packet (or None)."""
@@ -200,29 +184,9 @@ class Link:
 
     @property
     def loss_rate(self) -> float:
-        """Bernoulli drop probability shim (0 when a richer model is active)."""
-        return self._loss_rate
-
-    @loss_rate.setter
-    def loss_rate(self, loss_rate: float) -> None:
-        self._loss_rate = loss_rate
-        if self._channel is None or isinstance(self._channel, BernoulliChannel):
-            # Legacy direct assignment: rebuild the Bernoulli channel.  A
-            # stateful model keeps shadowing the rate, exactly as the old
-            # ``if loss_model ... elif loss_rate`` seam did; set_loss_rate()
-            # is the mutator that replaces it explicitly.
-            self._channel = BernoulliChannel(loss_rate) if loss_rate > 0.0 else None
-
-    @property
-    def loss_model(self) -> Optional[ChannelModel]:
-        """The stateful loss process, when one richer than Bernoulli is set."""
-        if self._channel is None or isinstance(self._channel, BernoulliChannel):
-            return None
-        return self._channel
-
-    @loss_model.setter
-    def loss_model(self, loss_model: Optional[ChannelModel]) -> None:
-        self.set_loss_model(loss_model)
+        """Drop probability of a Bernoulli channel (0 under any other model)."""
+        channel = self._channel
+        return channel.loss_rate if isinstance(channel, BernoulliChannel) else 0.0
 
     @property
     def queue_drops(self) -> int:
@@ -311,8 +275,7 @@ class Link:
 
         Replacing a stateful channel model (Gilbert-Elliott, snr_per, ...)
         discards its state; that is usually a scripted loss step overriding
-        a richer model, so it warns rather than silently shadowing the new
-        rate (the pre-channel seam let the stateful model win).
+        a richer model, so it warns.
         """
         if not 0.0 <= loss_rate < 1.0:
             raise ValueError("loss_rate must be in [0, 1)")
@@ -324,29 +287,10 @@ class Link:
                 RuntimeWarning,
                 stacklevel=2,
             )
-        self._loss_rate = loss_rate
         self._channel = BernoulliChannel(loss_rate) if loss_rate > 0.0 else None
 
-    def set_loss_model(self, loss_model: Optional[ChannelModel]) -> None:
-        """Install (or clear) a stateful loss process for subsequent packets.
-
-        Clearing falls back to the Bernoulli ``loss_rate`` shim, matching
-        the pre-channel-seam precedence.
-        """
-        if loss_model is None:
-            self._channel = (
-                BernoulliChannel(self._loss_rate) if self._loss_rate > 0.0 else None
-            )
-        else:
-            self._channel = loss_model
-            loss_model.bind(self)
-
     def set_channel(self, channel: Optional[ChannelModel]) -> None:
-        """Install (or clear) the channel model outright.
-
-        Unlike the shims this never consults ``loss_rate``: clearing leaves
-        the link lossless.
-        """
+        """Install the channel model for subsequent packets (None: lossless)."""
         self._channel = channel
         if channel is not None:
             channel.bind(self)

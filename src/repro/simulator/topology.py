@@ -24,7 +24,7 @@ from heapq import heappop, heappush
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.simulator.engine import Simulator
-from repro.simulator.link import GilbertElliottLoss, Link
+from repro.simulator.link import Link
 from repro.simulator.node import Agent, Node, RoutingError
 from repro.simulator.queues import DropTailQueue, PacketQueue
 
@@ -94,14 +94,13 @@ class Network:
         loss_rate: float = 0.0,
         queue_factory: Optional[Callable[[], PacketQueue]] = None,
         jitter: float = 0.0,
-        loss_model: Optional[GilbertElliottLoss] = None,
         channel: Optional[Any] = None,
     ) -> Link:
         """Add a unidirectional link from ``src`` to ``dst``.
 
-        ``channel`` installs an explicit channel model
-        (:class:`~repro.channel.models.ChannelModel`), taking precedence
-        over the ``loss_rate``/``loss_model`` shims.
+        ``channel`` installs a channel model
+        (:class:`~repro.channel.models.ChannelModel`); ``loss_rate`` is
+        shorthand for a Bernoulli one.  Give at most one of the two.
         """
         src_node = self.add_node(src)
         dst_node = self.add_node(dst)
@@ -115,7 +114,6 @@ class Network:
             queue,
             loss_rate,
             jitter=jitter,
-            loss_model=loss_model,
             channel=channel,
         )
         src_node.add_link(link)
@@ -140,15 +138,12 @@ class Network:
         loss_rate: float = 0.0,
         queue_factory: Optional[Callable[[], PacketQueue]] = None,
         jitter: float = 0.0,
-        loss_model_factory: Optional[Callable[[], GilbertElliottLoss]] = None,
         channel_factory: Optional[Callable[[], Any]] = None,
     ) -> Tuple[Link, Link]:
         """Add a bidirectional link (two unidirectional links) between a and b.
 
-        ``loss_model_factory`` builds one stateful loss process (e.g.
-        :class:`~repro.simulator.link.GilbertElliottLoss`) per direction;
-        ``channel_factory`` likewise builds one explicit channel model per
-        direction (channel state is never shared between directions).
+        ``channel_factory`` builds one channel model per direction (channel
+        state is never shared between directions).
         """
         forward = self.add_link(
             a,
@@ -159,7 +154,6 @@ class Network:
             loss_rate,
             queue_factory,
             jitter,
-            loss_model_factory() if loss_model_factory is not None else None,
             channel_factory() if channel_factory is not None else None,
         )
         backward = self.add_link(
@@ -171,7 +165,6 @@ class Network:
             loss_rate,
             queue_factory,
             jitter,
-            loss_model_factory() if loss_model_factory is not None else None,
             channel_factory() if channel_factory is not None else None,
         )
         return forward, backward

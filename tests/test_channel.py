@@ -7,10 +7,11 @@ Covers the channel-layer acceptance properties:
   channel registry (mirroring the protocol/engine registries),
 * the SNR->BER->PER maths matches its closed form (scalar and the cohort
   engine's vectorised approximation),
-* legacy ``loss_rate``/``gilbert_elliott`` spec fields and the explicit
-  ``bernoulli``/``gilbert_elliott`` channel kinds draw identically,
+* the ``loss_rate``/``gilbert_elliott`` spec fields and the
+  ``bernoulli``/``gilbert_elliott`` channel kinds draw identically, and a
+  link or impairment takes at most one loss process,
 * mutation APIs: ``set_loss_rate`` on a link with a stateful channel warns
-  instead of silently doing nothing (the historical trap),
+  that it replaces it,
 * ``channel_update`` dynamics events and waypoint mobility are
   deterministic under fixed seeds,
 * the cohort engine cross-validates against the exact engine at 200
@@ -40,12 +41,13 @@ from repro.channel import (
     vector_packet_error_rate,
 )
 from repro.scenarios import get_scenario
-from repro.scenarios.build import run_scenario, spec_uses_channels
+from repro.scenarios.build import build_network, run_scenario, spec_uses_channels
 from repro.scenarios.spec import (
     ChannelSpec,
     DynamicsSpec,
     EdgeSpec,
     FlowSpec,
+    GilbertElliottSpec,
     ImpairmentSpec,
     MetricsSpec,
     MobilitySpec,
@@ -241,35 +243,34 @@ def test_link_counts_drops_by_cause():
 
 
 def test_set_loss_rate_warns_when_replacing_stateful_channel():
-    """The historical trap: ``set_loss_rate`` used to silently do nothing
-    while a stateful loss model was attached.  It now replaces the channel
-    explicitly — and says so."""
+    """``set_loss_rate`` replaces a stateful channel model — and says so."""
     sim = Simulator(seed=5)
     net = _duplex(sim)
     link = _forward_link(net)
-    link.set_loss_model(GilbertElliottLoss(p_good_bad=0.5, p_bad_good=0.5))
+    link.set_channel(GilbertElliottLoss(p_good_bad=0.5, p_bad_good=0.5))
     with pytest.warns(RuntimeWarning, match="replaces the active GilbertElliottLoss"):
         link.set_loss_rate(0.25)
-    assert link.loss_model is None
     assert link.loss_rate == 0.25
     assert isinstance(link.channel, BernoulliChannel)
 
 
 def test_loss_rate_property_assignment_still_shadowed_by_stateful_channel():
-    # Plain attribute assignment keeps the historical elif semantics (no
-    # warning, stateful channel keeps priority) for tests that force-drop.
+    # ``loss_rate`` is read off the installed channel, so there is nothing to
+    # assign and no second copy of the rate for a stateful channel to shadow.
     sim = Simulator(seed=5)
-    net = _duplex(sim)
+    net = _duplex(sim, loss=0.5)
     link = _forward_link(net)
+    assert isinstance(link.channel, BernoulliChannel) and link.loss_rate == 0.5
+    with pytest.raises(AttributeError):
+        link.loss_rate = 0.9
     ge = GilbertElliottLoss(p_good_bad=0.5, p_bad_good=0.5)
-    link.set_loss_model(ge)
-    link.loss_rate = 0.9
-    assert link.channel is ge
-    # Without a stateful channel the property rebuilds the Bernoulli model.
-    link.set_loss_model(None)
-    link.loss_rate = 0.5
-    assert isinstance(link.channel, BernoulliChannel)
-    assert link.channel.loss_rate == 0.5
+    link.set_channel(ge)
+    assert link.channel is ge and link.loss_rate == 0.0
+    link.set_channel(None)
+    assert link.loss_rate == 0.0
+    # One loss process per link: the shorthand and a model do not combine.
+    with pytest.raises(ValueError, match="loss_rate and channel"):
+        Network(sim).add_link("a", "b", 1e6, 0.01, loss_rate=0.1, channel=ge)
 
 
 def test_set_channel_installs_and_clears():
@@ -305,11 +306,49 @@ def test_channel_spec_validates_round_trips_and_hashes():
 
 def test_impairment_spec_rejects_conflicting_loss_processes():
     channel = ChannelSpec("bernoulli", {"loss_rate": 0.1})
-    with pytest.raises(ValueError, match="not both"):
+    bursty = GilbertElliottSpec(0.05, 0.45)
+    with pytest.raises(ValueError, match="loss_rate and channel"):
         ImpairmentSpec(loss_rate=0.05, channel=channel)
+    # Used to construct; the exact engine then lost 10 % and the cohort 19 %.
+    with pytest.raises(ValueError, match="loss_rate and gilbert_elliott"):
+        ImpairmentSpec(loss_rate=0.1, gilbert_elliott=bursty)
+    with pytest.raises(ValueError, match="gilbert_elliott and channel"):
+        ImpairmentSpec(gilbert_elliott=bursty, channel=channel)
+    with pytest.raises(ValueError, match="loss_rate"):
+        ImpairmentSpec(loss_rate=1.0)
     impairment = ImpairmentSpec(channel=channel)
     round_tripped = ImpairmentSpec.from_dict(json.loads(json.dumps(asdict(impairment))))
     assert round_tripped == impairment
+
+
+@pytest.mark.parametrize(
+    "impairment,expected",
+    [
+        (ImpairmentSpec(), 0.0),
+        (ImpairmentSpec(loss_rate=0.1), 0.1),
+        (ImpairmentSpec(gilbert_elliott=GilbertElliottSpec(0.05, 0.45)), 0.1),
+        (ImpairmentSpec(gilbert_elliott=GilbertElliottSpec(0.1, 0.3, 0.01, 0.5)), 0.1325),
+        (ImpairmentSpec(channel=ChannelSpec("bernoulli", {"loss_rate": 0.2})), 0.2),
+        (ImpairmentSpec(channel=ChannelSpec("snr_per", {"per": 0.3})), 0.3),
+        (
+            ImpairmentSpec(channel=ChannelSpec("snr_per", {"snr_db": 11.0})),
+            packet_error_rate(11.0, "qpsk", 500),
+        ),
+        (ImpairmentSpec(channel=ChannelSpec("contention", {"medium": "air"})), 0.0),
+    ],
+)
+def test_engines_read_one_loss_rate_off_an_impairment(impairment, expected):
+    """What the cohort engine models is what the exact engine's link runs."""
+    assert impairment.expected_loss_rate(500) == pytest.approx(expected)
+    network = build_network(
+        Simulator(seed=1), StarSpec(leaves=(EdgeSpec(1e6, 0.01, impairment=impairment),))
+    )
+    down, up = network.link_between("hub", "leaf0"), network.link_between("leaf0", "hub")
+    for link in (down, up):
+        on_the_link = link.channel.expected_loss_rate(500) if link.channel is not None else 0.0
+        assert on_the_link == impairment.expected_loss_rate(500)
+    if down.channel is not None:
+        assert down.channel is not up.channel  # a fresh model per direction
 
 
 def test_dotted_override_reaches_channel_params():
@@ -368,8 +407,8 @@ def _star_spec(impairment, dynamics=None, duration=8.0, with_trace=False):
 
 
 def test_explicit_bernoulli_channel_draws_like_legacy_loss_rate():
-    """The shim property: ``channel: bernoulli`` and the legacy
-    ``loss_rate`` field are the same loss process, same RNG draw order."""
+    """``channel: bernoulli`` and the ``loss_rate`` field are the same loss
+    process, same RNG draw order."""
     legacy = _star_spec(ImpairmentSpec(loss_rate=0.05))
     explicit = _star_spec(
         ImpairmentSpec(channel=ChannelSpec("bernoulli", {"loss_rate": 0.05}))

@@ -1,11 +1,12 @@
-"""Byte-identical compatibility guard for the flow-API redesign.
+"""Byte-identical guard on fixed-seed records of the registry scenarios.
 
 ``tests/data/golden_records.jsonl`` holds the canonical result records of
-every pre-redesign registry scenario, generated with fixed seeds *before*
-the unified ``flows`` API replaced the ``tfmcc=``/``tcp=``/``background=``
-scenario fields.  The test replays the same (scenario, params, seed) cases
-and asserts the encoded records are byte-identical, proving the legacy
-compatibility shim is lossless all the way down to RNG draw order.
+every registry scenario that existed when ``flows`` replaced the
+``tfmcc``/``tcp``/``background`` scenario fields, generated with fixed seeds
+*before* that change.  The test replays the same (scenario, params, seed)
+cases and asserts the encoded records are byte-identical: whatever is done to
+the spec, builder, link or channel layers, flow construction order and RNG
+draw order have stayed what they were.
 
 Regenerate (only legitimate when a change intentionally alters simulation
 behaviour — never to paper over an accidental difference)::

@@ -16,12 +16,12 @@ from repro.scenarios.spec import (
     CustomSpec,
     DuplexLinkSpec,
     DynamicsSpec,
+    FlowSpec,
     GilbertElliottSpec,
     MetricsSpec,
     NetworkEventSpec,
     ReceiverSpec,
     ScenarioSpec,
-    TfmccFlowSpec,
 )
 from repro.session import TFMCCSession
 from repro.simulator.engine import Simulator
@@ -83,14 +83,14 @@ class TestLinkMutation:
 
         sim = Simulator(seed=1)
         link = Network(sim).add_link("a", "b", 1e6, 0.0)
-        link.set_loss_model(GilbertElliottLoss(0.1, 0.5))
-        assert link.loss_model is not None
-        # Replacing a stateful loss process is no longer silent: the old
-        # behaviour was set_loss_rate doing nothing while the model shadowed
-        # it, so the explicit replacement announces itself.
+        bursty = GilbertElliottLoss(0.1, 0.5)
+        link.set_channel(bursty)
+        assert link.channel is bursty and link.loss_rate == 0.0
+        # Replacing a stateful loss process discards its state, so the
+        # replacement announces itself.
         with pytest.warns(RuntimeWarning, match="replaces the active"):
             link.set_loss_rate(0.25)
-        assert link.loss_model is None
+        assert link.channel is not bursty
         assert link.loss_rate == pytest.approx(0.25)
 
     def test_down_link_flushes_queue_and_refuses_packets(self):
@@ -276,7 +276,7 @@ def _two_path_spec(**kwargs):
         name="two-path",
         duration=12.0,
         topology=CustomSpec(extra_links=links),
-        tfmcc=(TfmccFlowSpec(sender_node="src", receivers=(ReceiverSpec(node="rcv"),)),),
+        flows=(FlowSpec(kind="tfmcc", src="src", receivers=(ReceiverSpec(node="rcv"),)),),
         metrics=MetricsSpec(with_trace=True),
     )
     defaults.update(kwargs)
@@ -332,16 +332,13 @@ class TestDynamicsSpec:
             NetworkEventSpec(at=-1.0, kind="link_down", a="x", b="y")
 
     def test_membership_events_require_a_tfmcc_flow(self):
-        from repro.scenarios.spec import TcpFlowSpec
-
         for kind, extra in (
             ("receiver_join", {"node": "rcv"}),
             ("receiver_leave", {"receiver_id": "x"}),
         ):
             with pytest.raises(ValueError, match="no TFMCC flow"):
                 _two_path_spec(
-                    tfmcc=(),
-                    tcp=(TcpFlowSpec(flow_id="t0", src="src", dst="rcv"),),
+                    flows=(FlowSpec(kind="tcp-reno", name="t0", src="src", dst="rcv"),),
                     dynamics=DynamicsSpec(
                         events=(NetworkEventSpec(at=2.0, kind=kind, **extra),)
                     ),
@@ -424,15 +421,16 @@ class TestDynamicsSpec:
             spec.with_overrides(**{"duration.x": 1})
         # Validation of the rebuilt level still applies.
         lossy = _two_path_spec(
-            tfmcc=(
-                TfmccFlowSpec(
-                    sender_node="src",
+            flows=(
+                FlowSpec(
+                    kind="tfmcc",
+                    src="src",
                     receivers=(ReceiverSpec(node="rcv", join_at=1.0, leave_at=5.0),),
                 ),
             )
         )
         with pytest.raises(ValueError, match="must be\n*.*after"):
-            lossy.with_overrides(**{"tfmcc.0.receivers.0.join_at": 8.0})
+            lossy.with_overrides(**{"flows.0.receivers.0.join_at": 8.0})
 
     def test_dotted_override_validates_rebuilt_scenario(self):
         spec = _two_path_spec(

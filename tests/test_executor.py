@@ -9,7 +9,9 @@ pid that produced them.
 """
 
 import ast
+import dataclasses
 import importlib
+import inspect
 import multiprocessing
 import os
 import pathlib
@@ -258,6 +260,26 @@ def test_no_parallel_tree_of_hand_built_experiments():
     wiring = re.compile(r"(?<!class )\b(Network|TFMCCSession|TCPRenoSender)\(")
     sources = sorted(package_sources().items())
     assert [n for n, text in sources if not n.startswith(allowed) and wiring.search(text)] == []
+
+
+def test_one_spelling_for_traffic_and_for_link_loss():
+    """``flows`` is the only traffic field of a spec and ``channel`` the only
+    loss seam below it: the per-family flow classes, the views derived from
+    them and the links' second loss-model slot are gone."""
+    from repro.scenarios import ScenarioSpec
+    from repro.simulator.link import Link
+    from repro.simulator.topology import Network
+
+    assert {f.name for f in dataclasses.fields(ScenarioSpec)} == {
+        "name", "duration", "topology", "flows", "metrics", "dynamics", "description", "engine"
+    }  # fmt: skip
+    for function in (Link.__init__, Network.add_link, Network.add_duplex_link):
+        parameters = inspect.signature(function).parameters
+        assert not [name for name in parameters if name.startswith("loss_model")], function
+    gone = re.compile(
+        r"\b(TfmccFlowSpec|TcpFlowSpec|BackgroundFlowSpec|_legacy_views|_replace_spec)\b|loss_model"
+    )
+    assert [name for name, text in sorted(package_sources().items()) if gone.search(text)] == []
 
 
 def test_execution_machinery_exists_exactly_once():

@@ -1,8 +1,8 @@
 """Tests for the unified flow/protocol API of the scenario layer.
 
-Covers the protocol registry, :class:`FlowSpec` validation, the legacy
-``tfmcc=``/``tcp=``/``background=`` compatibility shim, the TFMCCConfig
-<-> flow-params round-trip, per-flow protocol parameters as sweep axes, the
+Covers the protocol registry, :class:`FlowSpec` validation, loading specs
+stored before ``flows`` existed (``tfmcc``/``tcp``/``background`` keys), the
+TFMCCConfig <-> flow-params round-trip, per-flow protocol parameters as sweep axes, the
 mixed-protocol registry scenarios and the TFRC trace probes.
 """
 
@@ -19,15 +19,12 @@ from repro.protocols import (
     protocol_kinds,
 )
 from repro.scenarios import (
-    BackgroundFlowSpec,
     DumbbellSpec,
     FlowSpec,
     ReceiverSpec,
     ResultStore,
     ScenarioSpec,
     SweepRunner,
-    TcpFlowSpec,
-    TfmccFlowSpec,
     build_scenario,
     get_scenario,
     run_scenario,
@@ -113,63 +110,63 @@ def test_flow_names_default_per_kind_and_must_be_unique():
         )
 
 
-# -------------------------------------------------------------- legacy shim
+# ------------------------------------------- specs stored before ``flows``
 
 
-def _legacy_style_dict(spec):
-    """Rebuild the pre-redesign dict shape (per-family keys, no flows)."""
-    from dataclasses import asdict
+#: A spec as it was stored before ``flows`` existed: traffic under one key
+#: per family, unicast flows identified by ``flow_id``, the source shape of
+#: a background flow spelt as fields.
+PRE_REDESIGN_DICT = {
+    "name": "equiv",
+    "duration": 5.0,
+    "topology": {"kind": "dumbbell", "num_left": 4, "num_right": 4, "bottleneck_bps": 2e6},
+    "tfmcc": [
+        {
+            "sender_node": "src0",
+            "receivers": [
+                {"node": "dst0", "receiver_id": None, "join_at": 0.0, "leave_at": None},
+                {"node": "dst1", "receiver_id": "late", "join_at": 1.0, "leave_at": 4.0},
+            ],
+            "start": 0.0,
+            "stop": None,
+            "name": None,
+        }
+    ],
+    "tcp": [{"flow_id": "tcp1", "src": "src1", "dst": "dst1", "start": 0.5, "stop": None}],
+    "background": [
+        {"flow_id": "bg", "src": "src2", "dst": "dst2", "rate_bps": 2e5},
+        {
+            "flow_id": "burst",
+            "src": "src3",
+            "dst": "dst3",
+            "rate_bps": 4e5,
+            "packet_size": 500,
+            "kind": "onoff",
+            "on_time": 0.5,
+            "off_time": 1.0,
+            "exponential": True,
+            "start": 0.0,
+            "stop": None,
+        },
+    ],
+}
 
-    data = spec.to_dict()
-    data.pop("flows")
-    data["tfmcc"] = [asdict(f) for f in spec.tfmcc]
-    data["tcp"] = [asdict(f) for f in spec.tcp]
-    data["background"] = [asdict(f) for f in spec.background]
-    return data
 
-
-def test_every_registry_scenario_normalises_to_flows_and_back():
-    for factory in scenarios():
-        spec = factory.spec()
-        data = spec.to_dict()
-        assert "flows" in data and data["flows"], factory.name
-        for legacy_key in ("tfmcc", "tcp", "background"):
-            assert legacy_key not in data, factory.name
-        assert ScenarioSpec.from_dict(data) == spec, factory.name
-
-
-def test_pre_redesign_json_shape_still_parses_to_equal_spec():
-    for name in ("fairness", "late-join", "background-traffic", "receiver_churn"):
-        spec = get_scenario(name).spec()
-        assert ScenarioSpec.from_dict(_legacy_style_dict(spec)) == spec, name
-
-
-def test_legacy_views_are_derived_from_flows():
-    spec = get_scenario("protocol_mix").spec(duration=5.0)
-    assert [f.kind for f in spec.flows] == ["tfmcc", "tfrc", "tcp-reno", "cbr", "onoff"]
-    assert len(spec.tfmcc) == 1 and spec.tfmcc[0].sender_node == "src0"
-    assert len(spec.tcp) == 1 and spec.tcp[0].flow_id == "tcp-reno0"
-    assert {b.kind for b in spec.background} == {"cbr", "onoff"}
-    # tfrc has no legacy family: visible only in flows.
-    assert sum(1 for f in spec.flows if f.kind == "tfrc") == 1
-
-
-def test_legacy_and_flows_records_are_identical():
-    legacy = ScenarioSpec(
+def _same_spec_spelt_with_flows():
+    return ScenarioSpec(
         name="equiv",
         duration=5.0,
-        topology=_dumbbell(3),
-        tfmcc=(TfmccFlowSpec(sender_node="src0", receivers=(ReceiverSpec(node="dst0"),)),),
-        tcp=(TcpFlowSpec(flow_id="tcp1", src="src1", dst="dst1"),),
-        background=(BackgroundFlowSpec(flow_id="bg", src="src2", dst="dst2", rate_bps=2e5),),
-    )
-    unified = ScenarioSpec(
-        name="equiv",
-        duration=5.0,
-        topology=_dumbbell(3),
+        topology=_dumbbell(4),
         flows=(
-            FlowSpec(kind="tfmcc", src="src0", receivers=(ReceiverSpec(node="dst0"),)),
-            FlowSpec(kind="tcp-reno", src="src1", dst="dst1", name="tcp1"),
+            FlowSpec(
+                kind="tfmcc",
+                src="src0",
+                receivers=(
+                    ReceiverSpec(node="dst0"),
+                    ReceiverSpec(node="dst1", receiver_id="late", join_at=1.0, leave_at=4.0),
+                ),
+            ),
+            FlowSpec(kind="tcp-reno", src="src1", dst="dst1", name="tcp1", start=0.5),
             FlowSpec(
                 kind="cbr",
                 src="src2",
@@ -177,33 +174,83 @@ def test_legacy_and_flows_records_are_identical():
                 name="bg",
                 params={"rate_bps": 2e5, "packet_size": 1000},
             ),
+            FlowSpec(
+                kind="onoff",
+                src="src3",
+                dst="dst3",
+                name="burst",
+                params={
+                    "rate_bps": 4e5,
+                    "packet_size": 500,
+                    "on_time": 0.5,
+                    "off_time": 1.0,
+                    "exponential": True,
+                },
+            ),
         ),
     )
-    assert legacy == unified
-    assert run_scenario(legacy, seed=7) == run_scenario(unified, seed=7)
+
+
+def test_every_registry_scenario_normalises_to_flows_and_back():
+    for factory in scenarios():
+        spec = factory.spec()
+        data = spec.to_dict()
+        assert "flows" in data and data["flows"], factory.name
+        for family in ("tfmcc", "tcp", "background"):
+            assert family not in data, factory.name
+        assert ScenarioSpec.from_dict(data) == spec, factory.name
+
+
+def test_pre_redesign_json_shape_still_parses_to_equal_spec():
+    spec = _same_spec_spelt_with_flows()
+    loaded = ScenarioSpec.from_json(json.dumps(PRE_REDESIGN_DICT))
+    assert loaded == spec
+    assert loaded.to_json() == spec.to_json()
+    required = (("tfmcc", "sender_node"), ("tcp", "flow_id"), ("background", "rate_bps"))
+    for family, entry_without in required:
+        broken = json.loads(json.dumps(PRE_REDESIGN_DICT))
+        del broken[family][0][entry_without]
+        with pytest.raises(ValueError, match=entry_without):
+            ScenarioSpec.from_dict(broken)
+    bogus = json.loads(json.dumps(PRE_REDESIGN_DICT))
+    bogus["background"][0]["kind"] = "bogus"
+    with pytest.raises(ValueError, match="unknown background flow kind"):
+        ScenarioSpec.from_dict(bogus)
+
+
+def test_legacy_views_are_derived_from_flows():
+    # The per-family views are gone: ``flows`` is the one traffic field.
+    spec = get_scenario("protocol_mix").spec(duration=5.0)
+    assert [f.kind for f in spec.flows] == ["tfmcc", "tfrc", "tcp-reno", "cbr", "onoff"]
+    for family in ("tfmcc", "tcp", "background"):
+        with pytest.raises(AttributeError):
+            getattr(spec, family)
+
+
+def test_legacy_and_flows_records_are_identical():
+    stored = ScenarioSpec.from_dict(PRE_REDESIGN_DICT)
+    spelt_with_flows = _same_spec_spelt_with_flows()
+    assert run_scenario(stored, seed=7) == run_scenario(spelt_with_flows, seed=7)
 
 
 def test_conflicting_flows_and_legacy_fields_rejected():
-    with pytest.raises(ValueError, match="not a\n*.*conflicting mix"):
-        ScenarioSpec(
-            name="conflict",
-            duration=5.0,
-            topology=_dumbbell(2),
-            flows=(FlowSpec(kind="tfrc", src="src0", dst="dst0"),),
-            tcp=(TcpFlowSpec(flow_id="t", src="src1", dst="dst1"),),
-        )
+    flows = (FlowSpec(kind="tfrc", src="src0", dst="dst0"),)
+    with pytest.raises(TypeError, match="tcp"):
+        ScenarioSpec(name="conflict", duration=5.0, topology=_dumbbell(2), flows=flows, tcp=())
+    both = dict(PRE_REDESIGN_DICT, flows=[{"kind": "tfrc", "src": "src0", "dst": "dst0"}])
+    with pytest.raises(ValueError, match="flows.*tfmcc.*tcp.*background"):
+        ScenarioSpec.from_dict(both)
 
 
 def test_legacy_override_paths_still_work_on_legacy_shaped_specs():
+    # Override paths go through ``flows``; the per-family paths are gone.
     spec = get_scenario("fairness").spec(num_tcp=2)
-    moved = spec.with_overrides(**{"tcp.0.dst": "dst2"})
-    assert moved.tcp[0].dst == "dst2"
-    assert moved.flows[1].dst == "dst2"  # redirected into the canonical flows
-    # Specs with flow kinds the legacy fields cannot express refuse legacy
-    # writes instead of silently dropping flows.
-    mix = get_scenario("protocol_mix").spec(duration=5.0)
-    with pytest.raises(ValueError, match="cannot express"):
-        mix.with_overrides(tcp=())
+    moved = spec.with_overrides(**{"flows.1.dst": "dst2"})
+    assert moved.flows[1].name == "tcp1" and moved.flows[1].dst == "dst2"
+    with pytest.raises(ValueError, match="no field 'tcp'"):
+        spec.with_overrides(**{"tcp.0.dst": "dst2"})
+    with pytest.raises(TypeError, match="tcp"):
+        spec.with_overrides(tcp=())
 
 
 # --------------------------------------------------- config <-> flow params

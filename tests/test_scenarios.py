@@ -11,19 +11,17 @@ import random
 import pytest
 
 from repro.scenarios import (
-    BackgroundFlowSpec,
     ChainSpec,
     CustomSpec,
     DuplexLinkSpec,
     EdgeSpec,
+    FlowSpec,
     GilbertElliottSpec,
     ImpairmentSpec,
     MetricsSpec,
     ReceiverSpec,
     ScenarioSpec,
     StarSpec,
-    TcpFlowSpec,
-    TfmccFlowSpec,
     build_scenario,
     get_scenario,
     run_scenario,
@@ -61,7 +59,7 @@ def test_spec_json_round_trip_all_topologies():
                     ),
                 ),
             ),
-            tfmcc=(TfmccFlowSpec(sender_node="source", receivers=(ReceiverSpec(node="leaf0"),)),),
+            flows=(FlowSpec(kind="tfmcc", src="source", receivers=(ReceiverSpec(node="leaf0"),)),),
         ),
         ScenarioSpec(
             name="chain-test",
@@ -69,7 +67,7 @@ def test_spec_json_round_trip_all_topologies():
             topology=ChainSpec(
                 hops=(EdgeSpec(bandwidth=1e6, delay=0.01), EdgeSpec(bandwidth=5e5, delay=0.02)),
             ),
-            tfmcc=(TfmccFlowSpec(sender_node="n0", receivers=(ReceiverSpec(node="n2"),)),),
+            flows=(FlowSpec(kind="tfmcc", src="n0", receivers=(ReceiverSpec(node="n2"),)),),
         ),
         ScenarioSpec(
             name="custom-test",
@@ -77,7 +75,7 @@ def test_spec_json_round_trip_all_topologies():
             topology=CustomSpec(
                 extra_links=(DuplexLinkSpec("a", "b", 1e6, 0.01),),
             ),
-            background=(BackgroundFlowSpec(flow_id="bg", src="a", dst="b", rate_bps=1e5),),
+            flows=(FlowSpec(kind="cbr", name="bg", src="a", dst="b", params={"rate_bps": 1e5}),),
         ),
     ]
     for spec in specs:
@@ -91,7 +89,7 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         get_scenario("fairness").spec(num_tcp=2).with_overrides(duration=-1.0)
     with pytest.raises(ValueError):
-        BackgroundFlowSpec(flow_id="x", src="a", dst="b", rate_bps=1e5, kind="bogus")
+        FlowSpec(kind="bogus", name="x", src="a", dst="b", params={"rate_bps": 1e5})
     with pytest.raises(ValueError):
         ScenarioSpec.from_dict(
             {"name": "x", "duration": 1.0, "topology": {"kind": "moebius"}}
@@ -113,7 +111,7 @@ def test_receiver_spec_rejects_leave_before_join():
 
 def test_background_traffic_with_zero_fraction_runs():
     spec = get_scenario("background-traffic").spec(bg_fraction=0.0, duration=4.0)
-    assert spec.background == ()
+    assert not [f for f in spec.flows if f.kind == "onoff"]
     record = run_scenario(spec, seed=1)
     assert record["tfmcc_mean_bps"] > 0
 
@@ -203,7 +201,7 @@ def test_chain_topology_runs_traffic_end_to_end():
         topology=ChainSpec(
             hops=(EdgeSpec(bandwidth=2e6, delay=0.005), EdgeSpec(bandwidth=1e6, delay=0.01)),
         ),
-        tfmcc=(TfmccFlowSpec(sender_node="n0", receivers=(ReceiverSpec(node="n2"),)),),
+        flows=(FlowSpec(kind="tfmcc", src="n0", receivers=(ReceiverSpec(node="n2"),)),),
         metrics=MetricsSpec(warmup_fraction=0.3),
     )
     record = run_scenario(spec, seed=4)
@@ -233,7 +231,7 @@ def test_explicit_zero_jitter_is_honoured():
                 EdgeSpec(bandwidth=1e6, delay=0.01, impairment=ImpairmentSpec(jitter=0.0)),
             ),
         ),
-        tfmcc=(TfmccFlowSpec(sender_node="source", receivers=(ReceiverSpec(node="leaf0"),)),),
+        flows=(FlowSpec(kind="tfmcc", src="source", receivers=(ReceiverSpec(node="leaf0"),)),),
     )
     built = build_scenario(spec, seed=1)
     assert built.network.link_between("leaf0", "hub").jitter > 0.0
@@ -245,9 +243,10 @@ def test_join_at_is_honoured_when_sender_starts_late():
         name="late-start-test",
         duration=8.0,
         topology=StarSpec(leaves=(EdgeSpec(bandwidth=1e6, delay=0.01),) * 2),
-        tfmcc=(
-            TfmccFlowSpec(
-                sender_node="source",
+        flows=(
+            FlowSpec(
+                kind="tfmcc",
+                src="source",
                 start=4.0,
                 receivers=(
                     ReceiverSpec(node="leaf0"),
@@ -291,7 +290,7 @@ def test_gilbert_elliott_validation_and_stationary_rate():
     ge = GilbertElliottLoss(p_good_bad=0.02, p_bad_good=0.18)
     assert ge.stationary_loss_rate == pytest.approx(0.1)
     spec = gilbert_elliott_from_burst(loss_rate=0.05, burst_length=10.0)
-    assert spec.stationary_loss_rate == pytest.approx(0.05)
+    assert spec.build().stationary_loss_rate == pytest.approx(0.05)
     with pytest.raises(ValueError):
         gilbert_elliott_from_burst(loss_rate=0.0, burst_length=4.0)
     with pytest.raises(ValueError):
@@ -328,12 +327,12 @@ def test_link_uses_gilbert_elliott_model():
         "b",
         1e6,
         0.01,
-        loss_model_factory=lambda: GilbertElliottLoss(0.05, 0.2),
+        channel_factory=lambda: GilbertElliottLoss(0.05, 0.2),
     )
     net.build_routes()
     forward = net.link_between("a", "b")
     backward = net.link_between("b", "a")
-    assert forward.loss_model is not backward.loss_model  # independent state
+    assert forward.channel is not backward.channel  # independent state
 
     source = CBRSource(sim, "cbr", "b", rate_bps=4e5, packet_size=500)
     sink = TrafficSink(sim, "cbr")

@@ -27,7 +27,6 @@ from hypothesis import strategies as st
 from repro.scenarios import fingerprint_spec, get_scenario, scenario_names
 from repro.scenarios.cache import canonical_json
 from repro.scenarios.spec import (
-    LEGACY_TRAFFIC_FIELDS,
     ChainSpec,
     ChannelSpec,
     CustomSpec,
@@ -58,8 +57,6 @@ def reference_to_dict(spec):
     data = dataclasses.asdict(spec)
     data["topology"] = dataclasses.asdict(spec.topology)
     data["topology"]["kind"] = spec.topology.kind
-    for legacy_field in LEGACY_TRAFFIC_FIELDS:
-        data.pop(legacy_field, None)
     return data
 
 
@@ -174,16 +171,24 @@ tfmcc_params = st.fixed_dictionaries(
         "bias_method": st.sampled_from(["none", "offset", "modified_offset"]),
     },
 )
-flows = st.one_of(
-    st.builds(
+
+
+def tfmcc_flows(params):
+    return st.builds(
         FlowSpec,
         kind=st.just("tfmcc"),
         src=nodes,
         receivers=st.lists(receivers(), max_size=5).map(tuple),
         start=times,
-        params=tfmcc_params,
-    ),
-    st.builds(FlowSpec, kind=st.sampled_from(["tcp-reno", "tfrc"]), src=nodes, dst=nodes),
+        params=params,
+    )
+
+
+def unicast_flows(*kinds):
+    return st.builds(FlowSpec, kind=st.sampled_from(kinds), src=nodes, dst=nodes)
+
+
+background_flows = st.one_of(
     st.builds(
         FlowSpec,
         kind=st.just("cbr"),
@@ -203,6 +208,12 @@ flows = st.one_of(
             optional={"on_time": positive, "off_time": positive, "exponential": st.booleans()},
         ),
     ),
+)
+flows = st.one_of(tfmcc_flows(tfmcc_params), unicast_flows("tcp-reno", "tfrc"), background_flows)
+#: What a spec stored before ``flows`` existed could say: no TFRC, no
+#: per-flow protocol parameters.
+stored_family_flows = st.one_of(
+    tfmcc_flows(st.just({})), unicast_flows("tcp-reno"), background_flows
 )
 events = st.one_of(
     st.builds(
@@ -264,7 +275,7 @@ engines = st.builds(
 
 
 @st.composite
-def scenario_specs(draw):
+def scenario_specs(draw, flows=flows):
     flow_list = draw(st.lists(flows, min_size=1, max_size=4))
     # Every generated spec has a TFMCC flow, so membership events are legal.
     flow_list.insert(0, FlowSpec(kind="tfmcc", src="source", receivers=(draw(receivers()),)))
@@ -286,13 +297,71 @@ def test_generated_specs_encode_like_asdict(spec):
     assert_encodes_like_asdict(spec)
 
 
+# ------------------------------------------- specs stored before ``flows``
+
+_BACKGROUND_DEFAULTS = {"packet_size": 1000, "on_time": 1.0, "off_time": 1.0, "exponential": True}
+
+
+def pre_redesign_dict(spec):
+    """``spec`` as it was stored before ``flows``: one list per traffic family."""
+    data = spec.to_dict()
+    data.update(tfmcc=[], tcp=[], background=[])
+    for flow in data.pop("flows"):
+        timing = {"start": flow["start"], "stop": flow["stop"]}
+        if flow["kind"] == "tfmcc":
+            entry = {"sender_node": flow["src"], "receivers": flow["receivers"]}
+            data["tfmcc"].append({**entry, "name": flow["name"], **timing})
+            continue
+        entry = {"flow_id": flow["name"], "src": flow["src"], "dst": flow["dst"], **timing}
+        if flow["kind"] == "tcp-reno":
+            data["tcp"].append(entry)
+        else:
+            shape = {**_BACKGROUND_DEFAULTS, **flow["params"], "kind": flow["kind"]}
+            data["background"].append({**entry, **shape})
+    return json.loads(json.dumps(data))
+
+
+def as_stored_before_flows(spec):
+    """The ``flows`` form of what :func:`pre_redesign_dict` says.
+
+    Families were built tfmcc, tcp, background, and a background entry always
+    carried its packet size (an on-off one its whole shape).
+    """
+
+    def filled(flow):
+        if flow.kind in ("tfmcc", "tcp-reno"):
+            return flow
+        params = {**_BACKGROUND_DEFAULTS, **flow.params}
+        keys = ("rate_bps", "packet_size") if flow.kind == "cbr" else params
+        return dataclasses.replace(flow, params={key: params[key] for key in keys})
+
+    family = {"tfmcc": 0, "tcp-reno": 1, "cbr": 2, "onoff": 2}
+    flows = sorted(map(filled, spec.flows), key=lambda flow: family[flow.kind])
+    return dataclasses.replace(spec, flows=tuple(flows))
+
+
+@settings(max_examples=100, deadline=None)
+@given(scenario_specs(flows=stored_family_flows))
+def test_pre_redesign_dicts_load_to_the_same_identity(spec):
+    stored = pre_redesign_dict(spec)
+    assert "flows" not in stored
+    loaded, expected = ScenarioSpec.from_dict(stored), as_stored_before_flows(spec)
+    assert loaded == expected
+    assert loaded.to_json() == expected.to_json()
+    assert fingerprint_spec(loaded, 1) == fingerprint_spec(expected, 1)
+    with pytest.raises(ValueError, match="flows.*tfmcc.*tcp.*background"):
+        ScenarioSpec.from_dict({**stored, "flows": spec.to_dict()["flows"]})
+
+
 def test_legacy_field_specs_encode_like_asdict():
-    # Traffic given through the pre-redesign tfmcc=/tcp=/background= fields
-    # appears under "flows" only, as before.
+    # Traffic stored under the pre-redesign tfmcc/tcp/background keys appears
+    # under "flows" only, and a registry scenario's fingerprint is what it was
+    # when its factory went through those fields.
     spec = get_scenario("background-traffic").spec()
-    assert spec.tfmcc and spec.background
-    assert not set(LEGACY_TRAFFIC_FIELDS) & set(spec.to_dict())
-    assert_encodes_like_asdict(spec)
+    loaded = ScenarioSpec.from_dict(pre_redesign_dict(spec))
+    assert loaded == spec
+    assert not {"tfmcc", "tcp", "background"} & set(loaded.to_dict())
+    assert_encodes_like_asdict(loaded)
 
 
 # ------------------------------------------------------- pinned identities
@@ -353,7 +422,7 @@ def test_fingerprint_costs_a_constant_number_of_calls_per_receiver():
     receivers = 2000
     spec = get_scenario("scaling").spec(num_receivers=receivers)
     calls = profiled_calls(lambda: fingerprint_spec(spec, 1))
-    # asdict: 128 (every receiver deep-copied twice, under flows and under tfmcc).
+    # asdict: 128 calls per receiver (it deep-copies each one).
     assert calls < 2 * receivers, f"{calls / receivers:.1f} calls per receiver"
 
 

@@ -204,7 +204,7 @@ def test_cli_show_round_trips(capsys):
 
     spec = ScenarioSpec.from_json(capsys.readouterr().out)
     assert spec.name == "late-join"
-    assert len(spec.tcp) == 3
+    assert len([f for f in spec.flows if f.kind == "tcp-reno"]) == 3
 
 
 def test_cli_run_json_and_out(tmp_path, capsys):

@@ -71,10 +71,10 @@ def test_timeout_recovers_after_blackout():
     sender.start(0.0)
 
     def blackout_on():
-        link.loss_rate = 0.999999
+        link.set_loss_rate(0.999999)
 
     def blackout_off():
-        link.loss_rate = 0.0
+        link.set_loss_rate(0.0)
 
     sim.schedule(5.0, blackout_on)
     sim.schedule(7.0, blackout_off)

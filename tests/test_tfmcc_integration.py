@@ -150,8 +150,8 @@ def test_clr_timeout_promotes_another_receiver():
     session.start(0.0)
 
     def blackhole():
-        fwd.loss_rate = 0.999999
-        bwd.loss_rate = 0.999999
+        fwd.set_loss_rate(0.999999)
+        bwd.set_loss_rate(0.999999)
 
     sim.schedule(40.0, blackhole)
     sim.run(until=40.0)

@@ -76,7 +76,7 @@ def test_tfrc_no_feedback_timer_halves_rate():
     sim.run(until=10.0)
     rate_before = sender.current_rate
     # Cut the feedback path completely.
-    net.link_between("b", "a").loss_rate = 0.999999
+    net.link_between("b", "a").set_loss_rate(0.999999)
     sim.run(until=30.0)
     assert sender.current_rate < rate_before
 
