@@ -140,9 +140,22 @@ def _pruned_topology(topology: Any, used: set) -> Any:
     return topology
 
 
-def _receiver_id(flow_name: str, receivers: Tuple[Any, ...], index: int) -> str:
+def _is_run(receivers: Any) -> bool:
+    """Whether a flow's receivers are one ReceiverRun, not an explicit tuple."""
+    from repro.scenarios.spec import ReceiverRun
+
+    return isinstance(receivers, ReceiverRun)
+
+
+def _receiver_id(flow_name: str, receivers: Any, index: int) -> str:
     """The id the session gives receiver ``index`` of a flow."""
-    return receivers[index].receiver_id or f"{flow_name}-rcv{index}"
+    named = None if _is_run(receivers) else receivers[index].receiver_id
+    return named or f"{flow_name}-rcv{index}"
+
+
+def _node_of(receivers: Any, index: int) -> str:
+    """Node of receiver ``index``; a run names it without building the receiver."""
+    return receivers.node_at(index) if _is_run(receivers) else receivers[index].node
 
 
 @dataclass
@@ -151,7 +164,7 @@ class _CohortPlan:
 
     flow_index: int
     flow_name: str
-    #: Position of every cohort member in the flow's receiver tuple (int array).
+    #: Position of every cohort member among the flow's receivers (int array).
     member_index: Any
 
 
@@ -172,24 +185,30 @@ def _partition_spec(spec: Any, engine: Any) -> Tuple[Any, List[_CohortPlan]]:
             new_flows.append(flow)
             continue
         # Receivers with a membership schedule stay exact, as do the first
-        # tracer_receivers static ones; read off the spec without a Python
-        # frame per receiver.
-        exact = np.fromiter(map(attrgetter("join_at"), receivers), float, count) > 0.0
-        exact |= np.fromiter(
-            map(is_not, map(attrgetter("leave_at"), receivers), repeat(None)), bool, count
-        )
-        static = np.flatnonzero(~exact)
-        member_index = static[engine.tracer_receivers :]
-        if not len(member_index):
-            new_flows.append(flow)
-            continue
-        exact[static[: engine.tracer_receivers]] = True
+        # tracer_receivers static ones.
+        if _is_run(receivers):
+            # Static by definition: the head of the run traces, the rest is cohort.
+            kept_index = range(engine.tracer_receivers)
+            member_index = np.arange(engine.tracer_receivers, count)
+        else:
+            # Read off the spec without a Python frame per receiver.
+            exact = np.fromiter(map(attrgetter("join_at"), receivers), float, count) > 0.0
+            exact |= np.fromiter(
+                map(is_not, map(attrgetter("leave_at"), receivers), repeat(None)), bool, count
+            )
+            static = np.flatnonzero(~exact)
+            member_index = static[engine.tracer_receivers :]
+            if not len(member_index):
+                new_flows.append(flow)
+                continue
+            exact[static[: engine.tracer_receivers]] = True
+            kept_index = np.flatnonzero(exact).tolist()
         # Pin the id the full exact run would have assigned (the session
         # numbers receivers in spec order), so tracer monitor/trace ids
         # match exact-mode records and cannot collide with cohort ids.
         kept = tuple(
             replace(receivers[i], receiver_id=_receiver_id(flow.name, receivers, i))
-            for i in np.flatnonzero(exact).tolist()
+            for i in kept_index
         )
         new_flows.append(replace(flow, receivers=kept))
         plans.append(_CohortPlan(flow_index, flow.name, member_index))
@@ -217,8 +236,8 @@ class _FlowCohort:
         self.sender = session.sender
         self.config = session.config
         self.engine = spec.engine
-        # Members are positions in the flow's receiver tuple; ids and nodes
-        # are read off it for the few members that report.
+        # Members are positions in the flow's receiver sequence; ids and
+        # nodes are read off it for the few members that report.
         self._flow_name = plan.flow_name
         self._receivers = spec.flows[plan.flow_index].receivers
         self._member_index = plan.member_index
@@ -253,7 +272,7 @@ class _FlowCohort:
         anchor_delay = 0.0
         if isinstance(spec.topology, StarSpec):
             star, receivers = spec.topology, self._receivers
-            nodes = [receivers[i].node for i in plan.member_index.tolist()]
+            nodes = [_node_of(receivers, i) for i in plan.member_index.tolist()]
             for i, node in enumerate(nodes):
                 leaf = _star_leaf(star, node)
                 if leaf is not None:
@@ -564,7 +583,7 @@ class _FlowCohort:
         )
         self._feedback_seq += 1
         packet = Packet(
-            src=self._receivers[self._member_index[index]].node,
+            src=_node_of(self._receivers, int(self._member_index[index])),
             dst=self.session.sender_node,
             flow_id=self.session.flow_id,
             size=self.FEEDBACK_PACKET_SIZE,
@@ -656,6 +675,8 @@ def _build_cohort(spec: Any, seed: int = 1, recorder: Optional[Any] = None) -> A
         )
     from repro.scenarios.build import build_scenario
 
+    # Against the full topology: pruning would hide a cohort member's node.
+    spec.check_endpoints()
     reduced, plans = _partition_spec(spec, spec.engine)
     inner = build_scenario(reduced, seed=seed, recorder=recorder)
     built = CohortBuiltScenario(spec=spec, seed=seed, inner=inner)

@@ -34,6 +34,7 @@ from repro.scenarios.spec import (
     EngineSpec,
     MetricsSpec,
     NetworkEventSpec,
+    ReceiverRun,
     ReceiverSpec,
     ScenarioSpec,
     StarSpec,
@@ -74,6 +75,7 @@ __all__ = [
     "MetricsSpec",
     "NetworkEventSpec",
     "Outcome",
+    "ReceiverRun",
     "ReceiverSpec",
     "ResultCache",
     "ResultStore",

@@ -366,6 +366,7 @@ def build_scenario(
     works through the multiprocessing sweep path (the recorder itself stays
     in the worker, the record carries its summary).
     """
+    spec.check_endpoints()
     sim = Simulator(seed=seed)
     network = build_network(sim, spec.topology)
     monitor = ThroughputMonitor(sim, interval=spec.metrics.interval)

@@ -56,6 +56,7 @@ from repro.scenarios.spec import (
     MetricsSpec,
     MobilitySpec,
     NetworkEventSpec,
+    ReceiverRun,
     ReceiverSpec,
     ScenarioSpec,
     StarSpec,
@@ -250,10 +251,7 @@ def scaling_spec(
             FlowSpec(
                 kind="tfmcc",
                 src="src0",
-                # The one factory asked for 10^5 receivers: a list
-                # comprehension and a positional call cost a quarter less
-                # than a generator with a keyword.
-                receivers=tuple([ReceiverSpec(f"dst{i}") for i in range(num_receivers)]),
+                receivers=ReceiverRun("dst{}", num_receivers),
             ),
         ),
         metrics=MetricsSpec(warmup_fraction=warmup_fraction),

@@ -15,11 +15,28 @@ simulation-core split: everything in this module is inert data; the
 
 from __future__ import annotations
 
+import collections.abc
 import copy
 import json
+import re
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from functools import lru_cache, partial
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Type, TypeVar
+from operator import attrgetter
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    Type,
+    TypeVar,
+    Union,
+)
 
 T = TypeVar("T")
 
@@ -36,9 +53,10 @@ def _plain(obj: Any) -> Any:
 
     What ``dataclasses.asdict`` returns, without its deep copies: containers
     are rebuilt (callers mutate the result, which must not reach the frozen
-    spec), tuples stay tuples, atoms are shared.  A spec may hold 10^5
-    receivers, so :class:`ReceiverSpec` is spelt out as one dict literal;
-    a value that is neither spec nor plain JSON data is copied as it is.
+    spec), tuples stay tuples, atoms are shared.  An explicit receiver tuple
+    may be thousands long, so :class:`ReceiverSpec` is spelt out as one dict
+    literal; a value that is neither spec nor plain JSON data is copied as
+    it is.
     """
     cls = type(obj)
     if cls in _ATOMIC_TYPES:
@@ -75,10 +93,15 @@ def _replace_nested(obj: Any, full_key: str, parts: Sequence[str], value: Any) -
     validation); integer path segments index into tuples, string segments
     key into plain mappings (``FlowSpec.params``) — a *leaf* mapping key may
     be new, so overrides can set protocol parameters the spec left at their
-    defaults.  Raises a clear ``ValueError`` naming the full dotted key on
-    any bad segment.
+    defaults.  An integer segment into a :class:`ReceiverRun` expands the
+    run to the tuple it stands for (one receiver of a run cannot differ
+    from the others); a field segment (``receivers.count``) replaces the
+    run's own field.  Raises a clear ``ValueError`` naming the full dotted
+    key on any bad segment.
     """
     head, rest = parts[0], parts[1:]
+    if isinstance(obj, ReceiverRun) and head.isdecimal():
+        obj = tuple(obj)
     if isinstance(obj, tuple):
         try:
             index = int(head)
@@ -308,6 +331,15 @@ class TopologySpec:
         data["kind"] = self.kind
         return data
 
+    def node_families(self) -> Tuple[FrozenSet[str], Dict[str, int]]:
+        """The node names the built network will have, without building it.
+
+        Returns the individually named nodes and, as ``prefix -> count``, the
+        numbered families ``prefix0 .. prefix<count-1>`` — a dumbbell's 10^5
+        ``dst`` nodes are one entry, not 10^5 strings.
+        """
+        return frozenset(n for link in self.extra_links for n in (link.a, link.b)), {}
+
 
 @dataclass(frozen=True)
 class DumbbellSpec(TopologySpec):
@@ -325,6 +357,13 @@ class DumbbellSpec(TopologySpec):
 
     kind = "dumbbell"
 
+    def node_families(self) -> Tuple[FrozenSet[str], Dict[str, int]]:
+        named, _ = super().node_families()
+        return named | {"router_left", "router_right"}, {
+            "src": self.num_left,
+            "dst": self.num_right,
+        }
+
 
 @dataclass(frozen=True)
 class StarSpec(TopologySpec):
@@ -337,6 +376,10 @@ class StarSpec(TopologySpec):
 
     kind = "star"
 
+    def node_families(self) -> Tuple[FrozenSet[str], Dict[str, int]]:
+        named, _ = super().node_families()
+        return named | {"source", "hub"}, {"leaf": len(self.leaves)}
+
 
 @dataclass(frozen=True)
 class ChainSpec(TopologySpec):
@@ -346,6 +389,10 @@ class ChainSpec(TopologySpec):
     jitter: Optional[float] = None
 
     kind = "chain"
+
+    def node_families(self) -> Tuple[FrozenSet[str], Dict[str, int]]:
+        named, _ = super().node_families()
+        return named, {"n": len(self.hops) + 1 if self.hops else 0}
 
 
 @dataclass(frozen=True)
@@ -384,10 +431,9 @@ def topology_from_dict(data: Mapping[str, Any]) -> TopologySpec:
 class ReceiverSpec:
     """One TFMCC receiver: where it sits and when it is a member.
 
-    The one spec class that exists 10^5 times in a spec, so its constructor
-    is written out: the generated frozen ``__init__`` pays one
-    ``object.__setattr__`` per field plus a ``__post_init__`` call, which
-    was most of resolving a 100k-receiver scenario.
+    The one spec class a spec may hold thousands of, so its constructor is
+    written out: the generated frozen ``__init__`` pays one
+    ``object.__setattr__`` per field plus a ``__post_init__`` call.
     """
 
     node: str
@@ -419,6 +465,71 @@ _set_receiver_id = ReceiverSpec.receiver_id.__set__
 _set_join_at = ReceiverSpec.join_at.__set__
 _set_leave_at = ReceiverSpec.leave_at.__set__
 
+_RUN_NODE = re.compile(r"[^{}]*\{\}[^{}]*")
+
+
+@dataclass(frozen=True)
+class ReceiverRun:
+    """``count`` static receivers on consecutively numbered nodes, as one object.
+
+    Stands for ``tuple(ReceiverSpec(node.format(i)) for i in range(first,
+    first + count))`` — members from t=0 to the end, ids assigned by the
+    session — and behaves as that tuple does (length, indexing, slicing,
+    iteration) without holding it, so a 10^5-receiver flow resolves, encodes
+    and hashes as three fields.  It is a spelling of its own: a run and its
+    expansion build the same simulation, but they are different specs with
+    different canonical encodings (a mapping here, a list there) and hence
+    different fingerprints.  Nothing converts one into the other, because
+    recognising a run inside a list is the per-receiver pass this class
+    exists to avoid.
+
+    A virtual :class:`collections.abc.Sequence`: the ABC's ``count`` mixin
+    method would collide with the field.
+    """
+
+    node: str
+    count: int
+    first: int = 0
+
+    def __post_init__(self) -> None:
+        # One bare index field: ``str.format`` would otherwise evaluate
+        # attribute access and format specs taken from a request body.
+        if not (isinstance(self.node, str) and _RUN_NODE.fullmatch(self.node)):
+            raise ValueError(
+                "receivers.node must be a node name with one '{}' index field, "
+                f"got {self.node!r}"
+            )
+        if type(self.count) is not int or self.count < 1:
+            raise ValueError(f"receivers.count must be an int >= 1, got {self.count!r}")
+        if type(self.first) is not int or self.first < 0:
+            raise ValueError(f"receivers.first must be an int >= 0, got {self.first!r}")
+
+    def node_at(self, index: int) -> str:
+        """Node of receiver ``index`` (0-based, unchecked), building no spec."""
+        return self.node.format(self.first + index)
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __getitem__(self, index: Any) -> Any:
+        positions = range(self.count)[index]  # tuple semantics, IndexError included
+        if isinstance(positions, range):
+            return tuple(ReceiverSpec(self.node_at(i)) for i in positions)
+        return ReceiverSpec(self.node_at(positions))
+
+    def __iter__(self) -> Iterator[ReceiverSpec]:
+        return (ReceiverSpec(self.node_at(i)) for i in range(self.count))
+
+    @staticmethod
+    def from_dict(data: Mapping[str, Any]) -> "ReceiverRun":
+        missing = {"node", "count"} - set(data)
+        if missing:
+            raise ValueError(f"receivers run lacks {sorted(missing)}")
+        return _from_mapping(ReceiverRun, data)
+
+
+collections.abc.Sequence.register(ReceiverRun)
+
 
 @dataclass(frozen=True)
 class FlowSpec:
@@ -427,8 +538,10 @@ class FlowSpec:
     The traffic unit of the scenario layer: ``kind`` names a
     protocol registered in :mod:`repro.protocols` (built-ins: ``tfmcc``,
     ``tfrc``, ``tcp-reno``, ``cbr``, ``onoff``), ``src`` is the sending
-    node, and the far end is either a unicast ``dst`` node or a tuple of
-    multicast ``receivers`` — the registered protocol dictates which.
+    node, and the far end is either a unicast ``dst`` node or multicast
+    ``receivers`` — the registered protocol dictates which.  ``receivers``
+    is an explicit tuple of :class:`ReceiverSpec` (any iterable is made
+    one), or a single :class:`ReceiverRun`, which is kept as it is.
 
     ``params`` carries per-flow protocol parameters as plain JSON data
     (TFMCCConfig fields for tfmcc/tfrc, TCP knobs for tcp-reno, source
@@ -443,14 +556,15 @@ class FlowSpec:
     kind: str
     src: str
     dst: Optional[str] = None
-    receivers: Tuple[ReceiverSpec, ...] = ()
+    receivers: Union[Tuple[ReceiverSpec, ...], ReceiverRun] = ()
     name: Optional[str] = None
     start: float = 0.0
     stop: Optional[float] = None
     params: Dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "receivers", tuple(self.receivers))
+        if not isinstance(self.receivers, ReceiverRun):
+            object.__setattr__(self, "receivers", tuple(self.receivers))
         object.__setattr__(self, "params", dict(self.params))
         if self.start < 0:
             raise ValueError(f"flow start must be >= 0, got {self.start}")
@@ -467,9 +581,11 @@ class FlowSpec:
     @staticmethod
     def from_dict(data: Mapping[str, Any]) -> "FlowSpec":
         data = dict(data)
-        receivers = tuple(
-            _from_mapping(ReceiverSpec, r) for r in data.pop("receivers", ())
-        )
+        receivers = data.pop("receivers", ())
+        if isinstance(receivers, Mapping):
+            receivers = ReceiverRun.from_dict(receivers)
+        else:
+            receivers = tuple(_from_mapping(ReceiverSpec, r) for r in receivers)
         params = dict(data.pop("params", None) or {})
         return _from_mapping(FlowSpec, {**data, "receivers": receivers, "params": params})
 
@@ -843,6 +959,10 @@ class EngineSpec:
 
 # -------------------------------------------------------------------- scenario
 
+#: ``<prefix><index>`` with a canonical (no leading zero) decimal index.
+_NUMBERED_NODE = re.compile(r"(.*?)(0|[1-9][0-9]*)")
+_NODE_OF = attrgetter("node")
+
 
 @dataclass(frozen=True)
 class ScenarioSpec:
@@ -879,6 +999,50 @@ class ScenarioSpec:
                 raise ValueError(
                     f"scenario {self.name!r}: {event.kind} event but no TFMCC flow"
                 )
+
+    def check_endpoints(self) -> None:
+        """Raise ``ValueError`` if traffic is placed on a node the topology lacks.
+
+        Run by every engine before it builds: attaching an agent to an
+        unknown name would create an isolated node, and the flow would report
+        0 bit/s (or, in the cohort engine, model receivers that are nowhere)
+        without complaint.  Explicit receiver tuples are checked with set
+        algebra and one C-level regex pass, not a Python call per receiver.
+        """
+        named, numbered = self.topology.node_families()
+
+        def check(owner: str, nodes: set) -> None:
+            nodes = nodes - named
+            matches = filter(None, map(_NUMBERED_NODE.fullmatch, nodes))
+            missing = nodes - {
+                m[0] for m in matches if m[1] in numbered and int(m[2]) < numbered[m[1]]
+            }
+            if missing:
+                raise ValueError(
+                    f"scenario {self.name!r}: {owner} is on node {min(missing)!r}, "
+                    f"which the {self.topology.kind} topology does not define"
+                )
+
+        for flow in self.flows:
+            owner, receivers = f"flow {flow.name!r}", flow.receivers
+            if not isinstance(receivers, ReceiverRun):
+                nodes = set(map(_NODE_OF, receivers))
+            elif receivers.node.endswith("{}") and (
+                receivers.first + receivers.count <= numbered.get(receivers.node[:-2], 0)
+            ):
+                nodes = set()  # the whole run lies inside one numbered family
+            else:
+                # Its ends first: a mistyped run fails before it is spelt out.
+                last = receivers.count - 1
+                check(owner, {receivers.node_at(0), receivers.node_at(last)})
+                nodes = {receivers.node_at(i) for i in range(1, last)}
+            nodes.add(flow.src)
+            if flow.dst is not None:
+                nodes.add(flow.dst)
+            check(owner, nodes)
+        for event in self.dynamics.events:
+            if event.kind == "receiver_join":
+                check(f"the receiver_join event at t={event.at}", {event.node})
 
     # ------------------------------------------------------------ serialisation
 

@@ -32,10 +32,10 @@ import time
 from concurrent.futures import Future
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.scenarios.cache import ResultCache
+from repro.scenarios.cache import ResultCache, fingerprint_spec
 from repro.scenarios.executor import Outcome, RunExecutor
 from repro.scenarios.store import ResultStore
-from repro.scenarios.sweep import failure_record, run_fingerprint
+from repro.scenarios.sweep import failure_record, resolve_spec_cached, run_fingerprint
 from repro.service.jobs import Job, JobJournal, expand_payload
 from repro.telemetry.core import Telemetry
 
@@ -103,7 +103,12 @@ class Scheduler:
         if self._draining:
             raise ServiceDraining("service is draining; not accepting submissions")
         units = expand_payload(payload)
-        fingerprints = [run_fingerprint(unit) for unit in units]
+        specs = [resolve_spec_cached(unit) for unit in units]
+        for spec in specs:
+            # A flow on a node the topology lacks is the submitter's mistake:
+            # refuse it here rather than journal a unit that can only fail.
+            spec.check_endpoints()
+        fingerprints = [fingerprint_spec(spec, unit.seed) for spec, unit in zip(specs, units)]
         with self._lock:
             self._counter += 1
             job = Job(

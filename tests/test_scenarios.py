@@ -19,9 +19,11 @@ from repro.scenarios import (
     GilbertElliottSpec,
     ImpairmentSpec,
     MetricsSpec,
+    ReceiverRun,
     ReceiverSpec,
     ScenarioSpec,
     StarSpec,
+    build_network,
     build_scenario,
     get_scenario,
     run_scenario,
@@ -174,6 +176,68 @@ def test_every_registered_scenario_builds_and_runs():
         assert record["scenario"] == spec.name
         assert record["events"] > 0
         assert record["flows"], spec.name
+
+
+def test_every_topology_spec_names_exactly_the_nodes_it_builds():
+    """``node_families`` is what lets a scenario be refused before it is built."""
+    topologies = {factory.spec().topology for factory in scenarios()}
+    topologies.add(ChainSpec(hops=()))
+    topologies.add(StarSpec(leaves=()))
+    for topology in topologies:
+        named, numbered = topology.node_families()
+        spelt_out = set(named)
+        for prefix, count in numbered.items():
+            spelt_out.update(f"{prefix}{i}" for i in range(count))
+        built = set(build_network(Simulator(seed=1), topology).nodes)
+        assert spelt_out == built, topology.kind
+
+
+@pytest.mark.parametrize("engine", ["exact", "cohort"])
+def test_a_flow_on_a_node_the_topology_lacks_is_refused(engine):
+    if engine == "cohort":
+        pytest.importorskip("numpy")
+
+    def scaling(num_receivers, **overrides):
+        spec = get_scenario("scaling").spec(num_receivers=num_receivers, duration=5.0)
+        return spec.with_overrides(**{"engine.kind": engine, **overrides})
+
+    # Used to run with tfmcc0-rcv2/3 on fresh isolated nodes at 0 bit/s.
+    with pytest.raises(ValueError, match="flow 'tfmcc0' is on node 'dst3'.*dumbbell"):
+        run_scenario(scaling(4, **{"topology.num_right": 2}), seed=1)
+    # The cohort engine prunes unused dst nodes; its members still need theirs.
+    with pytest.raises(ValueError, match="flow 'tfmcc0' is on node 'dst999'"):
+        run_scenario(scaling(1000, **{"topology.num_right": 10}), seed=1)
+    explicit = tuple(ReceiverSpec(f"dst{i}") for i in range(1000))
+    with pytest.raises(ValueError, match="flow 'tfmcc0' is on node 'dst10'"):
+        run_scenario(
+            scaling(1000, **{"topology.num_right": 10, "flows.0.receivers": explicit}), seed=1
+        )
+    for key, node in [
+        ("flows.0.src", "src1"),
+        ("flows.0.receivers.node", "dst0{}"),
+        ("flows.0.receivers.node", "host{}"),
+        ("flows.0.receivers.first", 1),
+    ]:
+        with pytest.raises(ValueError, match="flow 'tfmcc0' is on node"):
+            run_scenario(scaling(4, **{key: node}), seed=1)
+    # A run over individually named nodes (a custom topology) is spelt out.
+    tails = get_scenario("individual-bottlenecks").spec(num_receivers=3, duration=5.0)
+    tails = tails.with_overrides(**{"engine.kind": engine})
+    on_a_run = tails.with_overrides(**{"flows.0.receivers": ReceiverRun("rcv{}", 3)})
+    assert run_scenario(on_a_run, seed=1)["flows"] == run_scenario(tails, seed=1)["flows"]
+    with pytest.raises(ValueError, match="flow 'tfmcc0' is on node 'rcv3'.*custom"):
+        run_scenario(on_a_run.with_overrides(**{"flows.0.receivers.count": 4}), seed=1)
+    fairness = get_scenario("fairness").spec(num_tcp=2, duration=5.0)
+    with pytest.raises(ValueError, match="flow 'tcp1' is on node 'dst01'"):
+        run_scenario(fairness.with_overrides(**{"engine.kind": engine, "flows.1.dst": "dst01"}))
+    churn = get_scenario("receiver_churn").spec()
+    index = next(i for i, e in enumerate(churn.dynamics.events) if e.kind == "receiver_join")
+    with pytest.raises(ValueError, match="receiver_join event at t=.* is on node 'nowhere'"):
+        run_scenario(
+            churn.with_overrides(
+                **{"engine.kind": engine, f"dynamics.events.{index}.node": "nowhere"}
+            )
+        )
 
 
 # ------------------------------------------------------------------ builders

@@ -26,6 +26,7 @@ import pytest
 
 import repro
 from repro import telemetry
+from repro.scenarios import get_scenario
 from repro.scenarios.cache import ResultCache, pure_record
 from repro.scenarios.store import encode_record
 from repro.service import ReproService, ServiceClient, ServiceError
@@ -209,15 +210,30 @@ def test_cancel_mid_run_stops_remaining_units(service, client):
 
 
 def test_malformed_submissions_and_unknown_routes(service, client):
-    for payload in (
-        {},
-        {"scenario": "no-such-scenario"},
-        {"scenario": "fairness", "params": {"bogus": 1}},
-        {"scenario": "fairness", "grid": {"num_tcp": 4}},
+    scaling = get_scenario("scaling").spec(num_receivers=4).to_dict()
+
+    def with_receivers(receivers):
+        return {"spec": {**scaling, "flows": [{**scaling["flows"][0], "receivers": receivers}]}}
+
+    for payload, names in (
+        ({}, ""),
+        ({"scenario": "no-such-scenario"}, ""),
+        ({"scenario": "fairness", "params": {"bogus": 1}}, ""),
+        ({"scenario": "fairness", "grid": {"num_tcp": 4}}, ""),
+        # A receiver run is three outside-supplied fields, one of them a format string.
+        (with_receivers({"node": "dst{}", "count": 1e5}), "receivers.count"),
+        (with_receivers({"node": "dst{}", "count": 4, "first": -1}), "receivers.first"),
+        (with_receivers({"node": "{0.__class__}", "count": 4}), "receivers.node"),
+        (with_receivers({"node": "dst{}", "count": 4, "stride": 2}), "stride"),
+        (with_receivers({"node": "dst{}"}), "count"),
+        ({"scenario": "scaling", "params": {"flows.0.receivers.count": "10"}}, "receivers.count"),
+        # Traffic on a node the topology does not define.
+        (with_receivers({"node": "dst{}", "count": 5}), "node 'dst4'"),
+        ({"scenario": "scaling", "params": {"topology.num_right": 2}}, "node 'dst7'"),
     ):
         status, body = client.request("POST", "/v1/jobs", payload)
         assert status == 400, body
-        assert "invalid submission" in body["error"]
+        assert "invalid submission" in body["error"] and names in body["error"]
     with pytest.raises(ServiceError) as err:
         client.job("j99999")
     assert err.value.status == 404

@@ -11,6 +11,12 @@ three things:
   the last commit that still used ``asdict`` (``tests/data/fingerprints.json``);
 * its cost per receiver, counted in calls (deterministic, unlike wall
   clock), stays a small constant — in the encoder and in the cohort build.
+
+A flow's receivers have two spellings, an explicit tuple and one
+:class:`ReceiverRun`.  The run behaves as the tuple it stands for and builds
+the same simulation, under a canonical encoding and fingerprint of its own;
+the ``scaling`` factory emits it, so the explicit path is exercised here on
+hand-expanded specs.
 """
 
 import cProfile
@@ -24,7 +30,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.scenarios import fingerprint_spec, get_scenario, scenario_names
+from repro.scenarios import (
+    encode_record,
+    fingerprint_spec,
+    get_scenario,
+    run_scenario,
+    scenario_names,
+)
 from repro.scenarios.cache import canonical_json
 from repro.scenarios.spec import (
     ChainSpec,
@@ -41,6 +53,7 @@ from repro.scenarios.spec import (
     MetricsSpec,
     MobilitySpec,
     NetworkEventSpec,
+    ReceiverRun,
     ReceiverSpec,
     ScenarioSpec,
     StarSpec,
@@ -71,6 +84,12 @@ def assert_encodes_like_asdict(spec):
 def registry_variants(name):
     spec = get_scenario(name).spec()
     return {"exact": spec, "cohort": spec.with_overrides(**{"engine.kind": "cohort"})}
+
+
+def expanded(spec):
+    """``spec`` with every receiver run written out as the tuple it stands for."""
+    flows = tuple(dataclasses.replace(f, receivers=tuple(f.receivers)) for f in spec.flows)
+    return dataclasses.replace(spec, flows=flows)
 
 
 # ---------------------------------------------------------------- the oracle
@@ -173,12 +192,21 @@ tfmcc_params = st.fixed_dictionaries(
 )
 
 
-def tfmcc_flows(params):
+receiver_tuples = st.lists(receivers(), max_size=5).map(tuple)
+receiver_runs = st.builds(
+    ReceiverRun,
+    node=st.sampled_from(["dst{}", "leaf{}", "n{}", "récv-{}-b"]),
+    count=st.integers(1, 6),
+    first=st.integers(0, 3),
+)
+
+
+def tfmcc_flows(params, receivers=st.one_of(receiver_tuples, receiver_runs)):
     return st.builds(
         FlowSpec,
         kind=st.just("tfmcc"),
         src=nodes,
-        receivers=st.lists(receivers(), max_size=5).map(tuple),
+        receivers=receivers,
         start=times,
         params=params,
     )
@@ -211,9 +239,9 @@ background_flows = st.one_of(
 )
 flows = st.one_of(tfmcc_flows(tfmcc_params), unicast_flows("tcp-reno", "tfrc"), background_flows)
 #: What a spec stored before ``flows`` existed could say: no TFRC, no
-#: per-flow protocol parameters.
+#: per-flow protocol parameters, no receiver runs.
 stored_family_flows = st.one_of(
-    tfmcc_flows(st.just({})), unicast_flows("tcp-reno"), background_flows
+    tfmcc_flows(st.just({}), receiver_tuples), unicast_flows("tcp-reno"), background_flows
 )
 events = st.one_of(
     st.builds(
@@ -405,6 +433,139 @@ def test_mutating_the_encoded_dict_leaves_the_spec_alone():
     assert wireless.topology.leaves[0].impairment.channel.params["snr_db"] == 13.0
 
 
+# ------------------------------------------- two spellings of ``receivers``
+
+#: ``scaling`` as its factory wrote it before receiver runs existed; a stored
+#: or hand-written expanded spec must keep hashing to these.
+EXPANDED_SCALING_PINS = {
+    "scaling|cohort|1": "681870ceb395afa8",
+    "scaling|cohort|2": "9431337f8dd21dfa",
+    "scaling|exact|1": "923c47ff2a430902",
+    "scaling|exact|2": "b05cff8284282ba8",
+}
+
+
+@pytest.mark.parametrize("count, first", [(1, 0), (5, 0), (4, 7)])
+def test_a_run_behaves_as_the_tuple_it_stands_for(count, first):
+    run = ReceiverRun("dst{}", count, first)
+    explicit = tuple(ReceiverSpec(f"dst{i}") for i in range(first, first + count))
+    assert tuple(run) == explicit and len(run) == count and list(reversed(run)) == list(
+        reversed(explicit)
+    )
+    for index in range(-count, count):
+        assert run[index] == explicit[index]
+    for bounds in [(None, None), (1, None), (None, -1), (1, 3), (None, None, 2), (5, 1), (3, 99)]:
+        assert run[slice(*bounds)] == explicit[slice(*bounds)]
+    for index in (count, -count - 1):
+        with pytest.raises(IndexError):
+            run[index]
+    with pytest.raises(TypeError):
+        run["0"]
+    assert explicit[-1] in run and ReceiverSpec("elsewhere") not in run
+    # Its own spelling: never equal to, nor silently turned into, the tuple.
+    assert run != explicit
+    flow = FlowSpec(kind="tfmcc", src="src0", receivers=run)
+    assert flow.receivers is run
+    assert FlowSpec(kind="tfmcc", src="src0", receivers=list(explicit)).receivers == explicit
+
+
+def test_the_expanded_spelling_keeps_its_fingerprints_and_the_run_has_its_own():
+    with open(PINNED_PATH, encoding="utf-8") as fh:
+        pinned = json.load(fh)
+    for variant, spec in registry_variants("scaling").items():
+        assert isinstance(spec.flows[0].receivers, ReceiverRun)
+        assert spec.to_dict()["flows"][0]["receivers"] == {"node": "dst{}", "count": 8, "first": 0}
+        written_out = expanded(spec)
+        assert isinstance(written_out.to_dict()["flows"][0]["receivers"], tuple)
+        # Stored JSON in either spelling loads to that spelling.
+        assert ScenarioSpec.from_json(written_out.to_json()) == written_out != spec
+        assert ScenarioSpec.from_json(spec.to_json()) == spec
+        for seed in (1, 2):
+            key = f"scaling|{variant}|{seed}"
+            assert fingerprint_spec(written_out, seed) == EXPANDED_SCALING_PINS[key]
+            assert fingerprint_spec(spec, seed) == pinned[key] != EXPANDED_SCALING_PINS[key]
+
+
+@pytest.mark.parametrize("engine", ["exact", "cohort"])
+@pytest.mark.parametrize("num_receivers", [3, 50, 500])
+def test_a_run_and_its_expansion_produce_the_same_record(num_receivers, engine):
+    if engine == "cohort":
+        pytest.importorskip("numpy")
+    spec = get_scenario("scaling").spec(num_receivers=num_receivers, duration=12.0)
+    spec = spec.with_overrides(**{"engine.kind": engine})
+    for seed in (1, 2):
+        record = encode_record(run_scenario(spec, seed=seed))
+        assert record == encode_record(run_scenario(expanded(spec), seed=seed))  # events included
+
+
+def test_an_indexed_override_expands_a_run_and_a_field_override_does_not():
+    spec = get_scenario("scaling").spec(num_receivers=6)
+    late = spec.with_overrides(**{"flows.0.receivers.3.join_at": 5.0})
+    assert late.flows[0].receivers == tuple(
+        ReceiverSpec(f"dst{i}", join_at=5.0 if i == 3 else 0.0) for i in range(6)
+    )
+    fewer = spec.with_overrides(**{"flows.0.receivers.count": 4})
+    assert fewer.flows[0].receivers == ReceiverRun("dst{}", 4)
+    for key, message in [
+        ("flows.0.receivers.6.join_at", "index 6 out of range"),
+        ("flows.0.receivers.-1.join_at", "ReceiverRun has no field '-1'"),
+        ("flows.0.receivers.size", "ReceiverRun has no field 'size'"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            spec.with_overrides(**{key: 1.0})
+
+
+BAD_RUN_FIELDS = [
+    ("count", 0), ("count", -3), ("count", True), ("count", 1e5), ("count", float("nan")),
+    ("count", "10"), ("count", None),
+    ("first", -1), ("first", False), ("first", 2.0), ("first", "0"),
+    ("node", "dst"), ("node", "dst{0}"), ("node", "dst{}{}"), ("node", "{0.__class__}"),
+    ("node", "dst{:>9}"), ("node", "dst{{}}"), ("node", "{}}"), ("node", 7), ("node", None),
+]
+
+
+@pytest.mark.parametrize("field, value", BAD_RUN_FIELDS)
+def test_a_malformed_run_is_a_value_error_naming_the_field(field, value):
+    good = {"node": "dst{}", "count": 4, "first": 0}
+    with pytest.raises(ValueError, match=rf"receivers\.{field}"):
+        ReceiverRun(**{**good, field: value})
+    flow = {"kind": "tfmcc", "src": "src0", "receivers": {**good, field: value}}
+    with pytest.raises(ValueError, match=rf"receivers\.{field}"):
+        FlowSpec.from_dict(flow)
+    spec = get_scenario("scaling").spec(num_receivers=4)
+    with pytest.raises(ValueError, match=rf"receivers\.{field}"):
+        spec.with_overrides(**{f"flows.0.receivers.{field}": value})
+
+
+def test_a_run_mapping_with_unknown_or_missing_keys_is_rejected():
+    flow = {"kind": "tfmcc", "src": "src0"}
+    with pytest.raises(ValueError, match="unknown ReceiverRun fields.*step"):
+        FlowSpec.from_dict({**flow, "receivers": {"node": "dst{}", "count": 2, "step": 2}})
+    with pytest.raises(ValueError, match="receivers run lacks.*count"):
+        FlowSpec.from_dict({**flow, "receivers": {"node": "dst{}"}})
+    with pytest.raises(ValueError, match="receivers run lacks.*count.*node"):
+        FlowSpec.from_dict({**flow, "receivers": {}})
+
+
+def test_a_100k_receiver_cohort_run_builds_almost_no_receiver_objects(monkeypatch):
+    pytest.importorskip("numpy")
+    built = []
+    init = ReceiverSpec.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ReceiverSpec, "__init__", counting_init)
+    spec = get_scenario("scaling").spec(num_receivers=100_000, duration=60.0)
+    spec = spec.with_overrides(**{"engine.kind": "cohort"})
+    fingerprint_spec(spec, 1)
+    record = run_scenario(spec, seed=1)
+    assert record["engine"]["receivers_cohort"] == 99_998
+    assert sum(c["reports"] for c in record["engine"]["cohorts"]) > 0
+    assert len(built) < 100, f"{len(built)} ReceiverSpec objects for one run"
+
+
 # ------------------------------------------------------ guards against regrowth
 
 
@@ -420,7 +581,7 @@ def profiled_calls(function):
 
 def test_fingerprint_costs_a_constant_number_of_calls_per_receiver():
     receivers = 2000
-    spec = get_scenario("scaling").spec(num_receivers=receivers)
+    spec = expanded(get_scenario("scaling").spec(num_receivers=receivers))
     calls = profiled_calls(lambda: fingerprint_spec(spec, 1))
     # asdict: 128 calls per receiver (it deep-copies each one).
     assert calls < 2 * receivers, f"{calls / receivers:.1f} calls per receiver"
@@ -431,7 +592,7 @@ def test_cohort_build_makes_no_call_per_member():
     from repro.engines import get_engine
 
     members = 20_000
-    spec = get_scenario("scaling").spec(num_receivers=members + 2)
+    spec = expanded(get_scenario("scaling").spec(num_receivers=members + 2))
     spec = spec.with_overrides(**{"engine.kind": "cohort"})
     factory = get_engine("cohort")
     factory.check_available()

@@ -26,6 +26,7 @@ import pytest
 import repro
 from repro.cli import main as cli_main
 from repro.scenarios import (
+    ReceiverSpec,
     ResultCache,
     ResultStore,
     SweepManifest,
@@ -83,7 +84,9 @@ def test_fingerprint_spec_equals_the_fingerprint_of_its_dict():
     longer = spec.with_overrides(duration=9.0)
     assert fingerprint_spec(longer, 7) == fingerprint(longer.to_dict(), 7) != canonical
     # A large spec is not made to carry megabytes of JSON around.
+    explicit = tuple(ReceiverSpec(f"dst{i}") for i in range(2000))
     large = get_scenario("scaling").spec(num_receivers=2000)
+    large = large.with_overrides(**{"flows.0.receivers": explicit})
     assert fingerprint_spec(large, 7) == fingerprint(large.to_dict(), 7)
     assert "_canonical_json" in vars(spec) and "_canonical_json" not in vars(large)
 
