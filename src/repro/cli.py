@@ -57,8 +57,6 @@ from typing import Any, Dict, List, Optional, Sequence
 
 import os
 
-from repro.bench import DEFAULT_OUT_DIR as BENCH_OUT_DIR, DEFAULT_THRESHOLD as BENCH_THRESHOLD
-
 # Mirrors repro.report.runner.DEFAULT_OUT_DIR; the report package (and the
 # numpy its analysis models need) is imported lazily in cmd_report so the
 # rest of the CLI keeps its stdlib-only footprint.
@@ -467,38 +465,6 @@ def cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    from repro import bench
-
-    if args.list:
-        for name in sorted(bench.WORKLOADS):
-            print(name)
-        return 0
-    # Validate up front rather than catching KeyError around the whole run,
-    # which would also mask KeyErrors raised by bugs inside the workloads.
-    unknown = [name for name in (args.workload or []) if name not in bench.WORKLOADS]
-    if unknown:
-        print(
-            f"error: unknown workload(s) {unknown}; available: "
-            f"{', '.join(sorted(bench.WORKLOADS))}",
-            file=sys.stderr,
-        )
-        return 2
-    _results, failures = bench.run_bench(
-        names=args.workload or None,
-        quick=args.quick,
-        out_dir=args.out,
-        baseline_dir=args.baseline,
-        check=args.check,
-        threshold=args.threshold,
-    )
-    if failures:
-        for failure in failures:
-            print(f"bench check failed: {failure}", file=sys.stderr)
-        return 1
-    return 0
-
-
 def cmd_serve(args: argparse.Namespace) -> int:
     from repro.service.server import ReproService
 
@@ -879,40 +845,6 @@ def build_parser() -> argparse.ArgumentParser:
         "figure runs already cached skip simulation",
     )
     p_report.set_defaults(func=cmd_report)
-
-    p_bench = sub.add_parser(
-        "bench", help="run pinned-seed performance benchmarks (BENCH_*.json)"
-    )
-    p_bench.add_argument(
-        "workload", nargs="*", help="workload names (default: all; see --list)"
-    )
-    p_bench.add_argument("--list", action="store_true", help="list available workloads")
-    p_bench.add_argument(
-        "--quick", action="store_true", help="short CI-sized variants of each workload"
-    )
-    p_bench.add_argument(
-        "--check",
-        action="store_true",
-        help="fail (exit 1) on a wall-time regression against the committed baseline",
-    )
-    p_bench.add_argument(
-        "--out",
-        default=BENCH_OUT_DIR,
-        help=f"directory for BENCH_<name>.json (default {BENCH_OUT_DIR})",
-    )
-    p_bench.add_argument(
-        "--baseline",
-        default=None,
-        help="baseline directory (default benchmarks/perf/baseline/<quick|full>)",
-    )
-    p_bench.add_argument(
-        "--threshold",
-        type=float,
-        default=BENCH_THRESHOLD,
-        help="allowed fractional speed (1 / wall_s) drop before --check fails "
-        f"(default {BENCH_THRESHOLD})",
-    )
-    p_bench.set_defaults(func=cmd_bench)
 
     # ------------------------------------------------------------- service
 

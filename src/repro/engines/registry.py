@@ -6,7 +6,7 @@ layer dispatches on :attr:`ScenarioSpec.engine.kind` through
 :func:`get_engine`.  An engine's ``build`` callable materialises a spec into
 a ready-to-run object with the same duck-typed surface as
 :class:`~repro.scenarios.build.BuiltScenario` — ``.run()``, ``.collect()``
-and ``.sim`` — so callers (the run/sweep path, the bench harness, tests)
+and ``.sim`` — so callers (the run/sweep path, the ledger, tests)
 never care which backend executes a scenario.
 
 This module stays import-light on purpose: it is pulled in by

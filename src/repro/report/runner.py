@@ -187,8 +187,8 @@ def run_report(
     ``check`` is set (always empty otherwise, so callers can use it as the
     exit-status signal).  ``cache`` names a shared
     :class:`~repro.scenarios.cache.ResultCache` JSONL file: figure runs
-    whose spec fingerprint is already cached (by an earlier report, a
-    sweep or a bench) skip simulation, and fresh runs are inserted.
+    whose spec fingerprint is already cached (by an earlier report or a
+    sweep) skip simulation, and fresh runs are inserted.
     """
     log = log if log is not None else (lambda msg: print(msg, file=sys.stderr))
     names = list(figures) if figures else figure_names()

@@ -1,4 +1,4 @@
-"""Spec-fingerprint result cache shared by run, sweep, report and bench.
+"""Spec-fingerprint result cache shared by run, sweep, report and the service.
 
 A simulation record is a pure function of ``(spec, seed)``: the scenario
 spec is rebuilt from its canonical dict form inside every worker and the
@@ -11,7 +11,7 @@ records — the record exactly as ``run_scenario`` produced it, before any
 run-specific provenance (index, grid params, scenario name) is attached.
 
 Because the cached payload carries no provenance, a record computed by a
-sweep can be reused by a report figure, a bench workload or a one-off
+sweep can be reused by a report figure, a service job or a one-off
 ``repro run`` (and vice versa) as long as spec and seed match: the caller
 re-stamps its own ``run`` block, so the reconstructed record is
 byte-identical to what a fresh simulation would have written.
@@ -90,7 +90,7 @@ class ResultCache:
     :attr:`misses` so callers can report cache effectiveness.
 
     The cache is safe to share across sequential invocations (warm re-runs)
-    and across the run/sweep/report/bench entry points.  Concurrent access
+    and across the run/sweep/report/serve entry points.  Concurrent access
     is coordinated on two levels: a ``threading.Lock`` serialises the
     in-memory index against the service daemon's handler threads, and index
     appends take an advisory ``flock`` on a sibling ``<path>.lock`` file so

@@ -92,7 +92,12 @@ class ScenarioFactory:
 
     def spec(self, **params: Any) -> ScenarioSpec:
         self.validate_params(params)
-        return self.build(**params)
+        try:
+            return self.build(**params)
+        except TypeError as exc:
+            # A builder doing arithmetic on a mistyped value (duration="10")
+            # before the spec's own checks see it: a bad parameter, not a crash.
+            raise ValueError(f"scenario {self.name!r}: bad parameter value ({exc})") from exc
 
 
 _REGISTRY: Dict[str, ScenarioFactory] = {}

@@ -18,6 +18,7 @@ from __future__ import annotations
 import collections.abc
 import copy
 import json
+import math
 import re
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from functools import lru_cache, partial
@@ -566,9 +567,11 @@ class FlowSpec:
         if not isinstance(self.receivers, ReceiverRun):
             object.__setattr__(self, "receivers", tuple(self.receivers))
         object.__setattr__(self, "params", dict(self.params))
-        if self.start < 0:
+        # ``not >=`` rather than ``<``: NaN fails every comparison, and an
+        # event scheduled at NaN fires at an arbitrary point with ``now = nan``.
+        if not self.start >= 0:
             raise ValueError(f"flow start must be >= 0, got {self.start}")
-        if self.stop is not None and self.stop <= self.start:
+        if self.stop is not None and not self.stop > self.start:
             raise ValueError(
                 f"flow stop ({self.stop}) must be after start ({self.start})"
             )
@@ -678,7 +681,7 @@ class NetworkEventSpec:
     receiver_id: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.at < 0:
+        if not self.at >= 0:  # also refuses NaN, which no heap can order
             raise ValueError(f"event time must be >= 0, got {self.at}")
         if self.kind not in EVENT_KINDS:
             raise ValueError(
@@ -983,8 +986,16 @@ class ScenarioSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "flows", _canonicalise_flow_names(self.flows))
-        if self.duration <= 0:
-            raise ValueError("duration must be positive")
+        # One check for every way in (constructor, from_dict, overrides, --set,
+        # the service): the run loop ends on ``time >= duration``, which a NaN
+        # or infinite duration never satisfies.
+        duration = self.duration
+        if (
+            isinstance(duration, bool)
+            or not isinstance(duration, (int, float))
+            or not 0 < duration < math.inf
+        ):
+            raise ValueError(f"duration must be a positive finite number, got {duration!r}")
         if not self.flows:
             raise ValueError(f"scenario {self.name!r} defines no traffic")
         for event in self.dynamics.events:

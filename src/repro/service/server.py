@@ -315,7 +315,7 @@ class ServiceUnixServer(ServiceTCPServer):
 class ReproService:
     """Scheduler plus HTTP transport plus lifecycle (drain on signal).
 
-    ``start()`` runs the server in a background thread (tests, bench);
+    ``start()`` runs the server in a background thread (tests, the ledger);
     ``run()`` blocks until SIGTERM/SIGINT or an admin drain, then shuts
     down gracefully: refuse new submissions with 503, let in-flight
     simulations finish, checkpoint the journal, close the sockets.

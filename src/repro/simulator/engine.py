@@ -20,6 +20,9 @@ Hot-path design notes
   inner batch: the ``until`` comparison and the ``now`` write are per
   distinct time, not per event (packet bursts, simultaneous feedback and
   cohort steps frequently collide on one timestamp).
+* There is one run loop.  Telemetry does not branch inside it: when a sink
+  is attached, the loop's hoisted ``pop`` is a probe that pops and reads
+  (:func:`_run_probe`); otherwise it is ``heappop`` itself.
 * :meth:`Simulator.reschedule` (and its absolute-time form
   :meth:`Simulator.reschedule_at`) is a fast path for the dominant
   recurring-timer pattern (media senders, CBR sources, link drains): when
@@ -46,7 +49,7 @@ from repro.telemetry import active as _telemetry_active
 #: considered; below this the dead tuples are cheaper than a rebuild.
 _COMPACT_MIN_DEAD = 64
 
-#: Memoised callback -> event-category name map shared by instrumented runs.
+#: Memoised callback -> event-category name map shared by telemetry-enabled runs.
 #: Bounded defensively: scenario callbacks are a small fixed set of bound
 #: methods, but ad-hoc lambdas in tests could otherwise grow it forever.
 _CATEGORY_MEMO: Dict[Any, str] = {}
@@ -66,6 +69,55 @@ def _category_name(func: Any) -> str:
             _CATEGORY_MEMO.clear()
         _CATEGORY_MEMO[func] = name
     return name
+
+
+def _run_probe(tel: Any, sim: "Simulator") -> Tuple[Callable[[list], None], Callable[[], None]]:
+    """Telemetry's view of one ``run()`` call: ``(pop, finish)``.
+
+    ``pop`` stands in for ``heappop`` in the run loop and reads what it pops
+    (per-callback event counts, same-timestamp batch sizes, heap peak);
+    ``finish`` emits them with the wall-clock accounting.  Pure reads, so a
+    telemetry-enabled run produces byte-identical records.
+    """
+    counts: Dict[Any, int] = {}
+    batch = 0
+    batch_time = None
+    heap_peak = len(sim._queue)
+    start_now = sim.now
+    observe = tel.observe
+    wall_start = perf_counter()
+
+    def pop(queue: list) -> None:
+        nonlocal batch, batch_time, heap_peak
+        time, _seq, handle = heappop(queue)
+        if handle.cancelled:
+            return
+        callback = handle.callback
+        func = getattr(callback, "__func__", callback)
+        counts[func] = counts.get(func, 0) + 1
+        if time == batch_time:
+            batch += 1
+            return
+        if batch:
+            observe("engine.batch_size", batch)
+        batch = 1
+        batch_time = time
+        if len(queue) >= heap_peak:
+            heap_peak = len(queue) + 1
+
+    def finish() -> None:
+        wall = perf_counter() - wall_start
+        if batch:
+            observe("engine.batch_size", batch)
+        for func, n in counts.items():
+            tel.inc("engine.events", n, category=_category_name(func))
+        tel.gauge_max("engine.heap_peak", max(heap_peak, len(sim._queue)))
+        tel.timing("engine.run", wall)
+        sim_elapsed = sim.now - start_now
+        if sim_elapsed > 0:
+            tel.timing("engine.wall_per_sim_s", wall / sim_elapsed)
+
+    return pop, finish
 
 
 class SimulationError(RuntimeError):
@@ -151,8 +203,9 @@ class Simulator:
         self.reschedule_fast_hits = 0
         #: Telemetry sink captured at construction time: the per-run scope
         #: opened by ``run_scenario`` when ``REPRO_TELEMETRY`` is set, else
-        #: None.  ``run()`` keeps the original uninstrumented loop whenever
-        #: this is None, so the disabled cost is one check per run() call.
+        #: None.  ``run()`` pops through a reading probe when it is set and
+        #: through bare ``heappop`` when it is None, so the disabled cost is
+        #: one check per run() call.
         self.telemetry = _telemetry_active()
 
     # ------------------------------------------------------------ identifiers
@@ -310,13 +363,14 @@ class Simulator:
         float
             The simulation time when the loop stopped.
         """
-        if self.telemetry is not None:
-            return self._run_instrumented(until, max_events)
         if self._running:
             raise SimulationError("simulator is already running")
         self._running = True
         self._stopped = False
-        pop = heappop  # hoisted: dominant call of the loop
+        # Hoisted: dominant call of the loop.  Telemetry swaps in a probe
+        # that pops and reads; the loop itself is the same either way.
+        tel = self.telemetry
+        pop, finish = (heappop, None) if tel is None else _run_probe(tel, self)
         queue = self._queue
         limit = max_events if max_events is not None else float("inf")
         processed = 0
@@ -359,77 +413,6 @@ class Simulator:
         finally:
             self._running = False
             self.events_processed += processed
-        return self.now
-
-    def _run_instrumented(self, until: Optional[float], max_events: Optional[int]) -> float:
-        """Telemetry-enabled twin of :meth:`run`.
-
-        Kept in lockstep with the plain loop above: identical pop order,
-        ``until``/``max_events``/``stop()`` semantics and ``now`` advancement.
-        The only additions are pure reads — per-callback event counts,
-        same-timestamp batch sizes, heap peak and wall-clock accounting —
-        so an instrumented run produces byte-identical records.
-        """
-        tel = self.telemetry
-        if self._running:
-            raise SimulationError("simulator is already running")
-        self._running = True
-        self._stopped = False
-        pop = heappop
-        queue = self._queue
-        limit = max_events if max_events is not None else float("inf")
-        processed = 0
-        counts: Dict[Any, int] = {}
-        heap_peak = len(queue)
-        start_now = self.now
-        wall_start = perf_counter()
-        try:
-            while queue and not self._stopped:
-                if len(queue) > heap_peak:
-                    heap_peak = len(queue)
-                time, _seq, handle = queue[0]
-                if handle.cancelled:
-                    pop(queue)
-                    self._dead -= 1
-                    continue
-                if until is not None and time >= until:
-                    self.now = until
-                    break
-                self.now = time
-                batch = 0
-                while True:
-                    pop(queue)
-                    handle.fired = True
-                    callback = handle.callback
-                    func = getattr(callback, "__func__", callback)
-                    counts[func] = counts.get(func, 0) + 1
-                    callback(*handle.args)
-                    processed += 1
-                    batch += 1
-                    queue = self._queue
-                    if processed >= limit or self._stopped:
-                        break
-                    while queue and queue[0][2].cancelled:
-                        pop(queue)
-                        self._dead -= 1
-                    if not queue or queue[0][0] != time:
-                        break
-                    handle = queue[0][2]
-                tel.observe("engine.batch_size", batch)
-                if processed >= limit:
-                    break
-            else:
-                if until is not None and not self._stopped:
-                    self.now = max(self.now, until)
-        finally:
-            self._running = False
-            self.events_processed += processed
-            wall = perf_counter() - wall_start
-            for func, n in counts.items():
-                tel.inc("engine.events", n, category=_category_name(func))
-            tel.gauge_max("engine.heap_peak", heap_peak)
-            tel.timing("engine.run", wall)
-            sim_elapsed = self.now - start_now
-            if sim_elapsed > 0:
-                tel.timing("engine.wall_per_sim_s", wall / sim_elapsed)
+            if finish is not None:
+                finish()
         return self.now

@@ -282,6 +282,23 @@ def test_one_spelling_for_traffic_and_for_link_loss():
     assert [name for name, text in sorted(package_sources().items()) if gone.search(text)] == []
 
 
+def test_one_ruler_and_one_event_loop(capsys):
+    """Performance is measured by the ledger (``benchmarks/ledger``) alone:
+    the ``repro bench`` harness, its absolute-seconds baselines and the
+    engine's hand-synchronised instrumented loop are gone."""
+    from repro.cli import main
+    from repro.simulator.engine import Simulator
+
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module(repro.__name__ + ".bench")
+    with pytest.raises(SystemExit) as exit_info:
+        main(["bench"])
+    assert exit_info.value.code == 2 and "invalid choice: 'bench'" in capsys.readouterr().err
+    gone = re.compile(r"BENCH_|perf/baseline")
+    assert [name for name, text in sorted(package_sources().items()) if gone.search(text)] == []
+    assert not hasattr(Simulator, "_run_instrumented")
+
+
 def test_execution_machinery_exists_exactly_once():
     """One pool, one dead-worker handler, one place that builds ``run`` blocks."""
     sources = package_sources()

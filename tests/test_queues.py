@@ -4,6 +4,9 @@ import random
 
 import pytest
 
+from repro.simulator.engine import Simulator
+from repro.simulator.link import Link
+from repro.simulator.node import Node
 from repro.simulator.packet import Packet
 from repro.simulator.queues import DropTailQueue, REDQueue
 
@@ -90,3 +93,24 @@ class TestRED:
             q.enqueue(make_packet(i), now=0.0)
         out = [q.dequeue().seq for _ in range(5)]
         assert out == sorted(out)
+
+    def test_without_rng_raises_clear_error(self):
+        q = REDQueue(limit=10, min_th=0.5, max_th=1.0)
+        # Drive the average over min_th (keep the queue non-full by dequeuing)
+        # so a probabilistic drop decision is eventually needed.
+        for seq in range(5000):
+            try:
+                q.enqueue(make_packet(seq), now=seq * 0.001)
+            except RuntimeError as exc:
+                assert "bind_rng" in str(exc)
+                break
+            if len(q) >= 5:
+                q.dequeue()
+        else:
+            pytest.fail("REDQueue never hit the probabilistic path without an RNG")
+
+    def test_link_binds_rng_automatically(self):
+        sim = Simulator(seed=1)
+        a, b = Node(sim, "a"), Node(sim, "b")
+        link = Link(sim, a, b, bandwidth=1e6, delay=0.001, queue=REDQueue(limit=10))
+        assert link.queue._rng is sim.rng

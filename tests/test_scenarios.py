@@ -6,6 +6,7 @@ registry, and the Gilbert-Elliott loss model / background sources the
 scenarios rely on.
 """
 
+import json
 import random
 
 import pytest
@@ -96,6 +97,43 @@ def test_spec_validation():
         ScenarioSpec.from_dict(
             {"name": "x", "duration": 1.0, "topology": {"kind": "moebius"}}
         )
+
+
+@pytest.mark.parametrize(
+    "duration", [float("nan"), float("inf"), float("-inf"), True, "10"], ids=repr
+)
+def test_a_duration_that_never_ends_the_run_loop_is_refused(duration, capsys):
+    """``time >= NaN`` is never true and ``inf`` is never reached, so the spec
+    refuses them (and non-numbers) on every way in, naming the field."""
+    from repro.cli import main
+
+    match = "duration must be a positive finite number"
+    spec = get_scenario("fairness").spec(num_tcp=2)
+    with pytest.raises(ValueError, match=match):
+        ScenarioSpec(name="x", duration=duration, topology=spec.topology, flows=spec.flows)
+    with pytest.raises(ValueError, match=match):
+        ScenarioSpec.from_dict({**spec.to_dict(), "duration": duration})
+    with pytest.raises(ValueError, match=match):
+        spec.with_overrides(duration=duration)
+    with pytest.raises(ValueError, match=match):
+        get_scenario("fairness").spec(duration=duration)
+    with pytest.raises(ValueError, match="duration|bad parameter"):
+        get_scenario("receiver_churn").spec(duration=duration)  # does arithmetic first
+    assert main(["run", "fairness", "--set", f"duration={json.dumps(duration)}"]) == 2
+    assert match in capsys.readouterr().err
+
+
+def test_a_nan_event_time_is_refused():
+    """A heap cannot order NaN: the event would fire at an arbitrary point
+    (measured: before t = 0) with ``now = nan``."""
+    nan = float("nan")
+    spec = get_scenario("bandwidth_step").spec()
+    with pytest.raises(ValueError, match="event time"):
+        spec.with_overrides(**{"dynamics.events.0.at": nan})
+    with pytest.raises(ValueError, match="flow start"):
+        spec.with_overrides(**{"flows.0.start": nan})
+    with pytest.raises(ValueError, match="flow stop"):
+        spec.with_overrides(**{"flows.0.stop": nan})
 
 
 def test_receiver_spec_rejects_leave_before_join():

@@ -230,10 +230,17 @@ def test_malformed_submissions_and_unknown_routes(service, client):
         # Traffic on a node the topology does not define.
         (with_receivers({"node": "dst{}", "count": 5}), "node 'dst4'"),
         ({"scenario": "scaling", "params": {"topology.num_right": 2}}, "node 'dst7'"),
+        # json.loads takes NaN and Infinity; a run of that length never ends.
+        ({"scenario": "fairness", "params": {"duration": float("nan")}}, "duration"),
+        ({"spec": {**scaling, "duration": float("inf")}}, "duration"),
     ):
         status, body = client.request("POST", "/v1/jobs", payload)
         assert status == 400, body
         assert "invalid submission" in body["error"] and names in body["error"]
+    # Nothing refused was journalled or reached a worker: a valid job completes.
+    assert client.jobs() == []
+    job = client.submit(tiny_payload(seed=50))
+    assert client.wait(job["id"], timeout=120)["state"] == "done"
     with pytest.raises(ServiceError) as err:
         client.job("j99999")
     assert err.value.status == 404

@@ -409,18 +409,3 @@ def test_cohort_engine_telemetry_counters():
     assert counters["cohort.steps"] > 0
     assert snap["gauges"]["cohort.receivers"] > 0
     assert "cohort.step" in snap["spans"]
-
-
-# -------------------------------------------------------------------- bench
-
-
-def test_bench_counters_and_delta_notes():
-    from repro.bench import compare_to_baseline, run_workload
-
-    result = run_workload("engine_churn", quick=True)
-    assert set(result["counters"]) == {"compactions", "reschedule_fast_hits"}
-    baseline = json.loads(json.dumps(result))
-    baseline["counters"]["compactions"] += 5
-    ok, message = compare_to_baseline(result, baseline)
-    assert ok
-    assert "counter compactions changed" in message
