@@ -104,24 +104,27 @@ def expected_feedback_messages(
     if n == 1:
         return 1.0
 
-    def cdf(t: float) -> float:
-        return feedback_cdf(t, big_t, big_n)
-
-    # The timer distribution has an atom at zero: P(t = 0) = 1/N... handled
-    # by integrating the survival form below on a fine grid including zero.
+    # The timer distribution has an atom at zero, P(t = 0) = 1/N: such a
+    # receiver always responds (nothing can have been echoed before time
+    # zero), so the sum starts from it.
+    #
+    # The loop spells out ``feedback_cdf(t, big_t, big_n)`` for its two
+    # arguments, ``t`` and ``t - tau`` (both positive here) — same operations,
+    # same bits, without two calls per step for a few thousand steps per point.
     steps = integration_steps
     dt = big_t / steps
-    total = 0.0
-    prev_cdf = cdf(0.0)  # includes the atom at zero
-    # Atom at t = 0 (probability 1/N): such a receiver always responds
-    # (nothing can have been echoed before time zero).
-    total += prev_cdf
+    prev_cdf = big_n ** -1.0  # feedback_cdf at t = 0
+    total = prev_cdf
     for i in range(1, steps + 1):
         t = i * dt
-        current_cdf = cdf(t)
-        density_mass = current_cdf - prev_cdf  # P(t_i in this slice)
-        survival = (1.0 - cdf(t - tau)) ** (n - 1) if t - tau > 0 else 1.0
-        total += density_mass * survival
+        current_cdf = 1.0 if t >= big_t else big_n ** (t / big_t - 1.0)
+        survival = 1.0
+        earlier = t - tau
+        if earlier > 0:
+            below = 1.0 if earlier >= big_t else big_n ** (earlier / big_t - 1.0)
+            survival = (1.0 - below) ** (n - 1)
+        # P(t_i in this slice) x P(nothing fired more than tau before it)
+        total += (current_cdf - prev_cdf) * survival
         prev_cdf = current_cdf
     return n * total
 

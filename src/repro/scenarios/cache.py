@@ -19,7 +19,6 @@ byte-identical to what a fresh simulation would have written.
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import json
 import os
@@ -81,13 +80,25 @@ def pure_record(record: Mapping[str, Any]) -> Dict[str, Any]:
     return {k: v for k, v in record.items() if k != "run"}
 
 
+def _line_head(key: str) -> str:
+    # An index line up to its record, spelt out so that the record is encoded
+    # once: head + canonical_json(record) + "}" equals
+    # canonical_json({"fingerprint": key, "record": record}).
+    return '{"fingerprint":%s,"record":' % canonical_json(key)
+
+
 class ResultCache:
     """Append-only JSONL index of pure records keyed by spec fingerprint.
 
     Each line is ``{"fingerprint": <hash>, "record": <pure record>}``.  The
     file is loaded lazily into an in-memory index on first access; ``put``
-    appends to both.  Lookups and insertions count into :attr:`hits` and
-    :attr:`misses` so callers can report cache effectiveness.
+    appends to both.  The index keeps each record as its canonical JSON
+    text — the bytes on disk — and every ``get`` decodes a fresh object
+    from it, so callers can never reach the index through a result and an
+    entry reads the same (tuples as lists, keys as strings) whether it was
+    put by this process or loaded from the file.  Lookups and insertions
+    count into :attr:`hits` and :attr:`misses` so callers can report cache
+    effectiveness.
 
     The cache is safe to share across sequential invocations (warm re-runs)
     and across the run/sweep/report/serve entry points.  Concurrent access
@@ -103,7 +114,7 @@ class ResultCache:
 
     def __init__(self, path: str):
         self.path = path
-        self._index: Optional[Dict[str, Dict[str, Any]]] = None
+        self._index: Optional[Dict[str, str]] = None
         self.hits = 0
         self.misses = 0
         self._mutex = threading.Lock()
@@ -128,9 +139,9 @@ class ResultCache:
 
     # ------------------------------------------------------------- loading
 
-    def _load(self) -> Dict[str, Dict[str, Any]]:
+    def _load(self) -> Dict[str, str]:
         if self._index is None:
-            index: Dict[str, Dict[str, Any]] = {}
+            index: Dict[str, str] = {}
             if os.path.exists(self.path):
                 with open(self.path, "r", encoding="utf-8") as fh:
                     for line in fh:
@@ -141,8 +152,14 @@ class ResultCache:
                             entry = json.loads(line)
                         except json.JSONDecodeError:
                             continue  # truncated trailing write; skip
-                        if isinstance(entry, dict) and "fingerprint" in entry:
-                            index[entry["fingerprint"]] = entry["record"]
+                        if not isinstance(entry, dict) or "fingerprint" not in entry:
+                            continue
+                        key = entry["fingerprint"]
+                        head = _line_head(key)
+                        if len(entry) == 2 and line.startswith(head) and line[-1] == "}":
+                            index[key] = line[len(head) : -1]  # as ``put`` wrote it
+                        else:
+                            index[key] = canonical_json(entry["record"])
             self._index = index
         return self._index
 
@@ -151,16 +168,18 @@ class ResultCache:
     def get(self, key: str) -> Optional[Dict[str, Any]]:
         """The pure record cached under ``key``, or None.
 
-        Returns a deep copy: callers stamp their own ``run`` provenance into
-        the result, which must not leak back into the index.
+        Returns a fresh decode of the stored text: callers stamp their own
+        ``run`` provenance into the result, which cannot leak back into the
+        index.  Decoding happens outside the mutex, so concurrent hits do
+        not wait for one another.
         """
         with self._mutex:
-            record = self._load().get(key)
-            if record is None:
+            text = self._load().get(key)
+            if text is None:
                 self.misses += 1
                 return None
             self.hits += 1
-            return copy.deepcopy(record)
+        return json.loads(text)
 
     def put(self, key: str, record: Mapping[str, Any]) -> bool:
         """Cache ``record`` (provenance stripped) under ``key``.
@@ -173,8 +192,8 @@ class ResultCache:
             index = self._load()
             if key in index:
                 return False
-            entry = pure_record(record)
-            index[key] = copy.deepcopy(entry)
+            text = canonical_json(pure_record(record))
+            index[key] = text
             directory = os.path.dirname(os.path.abspath(self.path))
             os.makedirs(directory, exist_ok=True)
             # The flock serialises appends across processes; the single
@@ -182,9 +201,7 @@ class ResultCache:
             # if this process dies mid-append (readers skip a torn tail).
             with self._file_lock():
                 with open(self.path, "a", encoding="utf-8") as fh:
-                    fh.write(
-                        canonical_json({"fingerprint": key, "record": entry}) + "\n"
-                    )
+                    fh.write(_line_head(key) + text + "}\n")
         return True
 
     def refresh(self) -> None:

@@ -165,11 +165,23 @@ class RunExecutor:
         if fingerprint is None:
             fingerprint = run_fingerprint(run)
         future: "Future[Outcome]" = Future()
+        # Looked up before taking the lock: a hit decodes a whole record, and
+        # the service's handler threads should not queue behind each other's.
+        pure = None
+        if self.cache is not None and not self._closed:
+            pure = self.cache.get(fingerprint)
         with self._lock:
             if self._closed:
                 future.cancel()
                 return future
-            pure = self.cache.get(fingerprint) if self.cache is not None else None
+            if (
+                pure is None
+                and self.cache is not None
+                and fingerprint not in self._tasks
+                and fingerprint in self.cache
+            ):
+                # Settled between the lookup and the lock: still one simulation.
+                pure = self.cache.get(fingerprint)
             if pure is not None:
                 future.set_result(Outcome(fingerprint, "cached", pure))
                 return future

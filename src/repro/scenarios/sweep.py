@@ -24,10 +24,12 @@ Orchestration features on top of the plain grid runner:
   ``fingerprint(spec_dict, seed)`` (see :mod:`repro.scenarios.cache`),
   the stable identity used for caching, resume validation and compaction.
 * **Resume** — when a store is given, a JSON manifest next to the JSONL
-  file records the sweep fingerprint and the completed run indices.  An
-  interrupted sweep re-run with the same arguments validates the store
-  (repairing a truncated trailing line), skips everything already done and
-  continues exactly where it left off; a completed sweep is a no-op.
+  file records the sweep fingerprint and checkpoints the completed run
+  indices (at most every :data:`CHECKPOINT_S` seconds, and on the way
+  out).  An interrupted sweep re-run with the same arguments validates the
+  store (repairing a truncated trailing line), skips everything already
+  done and continues exactly where it left off; a completed sweep is a
+  no-op.
 * **Result cache** — with a :class:`~repro.scenarios.cache.ResultCache`,
   the executor answers runs whose fingerprint is already cached without
   simulating, and inserts fresh results for future invocations.
@@ -72,6 +74,12 @@ from repro.scenarios.cache import ResultCache, canonical_json, fingerprint_spec
 from repro.scenarios.registry import get_scenario
 from repro.scenarios.spec import ScenarioSpec
 from repro.scenarios.store import ResultStore
+
+
+#: Seconds between manifest checkpoints while a sweep runs.  The store is
+#: what resume reads, so the manifest may lag it; rewriting the file per
+#: committed run cost more than a cached or millisecond run itself.
+CHECKPOINT_S = 1.0
 
 
 def expand_grid(grid: Mapping[str, Sequence[Any]]) -> List[Dict[str, Any]]:
@@ -296,11 +304,13 @@ class HeartbeatStream:
     """Append-only JSONL fleet-health stream written next to the manifest.
 
     One ``start`` entry per invocation, one ``run`` entry per committed run
-    (emitted *after* the manifest checkpoint, so its ``completed`` count
-    always matches the manifest on disk), and one ``stop`` entry on the way
-    out — flushed line-by-line so an external watcher (or a human with
+    (emitted after the store append, so its ``completed`` count never
+    exceeds what the store holds), and one ``stop`` entry on the way out —
+    flushed line-by-line so an external watcher (or a human with
     ``tail -f``) can follow a sweep live and a killed sweep still leaves a
-    parseable stream.
+    parseable stream.  The manifest on disk lags this stream by at most
+    :data:`CHECKPOINT_S` while the sweep runs and agrees with its last
+    entry after every exit that is not a kill.
     """
 
     def __init__(self, path: str):
@@ -347,7 +357,12 @@ class SweepManifest:
     itself is the source of truth on resume — the manifest's job is to
     guard against resuming a *different* sweep into the same store (via
     ``sweep_fingerprint``) and to make progress observable without
-    scanning millions of JSONL lines.
+    scanning millions of JSONL lines.  It is saved when a sweep starts,
+    at most every :data:`CHECKPOINT_S` seconds while it runs and when it
+    exits (normally, stopped early, or on an exception or Ctrl-C), and
+    only after the runs it lists were appended to the store: it never
+    claims a run the store does not hold, and after a ``SIGKILL`` it may
+    list fewer.
     """
 
     path: str
@@ -639,12 +654,14 @@ class SweepRunner:
 
         With a ``store``, records are appended as they complete — memory
         stays O(1) in sweep size when ``collect=False`` — and a manifest
-        next to the store checkpoints completion so an interrupted sweep
-        resumes where it left off (``resume=True``); a re-run of a
-        completed sweep is a no-op.  ``stop_after`` commits at most that
-        many new runs and then stops (a controlled interruption, used by
-        tests/CI and for budgeted execution).  With a ``cache``, runs whose
-        spec fingerprint is already cached skip simulation entirely.
+        next to the store checkpoints completion (every
+        :data:`CHECKPOINT_S` seconds and on exit); an interrupted sweep
+        resumes from the store where it left off (``resume=True``) and a
+        re-run of a completed sweep is a no-op.  ``stop_after`` commits at
+        most that many new runs and then stops (a controlled interruption,
+        used by tests/CI and for budgeted execution).  With a ``cache``,
+        runs whose spec fingerprint is already cached skip simulation
+        entirely.
 
         Failures never abort the sweep: a run the executor gave up on after
         ``max_retries`` retries is recorded as a failure entry
@@ -690,6 +707,7 @@ class SweepRunner:
             )
             stats.resumed = len(completed)
             manifest.save()
+            checkpointed = time.perf_counter()
             heartbeat = HeartbeatStream(heartbeat_path(store.path))
             heartbeat.emit(
                 {
@@ -741,9 +759,12 @@ class SweepRunner:
                     append(record)
                 if manifest is not None:
                     manifest.completed.add(run.index)
-                    manifest.wall_s = base_wall + (time.perf_counter() - started)
-                    manifest.retried = base_retried + stats.retried
-                    manifest.save()
+                    now = time.perf_counter()
+                    if now - checkpointed >= CHECKPOINT_S:
+                        manifest.wall_s = base_wall + (now - started)
+                        manifest.retried = base_retried + stats.retried
+                        manifest.save()
+                        checkpointed = now
                 committed_now += 1
                 if heartbeat is not None:
                     heartbeat.emit(

@@ -16,7 +16,8 @@ failure/recovery, delay change), so the distribution tree follows reroutes.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from contextlib import contextmanager
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.simulator.node import Agent
 from repro.simulator.topology import Network
@@ -45,6 +46,7 @@ class MulticastGroup:
         # membership churn (the common case) reuses one SSSP computation.
         self._spt_version: Optional[int] = None
         self._spt_parents: Optional[Dict[str, Optional[str]]] = None
+        self._batching = False
         network.register_group(self)
         self._rebuild_tree()
 
@@ -73,6 +75,23 @@ class MulticastGroup:
         self._members = [(nid, a) for nid, a in self._members if a is not agent]
         self._rebuild_tree()
 
+    @contextmanager
+    def batch(self) -> Iterator[None]:
+        """Graft once, on exit, for all joins and leaves made inside the block.
+
+        The tree is a function of the members in join order and the
+        topology, so the forwarding entries after the block equal those of
+        per-join grafting; only the rebuilds in between — each a walk over
+        every member — are skipped.  Nothing may be forwarded inside the
+        block: it is for populating a group before traffic starts.
+        """
+        self._batching = True
+        try:
+            yield
+        finally:
+            self._batching = False
+            self._rebuild_tree()
+
     # ------------------------------------------------------------ tree
 
     def regraft(self) -> None:
@@ -93,6 +112,8 @@ class MulticastGroup:
         and with it every downstream RNG draw — is deterministic across
         processes regardless of ``PYTHONHASHSEED``.
         """
+        if self._batching:
+            return
         # Clear existing forwarding state for this group.
         for node in self.network.nodes.values():
             node.mcast_routes.pop(self.group_id, None)

@@ -68,6 +68,31 @@ class TestExpectedMessages:
         value = expected_feedback_messages(100000, 4.0, receiver_estimate=10000)
         assert value > 50
 
+    @pytest.mark.parametrize("receiver_estimate", [1, 100, 10000])
+    @pytest.mark.parametrize("tau", [0.0, 0.5, 1.0, 9.0])
+    def test_equals_the_sum_written_with_the_public_cdf(self, tau, receiver_estimate):
+        """The integration loop inlines ``feedback_cdf``; the bits must not move."""
+
+        def reference(n, big_t, steps=2000):
+            def cdf(t):
+                return feedback_cdf(t, big_t, receiver_estimate)
+
+            dt = big_t / steps
+            previous = cdf(0.0)
+            total = 0.0 + previous
+            for i in range(1, steps + 1):
+                t = i * dt
+                current = cdf(t)
+                survival = (1.0 - cdf(t - tau)) ** (n - 1) if t - tau > 0 else 1.0
+                total += (current - previous) * survival
+                previous = current
+            return n * total
+
+        for n in (2, 3, 200, 10**6):
+            for big_t in (0.5, 3.0, 4.0, 7.3):
+                got = expected_feedback_messages(n, big_t, tau, receiver_estimate)
+                assert got == reference(n, big_t), (n, big_t)
+
     def test_grid_helper(self):
         grid = expected_messages_grid([10, 100], [3.0, 4.0])
         assert len(grid) == 4

@@ -108,6 +108,49 @@ def test_cache_hit_is_answered_without_simulating(tmp_path, fake):
     assert pure_record(stamped) == cold.record
 
 
+def test_cache_hit_is_decoded_outside_the_executor_lock(tmp_path, fake):
+    """Handler threads must not queue behind one another's cache hits."""
+    cache = ResultCache(str(tmp_path / "cache.jsonl"))
+    lock_was_free = []
+
+    def probe(executor):
+        got = executor._lock.acquire(timeout=5)
+        lock_was_free.append(got)
+        if got:
+            executor._lock.release()
+
+    with RunExecutor(cache=cache) as executor:
+        executor.submit(unit(1)).result()
+        real_get = cache.get
+
+        def get(key):
+            other = threading.Thread(target=probe, args=(executor,))
+            other.start()
+            other.join(timeout=10)
+            return real_get(key)
+
+        cache.get = get
+        assert executor.submit(unit(1)).result().source == "cached"
+    assert lock_was_free == [True]
+
+
+def test_unit_settled_between_lookup_and_lock_is_not_simulated_again(tmp_path, fake):
+    cache = ResultCache(str(tmp_path / "cache.jsonl"))
+    with RunExecutor(cache=cache) as executor:
+        executor.submit(unit(1)).result()
+        real_get = cache.get
+        lookups = []
+
+        def get(key):  # the first lookup comes just too early to see the entry
+            lookups.append(key)
+            return None if len(lookups) == 1 else real_get(key)
+
+        cache.get = get
+        again = executor.submit(unit(1)).result()
+    assert again.source == "cached" and len(lookups) == 2
+    assert fake.seeds() == [1]
+
+
 def test_one_job_runs_inline_and_spawns_no_process(fake):
     with RunExecutor(jobs=1) as executor:
         outcome = executor.submit(unit(1)).result()

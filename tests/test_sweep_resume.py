@@ -8,6 +8,11 @@ Covers the sweep orchestrator's acceptance properties:
   byte-identical to an uninterrupted run; a completed sweep re-run is a no-op,
 * a warm result-cache re-run performs zero simulations yet writes the same
   bytes,
+* the manifest is a checkpoint: saved O(1) times for a sweep of instant
+  units, equal to the store after every exit short of a kill and never ahead
+  of it after one,
+* the result cache keeps entries encoded: every hit is a fresh object, equal
+  whether the entry was put by this process or read from the file,
 * the union of shard stores compacts to exactly the unsharded sweep,
 * a failing run is retried and finally recorded as a failure entry without
   aborting the sweep; a killed worker only breaks (and rebuilds) its pool.
@@ -19,6 +24,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
@@ -36,8 +42,9 @@ from repro.scenarios import (
     get_scenario,
     manifest_path,
 )
-from repro.scenarios.cache import fingerprint_spec
+from repro.scenarios.cache import canonical_json, fingerprint_spec
 from repro.scenarios.executor import WINDOW
+from repro.scenarios.sweep import heartbeat_path
 
 # The module whose ``run_scenario`` the worker entry point calls: patching it
 # (before a pool forks) is the seam for injecting failures into runs.
@@ -140,6 +147,75 @@ def test_result_cache_tolerates_truncated_trailing_line(tmp_path):
     assert "k2" not in again
 
 
+def test_result_cache_get_is_the_same_from_memory_and_from_disk(tmp_path):
+    """Tuples come back as lists and keys as strings, whoever wrote the entry."""
+    path = str(tmp_path / "cache.jsonl")
+    record = {"pair": (1, 2.5), "by_id": {3: "c", 10: "j"}, "run": {"index": 0}}
+    cache = ResultCache(path)
+    cache.put("k1", record)
+    decoded = {"pair": [1, 2.5], "by_id": {"3": "c", "10": "j"}}
+    assert cache.get("k1") == decoded
+    assert ResultCache(path).get("k1") == decoded
+    assert record["pair"] == (1, 2.5) and "run" in record  # the argument is untouched
+
+
+def test_result_cache_file_format_is_pinned(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    cache = ResultCache(str(path))
+    cache.put("0123456789abcdef", {"b": [1.5, None], "a": {"y": True, "x": "é"}, "run": {}})
+    cache.put('odd"key', {"z": 0})
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert lines[0] == (
+        '{"fingerprint":"0123456789abcdef",'
+        '"record":{"a":{"x":"\\u00e9","y":true},"b":[1.5,null]}}'
+    )
+    # Every line is the canonical encoding of the whole entry, as before the
+    # index kept records encoded.
+    assert lines == [
+        canonical_json({"fingerprint": "0123456789abcdef",
+                        "record": {"a": {"x": "é", "y": True}, "b": [1.5, None]}}),
+        canonical_json({"fingerprint": 'odd"key', "record": {"z": 0}}),
+    ]
+    assert ResultCache(str(path)).get('odd"key') == {"z": 0}
+
+
+def test_result_cache_loads_lines_it_did_not_write(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    path.write_text(
+        '{"record": {"b": 1, "a": [1, 2]}, "fingerprint": "spaced"}\n'
+        '{"fingerprint":"extra","record":{"a":1},"note":"third key"}\n'
+        '{"fingerprint": "k2", "rec',  # writer killed mid-line
+        encoding="utf-8",
+    )
+    cache = ResultCache(str(path))
+    assert cache.get("spaced") == {"a": [1, 2], "b": 1}
+    assert cache.get("extra") == {"a": 1}
+    assert "k2" not in cache and len(cache) == 2
+
+
+def test_result_cache_concurrent_hits_get_distinct_equal_objects(tmp_path):
+    cache = ResultCache(str(tmp_path / "cache.jsonl"))
+    cache.put("k1", {"series": list(range(2000)), "nested": {"x": [1, 2]}})
+    got = []
+    barrier = threading.Barrier(2)
+
+    def reader():
+        barrier.wait(timeout=10)
+        for _ in range(50):
+            got.append(cache.get("k1"))
+
+    threads = [threading.Thread(target=reader) for _ in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=30)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(got) == 100 and cache.hits == 100
+    assert all(record == got[0] for record in got)
+    assert len({id(record) for record in got}) == 100
+    assert len({id(record["nested"]["x"]) for record in got}) == 100
+
+
 # ---------------------------------------------------------- streaming writes
 
 
@@ -234,10 +310,6 @@ def test_warm_cache_rerun_runs_zero_simulations(tmp_path, monkeypatch):
 
 def test_warm_sweep_looks_up_only_its_window(tmp_path, monkeypatch):
     """Cache hits are answered inside the bounded window, not all up front."""
-
-    def instant(spec, seed=None, **kwargs):
-        return {"scenario": spec.name, "seed": seed, "tfmcc_mean_bps": 1.0}
-
     monkeypatch.setattr(sweep_mod, "run_scenario", instant)
     path = str(tmp_path / "cache.jsonl")
     tiny_runner(replications=50).execute(cache=ResultCache(path), collect=False)
@@ -248,6 +320,108 @@ def test_warm_sweep_looks_up_only_its_window(tmp_path, monkeypatch):
         runner.execute(store=store, cache=cache, stop_after=1, collect=False)
         assert runner.stats.cached == 1 and runner.stats.executed == 0
         assert cache.hits <= (1 if jobs == 1 else jobs * WINDOW) + 1
+
+
+# ------------------------------------------------------- manifest checkpoints
+
+
+def instant(spec, seed=None, **kwargs):
+    return {"scenario": spec.name, "seed": seed, "tfmcc_mean_bps": 1.0}
+
+
+def count_saves(monkeypatch):
+    saves = []
+    real = SweepManifest.save
+
+    def counted(self):
+        saves.append(len(self.completed))
+        real(self)
+
+    monkeypatch.setattr(SweepManifest, "save", counted)
+    return saves
+
+
+@pytest.mark.parametrize("units", [48, 192])
+def test_all_cached_sweep_saves_the_manifest_a_constant_number_of_times(
+    tmp_path, monkeypatch, units
+):
+    monkeypatch.setattr(sweep_mod, "run_scenario", instant)
+    cache_path = str(tmp_path / "cache.jsonl")
+    tiny_runner(replications=units).execute(cache=ResultCache(cache_path), collect=False)
+
+    saves = count_saves(monkeypatch)
+    warm = tiny_runner(replications=units)
+    store = tmp_path / "warm.jsonl"
+    warm.execute(store=ResultStore(str(store)), cache=ResultCache(cache_path), collect=False)
+    assert warm.stats.cached == units and warm.stats.executed == 0
+    # Once at the start, once on the way out, and at most one CHECKPOINT_S tick
+    # in between however many units were committed (it was units + 2).
+    assert saves[0] == 0 and saves[-1] == units and len(saves) <= 3
+    manifest = SweepManifest.load(manifest_path(str(store)))
+    assert manifest.completed == set(range(units)) and manifest.done
+
+
+def test_checkpoint_interval_zero_saves_after_every_unit(tmp_path, monkeypatch):
+    """The interval is all that changed: at zero every commit checkpoints."""
+    monkeypatch.setattr(sweep_mod, "run_scenario", instant)
+    monkeypatch.setattr(sweep_mod, "CHECKPOINT_S", 0.0)
+    saves = count_saves(monkeypatch)
+    store = tmp_path / "s.jsonl"
+    on_disk = []
+
+    def progress(done, total, record):
+        on_disk.append(len(SweepManifest.load(manifest_path(str(store))).completed))
+
+    tiny_runner(replications=12).execute(
+        store=ResultStore(str(store)), progress=progress, collect=False
+    )
+    assert saves == [0] + list(range(1, 13)) + [12]
+    assert on_disk == list(range(1, 13))
+
+
+def assert_manifest_agrees_with_store_and_heartbeat(store_path, expected):
+    manifest = SweepManifest.load(manifest_path(str(store_path)))
+    stored = {r["run"]["index"] for r in ResultStore(str(store_path)).iter_records()}
+    with open(heartbeat_path(str(store_path)), encoding="utf-8") as fh:
+        entries = [json.loads(line) for line in fh]
+    assert manifest.completed == stored == expected
+    assert entries[-1]["event"] == "stop"
+    assert entries[-1]["completed"] == entries[-2]["completed"] == len(expected)
+
+
+@pytest.mark.parametrize("raised", [None, RuntimeError, KeyboardInterrupt])
+def test_manifest_equals_store_after_every_exit_through_finally(
+    tmp_path, monkeypatch, raised
+):
+    monkeypatch.setattr(sweep_mod, "run_scenario", instant)
+    store = tmp_path / "s.jsonl"
+
+    def progress(done, total, record):
+        if raised is not None and done == 5:
+            raise raised("from the progress callback")
+
+    runner = tiny_runner(replications=12)
+    if raised is None:
+        runner.execute(store=ResultStore(str(store)), stop_after=5, collect=False)
+    else:
+        with pytest.raises(raised):
+            runner.execute(store=ResultStore(str(store)), progress=progress, collect=False)
+    # No CHECKPOINT_S tick fell inside this sweep, so only the save on the
+    # way out can have recorded the five runs.
+    assert_manifest_agrees_with_store_and_heartbeat(store, set(range(5)))
+
+    resumed = tiny_runner(replications=12)
+    resumed.execute(store=ResultStore(str(store)), collect=False)
+    assert resumed.stats.resumed == 5 and resumed.stats.executed == 7
+    assert_manifest_agrees_with_store_and_heartbeat(store, set(range(12)))
+
+
+def assert_manifest_within_store(store_path):
+    """After a kill the checkpoint may lag the store; it never leads it."""
+    manifest = SweepManifest.load(manifest_path(str(store_path)))
+    records, _clean_end = ResultStore(str(store_path)).scan_valid()
+    assert manifest is not None
+    assert manifest.completed <= {r["run"]["index"] for r in records}
 
 
 # -------------------------------------------------------------------- shards
@@ -430,6 +604,7 @@ def test_cli_sigkill_then_resume_byte_identical(tmp_path):
         proc.wait()
     lines_before = store.read_bytes().count(b"\n")
     assert lines_before >= 1
+    assert_manifest_within_store(store)
 
     assert cli_main(CLI_ARGS + ["--out", str(store)]) == 0
     assert store.read_bytes() == ref.read_bytes()
@@ -480,6 +655,7 @@ def test_cli_sigkill_then_resume_wireless_sweep_byte_identical(tmp_path):
         proc.kill()
         proc.wait()
     assert store.read_bytes().count(b"\n") >= 1
+    assert_manifest_within_store(store)
 
     assert cli_main(WIRELESS_CLI_ARGS + ["--out", str(store)]) == 0
     assert store.read_bytes() == ref.read_bytes()

@@ -1,5 +1,7 @@
 """Tests for topology construction, routing and multicast trees."""
 
+import contextlib
+
 import pytest
 
 from repro.simulator.engine import Simulator
@@ -167,6 +169,111 @@ class TestMulticast:
         )
         sim.run()
         assert sender.received == []
+
+
+def _dumbbell(sim):
+    net = Network.dumbbell(sim, 2, 5, 1e6, 0.02, 10e6, 0.001)
+    return net, "src0", [f"dst{i}" for i in (3, 0, 4, 1, 0, 2)]  # dst0 twice
+
+
+def _star(sim):
+    net = Network.star(sim, num_leaves=6)
+    return net, "source", [f"leaf{i}" for i in (2, 5, 0, 3, 1, 4)]
+
+
+def _chain(sim):
+    net = Network(sim)
+    hops = [f"n{i}" for i in range(7)]
+    for a, b in zip(hops, hops[1:]):
+        net.add_duplex_link(a, b, 1e6, 0.01)
+    net.build_routes()
+    return net, "n0", ["n6", "n2", "n4", "n0", "n5"]  # one member at the source
+
+
+class TestBatchedGraft:
+    """``MulticastGroup.batch`` grafts once and ends where per-join grafting ends."""
+
+    def populate(self, topology, batched):
+        sim = Simulator(seed=1)
+        net, source, member_nodes = topology(sim)
+        group = MulticastGroup(net, "g", source)
+        grafts = []  # member count at every rebuild that was not deferred
+        real = group._rebuild_tree
+        group._rebuild_tree = lambda: (
+            group._batching or grafts.append(group.member_count),
+            real(),
+        )
+        agents = []
+        with group.batch() if batched else contextlib.nullcontext():
+            for i, node_id in enumerate(member_nodes):
+                agent = RecordingAgent(sim, f"r{i}")
+                net.attach(node_id, agent)
+                group.join(node_id, agent)
+                agents.append((node_id, agent))
+            group.leave(*agents.pop(1))
+        return net, group, agents, grafts
+
+    @staticmethod
+    def routes(net):
+        return {node_id: dict(node.mcast_routes) for node_id, node in net.nodes.items()}
+
+    @pytest.mark.parametrize("topology", [_dumbbell, _star, _chain])
+    def test_batched_joins_leave_the_forwarding_state_of_sequential_joins(self, topology):
+        seq_net, _group, _agents, seq_grafts = self.populate(topology, batched=False)
+        net, group, agents, grafts = self.populate(topology, batched=True)
+        assert self.routes(net) == self.routes(seq_net)
+        assert any(self.routes(net).values())
+        assert [node_id for node_id, _ in group.members] == [n for n, _ in agents]
+        # One graft on leaving the block, none inside it.
+        assert len(grafts) == 1 and len(seq_grafts) == len(agents) + 2
+
+    @pytest.mark.parametrize("topology", [_dumbbell, _star, _chain])
+    def test_joins_and_leaves_after_the_block_graft_one_by_one(self, topology):
+        net, group, agents, grafts = self.populate(topology, batched=True)
+        node_id, agent = agents[0]
+        before = self.routes(net)
+        group.leave(node_id, agent)
+        pruned = self.routes(net)
+        assert pruned != before and len(grafts) == 2
+        group.join(node_id, agent)
+        assert len(grafts) == 3
+        # Re-joining appends: same tree edges, this member now grafted last.
+        assert group.tree_edges() == {
+            (hop, nxt) for hop, entry in before.items() for nxt in entry.get("g", ())
+        }
+
+    def test_block_grafts_even_when_it_raises(self):
+        sim = Simulator(seed=1)
+        net, source, member_nodes = _star(sim)
+        group = MulticastGroup(net, "g", source)
+        agent = RecordingAgent(sim, "r0")
+        net.attach(member_nodes[0], agent)
+        with pytest.raises(RuntimeError):
+            with group.batch():
+                group.join(member_nodes[0], agent)
+                raise RuntimeError("build failed")
+        assert ("hub", member_nodes[0]) in group.tree_edges()
+
+    def test_exact_build_grafts_each_session_once(self, monkeypatch):
+        from repro.scenarios import get_scenario
+        from repro.scenarios.build import build_scenario
+
+        grafts = []
+        real = MulticastGroup._rebuild_tree
+        monkeypatch.setattr(
+            MulticastGroup,
+            "_rebuild_tree",
+            lambda group: (
+                group._batching or grafts.append(group.member_count),
+                real(group),
+            ),
+        )
+        spec = get_scenario("scaling").spec(num_receivers=40, duration=1.0)
+        built = build_scenario(spec, seed=1)
+        # Once for the empty group, once for all forty build-time receivers.
+        assert grafts == [0, 40]
+        (entry,) = built.network.node("router_right").mcast_routes.values()
+        assert entry == tuple(f"dst{i}" for i in range(40))
 
 
 class TestDeterministicForwardingOrder:
