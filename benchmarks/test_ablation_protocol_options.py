@@ -73,7 +73,6 @@ def test_ablation_red_vs_droptail(benchmark):
         for i in range(4):
             net.add_duplex_link(f"src{i}", "left", 50e6, 0.001, jitter=jitter)
             net.add_duplex_link(f"dst{i}", "right", 50e6, 0.001, jitter=jitter)
-        net.build_routes()
         monitor = ThroughputMonitor(sim, 1.0)
         session = TFMCCSession(sim, net, sender_node="src0", monitor=monitor)
         receiver = session.add_receiver("dst0")

@@ -26,7 +26,6 @@ def main(time_scale: float = 1.0) -> None:
     network.add_duplex_link("core", "office", 10e6, 0.005, jitter=0.001)
     network.add_duplex_link("core", "dsl", 2e6, 0.02, jitter=0.001)
     network.add_duplex_link("core", "mobile", 800e3, 0.05, loss_rate=0.02, jitter=0.001)
-    network.build_routes()
 
     monitor = ThroughputMonitor(sim, interval=1.0)
     session = TFMCCSession(sim, network, sender_node="server", monitor=monitor)

@@ -32,6 +32,9 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
+#: Floor on the reduced receiver-set estimate of the modified-N method.
+MIN_RECEIVER_ESTIMATE = 10
+
 
 class BiasMethod(Enum):
     """Feedback-timer biasing methods compared in the paper (Figures 1, 5, 6)."""
@@ -84,7 +87,7 @@ def biased_timer_value(
     offset_fraction: float = 0.25,
     truncation_high: float = 0.9,
     truncation_low: float = 0.5,
-    min_receiver_estimate: int = 10,
+    min_receiver_estimate: int = MIN_RECEIVER_ESTIMATE,
 ) -> float:
     """Feedback timer value with the chosen biasing method.
 

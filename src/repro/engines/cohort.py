@@ -37,8 +37,8 @@ Accuracy caveats (also documented in the README):
 Scale: the per-step cost is ``O(num_receivers)`` numpy work, independent of
 the packet rate, so 10k-100k receivers cost a fixed small overhead on top
 of the tracer-only exact simulation.  The builder also prunes unused
-trailing dumbbell/star receiver nodes so topology construction (one
-shortest-path tree per node) stays proportional to the tracer count.
+trailing dumbbell/star receiver nodes so topology construction stays
+proportional to the tracer count.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from time import perf_counter
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.equations import MAX_LOSS_RATE, MIN_LOSS_RATE
-from repro.core.feedback import BiasMethod
+from repro.core.feedback import MIN_RECEIVER_ESTIMATE, BiasMethod
 from repro.core.headers import FeedbackHeader
 from repro.engines.registry import EngineFactory, EngineUnavailableError, register_engine
 from repro.simulator.packet import Packet, PacketType
@@ -119,9 +119,9 @@ def _used_nodes(spec: Any, flows: Tuple[Any, ...]) -> set:
 def _pruned_topology(topology: Any, used: set) -> Any:
     """Shrink trailing unused receiver nodes out of the topology.
 
-    Topology build time is dominated by routing (one shortest-path tree per
-    node), so a 100k-receiver dumbbell must not materialise 100k ``dst``
-    nodes when only the tracers remain exact.  Node *names* are preserved:
+    Topology build time and memory grow with the node count, so a
+    100k-receiver dumbbell must not materialise 100k ``dst`` nodes when
+    only the tracers remain exact.  Node *names* are preserved:
     only trailing indices no flow, dynamics event or extra link references
     are dropped.
     """
@@ -515,17 +515,23 @@ class _FlowCohort:
     def _suppression_timers(self, np: Any, ratio: Any, max_delay: float) -> Any:
         """Biased feedback timers, mirroring repro.core.feedback vectorised."""
         u = 1.0 - self.rng.random(self.n)  # uniform in (0, 1]
-        estimate = max(self.config.receiver_estimate, 2)
-        exponential = np.maximum(
-            max_delay * (1.0 + np.log(u) / math.log(estimate)), 0.0
-        )
-        if self.config.bias_method is not BiasMethod.MODIFIED_OFFSET:
+        method = self.config.bias_method
+        estimate = self.config.receiver_estimate
+        if method is BiasMethod.MODIFIED_N:
+            # Per member: N shrunk by the rate ratio, never below the floor.
+            reduced = (estimate * np.maximum(ratio, 1e-3)).astype(np.int64)
+            log_n = np.log(np.maximum(reduced, MIN_RECEIVER_ESTIMATE))
+        else:
+            log_n = math.log(max(estimate, 2))
+        exponential = np.maximum(max_delay * (1.0 + np.log(u) / log_n), 0.0)
+        if method is BiasMethod.NONE or method is BiasMethod.MODIFIED_N:
             return exponential
-        low = self.config.rate_truncation_low
-        high = self.config.rate_truncation_high
-        truncated = (np.clip(ratio, low, high) - low) / (high - low)
+        if method is BiasMethod.MODIFIED_OFFSET:
+            low = self.config.rate_truncation_low
+            high = self.config.rate_truncation_high
+            ratio = (np.clip(ratio, low, high) - low) / (high - low)
         offset = self.config.offset_fraction
-        return offset * truncated * max_delay + (1.0 - offset) * exponential
+        return offset * ratio * max_delay + (1.0 - offset) * exponential
 
     def _emit_feedback(self, np: Any, now: float) -> None:
         anchor = self._anchor()

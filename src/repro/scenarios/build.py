@@ -92,27 +92,6 @@ def _add_duplex(net: Network, link: DuplexLinkSpec) -> None:
     )
 
 
-# Unicast routing depends only on the (immutable, hashable) topology spec,
-# so sweeps that rebuild the same topology for every replication reuse the
-# computed next-hop tables instead of re-running shortest paths per run.
-_ROUTE_CACHE: Dict[TopologySpec, Dict[str, Dict[str, str]]] = {}
-_ROUTE_CACHE_LIMIT = 64
-
-
-def _install_routes(net: Network, topo: TopologySpec) -> None:
-    """Build (or reuse) the unicast routing tables for ``topo``."""
-    cached = _ROUTE_CACHE.get(topo)
-    if cached is None:
-        net.build_routes()
-        if len(_ROUTE_CACHE) >= _ROUTE_CACHE_LIMIT:
-            _ROUTE_CACHE.clear()
-        _ROUTE_CACHE[topo] = {nid: dict(node.routes) for nid, node in net.nodes.items()}
-        return
-    # set_routes (not raw dict updates) so the network knows routing is
-    # live and rebuilds it on dynamic topology changes.
-    net.set_routes(cached)
-
-
 def build_network(sim: Simulator, topo: TopologySpec) -> Network:
     """Construct the :class:`Network` described by a topology spec."""
     if isinstance(topo, DumbbellSpec):
@@ -127,7 +106,6 @@ def build_network(sim: Simulator, topo: TopologySpec) -> Network:
             queue_limit=topo.queue_limit,
             access_queue_limit=topo.access_queue_limit,
             access_jitter=topo.access_jitter,
-            build_routes=False,  # _install_routes handles (and caches) routing
         )
     elif isinstance(topo, StarSpec):
         jitter = topo.jitter
@@ -168,7 +146,6 @@ def build_network(sim: Simulator, topo: TopologySpec) -> Network:
 
     for extra in topo.extra_links:
         _add_duplex(net, extra)
-    _install_routes(net, topo)
     return net
 
 

@@ -190,8 +190,8 @@ class ChannelSpec:
         factory.validate(self.params)
 
     def __hash__(self) -> int:
-        # Topology specs must stay hashable (the builder's route cache keys
-        # on them); the params dict hashes by its canonical JSON form.
+        # Specs stay hashable like every frozen dataclass; the params dict
+        # hashes by its canonical JSON form.
         return hash((self.kind, json.dumps(self.params, sort_keys=True)))
 
     def build(self):

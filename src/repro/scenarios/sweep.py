@@ -129,8 +129,7 @@ class SweepRun:
 
 
 # Specs are immutable, so replications of the same grid point can share one
-# resolved spec per process (and, through the builder's route cache, the
-# routing computation for its topology).
+# resolved spec per process.
 _SPEC_MEMO: Dict[Any, ScenarioSpec] = {}
 _SPEC_MEMO_LIMIT = 256
 

@@ -44,7 +44,7 @@ class TFMCCSession:
     sim:
         Simulator.
     network:
-        The network topology (routes must already be built).
+        The network topology; unicast routes resolve on first use.
     sender_node:
         Node id where the sender is attached.
     config:

@@ -1,7 +1,8 @@
 """Nodes, forwarding and the protocol-agent base class.
 
 A node forwards packets according to a unicast routing table (destination
-node id -> next-hop link) and a multicast forwarding table (group id -> set of
+node id -> next-hop neighbour, filled on first lookup; see
+:class:`RouteTable`) and a multicast forwarding table (group id -> set of
 downstream links) and delivers packets to locally attached agents.
 
 Agents (TCP senders/sinks, TFRC and TFMCC senders/receivers) subclass
@@ -11,7 +12,7 @@ receivers additionally register as members of a multicast group.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 
 from repro.simulator.packet import Packet
 
@@ -22,6 +23,42 @@ if TYPE_CHECKING:  # pragma: no cover
 
 class RoutingError(RuntimeError):
     """Raised when a packet cannot be forwarded."""
+
+
+#: Computes a node's next hop towards a destination (None: unreachable).
+Resolver = Callable[[str], Optional[str]]
+
+
+class RouteTable(dict):
+    """One node's unicast next hops: destination id -> neighbour id.
+
+    ``routes[dst]``, ``routes.get(dst)`` and ``dst in routes`` fill an entry
+    from ``resolve(dst)`` on its first lookup; unreachable destinations are
+    never stored.  Without a resolver (a node outside a network) nothing
+    is reachable.
+    """
+
+    __slots__ = ("_resolve",)
+
+    def __init__(self, resolve: Optional[Resolver] = None):
+        super().__init__()
+        self._resolve = resolve
+
+    def __missing__(self, dst: str) -> str:
+        hop = self._resolve(dst) if self._resolve is not None else None
+        if hop is None:
+            raise KeyError(dst)
+        self[dst] = hop
+        return hop
+
+    def get(self, dst: str, default: Optional[str] = None) -> Optional[str]:
+        try:
+            return self[dst]
+        except KeyError:
+            return default
+
+    def __contains__(self, dst: object) -> bool:
+        return self.get(dst) is not None  # type: ignore[arg-type]
 
 
 class Agent:
@@ -63,11 +100,11 @@ class Agent:
 class Node:
     """A network node (host or router)."""
 
-    def __init__(self, sim: "Simulator", node_id: str):
+    def __init__(self, sim: "Simulator", node_id: str, resolve: Optional[Resolver] = None):
         self.sim = sim
         self.node_id = node_id
         self.links: Dict[str, "Link"] = {}  # neighbour node id -> outgoing link
-        self.routes: Dict[str, str] = {}  # destination node id -> neighbour node id
+        self.routes = RouteTable(resolve)  # destination node id -> neighbour node id
         # group -> downstream neighbour ids, in deterministic (tree-build)
         # order; any iterable works, MulticastGroup stores tuples.
         self.mcast_routes: Dict[str, Sequence[str]] = {}
@@ -181,8 +218,9 @@ class Node:
         if packet.dst == self.node_id:
             self._deliver(packet)
             return
-        next_hop = self.routes.get(packet.dst)
-        if next_hop is None:
+        try:
+            next_hop = self.routes[packet.dst]
+        except KeyError:
             self.packets_unroutable += 1
             return
         link = self.links.get(next_hop)

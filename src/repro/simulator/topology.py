@@ -1,11 +1,13 @@
 """Network topology construction, unicast routing and live dynamics.
 
 :class:`Network` wraps a set of :class:`~repro.simulator.node.Node` objects
-and their links, keeps an undirected adjacency view of the topology and
-computes shortest-path (by propagation delay) unicast routes with a cached
-internal Dijkstra — the same computation that builds the forwarding tables,
-so :meth:`Network.path` always reports the route packets actually take.  It
-also offers the topology builders used throughout the paper's evaluation:
+and their links and keeps an undirected adjacency view of the topology.
+Unicast routes (shortest paths by propagation delay) are computed per
+destination on first lookup: a node's next hop is its parent in one cached
+Dijkstra rooted at the destination, or, where another neighbour ties with
+it, the first hop of the node's own tree (:meth:`Network.path`'s tree).
+So a build costs O(links) and no all-pairs table exists.  It also offers
+the topology builders used throughout the paper's evaluation:
 
 * :meth:`Network.dumbbell` -- the single-bottleneck topology of Figure 8,
 * :meth:`Network.star` -- the star topology used for the responsiveness
@@ -13,20 +15,28 @@ also offers the topology builders used throughout the paper's evaluation:
 
 and the live-dynamics entry points used by the time-scripted scenario layer
 (:mod:`repro.scenarios.spec`): :meth:`fail_link` / :meth:`restore_link` /
-:meth:`set_link_delay` mutate the running topology, rebuild the unicast
-routes and re-graft every registered multicast group.
+:meth:`set_link_delay` mutate the running topology, clear the filled unicast
+next hops (they refill on the next lookup) and re-graft every registered
+multicast group.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from heapq import heappop, heappush
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.simulator.engine import Simulator
 from repro.simulator.link import Link
-from repro.simulator.node import Agent, Node, RoutingError
+from repro.simulator.node import Agent, Node, RouteTable, RoutingError
 from repro.simulator.queues import DropTailQueue, PacketQueue
+
+#: Relative slack under which another neighbour's path counts as tied with
+#: the destination-rooted next hop.  Distances summed from the two ends of a
+#: path can differ in the last ulp; 1e-9 is far above that and far below any
+#: real difference in propagation delay.
+_TIE_TOLERANCE = 1e-9
 
 
 @dataclass
@@ -53,7 +63,7 @@ class Network:
         self.adj: Dict[str, Dict[str, Dict[str, object]]] = {}
         #: Bumped whenever the topology changes (node/link added, link
         #: failed/restored, delay changed); lets shortest-path consumers
-        #: (multicast trees, route caches) reuse results safely.
+        #: (multicast trees, the shortest-path cache) reuse results safely.
         self.topology_version = 0
         #: Multicast groups re-grafted on topology changes (see
         #: :meth:`register_group`).
@@ -62,11 +72,13 @@ class Network:
         #: route rebuilds triggered by live dynamics emit on the
         #: ``route_rebuild`` channel.
         self.probe = None
-        # Single-source shortest-path cache: source -> (version, parents,
-        # first_hops).  Shared by build_routes/path/path_delay so queries
-        # and forwarding can never disagree on tie-breaking.
+        # Single-source shortest-path cache: root -> (version, parents,
+        # dist).  Shared by unicast next hops, path/path_delay and multicast
+        # trees, so queries and forwarding never disagree on tie-breaking.
         self._sssp_cache: Dict[str, Tuple[int, Dict, Dict]] = {}
-        self._routes_built = False
+        # Route tables holding at least one next hop; cleared (not rebuilt)
+        # whenever a link is added or the topology changes.
+        self._filled_routes: List[RouteTable] = []
 
     # ------------------------------------------------------------ topology
 
@@ -74,7 +86,7 @@ class Network:
         """Create (or return the existing) node with the given id."""
         if node_id in self.nodes:
             return self.nodes[node_id]
-        node = Node(self.sim, node_id)
+        node = Node(self.sim, node_id, partial(self._next_hop, node_id))
         self.nodes[node_id] = node
         self.adj[node_id] = {}
         self.topology_version += 1
@@ -126,6 +138,7 @@ class Network:
         else:
             attrs["delay"] = delay
         self.topology_version += 1
+        self._clear_routes()
         return link
 
     def add_duplex_link(
@@ -181,17 +194,16 @@ class Network:
     def _dijkstra(self, source: str, weight: str = "delay"):
         """Single-source shortest paths over the (undirected) topology graph.
 
-        Returns ``(parents, first_hops)``: the predecessor of every reached
-        node and the first hop from ``source`` towards it.  Ties are broken
-        by discovery order (which follows edge insertion order), so the
-        result is deterministic across processes — unlike iterating sets of
-        node-id strings, it does not depend on ``PYTHONHASHSEED``.  Edges
-        marked down (failed links) are skipped.
+        Returns ``(parents, dist)``: the predecessor of every reached node
+        and its distance from ``source``.  Ties are broken by discovery
+        order (which follows edge insertion order), so the result is
+        deterministic across processes — unlike iterating sets of node-id
+        strings, it does not depend on ``PYTHONHASHSEED``.  Edges marked
+        down (failed links) are skipped.
         """
         adj = self.adj
         dist = {source: 0.0}
         parents: Dict[str, Optional[str]] = {source: None}
-        first_hops: Dict[str, Optional[str]] = {source: None}
         done = set()
         counter = 0
         heap = [(0.0, counter, source)]
@@ -200,7 +212,6 @@ class Network:
             if u in done:
                 continue
             done.add(u)
-            u_first = first_hops[u]
             for v, edge in adj[u].items():
                 if v in done or edge.get("down"):
                     continue
@@ -208,10 +219,9 @@ class Network:
                 if v not in dist or nd < dist[v]:
                     dist[v] = nd
                     parents[v] = u
-                    first_hops[v] = v if u_first is None else u_first
                     counter += 1
                     heappush(heap, (nd, counter, v))
-        return parents, first_hops
+        return parents, dist
 
     def _sssp(self, source: str, weight: str = "delay"):
         """Cached single-source shortest paths (invalidated by version bumps)."""
@@ -222,48 +232,61 @@ class Network:
         entry = self._sssp_cache.get(source)
         if entry is not None and entry[0] == self.topology_version:
             return entry[1], entry[2]
-        parents, first_hops = self._dijkstra(source, weight)
-        self._sssp_cache[source] = (self.topology_version, parents, first_hops)
-        return parents, first_hops
+        parents, dist = self._dijkstra(source, weight)
+        self._sssp_cache[source] = (self.topology_version, parents, dist)
+        return parents, dist
 
     def shortest_path_tree(self, source: str, weight: str = "delay") -> Dict[str, Optional[str]]:
         """Predecessor map of the shortest-path tree rooted at ``source``."""
-        parents, _first_hops = self._sssp(source, weight)
+        parents, _dist = self._sssp(source, weight)
         return parents
 
-    def build_routes(self, weight: str = "delay") -> None:
-        """Compute shortest-path unicast routes for all node pairs.
+    def _next_hop(self, src: str, dst: str) -> Optional[str]:
+        """Resolve ``src``'s next hop towards ``dst`` (None: unreachable).
 
-        Must be called after the topology is complete; live-dynamics
-        mutators (:meth:`fail_link` etc.) call it again automatically.
-        Routes are stored in each node's routing table.
+        The resolver behind every :class:`~repro.simulator.node.RouteTable`.
+        ``src``'s parent in the Dijkstra rooted at ``dst`` is its next hop
+        unless another live neighbour ``q`` offers a path within
+        :data:`_TIE_TOLERANCE` of it; then the first hop of ``src``'s own
+        shortest-path tree decides, as a per-source table would.
         """
-        for src_id, node in self.nodes.items():
-            _parents, first_hops = self._sssp(src_id, weight)
-            node.routes.clear()
-            for dst_id, hop in first_hops.items():
-                if hop is not None:
-                    node.routes[dst_id] = hop
-        self._routes_built = True
+        if dst == src or dst not in self.nodes:
+            return None
+        parents, dist = self._sssp(dst)
+        hop = parents.get(src)
+        if hop is None:
+            return None
+        bound = dist[src] * (1.0 + _TIE_TOLERANCE)
+        for q, edge in self.adj[src].items():
+            if q != hop and not edge.get("down") and edge["delay"] + dist[q] <= bound:
+                tree, _dist = self._sssp(src)
+                hop = dst
+                while tree[hop] != src:
+                    hop = tree[hop]
+                break
+        table = self.nodes[src].routes
+        if not table:
+            self._filled_routes.append(table)
+        return hop
 
-    def set_routes(self, tables: Dict[str, Dict[str, str]]) -> None:
-        """Install precomputed next-hop tables (the builder's route cache)."""
-        for nid, node in self.nodes.items():
-            node.routes.clear()
-            node.routes.update(tables[nid])
-        self._routes_built = True
+    def _clear_routes(self) -> None:
+        """Forget every filled next hop; each refills on its next lookup."""
+        for table in self._filled_routes:
+            table.clear()
+        self._filled_routes = []
 
     def path(self, src: str, dst: str, weight: str = "delay") -> List[str]:
         """Shortest path between two nodes as a list of node ids.
 
-        Computed from the same cached Dijkstra that builds the forwarding
-        tables, so the reported path (including tie-breaking) is exactly the
-        route packets take.  Raises :class:`RoutingError` when ``dst`` is
+        Walks ``src``'s cached shortest-path tree.  Forwarding takes the
+        same hops wherever shortest paths are unique, and at every node
+        whose next hop ties it falls back to that node's own tree (see
+        :meth:`_next_hop`).  Raises :class:`RoutingError` when ``dst`` is
         unreachable.
         """
         if dst not in self.nodes:
             raise RoutingError(f"unknown node {dst!r}")
-        parents, _first_hops = self._sssp(src, weight)
+        parents, _dist = self._sssp(src, weight)
         if dst not in parents:
             raise RoutingError(f"no path from {src!r} to {dst!r}")
         nodes = [dst]
@@ -304,8 +327,7 @@ class Network:
         """Propagate a live topology change: routes, multicast trees, probe."""
         self.topology_version += 1
         self._sssp_cache.clear()
-        if self._routes_built:
-            self.build_routes()
+        self._clear_routes()
         for group in self.groups:
             group.regraft()
         if self.probe is not None:
@@ -378,7 +400,6 @@ class Network:
         queue_limit: int = 50,
         access_queue_limit: Optional[int] = None,
         access_jitter: Optional[float] = None,
-        build_routes: bool = True,
     ) -> "Network":
         """Build the classic dumbbell / single-bottleneck topology (Figure 8).
 
@@ -416,8 +437,6 @@ class Network:
                 access_q,
                 jitter=access_jitter,
             )
-        if build_routes:
-            net.build_routes()
         return net
 
     @classmethod
@@ -430,7 +449,6 @@ class Network:
         hub_delay: float = 0.001,
         source_name: str = "source",
         queue_limit: int = 50,
-        build_routes: bool = True,
     ) -> "Network":
         """Build a star topology: a source behind a hub with per-leaf links.
 
@@ -453,6 +471,4 @@ class Network:
                 spec.queue_limit,
                 spec.loss_rate,
             )
-        if build_routes:
-            net.build_routes()
         return net

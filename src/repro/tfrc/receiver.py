@@ -40,7 +40,10 @@ class TFRCReceiver(Agent):
         self.monitor = monitor
         self.history = LossIntervalHistory(self.config.loss_interval_weights)
         self.detector = LossEventDetector(self.history, self.config.initial_rtt)
+        # Arrival window with its byte total kept incrementally, so the hot
+        # path never re-sums the window.
         self._arrivals: Deque[Tuple[float, int]] = deque(maxlen=RECEIVE_RATE_WINDOW)
+        self._arrival_bytes = 0
         self._feedback_timer: Optional[EventHandle] = None
         self._last_data_timestamp = 0.0
         self._last_data_arrival = 0.0
@@ -58,7 +61,7 @@ class TFRCReceiver(Agent):
         duration = self.sim.now - t_first
         if duration <= 0:
             return 0.0
-        total = sum(size for _t, size in self._arrivals) - first_size
+        total = self._arrival_bytes - first_size
         return max(total / duration, 0.0)
 
     def receive(self, packet: Packet) -> None:
@@ -68,34 +71,44 @@ class TFRCReceiver(Agent):
         if not isinstance(header, TFRCDataHeader):
             return
         now = self.sim.now
+        size = packet.size
         self.packets_received += 1
         if self.monitor is not None:
-            self.monitor.record(self.flow_id, packet.size)
-        self._arrivals.append((now, packet.size))
+            self.monitor.record(self.flow_id, size)
+        arrivals = self._arrivals
+        if len(arrivals) == RECEIVE_RATE_WINDOW:
+            # deque(maxlen) is about to evict the oldest entry.
+            self._arrival_bytes -= arrivals[0][1]
+        arrivals.append((now, size))
+        self._arrival_bytes += size
         self._last_data_timestamp = header.timestamp
         self._last_data_arrival = now
-        self._rtt_from_sender = max(header.rtt_estimate, 1e-4)
-        self.detector.update_rtt(self._rtt_from_sender)
-        rate_before = self.receive_rate()
-        had_loss = self.history.has_loss
-        new_events = self.detector.on_packet(header.seq, header.timestamp)
-        if new_events > 0:
-            first_loss = not had_loss
-            if first_loss:
-                interval = initial_loss_interval(
-                    self.config.packet_size, self._rtt_from_sender, max(rate_before, 1.0)
-                )
-                self.history.seed_first_interval(interval)
-            # Seed before emitting so the traced rate is the post-seed value
-            # (same ordering as the TFMCC receiver).
-            if self.probe is not None:
-                self.probe.emit(
-                    "loss_event", now, self.flow_id, new_events, self.history.loss_event_rate
-                )
-            if first_loss:
-                # Losses must be reported without delay.
-                self._send_feedback()
-                return
+        rtt = self._rtt_from_sender = max(header.rtt_estimate, 1e-4)
+        # An in-order arrival only advances the detector.  The rate seeding
+        # the history is read at the first loss event; the detector does not
+        # touch the arrival window, so it equals a snapshot taken before.
+        detector = self.detector
+        if not detector.on_in_order_packet(header.seq, header.timestamp, rtt):
+            detector.update_rtt(rtt)
+            had_loss = self.history.has_loss
+            new_events = detector.on_packet(header.seq, header.timestamp)
+            if new_events > 0:
+                first_loss = not had_loss
+                if first_loss:
+                    interval = initial_loss_interval(
+                        self.config.packet_size, rtt, max(self.receive_rate(), 1.0)
+                    )
+                    self.history.seed_first_interval(interval)
+                # Seed before emitting so the traced rate is the post-seed
+                # value (same ordering as the TFMCC receiver).
+                if self.probe is not None:
+                    self.probe.emit(
+                        "loss_event", now, self.flow_id, new_events, self.history.loss_event_rate
+                    )
+                if first_loss:
+                    # Losses must be reported without delay.
+                    self._send_feedback()
+                    return
         if self._feedback_timer is None or not self._feedback_timer.pending:
             self._feedback_timer = self.sim.schedule(self._rtt_from_sender, self._send_feedback)
 

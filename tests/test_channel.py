@@ -223,7 +223,6 @@ def _duplex(sim, loss=0.0, channel_factory=None):
     net.add_duplex_link(
         "a", "b", 1e6, 0.01, queue_limit=10, loss_rate=loss, channel_factory=channel_factory
     )
-    net.build_routes()
     return net
 
 

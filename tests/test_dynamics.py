@@ -47,7 +47,6 @@ def diamond_network(sim):
     net.add_duplex_link("a", "dst", 1e6, 0.01)
     net.add_duplex_link("src", "b", 1e6, 0.02)
     net.add_duplex_link("b", "dst", 1e6, 0.02)
-    net.build_routes()
     return net
 
 
@@ -61,7 +60,6 @@ class TestLinkMutation:
         link = net.add_link("a", "b", 1e6, 0.0)
         sink = RecordingAgent(sim, "f")
         net.attach("b", sink)
-        net.build_routes()
         link.enqueue(Packet(src="a", dst="b", flow_id="f", size=1000))
         sim.run()
         first_arrival = sim.now  # 8 ms serialisation at 1 Mbit/s
@@ -99,7 +97,6 @@ class TestLinkMutation:
         link = net.add_link("a", "b", 1e5, 0.001)  # slow: queue builds up
         sink = RecordingAgent(sim, "f")
         net.attach("b", sink)
-        net.build_routes()
         for _ in range(5):
             link.enqueue(Packet(src="a", dst="b", flow_id="f", size=1000))
         assert link.queue_length == 4  # one in serialisation
@@ -119,7 +116,6 @@ class TestLinkMutation:
         link = net.add_link("a", "b", 1e6, 0.001)
         sink = RecordingAgent(sim, "f")
         net.attach("b", sink)
-        net.build_routes()
         link.set_down()
         link.set_up()
         assert link.enqueue(Packet(src="a", dst="b", flow_id="f", size=1000)) is True
@@ -172,8 +168,13 @@ class TestNetworkDynamics:
         net.fail_link("b", "dst")
         with pytest.raises(RoutingError, match="no path"):
             net.path("src", "dst")
-        # Forwarding drops rather than crashes: the route is gone.
-        assert "dst" not in net.node("src").routes
+        # Forwarding drops rather than crashes: the packet counts as unroutable.
+        sender = RecordingAgent(sim, "f")
+        net.attach("src", sender)
+        sender.send(Packet(src="src", dst="dst", flow_id="f", size=100))
+        sim.run()
+        assert net.node("src").packets_unroutable == 1
+        assert net.node("src").packets_forwarded == 0
 
     def test_path_unknown_node_raises(self):
         sim = Simulator(seed=1)

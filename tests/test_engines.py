@@ -123,7 +123,6 @@ def _drive_receiver(seqs, reference):
     sim = Simulator(seed=7)
     net = Network(sim)
     net.add_duplex_link("s", "r", 1e7, 0.01)
-    net.build_routes()
     reports = Reports(sim)
     net.attach("s", reports)
     receiver = TFMCCReceiver(sim, "r0", "session", "s", "group")
@@ -200,6 +199,43 @@ def test_receiver_fast_path_split_matches_on_generated_sequences(steps):
 
 
 pytest.importorskip("numpy")
+
+
+@pytest.mark.parametrize("receiver_estimate", [3, 10000])
+@pytest.mark.parametrize("method", ["none", "offset", "modified_offset", "modified_n"])
+def test_cohort_suppression_timers_equal_the_exact_receivers_timers(method, receiver_estimate):
+    """Both engines turn one uniform vector into the same feedback timers,
+    for every bias method (the cohort used to fall back to unbiased
+    exponential timers for ``offset`` and ``modified_n``)."""
+    from types import SimpleNamespace
+
+    import numpy as np
+
+    from repro.core.config import TFMCCConfig
+    from repro.core.feedback import BiasMethod, FeedbackTimerPolicy
+    from repro.engines.cohort import _FlowCohort
+
+    config = TFMCCConfig(bias_method=BiasMethod(method), receiver_estimate=receiver_estimate)
+    rng = np.random.default_rng(11)
+    uniforms = np.concatenate(([0.0, 0.5, 1.0 - 2.0**-53], rng.random(397)))
+    ratio = np.concatenate(([0.0, 1e-4, 0.5, 0.7, 0.9, 1.0], rng.random(394)))
+    max_delay = 2.5
+
+    cohort = SimpleNamespace(n=400, config=config, rng=SimpleNamespace(random=lambda n: uniforms))
+    vectorised = _FlowCohort._suppression_timers(cohort, np, ratio, max_delay)
+
+    draws = iter(uniforms.tolist())
+    policy = FeedbackTimerPolicy(
+        rng=SimpleNamespace(random=lambda: next(draws)),
+        receiver_estimate=config.receiver_estimate,
+        bias_method=config.bias_method,
+        offset_fraction=config.offset_fraction,
+        truncation_high=config.rate_truncation_high,
+        truncation_low=config.rate_truncation_low,
+    )
+    exact = [policy.draw(max_delay, r).delay for r in ratio.tolist()]
+    assert vectorised.tolist() == pytest.approx(exact, rel=1e-12, abs=0.0)
+
 
 #: Declared cross-validation tolerances (mirrors the scaling figure): the
 #: cohort's independent loss draws track the Section-3 lower envelope, the

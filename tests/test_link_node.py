@@ -26,7 +26,6 @@ class RecordingAgent(Agent):
 def two_node_network(sim, bandwidth=1e6, delay=0.01, queue_limit=10, loss=0.0, jitter=0.0):
     net = Network(sim)
     net.add_duplex_link("a", "b", bandwidth, delay, queue_limit, loss, jitter=jitter)
-    net.build_routes()
     return net
 
 
@@ -110,7 +109,6 @@ def test_multi_hop_forwarding():
     net = Network(sim)
     net.add_duplex_link("a", "m", 1e6, 0.01)
     net.add_duplex_link("m", "b", 1e6, 0.01)
-    net.build_routes()
     receiver = RecordingAgent(sim, "flow")
     net.attach("b", receiver)
     sender = RecordingAgent(sim, "flow")
@@ -191,7 +189,6 @@ def wired_link(bandwidth=1e6, delay=0.05, queue_limit=50):
     other = RecordingAgent(sim, "g")  # a second flow, logged in arrival order
     other.received = sink.received
     net.attach("b", other)
-    net.build_routes()
     return sim, link, sink
 
 

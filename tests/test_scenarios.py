@@ -431,7 +431,6 @@ def test_link_uses_gilbert_elliott_model():
         0.01,
         channel_factory=lambda: GilbertElliottLoss(0.05, 0.2),
     )
-    net.build_routes()
     forward = net.link_between("a", "b")
     backward = net.link_between("b", "a")
     assert forward.channel is not backward.channel  # independent state
@@ -455,7 +454,6 @@ def test_link_uses_gilbert_elliott_model():
 def _two_node_net(sim):
     net = Network(sim)
     net.add_duplex_link("a", "b", 10e6, 0.001)
-    net.build_routes()
     return net
 
 

@@ -12,7 +12,6 @@ from repro.tcp.sink import TCPSink
 def build_flow(sim, bandwidth=1e6, delay=0.02, queue_limit=25, loss=0.0):
     net = Network(sim)
     net.add_duplex_link("a", "b", bandwidth, delay, queue_limit, loss)
-    net.build_routes()
     monitor = ThroughputMonitor(sim, interval=0.5)
     sender = TCPRenoSender(sim, "tcp", "b", monitor=monitor)
     sink = TCPSink(sim, "tcp", "a", monitor=monitor)

@@ -63,7 +63,6 @@ def test_sender_tracks_worst_receiver_on_lossy_star():
     net.add_duplex_link("source", "hub", 20e6, 0.001)
     net.add_duplex_link("hub", "clean", 10e6, 0.02)
     net.add_duplex_link("hub", "lossy", 10e6, 0.02, loss_rate=0.05)
-    net.build_routes()
     monitor = ThroughputMonitor(sim, interval=1.0)
     session = TFMCCSession(sim, net, sender_node="source", monitor=monitor)
     clean = session.add_receiver("clean", receiver_id="clean-rcv")
@@ -82,7 +81,6 @@ def test_rate_drops_when_lossy_receiver_joins_and_recovers_after_leave():
     net.add_duplex_link("source", "hub", 20e6, 0.001)
     net.add_duplex_link("hub", "clean", 4e6, 0.02)
     net.add_duplex_link("hub", "lossy", 4e6, 0.02, loss_rate=0.08)
-    net.build_routes()
     monitor = ThroughputMonitor(sim, interval=1.0)
     session = TFMCCSession(sim, net, sender_node="source", monitor=monitor)
     session.add_receiver("clean", receiver_id="clean-rcv")
@@ -141,7 +139,6 @@ def test_clr_timeout_promotes_another_receiver():
     net.add_duplex_link("source", "hub", 20e6, 0.001)
     net.add_duplex_link("hub", "a", 2e6, 0.02, loss_rate=0.03)
     fwd, bwd = net.add_duplex_link("hub", "b", 2e6, 0.02, loss_rate=0.06)
-    net.build_routes()
     monitor = ThroughputMonitor(sim, interval=1.0)
     config = TFMCCConfig(clr_timeout_feedback_delays=3.0)
     session = TFMCCSession(sim, net, sender_node="source", config=config, monitor=monitor)

@@ -1,12 +1,16 @@
 """Tests for topology construction, routing and multicast trees."""
 
 import contextlib
+import heapq
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.simulator.engine import Simulator
 from repro.simulator.multicast import MulticastGroup
-from repro.simulator.node import Agent
+from repro.simulator.node import Agent, Node
 from repro.simulator.packet import Packet
 from repro.simulator.topology import LinkSpec, Network
 
@@ -42,7 +46,6 @@ class TestTopology:
         net = Network(sim)
         net.add_duplex_link("a", "b", 1e6, 0.01)
         net.add_duplex_link("b", "c", 1e6, 0.02)
-        net.build_routes()
         assert net.path("a", "c") == ["a", "b", "c"]
         assert net.path_delay("a", "c") == pytest.approx(0.03)
 
@@ -52,7 +55,6 @@ class TestTopology:
         net.add_duplex_link("a", "b", 1e6, 0.1)
         net.add_duplex_link("a", "m", 1e6, 0.01)
         net.add_duplex_link("m", "b", 1e6, 0.01)
-        net.build_routes()
         assert net.node("a").routes["b"] == "m"
 
     def test_asymmetric_reverse_loss(self):
@@ -78,7 +80,6 @@ class TestMulticast:
         net.add_duplex_link("source", "hub", 10e6, 0.001)
         for i in range(3):
             net.add_duplex_link("hub", f"leaf{i}", 1e6, 0.01)
-        net.build_routes()
         return sim, net
 
     def test_tree_covers_only_members(self):
@@ -186,7 +187,6 @@ def _chain(sim):
     hops = [f"n{i}" for i in range(7)]
     for a, b in zip(hops, hops[1:]):
         net.add_duplex_link(a, b, 1e6, 0.01)
-    net.build_routes()
     return net, "n0", ["n6", "n2", "n4", "n0", "n5"]  # one member at the source
 
 
@@ -300,8 +300,9 @@ class TestDeterministicForwardingOrder:
             graph.add_edge(link.src.node_id, link.dst.node_id, delay=link.delay)
         expected = dict(nx.all_pairs_dijkstra_path(graph, weight="delay"))
         for src, node in net.nodes.items():
-            for dst, hop in node.routes.items():
-                assert expected[src][dst][1] == hop
+            for dst in net.nodes:
+                if dst != src:
+                    assert expected[src][dst][1] == node.routes[dst]
 
     def test_path_matches_installed_forwarding_route(self):
         # path() must walk the same next-hop tables packets use, including
@@ -319,3 +320,149 @@ class TestDeterministicForwardingOrder:
                 while walked[-1] != dst:
                     walked.append(net.node(walked[-1]).routes[dst])
                 assert walked == path
+
+
+# ------------------------------------------------------- on-demand unicast routes
+
+
+def all_pairs_routes(net):
+    """The per-source routing tables every node held before routes were
+    computed on demand: one Dijkstra from every node, ties broken by
+    discovery order, keeping the first hop towards each destination."""
+    tables = {}
+    for source in net.nodes:
+        dist, first_hops, done, counter = {source: 0.0}, {source: None}, set(), 0
+        heap = [(0.0, counter, source)]
+        while heap:
+            d, _tie, u = heapq.heappop(heap)
+            if u in done:
+                continue
+            done.add(u)
+            for v, edge in net.adj[u].items():
+                if v in done or edge.get("down"):
+                    continue
+                if v not in dist or d + edge["delay"] < dist[v]:
+                    dist[v] = d + edge["delay"]
+                    first_hops[v] = v if first_hops[u] is None else first_hops[u]
+                    counter += 1
+                    heapq.heappush(heap, (dist[v], counter, v))
+        tables[source] = {dst: hop for dst, hop in first_hops.items() if hop is not None}
+    return tables
+
+
+#: Exact ties (whole milliseconds) and float near-ties: 0.1 + 0.2 is
+#: 0.30000000000000004, one ulp above 0.3.
+DELAYS = st.sampled_from([0.001, 0.002, 0.003, 0.1, 0.2, 0.3, 0.1 + 0.2])
+
+
+@st.composite
+def graphs(draw):
+    """A connected graph: a random spanning tree plus extra edges, inserted
+    in a random order (insertion order is what breaks ties)."""
+    n = draw(st.integers(2, 9))
+    edges = {(draw(st.integers(0, i - 1)), i) for i in range(1, n)}
+    extra = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=12))
+    edges |= {(min(a, b), max(a, b)) for a, b in extra if a != b}
+    edges = draw(st.permutations(sorted(edges)))
+    return [(f"n{a}", f"n{b}", draw(DELAYS)) for a, b in edges]
+
+
+def assert_routes_match_oracle(net):
+    expected = all_pairs_routes(net)
+    for src, node in net.nodes.items():
+        for dst in net.nodes:
+            hop = expected[src].get(dst)
+            assert node.routes.get(dst) == hop, (src, dst)
+            assert (dst in node.routes) == (hop is not None)
+
+
+class TestOnDemandRouting:
+    @staticmethod
+    def build(edges):
+        net = Network(Simulator(seed=1))
+        for a, b, delay in edges:
+            net.add_duplex_link(a, b, 1e6, delay)
+        return net
+
+    @settings(max_examples=150, deadline=None)
+    @given(edges=graphs(), data=st.data())
+    def test_next_hops_equal_the_all_pairs_table_under_dynamics(self, edges, data):
+        net = self.build(edges)
+        assert_routes_match_oracle(net)
+        ops = data.draw(
+            st.lists(
+                st.tuples(
+                    st.sampled_from(["fail", "restore", "delay"]),
+                    st.integers(0, len(edges) - 1),
+                    DELAYS,
+                ),
+                max_size=6,
+            )
+        )
+        for kind, index, delay in ops:
+            a, b, _delay = edges[index]
+            if kind == "fail":
+                net.fail_link(a, b)
+            elif kind == "restore":
+                net.restore_link(a, b)
+            else:
+                net.set_link_delay(a, b, delay)
+            # Every table is full from the previous check: stale entries fail.
+            assert_routes_match_oracle(net)
+
+    @settings(max_examples=100, deadline=None)
+    @given(edges=graphs(), seed=st.integers(0, 2**32 - 1))
+    def test_path_is_the_forwarding_walk_where_paths_are_unique(self, edges, seed):
+        rng = random.Random(seed)
+        net = self.build([(a, b, rng.uniform(0.001, 0.1)) for a, b, _delay in edges])
+        for src in net.nodes:
+            for dst in net.nodes:
+                walked = [src]
+                while walked[-1] != dst:
+                    walked.append(net.node(walked[-1]).routes[dst])
+                assert walked == net.path(src, dst)
+
+    def test_an_exact_tie_takes_the_source_trees_first_hop(self):
+        # Two equal branches.  The tree rooted at d reaches s through a
+        # (a-d was inserted first); s's own tree reaches d through b.
+        net = self.build([("s", "b", 0.01), ("s", "a", 0.01), ("a", "d", 0.01), ("b", "d", 0.01)])
+        assert net.shortest_path_tree("d")["s"] == "a"
+        assert net.node("s").routes["d"] == "b" == all_pairs_routes(net)["s"]["d"]
+        assert net.path("s", "d") == ["s", "b", "d"]
+
+    def test_a_float_near_tie_takes_the_source_trees_first_hop(self):
+        # n3 reaches n1 directly (0.1 + 0.2) or through n2 (0.1, then 0.2):
+        # the same length, whose float sums differ in the last ulp
+        # depending on the end they are summed from.
+        net = self.build(
+            [("n1", "n3", 0.1 + 0.2), ("n0", "n1", 0.3), ("n1", "n2", 0.2), ("n2", "n3", 0.1)]
+        )
+        assert net.node("n3").routes["n0"] == all_pairs_routes(net)["n3"]["n0"]
+
+    def test_a_route_looked_up_before_a_new_link_is_recomputed(self):
+        net = self.build([("a", "b", 0.1), ("b", "c", 0.1)])
+        assert net.node("a").routes["c"] == "b"
+        net.add_duplex_link("a", "c", 1e6, 0.05)
+        assert net.node("a").routes["c"] == "c"
+
+    def test_a_node_outside_a_network_routes_nowhere(self):
+        node = Node(Simulator(seed=1), "x")
+        assert node.routes.get("y") is None and "y" not in node.routes
+        with pytest.raises(KeyError):
+            node.routes["y"]
+
+    def test_exact_scaling_build_runs_one_dijkstra_not_one_per_node(self, monkeypatch):
+        from repro.scenarios import get_scenario
+        from repro.scenarios.build import build_scenario
+
+        calls = []
+        real = Network._dijkstra
+        monkeypatch.setattr(
+            Network, "_dijkstra", lambda net, *args: calls.append(args) or real(net, *args)
+        )
+        n = 2000
+        built = build_scenario(get_scenario("scaling").spec(num_receivers=n, duration=1.0), seed=1)
+        built.sim.run(until=1.0)
+        assert len(calls) <= 3  # all-pairs routing ran n + 3 = 2,003
+        filled = sum(len(node.routes) for node in built.network.nodes.values())
+        assert filled <= 2 * n
