@@ -3,10 +3,10 @@
 
 A wall time recorded on another machine cannot gate this, so the check is
 an in-process A/B: the production ``Simulator`` with telemetry disabled
-versus a control subclass whose ``run`` is the pre-telemetry loop verbatim
-(no ``self.telemetry`` dispatch check).  Both drive the same 256-timer
-cancel/re-arm storm; runs are interleaved and best-of-N so scheduler noise
-hits both sides equally.
+versus a control subclass whose ``run`` is the production loop verbatim
+minus the ``self.telemetry`` dispatch that picks the probes.  Both drive
+the same 256-timer cancel/re-arm storm; runs are interleaved and best-of-N
+so scheduler noise hits both sides equally.
 
 Usage: PYTHONPATH=src python benchmarks/perf/check_telemetry_overhead.py
 Exits non-zero when the disabled-telemetry loop is more than MAX_OVERHEAD
@@ -33,47 +33,57 @@ UNTIL = 4.0
 
 
 class ControlSimulator(Simulator):
-    """Simulator with the pre-telemetry run loop (no dispatch check)."""
+    """Simulator whose ``run`` is ``Simulator.run`` verbatim minus telemetry.
+
+    The loop body (one event per step from the heap or the fan-out lane) is
+    copied unchanged; only the ``self.telemetry`` dispatch that picks the
+    probes is gone, so the pops are always ``heappop`` and ``list.pop``.
+    Keep it in step with the production loop, or this gate measures the
+    difference between two loops instead of the telemetry seam.
+    """
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> float:
         if self._running:
             raise RuntimeError("simulator is already running")
         self._running = True
         self._stopped = False
-        pop = heappop
+        pop, lane_pop = heappop, list.pop
         queue = self._queue
+        lane = self._lane
         limit = max_events if max_events is not None else float("inf")
         processed = 0
         try:
-            while queue and not self._stopped:
-                time, _seq, handle = queue[0]
-                if handle.cancelled:
-                    pop(queue)
-                    self._dead -= 1
-                    continue
-                if until is not None and time >= until:
-                    self.now = until
-                    break
-                self.now = time
-                while True:
-                    pop(queue)
-                    handle.fired = True
-                    handle.callback(*handle.args)
-                    processed += 1
-                    queue = self._queue
-                    if processed >= limit or self._stopped:
+            while not self._stopped:
+                if lane and (not queue or lane[-1] < queue[0]):
+                    time, _seq, handle = lane[-1]
+                    if handle.cancelled:
+                        lane_pop(lane)
+                        self._dead -= 1
+                        continue
+                    if until is not None and time >= until:
+                        self.now = until
                         break
-                    while queue and queue[0][2].cancelled:
+                    lane_pop(lane)
+                elif queue:
+                    time, _seq, handle = queue[0]
+                    if handle.cancelled:
                         pop(queue)
                         self._dead -= 1
-                    if not queue or queue[0][0] != time:
+                        continue
+                    if until is not None and time >= until:
+                        self.now = until
                         break
-                    handle = queue[0][2]
+                    pop(queue)
+                else:
+                    if until is not None:
+                        self.now = max(self.now, until)
+                    break
+                self.now = time
+                handle.fired = True
+                handle.callback(*handle.args)
+                processed += 1
                 if processed >= limit:
                     break
-            else:
-                if until is not None and not self._stopped:
-                    self.now = max(self.now, until)
         finally:
             self._running = False
             self.events_processed += processed

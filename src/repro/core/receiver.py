@@ -33,7 +33,7 @@ from repro.core.loss_history import (
 )
 from repro.core.rtt import ReceiverRTTEstimator
 from repro.simulator.engine import EventHandle, Simulator
-from repro.simulator.monitor import ThroughputMonitor
+from repro.simulator.monitor import FlowRecorder, ThroughputMonitor
 from repro.simulator.node import Agent
 from repro.simulator.packet import Packet, PacketType
 
@@ -89,6 +89,8 @@ class TFMCCReceiver(Agent):
         self.group_id = group_id
         self.config = config if config is not None else TFMCCConfig()
         self.monitor = monitor
+        # The monitor's recorder for receiver_id, fetched on the first packet.
+        self._bins: Optional[FlowRecorder] = None
 
         cfg = self.config
         self.rtt = ReceiverRTTEstimator(
@@ -195,8 +197,13 @@ class TFMCCReceiver(Agent):
         rtt = self.rtt
         self.packets_received += 1
         self.bytes_received += size
-        if self.monitor is not None:
-            self.monitor.record(receiver_id, size, now)
+        bins = self._bins
+        if bins is not None and now < bins.end:
+            bins.counts[-1] += size  # still in the newest bin
+        elif self.monitor is not None:
+            if bins is None:
+                self._bins = bins = self.monitor.recorder(receiver_id)
+            bins.add(size, now)
         arrivals = self._arrivals
         if len(arrivals) == RECEIVE_RATE_WINDOW:
             # deque(maxlen) is about to evict the oldest entry.
@@ -249,7 +256,7 @@ class TFMCCReceiver(Agent):
         # --- feedback round handling
         if header.round_id != self.current_round:
             self._start_round(header.round_id)
-        if self._feedback_timer is not None:
+        if self._feedback_timer is not None and header.fb_rate is not None:
             self._process_suppression_echo(header)
 
         # --- CLR immediate feedback

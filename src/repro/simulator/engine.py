@@ -11,18 +11,26 @@ Hot-path design notes
 * The heap stores plain ``(time, seq, handle)`` tuples so that heap sifting
   compares at C speed; :class:`EventHandle` objects are never compared
   because ``(time, seq)`` is unique.
-* Cancellation is lazy (the tuple stays in the heap and is skipped when it
-  surfaces), but the simulator counts live cancelled entries and rebuilds
-  the heap once more than half of it is dead.  Compaction filters the same
-  tuples and re-heapifies, so the pop order of surviving events is
-  unchanged.
-* The run loop drains all events sharing the current timestamp in one
-  inner batch: the ``until`` comparison and the ``now`` write are per
-  distinct time, not per event (packet bursts, simultaneous feedback and
-  cohort steps frequently collide on one timestamp).
+* A multicast fan-out skips the heap.  While :meth:`Simulator.fan_out`
+  runs, ``schedule_at`` appends to a side list; at the end the list is
+  merged into the *lane*, a second source of the same tuples kept sorted
+  in descending order (the next entry is ``lane[-1]``).  One sort of a
+  receiver's worth of arrivals replaces a heap push and a heap pop per
+  receiver.  Every pending entry lives in exactly one of the heap and the
+  lane, and the run loop takes whichever head is smaller, so the pop order
+  is the single-heap order by construction.
+* Cancellation is lazy (the tuple stays where it is and is skipped when it
+  surfaces), but the simulator counts live cancelled entries and filters
+  both sources once more than half of all entries are dead.  Compaction
+  keeps the surviving tuples, re-heapifies the heap and leaves the lane
+  sorted, so the pop order of surviving events is unchanged.
+* The run loop takes one event per step.  (A same-timestamp inner batch,
+  saving the ``until`` check and the clock write for ties, measured slower
+  than one flat step once two sources are read.)
 * There is one run loop.  Telemetry does not branch inside it: when a sink
-  is attached, the loop's hoisted ``pop`` is a probe that pops and reads
-  (:func:`_run_probe`); otherwise it is ``heappop`` itself.
+  is attached, the loop's hoisted ``pop`` and ``lane_pop`` are probes that
+  pop and read (:func:`_run_probe`); otherwise they are ``heappop`` and
+  ``list.pop``.
 * :meth:`Simulator.reschedule` (and its absolute-time form
   :meth:`Simulator.reschedule_at`) is a fast path for the dominant
   recurring-timer pattern (media senders, CBR sources, link drains): when
@@ -41,7 +49,7 @@ from __future__ import annotations
 import random
 from heapq import heapify, heappop, heappush
 from time import perf_counter
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.telemetry import active as _telemetry_active
 
@@ -71,25 +79,29 @@ def _category_name(func: Any) -> str:
     return name
 
 
-def _run_probe(tel: Any, sim: "Simulator") -> Tuple[Callable[[list], None], Callable[[], None]]:
-    """Telemetry's view of one ``run()`` call: ``(pop, finish)``.
+_Pop = Callable[[list], Any]
 
-    ``pop`` stands in for ``heappop`` in the run loop and reads what it pops
-    (per-callback event counts, same-timestamp batch sizes, heap peak);
-    ``finish`` emits them with the wall-clock accounting.  Pure reads, so a
-    telemetry-enabled run produces byte-identical records.
+
+def _run_probe(tel: Any, sim: "Simulator") -> Tuple[_Pop, _Pop, Callable[[], None]]:
+    """Telemetry's view of one ``run()`` call: ``(pop, lane_pop, finish)``.
+
+    ``pop`` and ``lane_pop`` stand in for ``heappop`` and ``list.pop`` in the
+    run loop and read what they pop (per-callback event counts,
+    same-timestamp batch sizes, the peak of pending entries in heap and lane
+    together); ``finish`` emits them with the wall-clock accounting.  Pure
+    reads, so a telemetry-enabled run produces byte-identical records.
     """
     counts: Dict[Any, int] = {}
     batch = 0
     batch_time = None
-    heap_peak = len(sim._queue)
+    heap_peak = sim._entries()
     start_now = sim.now
     observe = tel.observe
     wall_start = perf_counter()
 
-    def pop(queue: list) -> None:
+    def read(entry: Tuple[float, int, "EventHandle"]) -> None:
         nonlocal batch, batch_time, heap_peak
-        time, _seq, handle = heappop(queue)
+        time, _seq, handle = entry
         if handle.cancelled:
             return
         callback = handle.callback
@@ -102,8 +114,15 @@ def _run_probe(tel: Any, sim: "Simulator") -> Tuple[Callable[[list], None], Call
             observe("engine.batch_size", batch)
         batch = 1
         batch_time = time
-        if len(queue) >= heap_peak:
-            heap_peak = len(queue) + 1
+        pending = sim._entries()
+        if pending >= heap_peak:
+            heap_peak = pending + 1
+
+    def pop(queue: list) -> None:
+        read(heappop(queue))
+
+    def lane_pop(lane: list) -> None:
+        read(lane.pop())
 
     def finish() -> None:
         wall = perf_counter() - wall_start
@@ -111,13 +130,13 @@ def _run_probe(tel: Any, sim: "Simulator") -> Tuple[Callable[[list], None], Call
             observe("engine.batch_size", batch)
         for func, n in counts.items():
             tel.inc("engine.events", n, category=_category_name(func))
-        tel.gauge_max("engine.heap_peak", max(heap_peak, len(sim._queue)))
+        tel.gauge_max("engine.heap_peak", max(heap_peak, sim._entries()))
         tel.timing("engine.run", wall)
         sim_elapsed = sim.now - start_now
         if sim_elapsed > 0:
             tel.timing("engine.wall_per_sim_s", wall / sim_elapsed)
 
-    return pop, finish
+    return pop, lane_pop, finish
 
 
 class SimulationError(RuntimeError):
@@ -128,9 +147,9 @@ class EventHandle:
     """Handle to a scheduled event.
 
     The handle allows the owner to cancel the event before it fires and to
-    query whether it already fired.  Cancelled events stay in the heap but are
-    skipped by the main loop (lazy deletion) until the owning simulator
-    compacts its queue.
+    query whether it already fired.  Cancelled events stay queued (in the
+    heap or the lane) but are skipped by the main loop (lazy deletion) until
+    the owning simulator compacts its queue.
     """
 
     __slots__ = ("time", "seq", "callback", "args", "cancelled", "fired", "_sim")
@@ -189,8 +208,12 @@ class Simulator:
         #: advance it.
         self.now = 0.0
         self._queue: List[Tuple[float, int, EventHandle]] = []
+        #: The fan-out lane: entries sorted in descending order, next at -1.
+        self._lane: List[Tuple[float, int, EventHandle]] = []
+        #: The side list while a fan-out scope is open, else None.
+        self._fanout: Optional[List[Tuple[float, int, EventHandle]]] = None
         self._seq = 0
-        self._dead = 0  # live cancelled entries still in the heap
+        self._dead = 0  # live cancelled entries still in the heap or lane
         self._running = False
         self._stopped = False
         self._packet_uid = 0
@@ -201,6 +224,8 @@ class Simulator:
         #: already-branchy paths; the telemetry layer reads them post-run).
         self.compactions = 0
         self.reschedule_fast_hits = 0
+        #: Entries merged into the fan-out lane (counted once per merge).
+        self.lane_events = 0
         #: Telemetry sink captured at construction time: the per-run scope
         #: opened by ``run_scenario`` when ``REPRO_TELEMETRY`` is set, else
         #: None.  ``run()`` pops through a reading probe when it is set and
@@ -250,8 +275,35 @@ class Simulator:
         seq = self._seq
         self._seq = seq + 1
         handle = EventHandle(time, seq, callback, args, self)
-        heappush(self._queue, (time, seq, handle))
+        side = self._fanout
+        if side is None:
+            heappush(self._queue, (time, seq, handle))
+        else:
+            side.append((time, seq, handle))
         return handle
+
+    def fan_out(self, calls: Sequence[Callable[[Any], Any]], arg: Any) -> None:
+        """Call ``call(arg)`` for each of ``calls`` in one fan-out scope.
+
+        ``schedule_at`` calls made meanwhile go into a side list that is
+        sorted once and merged into the lane when the scope closes (see the
+        module notes); the run loop still fires them in ``(time, seq)``
+        order.  A scope does not nest, and :meth:`peek` does not see the
+        scope's own entries until it closes.
+        """
+        if self._fanout is not None:
+            raise SimulationError("fan-out scopes do not nest")
+        side = self._fanout = []
+        try:
+            for call in calls:
+                call(arg)
+        finally:
+            self._fanout = None
+            if side:
+                lane = self._lane
+                lane += side
+                lane.sort(reverse=True)
+                self.lane_events += len(side)
 
     def reschedule(
         self,
@@ -315,21 +367,29 @@ class Simulator:
 
     # ------------------------------------------------------------ queue upkeep
 
+    def _entries(self) -> int:
+        """Entries held in the heap, the lane and an open fan-out's side list."""
+        side = self._fanout
+        return len(self._queue) + len(self._lane) + (len(side) if side else 0)
+
     def _note_cancelled(self) -> None:
-        """A pending handle was cancelled; compact once >50% of the heap is dead."""
+        """A pending handle was cancelled; compact once >50% of entries are dead."""
         dead = self._dead + 1
         self._dead = dead
-        if dead > _COMPACT_MIN_DEAD and dead * 2 > len(self._queue):
+        if dead > _COMPACT_MIN_DEAD and dead * 2 > self._entries():
             self._compact()
 
     def _compact(self) -> None:
-        """Drop cancelled entries and rebuild the heap.
+        """Drop cancelled entries from every source and rebuild the heap.
 
-        Filtering preserves each surviving ``(time, seq, handle)`` tuple, and
-        ``heapify`` orders by the same key, so the pop order of surviving
-        events is identical to the lazy-deletion order.
+        Each source is filtered in place, so the run loop's references stay
+        valid.  Filtering preserves each surviving ``(time, seq, handle)``
+        tuple and the lane's order, and ``heapify`` orders by the same key,
+        so the pop order of surviving events is identical to the
+        lazy-deletion order.
         """
-        self._queue = [entry for entry in self._queue if not entry[2].cancelled]
+        for entries in (self._queue, self._lane, self._fanout or []):
+            entries[:] = [entry for entry in entries if not entry[2].cancelled]
         heapify(self._queue)
         self._dead = 0
         self.compactions += 1
@@ -337,12 +397,19 @@ class Simulator:
     def peek(self) -> Optional[float]:
         """Return the time of the next pending event, or None if empty."""
         queue = self._queue
-        while queue and queue[0][2].cancelled:
-            heappop(queue)
+        lane = self._lane
+        while True:
+            if lane and (not queue or lane[-1] < queue[0]):
+                if not lane[-1][2].cancelled:
+                    return lane[-1][0]
+                lane.pop()
+            elif queue:
+                if not queue[0][2].cancelled:
+                    return queue[0][0]
+                heappop(queue)
+            else:
+                return None
             self._dead -= 1
-        if not queue:
-            return None
-        return queue[0][0]
 
     # ------------------------------------------------------------ run loop
 
@@ -367,49 +434,52 @@ class Simulator:
             raise SimulationError("simulator is already running")
         self._running = True
         self._stopped = False
-        # Hoisted: dominant call of the loop.  Telemetry swaps in a probe
-        # that pops and reads; the loop itself is the same either way.
+        # Hoisted: the dominant calls of the loop.  Telemetry swaps in
+        # probes that pop and read; the loop itself is the same either way.
         tel = self.telemetry
-        pop, finish = (heappop, None) if tel is None else _run_probe(tel, self)
+        pop, lane_pop, finish = (
+            (heappop, list.pop, None) if tel is None else _run_probe(tel, self)
+        )
+        # Both sources are only ever modified in place (compaction
+        # included), so these references stay valid across callbacks.
         queue = self._queue
+        lane = self._lane
         limit = max_events if max_events is not None else float("inf")
         processed = 0
         try:
-            while queue and not self._stopped:
-                time, _seq, handle = queue[0]
-                if handle.cancelled:
-                    pop(queue)
-                    self._dead -= 1
-                    continue
-                if until is not None and time >= until:
-                    self.now = until
-                    break
-                self.now = time
-                # Batching fast path: drain every event sharing this
-                # timestamp in one inner loop, so the `until` comparison
-                # and the `now` write happen once per distinct time, not
-                # once per event.  Pop order is unchanged, and `_stopped`
-                # and the event limit are still honoured between events.
-                while True:
-                    pop(queue)
-                    handle.fired = True
-                    handle.callback(*handle.args)
-                    processed += 1
-                    # Callbacks may replace the queue (compaction); resync.
-                    queue = self._queue
-                    if processed >= limit or self._stopped:
+            while not self._stopped:
+                # One event per step, from whichever source holds the
+                # smaller (time, seq).
+                if lane and (not queue or lane[-1] < queue[0]):
+                    time, _seq, handle = lane[-1]
+                    if handle.cancelled:
+                        lane_pop(lane)
+                        self._dead -= 1
+                        continue
+                    if until is not None and time >= until:
+                        self.now = until
                         break
-                    while queue and queue[0][2].cancelled:
+                    lane_pop(lane)
+                elif queue:
+                    time, _seq, handle = queue[0]
+                    if handle.cancelled:
                         pop(queue)
                         self._dead -= 1
-                    if not queue or queue[0][0] != time:
+                        continue
+                    if until is not None and time >= until:
+                        self.now = until
                         break
-                    handle = queue[0][2]
+                    pop(queue)
+                else:
+                    if until is not None:
+                        self.now = max(self.now, until)
+                    break
+                self.now = time
+                handle.fired = True
+                handle.callback(*handle.args)
+                processed += 1
                 if processed >= limit:
                     break
-            else:
-                if until is not None and not self._stopped:
-                    self.now = max(self.now, until)
         finally:
             self._running = False
             self.events_processed += processed

@@ -5,7 +5,7 @@ attached queue while the link is busy serialising a previous packet, then take
 ``size * 8 / bandwidth`` seconds to transmit followed by ``delay`` seconds of
 propagation before arriving at the downstream node.
 
-Serialisation and propagation are one heap event: starting a transmission
+Serialisation and propagation are one event: starting a transmission
 records when the serialiser frees up (``_tx_end``) and schedules the arrival
 at ``_tx_end + delay`` directly.  A second event -- the queue drain, armed at
 exactly ``_tx_end`` -- exists only while packets are waiting, so a busy

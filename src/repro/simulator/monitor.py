@@ -48,6 +48,49 @@ class FlowStats:
         return cls(mean, median, math.sqrt(variance), ordered[0], ordered[-1])
 
 
+class FlowRecorder:
+    """One flow's byte bins, as :meth:`ThroughputMonitor.recorder` hands them out.
+
+    ``counts[b]`` holds the bytes received in bin ``b``, the interval
+    ``[b * interval, (b + 1) * interval)``.  :meth:`add` files a packet at
+    any time.  While the flow's packets come in time order (a receiver's
+    clock never goes back), a caller may instead add to ``counts[-1]`` when
+    ``when < end``: no time before ``end`` lies past the newest bin, so the
+    shortcut files every packet exactly where :meth:`add` would.
+    """
+
+    __slots__ = ("counts", "end", "_interval")
+
+    def __init__(self, counts: List[int], interval: float):
+        self.counts = counts
+        self._interval = interval
+        self.end = -math.inf  # no bin yet: the first packet takes add()
+
+    def add(self, size: int, when: float) -> None:
+        """Add ``size`` bytes received at ``when``."""
+        index = int(when / self._interval)
+        counts = self.counts
+        try:
+            counts[index] += size
+        except IndexError:  # first packet of a new bin
+            counts.extend([0] * (index - len(counts)))
+            counts.append(size)
+            self.end = self._first_time_after(index)
+
+    def _first_time_after(self, index: int) -> float:
+        """About ``(index + 1) * interval``, and no time before it is past bin ``index``.
+
+        Bin numbers never decrease as ``t`` grows (division is monotone), so
+        checking the float just below is enough; a rounding error in the
+        product costs at most a step or two of ``nextafter``.
+        """
+        interval = self._interval
+        end = (index + 1) * interval
+        while int(math.nextafter(end, -math.inf) / interval) > index:
+            end = math.nextafter(end, -math.inf)
+        return end
+
+
 class ThroughputMonitor:
     """Bin received bytes per flow into fixed-width time intervals.
 
@@ -56,8 +99,10 @@ class ThroughputMonitor:
 
     Storage is a flat per-flow list of byte counters indexed by bin — a
     fixed-interval accumulator, not a per-packet record list — so memory is
-    bounded by simulated time (not packet count) and :meth:`record` is a
-    couple of list operations on the hot path.
+    bounded by simulated time (not packet count) and adding a packet is a
+    couple of list operations.  The bin arithmetic lives in one place,
+    :class:`FlowRecorder`: :meth:`record` looks up the flow's recorder, and
+    a per-packet caller keeps the one :meth:`recorder` hands out.
     """
 
     def __init__(self, sim: Simulator, interval: float = 1.0):
@@ -67,21 +112,27 @@ class ThroughputMonitor:
         self.interval = interval
         # flow id -> byte counters, index = bin number (time // interval).
         self._bins: Dict[str, List[int]] = {}
+        self._recorders: Dict[str, FlowRecorder] = {}
 
     def record(self, flow_id: str, size: int, when: Optional[float] = None) -> None:
         """Record ``size`` bytes received for ``flow_id`` at ``when`` (default: now).
 
         Per-packet callers that already hold the current time pass it.
         """
-        index = int((self.sim.now if when is None else when) / self.interval)
-        bins = self._bins.get(flow_id)
-        if bins is None:
-            bins = self._bins[flow_id] = []
-        try:
-            bins[index] += size
-        except IndexError:  # first packet of a new bin
-            bins.extend([0] * (index - len(bins)))
-            bins.append(size)
+        recorder = self._recorders.get(flow_id) or self.recorder(flow_id)
+        recorder.add(size, self.sim.now if when is None else when)
+
+    def recorder(self, flow_id: str) -> FlowRecorder:
+        """The :class:`FlowRecorder` of ``flow_id``, for a per-packet caller.
+
+        The flow counts as recorded (:meth:`flows`) from this call on, so ask
+        for it with the flow's first packet.
+        """
+        recorder = self._recorders.get(flow_id)
+        if recorder is None:
+            counts = self._bins[flow_id] = []
+            recorder = self._recorders[flow_id] = FlowRecorder(counts, self.interval)
+        return recorder
 
     def flows(self) -> List[str]:
         """All flow ids that recorded any traffic."""

@@ -169,7 +169,8 @@ class Node:
         ``origin_flow`` is set only by :meth:`send`: a locally originated
         multicast packet is never delivered back to the sending agent.  The
         multicast case is handled in this one frame because it runs once per
-        receiver per data packet.
+        receiver per data packet.  Forwarding to more than one downstream
+        link runs as one :meth:`~repro.simulator.engine.Simulator.fan_out`.
         """
         group = packet.group
         if group is None:  # unicast
@@ -180,11 +181,17 @@ class Node:
             return
         members = self.group_members.get(group)
         if members:
-            # Copy: a receive() may trigger membership changes mid-loop.
-            for agent in (members[0],) if len(members) == 1 else tuple(members):
+            if len(members) == 1:  # a leaf: one receiver
+                agent = members[0]
                 if agent.flow_id != origin_flow:
                     self.packets_delivered += 1
                     agent.receive(packet)
+            else:
+                # Copy: a receive() may trigger membership changes mid-loop.
+                for agent in tuple(members):
+                    if agent.flow_id != origin_flow:
+                        self.packets_delivered += 1
+                        agent.receive(packet)
         # Forward downstream along the distribution tree (deterministic order).
         routes = self.mcast_routes.get(group)
         if routes:
@@ -199,9 +206,13 @@ class Node:
                     if neighbour != incoming_id and neighbour in links
                 )
                 self._mcast_cache[key] = targets
-            self.packets_forwarded += len(targets)
-            for enqueue in targets:
-                enqueue(packet)
+            count = len(targets)
+            self.packets_forwarded += count
+            if count > 1:
+                # The arrivals these enqueues schedule skip the event heap.
+                self.sim.fan_out(targets, packet)
+            elif count:
+                targets[0](packet)
 
     # ------------------------------------------------------------ internals
 

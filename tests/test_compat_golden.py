@@ -14,7 +14,7 @@ behaviour — never to paper over an accidental difference)::
     PYTHONPATH=src python tests/test_compat_golden.py --regen
 
 The top-level ``events`` count is the one field an engine change may move:
-it says how many heap events the engine spent, not what the network did
+it says how many events the engine spent, not what the network did
 (merging a link's serialisation and propagation events halved it).  A
 regeneration for such a change must show the old and new records equal
 once ``events`` is deleted; every other field moving is a behaviour change.

@@ -1,6 +1,11 @@
 """Tests for the discrete-event engine."""
 
+from functools import partial
+from heapq import heappop
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.simulator.engine import SimulationError, Simulator
 
@@ -295,7 +300,9 @@ def test_max_events_zero_still_bounds_the_run():
     assert sim.events_processed == 1
 
 
-# ----------------------------------------------------- same-timestamp batches
+# ----------------------------------------------------- same-timestamp ties
+# (The names say "batch" from when the run loop drained ties in an inner
+# batch; they check tie ordering, which the one-step loop keeps.)
 
 
 def test_zero_delay_events_join_the_current_batch():
@@ -310,8 +317,7 @@ def test_zero_delay_events_join_the_current_batch():
     sim.schedule(1.0, lambda: fired.append("second"))
     sim.run()
     # The chained zero-delay event shares the timestamp but was scheduled
-    # later, so it runs after the pre-existing tie — exactly as before the
-    # batching fast path.
+    # later, so it runs after the pre-existing tie.
     assert fired == ["first", "second", "chained"]
     assert sim.now == 1.0
 
@@ -442,3 +448,232 @@ def test_one_loop_serves_telemetry_on_and_off(with_telemetry):
         # Read at batch boundaries, after churn's two compactions; the value
         # the separate instrumented loop reported for this script.
         assert snap["gauges"]["engine.heap_peak"] == 38
+
+
+# ------------------------------------------------------------ fan-out lane
+
+
+def test_fan_out_entries_merge_into_the_lane_in_heap_order():
+    sim = Simulator(seed=1)
+    fired = []
+    note = lambda tag: fired.append((tag, sim.now))
+    sim.schedule_at(1.0, note, "heap-1.0")
+    sim.schedule_at(3.0, note, "heap-3.0")
+    calls = [
+        lambda _: sim.schedule_at(2.0, note, "lane-2.0"),
+        lambda _: sim.schedule_at(0.5, note, "lane-0.5"),
+        lambda _: sim.schedule_at(1.0, note, "lane-1.0"),  # ties after heap-1.0
+    ]
+    sim.fan_out(calls, None)
+    assert sim.lane_events == 3 and len(sim._lane) == 3 and len(sim._queue) == 2
+    assert sim.peek() == 0.5
+    sim.run()
+    assert fired == [
+        ("lane-0.5", 0.5), ("heap-1.0", 1.0), ("lane-1.0", 1.0),
+        ("lane-2.0", 2.0), ("heap-3.0", 3.0),
+    ]  # fmt: skip
+    assert sim.events_processed == 5
+
+
+def test_fan_out_scopes_do_not_nest_and_close_on_error():
+    sim = Simulator(seed=1)
+    fired = []
+
+    def nested(_):
+        sim.schedule_at(1.0, fired.append, "kept")
+        sim.fan_out([lambda _: None], None)
+
+    with pytest.raises(SimulationError):
+        sim.fan_out([nested], None)
+    # The scope closed in its finally: what it scheduled is in the lane, and
+    # schedule_at goes to the heap again.
+    assert sim._fanout is None and sim.lane_events == 1
+    sim.schedule_at(2.0, fired.append, "heap")
+    assert len(sim._queue) == 1
+    sim.run()
+    assert fired == ["kept", "heap"]
+
+
+def test_cancelled_lane_entries_are_skipped_and_compacted():
+    sim = Simulator(seed=1)
+    fired = []
+    handles = []
+    sim.fan_out(
+        [lambda _, i=i: handles.append(sim.schedule_at(1.0 + i, fired.append, i)) for i in range(200)],
+        None,
+    )
+    sim.schedule_at(0.5, fired.append, "heap")
+    for handle in handles[:101]:
+        handle.cancel()  # the 101st makes >50% of heap + lane dead: compacts
+    assert sim.compactions == 1 and sim._dead == 0
+    assert len(sim._lane) == 99 and sim.peek() == 0.5
+    handles[101].cancel()  # lazily: stays in the lane until it surfaces
+    assert sim._dead == 1
+    sim.run(until=103.5)
+    assert fired == ["heap", 102] and sim._dead == 0
+    sim.run()
+    assert fired == ["heap"] + list(range(102, 200))
+
+
+class ReferenceSimulator(Simulator):
+    """The single-heap engine: the run loop as it was before the fan-out lane.
+
+    ``fan_out`` opens no scope, so every entry goes to the heap, and ``run``
+    is the earlier batched loop verbatim.  Differential oracle for the
+    lane-merging loop of :class:`Simulator`.
+    """
+
+    def fan_out(self, calls, arg):
+        for call in calls:
+            call(arg)
+
+    def run(self, until=None, max_events=None):
+        if self._running:
+            raise SimulationError("simulator is already running")
+        self._running = True
+        self._stopped = False
+        pop = heappop
+        queue = self._queue
+        limit = max_events if max_events is not None else float("inf")
+        processed = 0
+        try:
+            while queue and not self._stopped:
+                time, _seq, handle = queue[0]
+                if handle.cancelled:
+                    pop(queue)
+                    self._dead -= 1
+                    continue
+                if until is not None and time >= until:
+                    self.now = until
+                    break
+                self.now = time
+                while True:
+                    pop(queue)
+                    handle.fired = True
+                    handle.callback(*handle.args)
+                    processed += 1
+                    queue = self._queue
+                    if processed >= limit or self._stopped:
+                        break
+                    while queue and queue[0][2].cancelled:
+                        pop(queue)
+                        self._dead -= 1
+                    if not queue or queue[0][0] != time:
+                        break
+                    handle = queue[0][2]
+                if processed >= limit:
+                    break
+            else:
+                if until is not None and not self._stopped:
+                    self.now = max(self.now, until)
+        finally:
+            self._running = False
+            self.events_processed += processed
+        return self.now
+
+
+#: Grid of delays: multiples of 1/4 are exact in binary, so ties are real.
+_DELAYS = st.sampled_from([0.0, 0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.5])
+_SLOTS = 6
+_schedule_op = st.tuples(
+    st.sampled_from(["at", "after", "re"]), _DELAYS, st.integers(0, _SLOTS - 1)
+)
+_op = st.one_of(
+    _schedule_op,
+    st.tuples(st.just("fan"), st.lists(_schedule_op, min_size=2, max_size=8)),
+    st.tuples(st.just("cancel"), st.integers(0, _SLOTS - 1)),
+    st.tuples(st.just("churn"), st.integers(65, 160)),
+    st.tuples(st.just("stop")),
+)
+_chunk = st.tuples(
+    st.one_of(st.none(), st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.0, 3.75])),
+    st.one_of(st.none(), st.integers(0, 25)),
+)
+
+
+class _Program:
+    """Interprets one generated program on one simulator.
+
+    Event ``tag`` runs ``behaviours[tag % len(behaviours)]``; every event the
+    program schedules gets the next tag, so two engines that fire the same
+    events in the same order also schedule the same events.
+    """
+
+    def __init__(self, sim, behaviours, budget):
+        self.sim = sim
+        self.behaviours = behaviours
+        self.budget = budget
+        self.tags = 0
+        self.slots = [None] * _SLOTS
+        self.fired = []
+
+    def fire(self, tag):
+        self.fired.append((tag, self.sim.now))
+        self.apply(self.behaviours[tag % len(self.behaviours)])
+
+    def apply(self, ops):
+        sim = self.sim
+        for op in ops:
+            kind = op[0]
+            if kind == "fan":
+                sim.fan_out([partial(self.schedule, item) for item in op[1]], None)
+            elif kind == "cancel":
+                if self.slots[op[1]] is not None:
+                    self.slots[op[1]].cancel()
+            elif kind == "churn":  # compaction from inside a callback
+                for handle in [sim.schedule(1e3, self.fire, -1) for _ in range(op[1])]:
+                    handle.cancel()
+            elif kind == "stop":
+                sim.stop()
+            else:
+                self.schedule(op)
+
+    def schedule(self, op, _arg=None):
+        if self.tags >= self.budget:
+            return
+        kind, delay, slot = op
+        sim, tag = self.sim, self.tags
+        self.tags += 1
+        if kind == "at":
+            handle = sim.schedule_at(sim.now + delay, self.fire, tag)
+        elif kind == "after":
+            handle = sim.schedule(delay, self.fire, tag)
+        else:
+            handle = sim.reschedule_at(self.slots[slot], sim.now + delay, self.fire, tag)
+        self.slots[slot] = handle
+
+
+def _state(sim):
+    """What a chunk of ``run`` leaves behind, with the dead-entry count checked."""
+    pending = sim._queue + sim._lane
+    assert sim._dead == sum(entry[2].cancelled for entry in pending)
+    return sim.now, sim.events_processed, sim.peek(), sim.compactions, len(pending)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    initial=st.lists(_op, min_size=1, max_size=12),
+    behaviours=st.lists(st.lists(_op, max_size=4), min_size=1, max_size=8),
+    chunks=st.lists(_chunk, max_size=8),
+    budget=st.integers(20, 300),
+)
+def test_lane_loop_matches_the_single_heap_reference(initial, behaviours, chunks, budget):
+    """Generated programs fire the same ``(tag, now)`` sequence, count the
+    same events and agree on ``peek()`` (and on compactions and pending
+    entries) after every chunk of ``run``, on the lane engine and on the
+    single-heap reference."""
+    runs = []
+    for engine in (Simulator, ReferenceSimulator):
+        sim = engine(seed=1)
+        program = _Program(sim, behaviours, budget)
+        program.apply(initial)
+        trace = []
+        for offset, max_events in chunks + [(None, None)]:
+            until = None if offset is None else sim.now + offset
+            sim.run(until=until, max_events=max_events)
+            trace.append(_state(sim))
+        sim.run()
+        trace.append(_state(sim))
+        runs.append((program.fired, trace))
+    assert runs[0] == runs[1]
+    assert sim._lane == []  # the reference never used the lane

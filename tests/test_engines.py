@@ -89,7 +89,7 @@ def test_unavailable_engine_raises_at_build_not_at_spec(monkeypatch):
 
 def test_exact_engine_spends_one_event_per_link_packet_on_fan_out():
     """Structural perf guard: on multicast fan-out every leaf is idle, so a
-    packet on a link costs one heap event (its arrival).  A second event per
+    packet on a link costs one event (its arrival).  A second event per
     leaf packet (a serialisation-finish event) must not grow back."""
     spec = get_scenario("scaling").spec(num_receivers=50, duration=8.0)
     built = get_engine("exact").build(spec, seed=1)
@@ -97,6 +97,24 @@ def test_exact_engine_spends_one_event_per_link_packet_on_fan_out():
     link_packets = sum(link.packets_sent for link in built.network.links)
     assert link_packets > 1000
     assert built.sim.events_processed / link_packets <= 1.05
+
+
+@pytest.mark.parametrize(
+    "name, params, low, high",
+    [
+        ("scaling", {"num_receivers": 200, "duration": 22.0}, 0.95, 1.0),
+        ("protocol_mix", {"duration": 10.0}, 0.0, 0.0),
+        ("fairness", {"duration": 10.0}, 0.0, 0.0),
+    ],
+)
+def test_fan_out_deliveries_take_the_lane(name, params, low, high):
+    """On a wide multicast tree nearly every event is a fan-out delivery
+    merged into the lane; unicast workloads and one-receiver sessions never
+    fan out, so they never touch it."""
+    built = get_engine("exact").build(get_scenario(name).spec(**params), seed=1)
+    built.run()
+    sim = built.sim
+    assert low <= sim.lane_events / sim.events_processed <= high
 
 
 def _drive_receiver(seqs, reference):

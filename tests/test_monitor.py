@@ -1,6 +1,10 @@
 """Tests for throughput monitoring and statistics."""
 
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.simulator.engine import Simulator
 from repro.simulator.monitor import FlowStats, ThroughputMonitor, fairness_index
@@ -39,6 +43,67 @@ def test_total_bytes_and_flows():
     assert set(monitor.flows()) == {"a", "b"}
     assert monitor.total_bytes("a") == 100
     assert monitor.total_bytes("missing") == 0
+
+
+def _reference_bins(packets, interval):
+    """Plain binning: bin ``int(when / interval)``, zeros in the gaps."""
+    counts = []
+    for size, when in packets:
+        index = int(when / interval)
+        counts.extend([0] * (index + 1 - len(counts)))
+        counts[index] += size
+    return counts
+
+
+def _add_like_a_receiver(recorder, size, when):
+    """The per-packet shortcut a caller may take on a flow in time order."""
+    if when < recorder.end:
+        recorder.counts[-1] += size
+    else:
+        recorder.add(size, when)
+
+
+def test_recorder_bins_like_record():
+    """A handed-out recorder and ``record()`` fill the same bins, including
+    empty bins in a gap and a first packet that lands in a late bin."""
+    packets = [(700, 3.7), (100, 3.9), (50, 4.0), (1500, 6.2), (40, 6.4), (9, 11.0)]
+    sim = Simulator(seed=1)
+    by_record = ThroughputMonitor(sim, interval=0.5)
+    by_recorder = ThroughputMonitor(sim, interval=0.5)
+    recorder = by_recorder.recorder("f")
+    assert by_recorder.recorder("f") is recorder
+    for size, when in packets:
+        by_record.record("f", size, when=when)
+        _add_like_a_receiver(recorder, size, when)
+    expected = _reference_bins(packets, 0.5)
+    assert len(expected) == 23 and expected[7] == 800 and expected[8] == 50
+    assert by_record._bins["f"] == recorder.counts == expected
+    assert by_recorder.flows() == ["f"]
+    assert by_recorder.series("f", 0.0, 12.0) == by_record.series("f", 0.0, 12.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    interval=st.one_of(
+        st.sampled_from([0.1, 0.3, 1.0 / 3.0, 0.5, 0.7, 1.0]),
+        st.floats(min_value=1e-3, max_value=10.0),
+    ),
+    picks=st.lists(st.tuples(st.integers(0, 60), st.integers(-2, 2)), max_size=60),
+)
+def test_recorder_shortcut_files_edge_packets_exactly(interval, picks):
+    """Packets at (and one or two floats either side of) bin edges land in
+    the bin ``int(when / interval)`` names, shortcut or not."""
+    times = []
+    for edge, step in picks:
+        when = edge * interval
+        for _ in range(abs(step)):
+            when = math.nextafter(when, math.inf if step > 0 else 0.0)
+        times.append(when)
+    packets = [(1 + i, when) for i, when in enumerate(sorted(times))]
+    recorder = ThroughputMonitor(Simulator(seed=1), interval=interval).recorder("f")
+    for size, when in packets:
+        _add_like_a_receiver(recorder, size, when)
+    assert recorder.counts == _reference_bins(packets, interval)
 
 
 def test_invalid_interval():

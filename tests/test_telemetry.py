@@ -116,19 +116,32 @@ def test_merge_snapshots_semantics():
 
 
 def test_event_categories_sum_to_total():
-    with telemetry.forced(True):
-        run_scenario(_spec(), seed=1)
-    snap = telemetry.take_last_run()
-    counters = snap["counters"]
-    by_category = sum(
-        count
-        for key, count in counters.items()
-        if key.startswith("engine.events{")
-    )
-    assert by_category == counters["engine.events_total"] > 0
-    assert "engine.batch_size" in snap["histograms"]
-    assert snap["histograms"]["engine.batch_size"]["sum"] == by_category
-    assert {"phase.build", "phase.run", "phase.collect"} <= set(snap["spans"])
+    """Every popped event is counted, from the heap and from the fan-out lane.
+
+    ``fairness`` has no fan-out; on ``scaling`` most events come from the
+    lane, and the probe's numbers are the ones the single-heap loop gave.
+    """
+    scaling = get_scenario("scaling").spec(num_receivers=8, duration=6.0)
+    for spec in (_spec(), scaling):
+        with telemetry.forced(True):
+            run_scenario(spec, seed=1)
+        snap = telemetry.take_last_run()
+        counters = snap["counters"]
+        by_category = sum(
+            count
+            for key, count in counters.items()
+            if key.startswith("engine.events{")
+        )
+        assert by_category == counters["engine.events_total"] > 0
+        assert "engine.batch_size" in snap["histograms"]
+        assert snap["histograms"]["engine.batch_size"]["sum"] == by_category
+        assert {"phase.build", "phase.run", "phase.collect"} <= set(snap["spans"])
+    # The single-heap loop's numbers: a probe that missed the lane's pops
+    # would count 94 events here, and a peak of the heap alone reads 11.
+    assert counters["engine.events_total"] == 230
+    assert counters["engine.events{category=node.Node.receive}"] == 200
+    assert snap["histograms"]["engine.batch_size"]["count"] == 229
+    assert snap["gauges"]["engine.heap_peak"] == 18  # heap and lane together
 
 
 def test_always_on_engine_counters():
