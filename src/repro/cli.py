@@ -66,7 +66,7 @@ from contextlib import nullcontext
 from repro import telemetry
 from repro.scenarios.cache import ResultCache
 from repro.scenarios.executor import RunExecutor
-from repro.scenarios.registry import get_scenario, scenarios
+from repro.scenarios.registry import scenarios
 from repro.scenarios.store import ResultStore, encode_record
 from repro.scenarios.sweep import (
     SweepRun,
@@ -94,15 +94,28 @@ def _parse_value(text: str) -> Any:
     return text
 
 
-def _parse_set(args: Sequence[str]) -> Dict[str, Any]:
-    """Parse repeated ``--set key=value`` options."""
+def _run_params(args: argparse.Namespace) -> Dict[str, Any]:
+    """The run params named by ``--set``/``--override`` and ``--engine``.
+
+    ``--set`` and ``--override`` are two spellings of one flag, applied in
+    command-line order (the later value wins).  A plain key is a scenario
+    parameter, a dotted key a spec override path (``SweepRun.resolve_spec``).
+    ``--engine`` is ``engine.kind`` and wins over both.
+    """
     params: Dict[str, Any] = {}
-    for item in args:
+    for item in args.params:
         key, sep, value = item.partition("=")
         if not sep or not key:
-            raise SystemExit(f"error: --set expects key=value, got {item!r}")
+            raise SystemExit(f"error: --set/--override expects KEY=VALUE, got {item!r}")
         params[key] = _parse_value(value)
+    if args.engine:
+        params["engine.kind"] = args.engine
     return params
+
+
+def _named_run(args: argparse.Namespace, seed: int = 1) -> SweepRun:
+    """The run ``show``, ``run`` and ``profile`` name with their flags."""
+    return SweepRun(index=0, seed=seed, params=_run_params(args), scenario=args.scenario)
 
 
 def _parse_grid(args: Sequence[str]) -> Dict[str, List[Any]]:
@@ -114,23 +127,6 @@ def _parse_grid(args: Sequence[str]) -> Dict[str, List[Any]]:
             raise SystemExit(f"error: --grid expects key=v1,v2,..., got {item!r}")
         grid[key] = [_parse_value(v) for v in values.split(",")]
     return grid
-
-
-def _split_overrides(factory, set_args: Sequence[str], override_args: Sequence[str], engine: Optional[str] = None):
-    """Split CLI inputs into factory params and spec overrides.
-
-    Plain (undotted) ``--override`` keys that name a scenario parameter are
-    routed into the factory call — ``--override num_receivers=10000`` means
-    the parameter, not a (nonexistent) spec field.  ``--engine`` is sugar
-    for ``--override engine.kind=...`` and wins over both.
-    """
-    params = _parse_set(set_args)
-    overrides = _parse_set(override_args)
-    for key in [k for k in overrides if "." not in k and k in factory.defaults]:
-        params[key] = overrides.pop(key)
-    if engine:
-        overrides["engine.kind"] = engine
-    return params, overrides
 
 
 def _summarise(record: Dict[str, Any], out=None) -> None:
@@ -221,11 +217,7 @@ def _flow_table(spec, out) -> None:
 
 
 def cmd_show(args: argparse.Namespace) -> int:
-    factory = get_scenario(args.scenario)
-    params, overrides = _split_overrides(factory, args.set, args.override, args.engine)
-    spec = factory.spec(**params)
-    if overrides:
-        spec = spec.with_overrides(**overrides)
+    spec = _named_run(args).resolve_spec()
     print(spec.to_json(indent=2))
     # The table goes to stderr so stdout stays machine-parseable JSON.
     print(f"engine: {spec.engine.kind} (tracers={spec.engine.tracer_receivers})", file=sys.stderr)
@@ -234,11 +226,7 @@ def cmd_show(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    factory = get_scenario(args.scenario)
-    params, overrides = _split_overrides(factory, args.set, args.override, args.engine)
-    run = SweepRun(
-        index=0, seed=args.seed, params={**params, **overrides}, scenario=args.scenario
-    )
+    run = _named_run(args, args.seed)
     fingerprint = run_fingerprint(run)  # resolves the spec: bad input fails here
     cache = ResultCache(args.cache) if args.cache else None
     started = time.perf_counter()
@@ -312,15 +300,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if not args.scenario:
         raise SystemExit("error: a scenario name is required (unless using --compact)")
     grid = _parse_grid(args.grid)
-    # Fixed dotted overrides ride in params; SweepRun.resolve_spec applies
-    # them (and dotted grid axes) via ScenarioSpec.with_overrides.
-    params = {**_parse_set(args.set), **_parse_set(args.override)}
-    if args.engine:
-        params["engine.kind"] = args.engine
     runner = SweepRunner(
         args.scenario,
         grid=grid,
-        params=params,
+        params=_run_params(args),
         replications=args.reps,
         base_seed=args.seed,
         jobs=args.jobs,
@@ -388,11 +371,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_profile(args: argparse.Namespace) -> int:
     from repro.telemetry.profile import format_profile, profile_scenario
 
-    factory = get_scenario(args.scenario)
-    params, overrides = _split_overrides(factory, args.set, args.override, args.engine)
-    spec = factory.spec(**params)
-    if overrides:
-        spec = spec.with_overrides(**overrides)
+    spec = _named_run(args, args.seed).resolve_spec()
     if args.quick and spec.duration > 10.0:
         spec = spec.with_overrides(duration=10.0)
     record, snapshot, pstats_text = profile_scenario(
@@ -487,9 +466,7 @@ def _service_client(args: argparse.Namespace):
 
 
 def _submit_payload(args: argparse.Namespace) -> Dict[str, Any]:
-    params = {**_parse_set(args.set), **_parse_set(args.override)}
-    if args.engine:
-        params["engine.kind"] = args.engine
+    params = _run_params(args)
     payload: Dict[str, Any] = {"scenario": args.scenario, "seed": args.seed}
     if params:
         payload["params"] = params
@@ -624,32 +601,37 @@ def build_parser() -> argparse.ArgumentParser:
     p_list = sub.add_parser("list", help="list registered scenarios")
     p_list.set_defaults(func=cmd_list)
 
-    override_help = (
-        "override a spec field by dotted path, e.g. flows.0.params.max_rtt=0.3 "
-        "or topology.bottleneck_bps=2e6; repeatable"
+    # The flags that name a run, shared by show, run, sweep, profile, submit.
+    run_flags = argparse.ArgumentParser(add_help=False)
+    run_flags.add_argument(
+        "--set",
+        "--override",
+        dest="params",
+        action="append",
+        default=[],
+        metavar="KEY=VALUE",
+        help="a scenario parameter (num_tcp=4) or, by dotted path, any spec "
+        "field (flows.0.params.max_rtt=0.3, topology.bottleneck_bps=2e6); "
+        "repeatable, the later value wins",
     )
-    engine_help = (
-        "simulation engine (shorthand for --override engine.kind=...): "
-        "'exact' (default, per-packet) or 'cohort' (vectorised receivers)"
+    run_flags.add_argument(
+        "--engine",
+        default=None,
+        help="simulation engine (shorthand for --set engine.kind=..., and wins "
+        "over it): 'exact' (default, per-packet) or 'cohort' (vectorised receivers)",
     )
 
-    p_show = sub.add_parser("show", help="print the JSON spec of a scenario")
-    p_show.add_argument("scenario")
-    p_show.add_argument("--set", action="append", default=[], metavar="KEY=VALUE")
-    p_show.add_argument(
-        "--override", action="append", default=[], metavar="PATH=VALUE", help=override_help
+    p_show = sub.add_parser(
+        "show", parents=[run_flags], help="print the JSON spec of a scenario"
     )
-    p_show.add_argument("--engine", default=None, help=engine_help)
+    p_show.add_argument("scenario")
     p_show.set_defaults(func=cmd_show)
 
-    p_run = sub.add_parser("run", help="run one scenario and print a summary")
+    p_run = sub.add_parser(
+        "run", parents=[run_flags], help="run one scenario and print a summary"
+    )
     p_run.add_argument("scenario")
     p_run.add_argument("--seed", type=int, default=1)
-    p_run.add_argument("--set", action="append", default=[], metavar="KEY=VALUE")
-    p_run.add_argument(
-        "--override", action="append", default=[], metavar="PATH=VALUE", help=override_help
-    )
-    p_run.add_argument("--engine", default=None, help=engine_help)
     p_run.add_argument("--out", help="append the result record to this JSONL file")
     p_run.add_argument("--json", action="store_true", help="print the raw record as JSON")
     p_run.add_argument(
@@ -673,7 +655,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(func=cmd_run)
 
     p_sweep = sub.add_parser(
-        "sweep", help="run a seeded parameter sweep (resumable, shardable, cached)"
+        "sweep",
+        parents=[run_flags],
+        help="run a seeded parameter sweep (resumable, shardable, cached)",
     )
     p_sweep.add_argument(
         "scenario",
@@ -695,11 +679,6 @@ def build_parser() -> argparse.ArgumentParser:
             "spec override paths (e.g. flows.0.params.max_rtt=0.25,0.5)"
         ),
     )
-    p_sweep.add_argument("--set", action="append", default=[], metavar="KEY=VALUE")
-    p_sweep.add_argument(
-        "--override", action="append", default=[], metavar="PATH=VALUE", help=override_help
-    )
-    p_sweep.add_argument("--engine", default=None, help=engine_help)
     p_sweep.add_argument("--out", help="JSONL output path (default results/<scenario>-sweep.jsonl)")
     p_sweep.add_argument("--quiet", action="store_true", help="suppress per-run progress")
     p_sweep.add_argument(
@@ -750,16 +729,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_profile = sub.add_parser(
         "profile",
+        parents=[run_flags],
         help="run one scenario with telemetry on and print a phase/category "
         "breakdown (optionally under cProfile)",
     )
     p_profile.add_argument("scenario")
     p_profile.add_argument("--seed", type=int, default=1)
-    p_profile.add_argument("--set", action="append", default=[], metavar="KEY=VALUE")
-    p_profile.add_argument(
-        "--override", action="append", default=[], metavar="PATH=VALUE", help=override_help
-    )
-    p_profile.add_argument("--engine", default=None, help=engine_help)
     p_profile.add_argument(
         "--quick",
         action="store_true",
@@ -851,9 +826,12 @@ def build_parser() -> argparse.ArgumentParser:
     from repro.service.client import DEFAULT_SERVER, ENV_SERVER
     from repro.service.server import DEFAULT_HOST, DEFAULT_PORT
 
-    server_help = (
-        f"service address: http://host:port or unix:///path.sock "
-        f"(default ${ENV_SERVER} or {DEFAULT_SERVER})"
+    server_flag = argparse.ArgumentParser(add_help=False)
+    server_flag.add_argument(
+        "--server",
+        default=None,
+        help=f"service address: http://host:port or unix:///path.sock "
+        f"(default ${ENV_SERVER} or {DEFAULT_SERVER})",
     )
 
     p_serve = sub.add_parser(
@@ -886,16 +864,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.set_defaults(func=cmd_serve)
 
     p_submit = sub.add_parser(
-        "submit", help="submit a run or sweep grid to a running service"
+        "submit",
+        parents=[run_flags, server_flag],
+        help="submit a run or sweep grid to a running service",
     )
     p_submit.add_argument("scenario")
-    p_submit.add_argument("--server", default=None, help=server_help)
     p_submit.add_argument("--seed", type=int, default=1)
-    p_submit.add_argument("--set", action="append", default=[], metavar="KEY=VALUE")
-    p_submit.add_argument(
-        "--override", action="append", default=[], metavar="PATH=VALUE", help=override_help
-    )
-    p_submit.add_argument("--engine", default=None, help=engine_help)
     p_submit.add_argument(
         "--grid",
         action="append",
@@ -919,22 +893,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_submit.set_defaults(func=cmd_submit)
 
-    p_status = sub.add_parser("status", help="show service job status")
+    p_status = sub.add_parser("status", parents=[server_flag], help="show service job status")
     p_status.add_argument("job", nargs="?", help="job id (default: list all jobs)")
-    p_status.add_argument("--server", default=None, help=server_help)
     p_status.add_argument("--json", action="store_true", help="print raw JSON")
     p_status.set_defaults(func=cmd_status)
 
-    p_cancel = sub.add_parser("cancel", help="cancel a service job")
+    p_cancel = sub.add_parser("cancel", parents=[server_flag], help="cancel a service job")
     p_cancel.add_argument("job")
-    p_cancel.add_argument("--server", default=None, help=server_help)
     p_cancel.set_defaults(func=cmd_cancel)
 
     p_watch = sub.add_parser(
-        "watch", help="stream a job's progress events (Server-Sent Events)"
+        "watch",
+        parents=[server_flag],
+        help="stream a job's progress events (Server-Sent Events)",
     )
     p_watch.add_argument("job")
-    p_watch.add_argument("--server", default=None, help=server_help)
     p_watch.add_argument(
         "--from-seq", type=int, default=0, help="replay events starting at this sequence"
     )

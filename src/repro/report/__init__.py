@@ -14,7 +14,6 @@ from repro.report.figures import (
     Check,
     FigureData,
     FigureDef,
-    RunRequest,
     figure_names,
     get_figure,
     register_figure,
@@ -27,7 +26,6 @@ __all__ = [
     "FigureData",
     "FigureDef",
     "FigureReport",
-    "RunRequest",
     "DEFAULT_OUT_DIR",
     "figure_names",
     "get_figure",

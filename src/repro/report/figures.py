@@ -1,7 +1,9 @@
 """Paper-figure definitions: which runs to execute, how to reduce them.
 
-Each :class:`FigureDef` names the simulation runs it needs (as declarative
-``RunRequest`` items over the scenario registry), a pure ``build`` function
+Each :class:`FigureDef` names the simulation runs it needs (as
+:class:`~repro.scenarios.sweep.SweepRun` items: a registry name, params and a
+seed, where a dotted param such as ``metrics.with_series`` or ``engine.kind``
+is a spec override), a pure ``build`` function
 reducing the resulting records to a tabular dataset plus an optional
 analytical overlay, and the declared tolerances its ``--check`` assertions
 use.  Tolerances come in a ``quick`` and a ``full`` flavour: quick runs are
@@ -51,7 +53,7 @@ analytic Figures 1-3, 5 and 17 are plain :mod:`repro.analysis` calls, see
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.analysis.feedback_model import expected_feedback_messages
 from repro.analysis.scaling import expected_minimum_rate_constant_loss
@@ -64,6 +66,7 @@ from repro.metrics.stats import (
     jain_fairness,
     windowed_fairness,
 )
+from repro.scenarios.sweep import SweepRun
 
 #: Nominal RTT of the dumbbell topologies used by the report scenarios
 #: (2 * (bottleneck_delay + 2 * access_delay) plus serialisation slack).
@@ -74,34 +77,6 @@ NOMINAL_RTT = 0.05
 #: equal-share overlay is always computed from the capacity that was
 #: actually simulated.
 FAIRNESS_BOTTLENECK_BPS = 4e6
-
-
-@dataclass(frozen=True)
-class RunRequest:
-    """One simulation run a figure needs: scenario, parameters, seed.
-
-    ``metrics`` optionally overrides fields of the scenario's
-    :class:`~repro.scenarios.spec.MetricsSpec` (e.g. ``with_series`` or
-    ``with_trace``) without the registry factory having to expose them;
-    ``engine`` does the same for :class:`~repro.scenarios.spec.EngineSpec`
-    fields (e.g. ``{"kind": "cohort"}`` for vectorised large populations).
-    """
-
-    scenario: str
-    params: Dict[str, Any] = field(default_factory=dict)
-    seed: int = 1
-    metrics: Dict[str, Any] = field(default_factory=dict)
-    engine: Dict[str, Any] = field(default_factory=dict)
-
-    def key(self) -> Any:
-        """Stable identity used to match records on reuse."""
-        return (
-            self.scenario,
-            tuple(sorted(self.params.items())),
-            self.seed,
-            tuple(sorted(self.metrics.items())),
-            tuple(sorted(self.engine.items())),
-        )
 
 
 @dataclass
@@ -142,7 +117,7 @@ class FigureDef:
     title: str
     paper_figures: str
     description: str
-    requests: Callable[[bool], List[RunRequest]]
+    requests: Callable[[bool], List[SweepRun]]
     build: Callable[[List[Dict[str, Any]], bool], FigureData]
     plot: PlotSpec
     tolerances: Dict[str, Dict[str, float]]
@@ -176,6 +151,19 @@ def get_figure(name: str) -> FigureDef:
 
 # ------------------------------------------------------------------ helpers
 
+#: Spec overrides a figure adds to a run's params: time series (and the
+#: time-resolved trace) the registry factories leave off by default.
+_SERIES = {"metrics.with_series": True}
+_TIMELINE = {"metrics.with_series": True, "metrics.with_trace": True}
+
+
+def _runs(items: Iterable[Tuple[str, Dict[str, Any], int]]) -> List[SweepRun]:
+    """A figure's run list from ``(scenario, params, seed)`` triples, in order."""
+    return [
+        SweepRun(index, seed, params, scenario)
+        for index, (scenario, params, seed) in enumerate(items)
+    ]
+
 
 def _mean(values: Sequence[float]) -> float:
     values = list(values)
@@ -205,19 +193,19 @@ def _measured_loss_rate(records: Sequence[Dict[str, Any]]) -> float:
 # ------------------------------------------------------- figure: fairness
 
 
-def _fairness_requests(quick: bool) -> List[RunRequest]:
+def _fairness_requests(quick: bool) -> List[SweepRun]:
     counts = [1, 2, 4] if quick else [1, 2, 4, 8]
     duration = 30.0 if quick else 120.0
     seeds = [1] if quick else [1, 2, 3]
-    return [
-        RunRequest(
+    return _runs(
+        (
             "fairness",
             {"num_tcp": n, "duration": duration, "bottleneck_bps": FAIRNESS_BOTTLENECK_BPS},
             seed,
         )
         for n in counts
         for seed in seeds
-    ]
+    )
 
 
 def _fairness_build(records: List[Dict[str, Any]], quick: bool) -> FigureData:
@@ -284,22 +272,21 @@ FIG_FAIRNESS = register_figure(
 # ------------------------------------------------------ figure: smoothness
 
 
-def _smoothness_requests(quick: bool) -> List[RunRequest]:
+def _smoothness_requests(quick: bool) -> List[SweepRun]:
     # TFMCC needs ~30 s to leave the ramp-up regime on this topology; the
     # CoV is only meaningful at steady state, so the warmup cut is deeper
     # than for the throughput figures.
     duration = 60.0 if quick else 150.0
     warmup = 0.4 if quick else 0.33
     seeds = [1] if quick else [1, 2]
-    return [
-        RunRequest(
+    return _runs(
+        (
             "fairness",
-            {"num_tcp": 4, "duration": duration, "warmup_fraction": warmup},
+            {"num_tcp": 4, "duration": duration, "warmup_fraction": warmup, **_SERIES},
             seed,
-            metrics={"with_series": True},
         )
         for seed in seeds
-    ]
+    )
 
 
 def _smoothness_build(records: List[Dict[str, Any]], quick: bool) -> FigureData:
@@ -382,12 +369,12 @@ FIG_SMOOTHNESS = register_figure(
 # --------------------------------------------------------- figure: scaling
 
 
-def _scaling_requests(quick: bool) -> List[RunRequest]:
+def _scaling_requests(quick: bool) -> List[SweepRun]:
     counts = [1, 2, 4, 8] if quick else [1, 2, 4, 8, 16]
     duration = 20.0 if quick else 45.0
     seeds = [1] if quick else [1, 2]
-    requests = [
-        RunRequest("scaling", {"num_receivers": n, "duration": duration}, seed)
+    exact = [
+        ("scaling", {"num_receivers": n, "duration": duration}, seed)
         for n in counts
         for seed in seeds
     ]
@@ -395,17 +382,12 @@ def _scaling_requests(quick: bool) -> List[RunRequest]:
     # cohort engine extends the curve to the regimes the paper could only
     # model analytically.
     cohort_counts = [1_000, 10_000] if quick else [1_000, 10_000, 100_000]
-    requests += [
-        RunRequest(
-            "scaling",
-            {"num_receivers": n, "duration": duration},
-            seed,
-            engine={"kind": "cohort"},
-        )
+    cohort = [
+        ("scaling", {"num_receivers": n, "duration": duration, "engine.kind": "cohort"}, seed)
         for n in cohort_counts
         for seed in seeds
     ]
-    return requests
+    return _runs(exact + cohort)
 
 
 def _scaling_build(records: List[Dict[str, Any]], quick: bool) -> FigureData:
@@ -494,20 +476,15 @@ FIG_SCALING = register_figure(
 # -------------------------------------------------------- figure: feedback
 
 
-def _feedback_requests(quick: bool) -> List[RunRequest]:
+def _feedback_requests(quick: bool) -> List[SweepRun]:
     counts = [2, 4, 8] if quick else [2, 4, 8, 16]
     duration = 20.0 if quick else 40.0
     seeds = [1] if quick else [1, 2]
-    return [
-        RunRequest(
-            "scaling",
-            {"num_receivers": n, "duration": duration},
-            seed,
-            metrics={"with_trace": True},
-        )
+    return _runs(
+        ("scaling", {"num_receivers": n, "duration": duration, "metrics.with_trace": True}, seed)
         for n in counts
         for seed in seeds
-    ]
+    )
 
 
 def _feedback_build(records: List[Dict[str, Any]], quick: bool) -> FigureData:
@@ -588,7 +565,7 @@ def _feedback_build(records: List[Dict[str, Any]], quick: bool) -> FigureData:
 # -------------------------------------------------- figure: responsiveness
 
 
-def _responsiveness_requests(quick: bool) -> List[RunRequest]:
+def _responsiveness_requests(quick: bool) -> List[SweepRun]:
     # The scenarios' default event times already sit past the slowstart
     # ramp; durations cannot shrink much below the defaults, so quick mode
     # trims the seed set and the scenario list instead.
@@ -601,11 +578,11 @@ def _responsiveness_requests(quick: bool) -> List[RunRequest]:
         # never has to assume registry defaults.
         "bandwidth_step": {"bottleneck_bps": 2e6, "step_factor": 0.4, "restore_at": 38.0},
     }
-    return [
-        RunRequest(scenario, dict(params.get(scenario, {})), seed)
+    return _runs(
+        (scenario, dict(params.get(scenario, {})), seed)
         for scenario in scenarios
         for seed in seeds
-    ]
+    )
 
 
 #: Feedback-round duration of the default protocol configuration; the
@@ -779,20 +756,20 @@ FIG_RESPONSIVENESS = register_figure(
 EQUIVALENCE_BOTTLENECK_BPS = 2e6
 
 
-def _equivalence_requests(quick: bool) -> List[RunRequest]:
+def _equivalence_requests(quick: bool) -> List[SweepRun]:
     # TFMCC's feedback-round ramp needs tens of seconds before the two
     # equation-based flows settle into their shares; quick mode trades
     # duration for a wider declared tolerance.
     duration = 60.0 if quick else 120.0
     seeds = [1, 2] if quick else [1, 2, 3]
-    return [
-        RunRequest(
+    return _runs(
+        (
             "tfmcc_vs_tfrc",
             {"duration": duration, "bottleneck_bps": EQUIVALENCE_BOTTLENECK_BPS},
             seed,
         )
         for seed in seeds
-    ]
+    )
 
 
 def _equivalence_build(records: List[Dict[str, Any]], quick: bool) -> FigureData:
@@ -874,18 +851,14 @@ WIRELESS_SNR_GRID = [16.0, 13.0, 12.0, 11.5]
 WIRELESS_BOTTLENECK_BPS = 2e6
 
 
-def _wireless_requests(quick: bool) -> List[RunRequest]:
+def _wireless_requests(quick: bool) -> List[SweepRun]:
     duration = 30.0 if quick else 120.0
     seeds = [1] if quick else [1, 2]
-    return [
-        RunRequest(
-            "wireless_last_hop",
-            {"snr_db": snr, "duration": duration},
-            seed,
-        )
+    return _runs(
+        ("wireless_last_hop", {"snr_db": snr, "duration": duration}, seed)
         for snr in WIRELESS_SNR_GRID
         for seed in seeds
-    ]
+    )
 
 
 def _wireless_build(records: List[Dict[str, Any]], quick: bool) -> FigureData:
@@ -1008,11 +981,7 @@ FIG_WIRELESS = register_figure(
 # Figures 10-16 and 18-21.  Their builds reduce plain records: per-flow
 # averages from ``flows``, phase means from ``series``, and event times from
 # the time-resolved ``trace.dynamics`` section, which a static run carries
-# when it asks for both ``with_trace`` and ``with_series``.
-
-_SERIES = {"with_series": True}
-_TIMELINE = {"with_series": True, "with_trace": True}
-
+# when it asks for both ``with_trace`` and ``with_series`` (``_TIMELINE``).
 
 def _window_mean(series: Sequence[Sequence[float]], start: float, end: float) -> float:
     """Mean of the per-interval samples ``[t, value]`` with start <= t < end."""
@@ -1052,16 +1021,16 @@ def _within_check(name: str, seconds: Optional[float], limit: float) -> Check:
 # ------------------------------------------ figure: individual_bottlenecks
 
 
-def _individual_requests(quick: bool) -> List[RunRequest]:
+def _individual_requests(quick: bool) -> List[SweepRun]:
     params = {
         "num_receivers": 4 if quick else 16,
         "tail_bps": 1e6,
         "duration": 80.0 if quick else 200.0,
         "warmup_fraction": 0.4 if quick else 0.25,
     }
-    return [
-        RunRequest("individual-bottlenecks", params, seed) for seed in ([2] if quick else [2, 3])
-    ]
+    return _runs(
+        ("individual-bottlenecks", params, seed) for seed in ([2] if quick else [2, 3])
+    )
 
 
 def _individual_build(records: List[Dict[str, Any]], quick: bool) -> FigureData:
@@ -1133,7 +1102,7 @@ FIG_INDIVIDUAL = register_figure(
 # ------------------------------------------------------ figure: membership
 
 
-def _membership_requests(quick: bool) -> List[RunRequest]:
+def _membership_requests(quick: bool) -> List[SweepRun]:
     # Quick mode's 20 s phases are too short for flows to converge on the
     # paper's loss-free 10 and 16 Mbit/s links (Figures 20 and 21), so those
     # two run at 4 and 8 Mbit/s; Figure 11's rates are loss-limited anyway.
@@ -1142,29 +1111,31 @@ def _membership_requests(quick: bool) -> List[RunRequest]:
         if quick
         else {"first_join": 100.0, "join_interval": 50.0, "duration": 400.0}
     )
-    return [
-        RunRequest("responsiveness", {**staged, "link_bps": 10e6}, 11, metrics=_SERIES),
-        RunRequest(
-            "responsiveness",
-            {
-                **staged,
-                "link_bps": 4e6 if quick else 10e6,
-                "link_delays": (0.03, 0.06, 0.12, 0.24),
-            },
-            11,
-            metrics=_SERIES,
-        ),
-        RunRequest(
-            "increasing_congestion",
-            {
-                "flow_counts": (1, 2, 4, 8),
-                "link_bps": 8e6 if quick else 16e6,
-                "phase_length": 20.0 if quick else 50.0,
-            },
-            21,
-            metrics=_SERIES,
-        ),
-    ]
+    return _runs(
+        [
+            ("responsiveness", {**staged, "link_bps": 10e6, **_SERIES}, 11),
+            (
+                "responsiveness",
+                {
+                    **staged,
+                    "link_bps": 4e6 if quick else 10e6,
+                    "link_delays": (0.03, 0.06, 0.12, 0.24),
+                    **_SERIES,
+                },
+                11,
+            ),
+            (
+                "increasing_congestion",
+                {
+                    "flow_counts": (1, 2, 4, 8),
+                    "link_bps": 8e6 if quick else 16e6,
+                    "phase_length": 20.0 if quick else 50.0,
+                    **_SERIES,
+                },
+                21,
+            ),
+        ]
+    )
 
 
 def _staged_phases(record: Dict[str, Any], paper_figure: int) -> List[Dict[str, Any]]:
@@ -1310,27 +1281,28 @@ FIG_MEMBERSHIP = register_figure(
 # ------------------------------------------------------------- figure: rtt
 
 
-def _rtt_requests(quick: bool) -> List[RunRequest]:
+def _rtt_requests(quick: bool) -> List[SweepRun]:
     receivers, duration = (50, 48.0) if quick else (200, 120.0)
     step_receivers, wait = (25, 75.0) if quick else (100, 150.0)
-    requests = [
-        RunRequest(
-            "rtt_acquisition",
-            {"num_receivers": receivers, "duration": duration},
-            12,
-            metrics=_SERIES,
+    acquisition = (
+        "rtt_acquisition",
+        {"num_receivers": receivers, "duration": duration, **_SERIES},
+        12,
+    )
+    steps = [
+        (
+            "rtt_step",
+            {
+                "num_receivers": step_receivers,
+                "step_at": step_at,
+                "duration": step_at + wait,
+                **_SERIES,
+            },
+            13 + int(step_at),
         )
+        for step_at in ((5.0, 16.0) if quick else (10.0, 40.0, 160.0))
     ]
-    for step_at in (5.0, 16.0) if quick else (10.0, 40.0, 160.0):
-        requests.append(
-            RunRequest(
-                "rtt_step",
-                {"num_receivers": step_receivers, "step_at": step_at, "duration": step_at + wait},
-                13 + int(step_at),
-                metrics=_SERIES,
-            )
-        )
-    return requests
+    return _runs([acquisition] + steps)
 
 
 def _rtt_build(records: List[Dict[str, Any]], quick: bool) -> FigureData:
@@ -1430,23 +1402,23 @@ FIG_RTT = register_figure(
 # ------------------------------------------------------- figure: slowstart
 
 
-def _slowstart_requests(quick: bool) -> List[RunRequest]:
+def _slowstart_requests(quick: bool) -> List[SweepRun]:
     receiver_counts = (2, 8) if quick else (2, 8, 32)
-    return [
-        RunRequest(
+    return _runs(
+        (
             "slowstart",
             {
                 "num_receivers": n,
                 "num_tcp": num_tcp,
                 "fair_rate_bps": 1e6,
                 "duration": 24.0 if quick else 60.0,
+                **_SERIES,
             },
             14 + n,
-            metrics=_SERIES,
         )
         for num_tcp in (0, 1, 6 if quick else 8)
         for n in receiver_counts
-    ]
+    )
 
 
 def _slowstart_build(records: List[Dict[str, Any]], quick: bool) -> FigureData:
@@ -1526,7 +1498,7 @@ FIG_SLOWSTART = register_figure(
 # ------------------------------------------------------- figure: late_join
 
 
-def _late_join_requests(quick: bool) -> List[RunRequest]:
+def _late_join_requests(quick: bool) -> List[SweepRun]:
     # Quick mode keeps the 1 Mbit/s fair rate with fewer flows: 3 Mbit/s
     # shared by the session and two TCP flows instead of 8 Mbit/s by eight.
     params = (
@@ -1539,10 +1511,10 @@ def _late_join_requests(quick: bool) -> List[RunRequest]:
         join_time=20.0 if quick else 50.0,
         leave_time=40.0 if quick else 100.0,
     )
-    return [
-        RunRequest("late-join", {**params, "with_tcp_on_tail": tail}, 15, metrics=_TIMELINE)
+    return _runs(
+        ("late-join", {**params, "with_tcp_on_tail": tail, **_TIMELINE}, 15)
         for tail in (False, True)
-    ]
+    )
 
 
 def _late_join_build(records: List[Dict[str, Any]], quick: bool) -> FigureData:
@@ -1648,20 +1620,22 @@ FIG_LATE_JOIN = register_figure(
 # ------------------------------------------------------ figure: asymmetric
 
 
-def _asymmetric_requests(quick: bool) -> List[RunRequest]:
+def _asymmetric_requests(quick: bool) -> List[SweepRun]:
     duration = 48.0 if quick else 120.0
-    return [
-        RunRequest(
-            "return_path_traffic",
-            {"return_flow_counts": (0, 1, 2, 4), "link_bps": 1e6, "duration": duration},
-            18,
-        ),
-        RunRequest(
-            "lossy_return_paths",
-            {"return_loss_rates": (0.0, 0.1, 0.2, 0.3), "link_bps": 4e6, "duration": duration},
-            19,
-        ),
-    ]
+    return _runs(
+        [
+            (
+                "return_path_traffic",
+                {"return_flow_counts": (0, 1, 2, 4), "link_bps": 1e6, "duration": duration},
+                18,
+            ),
+            (
+                "lossy_return_paths",
+                {"return_loss_rates": (0.0, 0.1, 0.2, 0.3), "link_bps": 4e6, "duration": duration},
+                19,
+            ),
+        ]
+    )
 
 
 def _asymmetric_build(records: List[Dict[str, Any]], quick: bool) -> FigureData:

@@ -2,10 +2,10 @@
 
 For every requested figure the runner
 
-1. resolves the figure's :class:`~repro.report.figures.RunRequest` list into
-   concrete scenario specs (applying per-figure metrics overrides such as
-   ``with_series`` / ``with_trace``),
-2. submits the runs to the shared
+1. fingerprints the figure's :class:`~repro.scenarios.sweep.SweepRun` list
+   (registry name, params and seed; dotted params such as
+   ``metrics.with_series`` are spec overrides, as in a sweep),
+2. submits the runs unchanged to the shared
    :class:`~repro.scenarios.executor.RunExecutor` — or reuses a matching
    JSONL dataset from a previous invocation (``reuse=True``), validated via a
    fingerprint of the exact request list,
@@ -27,24 +27,18 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.report.figures import FIGURES, FigureData, FigureDef, RunRequest, figure_names
-from repro.scenarios.cache import ResultCache, canonical_json, fingerprint
+from repro.report.figures import FIGURES, FigureData, FigureDef, figure_names
+from repro.scenarios.cache import ResultCache, canonical_json
 from repro.scenarios.executor import RunExecutor
-from repro.scenarios.registry import get_scenario
 from repro.scenarios.store import ResultStore
-from repro.scenarios.sweep import SweepRun
+from repro.scenarios.sweep import SweepRun, run_fingerprint
 
 DEFAULT_OUT_DIR = os.path.join("results", "figures")
 
 _META_KEY = "_report_meta"
-
-
-def _run_fingerprints(runs: Sequence[SweepRun]) -> List[str]:
-    """Per-run spec fingerprints (runs are pre-resolved, spec_dict is set)."""
-    return [fingerprint(run.spec_dict, run.seed) for run in runs]
 
 
 def _fingerprint(run_fingerprints: List[str]) -> str:
@@ -58,39 +52,21 @@ def _fingerprint(run_fingerprints: List[str]) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
 
-def _to_sweep_run(request: RunRequest, index: int) -> SweepRun:
-    """Resolve a request into the sweep runner's unit of work."""
-    spec = get_scenario(request.scenario).spec(**request.params)
-    if request.metrics:
-        spec = spec.with_overrides(metrics=replace(spec.metrics, **request.metrics))
-    if request.engine:
-        spec = spec.with_overrides(engine=replace(spec.engine, **request.engine))
-    return SweepRun(
-        index=index,
-        seed=request.seed,
-        params=dict(request.params),
-        scenario=None,
-        spec_dict=spec.to_dict(),
-    )
-
-
 def _execute_requests(
     figure: str,
-    requests: Sequence[RunRequest],
     runs: Sequence[SweepRun],
     run_fingerprints: Sequence[str],
     jobs: int,
     progress=None,
     cache: Optional[ResultCache] = None,
 ) -> List[Dict[str, Any]]:
-    """Records of the resolved runs, in order; a run that failed raises."""
+    """Records of the runs, in order; a run that failed raises."""
     records: List[Dict[str, Any]] = []
     with RunExecutor(jobs, cache=cache) as executor:
-        outcomes = executor.map(runs, run_fingerprints)
-        for request, run, outcome in zip(requests, runs, outcomes):
+        for run, outcome in zip(runs, executor.map(runs, run_fingerprints)):
             if outcome.error is not None:
                 raise RuntimeError(
-                    f"figure {figure!r}: scenario {request.scenario!r} seed "
+                    f"figure {figure!r}: scenario {run.scenario!r} seed "
                     f"{run.seed} failed after {outcome.attempts} attempt(s): "
                     f"{outcome.error}"
                 )
@@ -206,11 +182,10 @@ def run_report(
     failures: List[str] = []
     for name in names:
         figure = FIGURES[name]
-        requests = figure.requests(quick)
-        runs = [_to_sweep_run(request, i) for i, request in enumerate(requests)]
-        # Encoding a 10k-receiver spec is not free: one pass serves both the
-        # dataset-reuse hash and the executor's cache keys.
-        run_fingerprints = _run_fingerprints(runs)
+        runs = figure.requests(quick)
+        # One pass serves both the dataset-reuse hash and the executor's
+        # cache keys.
+        run_fingerprints = [run_fingerprint(run) for run in runs]
         dataset_fp = _fingerprint(run_fingerprints)
         records_path = os.path.join(data_dir, f"{name}.jsonl")
         records = (
@@ -224,7 +199,6 @@ def run_report(
             hits_before = result_cache.hits if result_cache is not None else 0
             records = _execute_requests(
                 name,
-                requests,
                 runs,
                 run_fingerprints,
                 jobs,

@@ -54,7 +54,6 @@ from repro.scenarios.sweep import (
     SweepRunner,
     SweepStats,
     compact_stores,
-    execute_run,
     expand_grid,
     manifest_path,
 )
@@ -93,7 +92,6 @@ __all__ = [
     "canonical_json",
     "compact_stores",
     "encode_record",
-    "execute_run",
     "expand_grid",
     "fingerprint",
     "fingerprint_spec",

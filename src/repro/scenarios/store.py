@@ -13,12 +13,37 @@ import json
 import os
 import warnings
 from contextlib import contextmanager
-from typing import Any, Dict, Iterable, Iterator, List, Sequence
+from typing import IO, Any, Dict, Iterable, Iterator, List, Sequence
 
 
 def encode_record(record: Dict[str, Any]) -> str:
     """Canonical single-line JSON encoding of one result record."""
     return json.dumps(record, sort_keys=True, separators=(",", ":"))
+
+
+def open_log(path: str) -> IO[str]:
+    """Open an append-only JSONL log for appending, cutting a torn tail first.
+
+    A writer killed mid-line leaves a fragment without its newline, and the
+    next line appended would be glued onto it: one unparseable line where a
+    reader stops.  The file is truncated to just past its last newline (to
+    empty when it has none) before it is opened in ``"a"`` mode.
+    """
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    if os.path.exists(path):
+        with open(path, "rb+") as fh:
+            end = keep = fh.seek(0, os.SEEK_END)
+            while keep > 0:
+                step = min(keep, 4096)
+                fh.seek(keep - step)
+                newline = fh.read(step).rfind(b"\n")
+                if newline >= 0:
+                    keep += newline + 1 - step
+                    break
+                keep -= step
+            if keep < end:
+                fh.truncate(keep)
+    return open(path, "a", encoding="utf-8")
 
 
 class ResultStore:

@@ -73,7 +73,7 @@ from repro.scenarios.build import run_scenario
 from repro.scenarios.cache import ResultCache, canonical_json, fingerprint_spec
 from repro.scenarios.registry import get_scenario
 from repro.scenarios.spec import ScenarioSpec
-from repro.scenarios.store import ResultStore
+from repro.scenarios.store import ResultStore, open_log
 
 
 #: Seconds between manifest checkpoints while a sweep runs.  The store is
@@ -228,15 +228,6 @@ def run_fingerprint(run: SweepRun) -> str:
     return fingerprint_spec(resolve_spec_cached(run), run.seed)
 
 
-def execute_run(run: SweepRun) -> Dict[str, Any]:
-    """Execute one run in this process and annotate its provenance."""
-    spec = resolve_spec_cached(run)
-    record = run_scenario(spec, seed=run.seed)
-    return stamp_record(
-        record, run, spec, fingerprint_spec(spec, run.seed), telemetry.take_last_run()
-    )
-
-
 def pool_execute(
     run: SweepRun,
 ) -> Tuple[Optional[Dict[str, Any]], Optional[Dict[str, Any]], Optional[str], float]:
@@ -306,17 +297,16 @@ class HeartbeatStream:
     (emitted after the store append, so its ``completed`` count never
     exceeds what the store holds), and one ``stop`` entry on the way out —
     flushed line-by-line so an external watcher (or a human with
-    ``tail -f``) can follow a sweep live and a killed sweep still leaves a
-    parseable stream.  The manifest on disk lags this stream by at most
-    :data:`CHECKPOINT_S` while the sweep runs and agrees with its last
-    entry after every exit that is not a kill.
+    ``tail -f``) can follow a sweep live; a killed sweep leaves at most one
+    torn line, which the resumed sweep cuts before it appends.  The
+    manifest on disk lags this stream by at most :data:`CHECKPOINT_S`
+    while the sweep runs and agrees with its last entry after every exit
+    that is not a kill.
     """
 
     def __init__(self, path: str):
-        directory = os.path.dirname(os.path.abspath(path))
-        os.makedirs(directory, exist_ok=True)
         self.path = path
-        self._fh = open(path, "a", encoding="utf-8")
+        self._fh = open_log(path)
 
     def emit(self, entry: Dict[str, Any]) -> None:
         payload = {"ts": round(time.time(), 3), **entry}

@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Set
 
 from repro.scenarios.spec import ScenarioSpec
+from repro.scenarios.store import open_log
 from repro.scenarios.sweep import SweepRun, SweepRunner
 
 #: Job lifecycle states; the last three are terminal.
@@ -163,7 +164,8 @@ class JobJournal:
         {"op": "drain"}
 
     Lines are flushed as written, so a SIGKILL loses at most the line in
-    flight; :meth:`replay` tolerates a truncated tail.  :meth:`compact`
+    flight; :meth:`replay` tolerates a truncated tail, and reopening the
+    journal cuts it so later entries are not glued onto it.  :meth:`compact`
     rewrites the journal to its minimal equivalent form (one submit + the
     surviving unit/state entries per job) — the graceful-shutdown
     checkpoint.
@@ -171,9 +173,7 @@ class JobJournal:
 
     def __init__(self, path: str):
         self.path = path
-        directory = os.path.dirname(os.path.abspath(path))
-        os.makedirs(directory, exist_ok=True)
-        self._fh = open(path, "a", encoding="utf-8")
+        self._fh = open_log(path)
         self._lock = threading.Lock()
 
     def append(self, entry: Mapping[str, Any]) -> None:

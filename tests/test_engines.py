@@ -416,8 +416,10 @@ def test_cohort_sweep_serial_parallel_byte_identical(tmp_path):
 
 
 def test_run_record_stamps_engine_kind():
-    from repro.scenarios.sweep import SweepRun, execute_run
+    from repro.scenarios import RunExecutor, SweepRun
 
     spec = get_scenario("scaling").spec(num_receivers=4, duration=15.0)
-    record = execute_run(SweepRun(index=0, seed=1, params={}, spec_dict=spec.to_dict()))
+    run = SweepRun(index=0, seed=1, params={}, spec_dict=spec.to_dict())
+    with RunExecutor() as executor:
+        record = executor.submit(run).result().stamp(run)
     assert record["run"]["engine"] == "exact"

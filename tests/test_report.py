@@ -17,9 +17,10 @@ from repro.report.figures import (
     FigureData,
     FigureDef,
     PlotSpec,
-    RunRequest,
     register_figure,
 )
+from repro.scenarios.store import ResultStore
+from repro.scenarios.sweep import SweepRun, run_fingerprint
 
 SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
@@ -57,13 +58,6 @@ def test_figure_registry_contains_the_paper_figures():
             requests = figure.requests(quick)
             assert requests, f"{name} declares no runs"
             assert figure.tol(quick), f"{name} declares no tolerances"
-
-
-def test_run_request_key_is_stable_identity():
-    a = RunRequest("fairness", {"num_tcp": 2, "duration": 5.0}, seed=3)
-    b = RunRequest("fairness", {"duration": 5.0, "num_tcp": 2}, seed=3)
-    assert a.key() == b.key()
-    assert a.key() != RunRequest("fairness", {"num_tcp": 2, "duration": 5.0}, seed=4).key()
 
 
 # ------------------------------------------------------------------ builds
@@ -240,7 +234,8 @@ def test_ported_builds_reduce_what_the_drivers_reported():
 def _register_tiny_figure(name):
     def requests(quick):
         duration = 4.0 if quick else 5.0
-        return [RunRequest("fairness", {"num_tcp": 1, "duration": duration}, seed=1)]
+        params = {"num_tcp": 1, "duration": duration, "metrics.with_series": True}
+        return [SweepRun(index=0, seed=1, params=params, scenario="fairness")]
 
     def build(records, quick):
         record = records[0]
@@ -287,6 +282,23 @@ def test_run_report_end_to_end(tmp_path, tiny_figure):
     assert payload["figure"] == tiny_figure
     assert payload["checks"][0]["passed"] is True
     assert payload["mode"] == "quick"
+
+
+def test_report_record_reruns_from_its_own_run_block(tmp_path, tiny_figure):
+    """A record's run block names the simulation: dotted params included."""
+    reports, _failures = run_report(
+        figures=[tiny_figure], quick=True, out_dir=str(tmp_path), plots=False,
+        log=lambda msg: None,
+    )
+    records = [
+        r for r in ResultStore(reports[0].paths["records"]).iter_records() if "run" in r
+    ]
+    assert records and all("series" in record for record in records)
+    for record in records:
+        run = record["run"]
+        assert run["params"]["metrics.with_series"] is True
+        rerun = SweepRun(run["index"], run["seed"], run["params"], run["scenario"])
+        assert run_fingerprint(rerun) == run["fingerprint"]
 
 
 def test_run_report_reuses_matching_records(tmp_path, tiny_figure):

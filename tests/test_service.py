@@ -118,6 +118,23 @@ def test_journal_replay_and_compact(tmp_path):
     assert [e["op"] for e in entries] == ["submit", "state"]
 
 
+def test_journal_reopened_after_a_torn_write_replays_every_later_entry(tmp_path):
+    path = str(tmp_path / "journal.jsonl")
+    journal = JobJournal(path)
+    journal.append({"op": "submit", "id": "j00001", "payload": tiny_payload()})
+    journal.close()
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write('{"op": "unit", "id": "j000')  # killed mid-write
+    restarted = JobJournal(path)
+    restarted.append({"op": "submit", "id": "j00002", "payload": tiny_payload()})
+    restarted.append({"op": "state", "id": "j00002", "state": "running"})
+    restarted.close()
+    entries = JobJournal.replay(path)
+    assert [(e["op"], e["id"]) for e in entries] == [
+        ("submit", "j00001"), ("submit", "j00002"), ("state", "j00002")
+    ]
+
+
 # ------------------------------------------------- coalescing and cache hits
 
 

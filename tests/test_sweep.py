@@ -7,8 +7,8 @@ import pytest
 from repro.cli import main as cli_main
 from repro.scenarios import (
     ResultStore,
+    RunExecutor,
     SweepRunner,
-    execute_run,
     expand_grid,
     get_scenario,
 )
@@ -78,8 +78,9 @@ def test_sweep_over_concrete_spec():
 
 def test_execute_run_is_reproducible():
     run = SweepRun(index=0, seed=9, params=dict(TINY), scenario="fairness")
-    a = execute_run(run)
-    b = execute_run(run)
+    with RunExecutor() as executor:
+        a = executor.submit(run).result().stamp(run)
+        b = executor.submit(run).result().stamp(run)
     assert a == b
     assert a["tfmcc_mean_bps"] > 0
 
@@ -329,3 +330,67 @@ def test_cli_error_handling(capsys):
     assert cli_main(["run", "fairness", "--set", "bogus=1"]) == 2
     with pytest.raises(SystemExit):
         cli_main(["run", "fairness", "--set", "notanassignment"])
+
+
+# Each case: the CLI flags naming a run, and the params a figure (or a service
+# payload) writes for the same run.
+ENTRY_POINT_CASES = [
+    (
+        "fairness",
+        ["--set", "duration=2.0", "--override", "num_tcp=1"],
+        {"duration": 2.0, "num_tcp": 1},
+    ),
+    (
+        "scaling",
+        ["--set", "duration=2.0", "--set", "num_receivers=2",
+         "--set", "flows.0.params.max_rtt=0.3"],
+        {"duration": 2.0, "num_receivers": 2, "flows.0.params.max_rtt": 0.3},
+    ),
+    (
+        "scaling",
+        ["--set", "duration=2.0", "--set", "num_receivers=2",
+         "--set", "engine.kind=exact", "--engine", "cohort"],
+        {"duration": 2.0, "num_receivers": 2, "engine.kind": "cohort"},
+    ),
+    (  # two spellings of one flag: the later value wins
+        "fairness",
+        ["--set", "num_tcp=3", "--override", "num_tcp=1", "--set", "duration=2.0"],
+        {"duration": 2.0, "num_tcp": 1},
+    ),
+]
+
+
+@pytest.mark.parametrize("scenario,flags,params", ENTRY_POINT_CASES)
+def test_every_entry_point_resolves_the_same_flags_to_the_same_run(
+    tmp_path, capsys, scenario, flags, params
+):
+    from repro.cli import _submit_payload, build_parser
+    from repro.scenarios import fingerprint
+    from repro.scenarios.sweep import run_fingerprint
+    from repro.service.jobs import expand_payload
+
+    seed = 5
+    expected = run_fingerprint(SweepRun(index=0, seed=seed, params=params, scenario=scenario))
+
+    assert cli_main(["show", scenario, *flags]) == 0
+    shown = json.loads(capsys.readouterr().out)
+    assert fingerprint(shown, seed) == expected
+
+    cache = str(tmp_path / "cache.jsonl")
+    assert cli_main(["run", scenario, *flags, "--seed", str(seed), "--json", "--cache", cache]) == 0
+    assert json.loads(capsys.readouterr().out)["run"]["fingerprint"] == expected
+
+    out = tmp_path / "sweep.jsonl"
+    sweep = ["sweep", scenario, *flags, "--reps", "1", "--seed", str(seed), "--quiet"]
+    assert cli_main([*sweep, "--cache", cache, "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["run"]["fingerprint"] == expected
+
+    args = build_parser().parse_args(["submit", scenario, *flags, "--seed", str(seed)])
+    (unit,) = expand_payload(_submit_payload(args))
+    assert run_fingerprint(unit) == expected
+
+
+@pytest.mark.parametrize("command", ["show", "run", "profile"])
+def test_a_plain_key_that_is_no_scenario_parameter_is_rejected(command, capsys):
+    assert cli_main([command, "scaling", "--override", "description=x"]) == 2
+    assert "unknown parameters" in capsys.readouterr().err

@@ -416,6 +416,35 @@ def test_manifest_equals_store_after_every_exit_through_finally(
     assert_manifest_agrees_with_store_and_heartbeat(store, set(range(12)))
 
 
+def test_heartbeat_parses_after_a_torn_write_and_a_resume(tmp_path, monkeypatch):
+    monkeypatch.setattr(sweep_mod, "run_scenario", instant)
+    store = tmp_path / "s.jsonl"
+    tiny_runner(replications=6).execute(store=ResultStore(str(store)), stop_after=2)
+    with open(heartbeat_path(str(store)), "a", encoding="utf-8") as fh:
+        fh.write('{"event":"run","ind')  # killed mid-write
+    tiny_runner(replications=6).execute(store=ResultStore(str(store)), collect=False)
+    with open(heartbeat_path(str(store)), encoding="utf-8") as fh:
+        entries = [json.loads(line) for line in fh]
+    assert [e["event"] for e in entries].count("start") == 2
+    assert entries[-1]["event"] == "stop" and entries[-1]["completed"] == 6
+
+
+def test_open_log_cuts_a_torn_tail_and_keeps_whole_lines(tmp_path):
+    from repro.scenarios.store import open_log
+
+    path = tmp_path / "log.jsonl"
+    for content, kept in [
+        (b"", b""),
+        (b"torn", b""),
+        (b'{"a":1}\n', b'{"a":1}\n'),
+        (b'{"a":1}\n{"b":', b'{"a":1}\n'),
+        (b"x" * 5000 + b"\n" + b"y" * 9000, b"x" * 5000 + b"\n"),
+    ]:
+        path.write_bytes(content)
+        open_log(str(path)).close()
+        assert path.read_bytes() == kept
+
+
 def assert_manifest_within_store(store_path):
     """After a kill the checkpoint may lag the store; it never leads it."""
     manifest = SweepManifest.load(manifest_path(str(store_path)))
