@@ -15,7 +15,9 @@ lightweight event-free model:
 * receiver ``i`` draws timer ``t_i`` according to the configured bias method,
 * feedback sent at time ``t`` is echoed to everyone at ``t + delay``,
 * a receiver sends feedback at ``t_i`` unless an echo received strictly
-  before ``t_i`` cancels its timer (cancellation rule with parameter delta).
+  before ``t_i`` cancels its timer (cancellation rule with parameter delta,
+  decided by :func:`repro.core.feedback.suppression_round`, the same round
+  the cohort engine runs).
 
 The simulator reports the number of responses, the time and value of the
 first response, the best (lowest) value among responses and the response
@@ -25,10 +27,11 @@ delay -- exactly the quantities plotted in Figures 2, 3, 5 and 6.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
-from repro.core.feedback import BiasMethod, biased_timer_value, should_cancel
+from repro.core.feedback import BiasMethod, FeedbackTimerPolicy, suppression_round
 
 
 @dataclass
@@ -85,13 +88,17 @@ class FeedbackRoundSimulator:
         cancellation_delta: float = 0.1,
         seed: Optional[int] = None,
     ):
-        self.receiver_estimate = receiver_estimate
+        if not 0.0 <= cancellation_delta <= 1.0:
+            raise ValueError("cancellation_delta must be in [0, 1]")
+        if network_delay_rtts < 0:
+            # An echo would reach receivers before its report was sent.
+            raise ValueError("network_delay_rtts must be >= 0")
         self.max_delay_rtts = max_delay_rtts
         self.network_delay_rtts = network_delay_rtts
-        self.bias_method = bias_method
-        self.offset_fraction = offset_fraction
-        self.cancellation_delta = cancellation_delta
         self.rng = random.Random(seed)
+        self.policy = FeedbackTimerPolicy(
+            self.rng, receiver_estimate, bias_method, offset_fraction, cancellation_delta
+        )
 
     # ------------------------------------------------------------ single round
 
@@ -104,52 +111,20 @@ class FeedbackRoundSimulator:
         values = list(feedback_values)
         if not values:
             raise ValueError("need at least one receiver")
-        timers = []
-        for value in values:
-            u = 1.0 - self.rng.random()
-            t = biased_timer_value(
-                u,
-                self.max_delay_rtts,
-                self.receiver_estimate,
-                value,
-                method=self.bias_method,
-                offset_fraction=self.offset_fraction,
-            )
-            timers.append(t)
-
-        # Process receivers in timer order; a receiver responds unless an
-        # earlier response was echoed (arrived) before its timer and cancels
-        # it under the delta rule.
-        order = sorted(range(len(values)), key=lambda i: timers[i])
-        echoes: List[tuple] = []  # (arrival_time, value)
-        response_times: List[float] = []
-        response_values: List[float] = []
-        suppressed = 0
-        for i in order:
-            fire_time = timers[i]
-            cancelled = False
-            for arrival, echoed_value in echoes:
-                if arrival >= fire_time:
-                    break
-                if should_cancel(values[i], echoed_value, self.cancellation_delta):
-                    cancelled = True
-                    break
-            if cancelled:
-                suppressed += 1
-                continue
-            response_times.append(fire_time)
-            response_values.append(values[i])
-            echoes.append((fire_time + self.network_delay_rtts, values[i]))
-            echoes.sort(key=lambda e: e[0])
+        timers = [self.policy.draw(self.max_delay_rtts, value).delay for value in values]
+        delays = [self.network_delay_rtts] * len(values)
+        responders = suppression_round(timers, values, delays, self.policy.cancellation_delta)
+        response_times = [timers[i] for i in responders]
+        response_values = [values[i] for i in responders]
         return FeedbackRoundResult(
-            responses=len(response_times),
-            first_response_time=response_times[0] if response_times else float("inf"),
-            first_response_value=response_values[0] if response_values else float("inf"),
-            best_reported_value=min(response_values) if response_values else float("inf"),
+            responses=len(responders),
+            first_response_time=response_times[0],
+            first_response_value=response_values[0],
+            best_reported_value=min(response_values),
             true_minimum_value=min(values),
             response_times=response_times,
             response_values=response_values,
-            suppressed=suppressed,
+            suppressed=len(values) - len(responders),
         )
 
     # ------------------------------------------------------------ aggregates
@@ -229,31 +204,9 @@ def timer_cdf_points(
     Returns ``[(time_in_rtts, cumulative_probability), ...]`` on a regular
     time grid, estimated from ``samples`` random draws.
     """
-    rng = random.Random(seed)
-    draws = []
-    for _ in range(samples):
-        u = 1.0 - rng.random()
-        draws.append(
-            biased_timer_value(
-                u,
-                max_delay_rtts,
-                receiver_estimate,
-                rate_ratio,
-                method=method,
-                offset_fraction=offset_fraction,
-            )
-        )
-    draws.sort()
-    points = []
-    for i in range(grid + 1):
-        t = max_delay_rtts * i / grid
-        # Count of draws <= t via binary search.
-        lo, hi = 0, len(draws)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if draws[mid] <= t:
-                lo = mid + 1
-            else:
-                hi = mid
-        points.append((t, lo / len(draws)))
-    return points
+    policy = FeedbackTimerPolicy(
+        random.Random(seed), receiver_estimate, bias_method=method, offset_fraction=offset_fraction
+    )
+    draws = sorted(policy.draw(max_delay_rtts, rate_ratio).delay for _ in range(samples))
+    times = [max_delay_rtts * i / grid for i in range(grid + 1)]
+    return [(t, bisect_right(draws, t) / len(draws)) for t in times]

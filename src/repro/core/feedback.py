@@ -21,16 +21,18 @@ the current sending rate, using the ratio ``r = X_calc / X_send``:
   whole CDF up instead of offsetting it.
 
 The module also implements the cancellation rule of Section 2.5.2
-(parameter ``delta``) and the slowstart variant of the bias ratio.
+(parameter ``delta``), the feedback round it drives
+(:func:`suppression_round`) and the slowstart variant of the bias ratio.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import List, Sequence
 
 #: Floor on the reduced receiver-set estimate of the modified-N method.
 MIN_RECEIVER_ESTIMATE = 10
@@ -129,6 +131,35 @@ def should_cancel(calculated_rate: float, echoed_rate: float, delta: float) -> b
     if echoed_rate < 0:
         return False
     return echoed_rate - calculated_rate <= delta * echoed_rate
+
+
+def suppression_round(
+    timers: Sequence[float], values: Sequence[float], echo_delays: Sequence[float], delta: float
+) -> List[int]:
+    """Receivers that respond in one feedback round, in firing order.
+
+    Receivers fire in timer order (ties in index order) and report their
+    non-negative ``values``.  The sender echoes the lowest value reported so
+    far; receiver ``i`` hears the echo of a response fired at ``t_j`` at
+    ``t_j + echo_delays[i]``, and is cancelled when the lowest value it heard
+    strictly before ``timers[i]`` passes :func:`should_cancel`.  The rule is
+    monotone in the echoed value, so one bisect over the responses' firing
+    times and their prefix minima answers each receiver.
+    """
+    if not 0.0 <= delta <= 1.0:
+        raise ValueError("delta must be in [0, 1]")
+    fired: List[float] = []  # firing times of the responses so far, ascending
+    lowest: List[float] = []  # lowest[k]: min value among responses 0..k
+    responders: List[int] = []
+    for i in sorted(range(len(timers)), key=timers.__getitem__):
+        fire_time, delay, value = timers[i], echo_delays[i], values[i]
+        heard = bisect_left(fired, fire_time, key=lambda t: t + delay)
+        if heard and should_cancel(value, lowest[heard - 1], delta):
+            continue
+        fired.append(fire_time)
+        lowest.append(min(value, lowest[-1]) if lowest else value)
+        responders.append(i)
+    return responders
 
 
 def slowstart_bias_ratio(receive_rate: float, send_rate: float) -> float:

@@ -18,8 +18,10 @@ estimates and calculated rates, stepped once per feedback round.  Each step
 draws fresh loss intervals from the anchor's measured loss process
 (independent exponential draws with the anchor's mean interval — exactly
 the Section-3 independence assumption), evaluates the Padhye equation and
-the biased feedback-suppression timers vectorised, and injects the winning
-receivers' reports into the sender as synthetic ``FeedbackHeader`` packets.
+the biased feedback-suppression timers vectorised, runs the protocol's
+suppression round on them (:func:`repro.core.feedback.suppression_round`,
+shared with the analysis model) and injects the responders' reports into
+the sender as synthetic ``FeedbackHeader`` packets.
 The sender is engine-agnostic: a cohort receiver can become the CLR, in
 which case its report is refreshed every step (well inside the CLR
 timeout).
@@ -52,7 +54,7 @@ from time import perf_counter
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.equations import MAX_LOSS_RATE, MIN_LOSS_RATE
-from repro.core.feedback import MIN_RECEIVER_ESTIMATE, BiasMethod
+from repro.core.feedback import MIN_RECEIVER_ESTIMATE, BiasMethod, suppression_round
 from repro.core.headers import FeedbackHeader
 from repro.engines.registry import EngineFactory, EngineUnavailableError, register_engine
 from repro.simulator.packet import Packet, PacketType
@@ -545,25 +547,25 @@ class _FlowCohort:
         timers = self._suppression_timers(np, ratio, max_delay)
         reporters: List[int] = []
         if np.any(eligible):
+            # Each member hears the echo of the lowest rate reported so far
+            # one RTT after it was sent.  A member's fate depends only on
+            # earlier timers, so the timer-ordered head that holds ``cap``
+            # responders decides the step; most rounds fill the cap within a
+            # few members, even when 10^5 are eligible.
             candidates = np.flatnonzero(eligible)
             order = candidates[np.argsort(timers[candidates], kind="stable")]
-            first = int(order[0])
-            first_rate = float(calc[first])
-            reporters.append(first)
+            size = cap = self.engine.max_reports_per_step
             delta = self.config.cancellation_delta
-            for index in order[1:]:
-                if len(reporters) >= self.engine.max_reports_per_step:
+            while True:
+                head = order[:size]
+                responders = suppression_round(
+                    timers[head].tolist(), calc[head].tolist(), rtt[head].tolist(), delta
+                )
+                if len(responders) >= cap or size >= len(order):
                     break
-                index = int(index)
-                # A later timer is cancelled by the echo of the first report
-                # unless it fires within one RTT of it, or its own rate is
-                # significantly lower than the echoed one (should_cancel).
-                hears_echo = timers[index] > timers[first] + rtt[index]
-                cancelled = first_rate - calc[index] <= delta * first_rate
-                if hears_echo and cancelled:
-                    continue
-                reporters.append(index)
-            self.suppressed += int(np.count_nonzero(eligible)) - len(reporters)
+                size *= 4
+            reporters = head[responders[:cap]].tolist()
+            self.suppressed += len(candidates) - len(reporters)
         # The CLR (when it is a cohort receiver) refreshes its report every
         # step regardless of suppression: CLR reports are never suppressed.
         # A cohort member the sender knows of has reported before.

@@ -932,8 +932,9 @@ class EngineSpec:
         Cohort update period in simulated seconds; ``None`` steps once per
         sender feedback round (the paper's natural feedback granularity).
     ``max_reports_per_step``
-        Cap on synthetic (unsuppressed) cohort feedback reports injected
-        into the sender per step.
+        Safety cap on the cohort's reports per step: the first this many
+        responders left after suppression (in timer order) are injected
+        into the sender.  It is not part of the protocol.
     """
 
     kind: str = "exact"

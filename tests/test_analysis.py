@@ -2,6 +2,7 @@
 
 import math
 import random
+import statistics
 
 import numpy as np
 import pytest
@@ -149,6 +150,38 @@ class TestFeedbackRounds:
         sim = FeedbackRoundSimulator(seed=6)
         with pytest.raises(ValueError):
             sim.run_round([])
+
+    def test_invalid_parameters_rejected_at_construction(self):
+        # Both used to pass silently: delta was only checked once an echo was
+        # heard, and a negative delay echoed reports before they were sent.
+        with pytest.raises(ValueError, match="cancellation_delta"):
+            FeedbackRoundSimulator(cancellation_delta=1.5, seed=1)
+        with pytest.raises(ValueError, match="network_delay_rtts"):
+            FeedbackRoundSimulator(network_delay_rtts=-1.0, seed=1)
+
+    @pytest.mark.parametrize("num_receivers", [10, 100, 1000])
+    def test_kernel_matches_the_closed_form_response_count(self, num_receivers):
+        """Unbiased timers and delta = 1 are the closed form's own model.
+
+        With every echo cancelling, a receiver responds iff its timer fires
+        within tau of the earliest one, which expected_feedback_messages
+        integrates.  The mean over 200 rounds must lie within 4 Monte-Carlo
+        standard errors of it (a correct kernel misses about once in 16 000
+        points).
+        """
+        sim = FeedbackRoundSimulator(
+            seed=1,
+            bias_method=BiasMethod.NONE,
+            cancellation_delta=1.0,
+            max_delay_rtts=4.0,
+            network_delay_rtts=1.0,
+        )
+        rounds = 200
+        counts = [sim.run_round([0.5] * num_receivers).responses for _ in range(rounds)]
+        mean = statistics.fmean(counts)
+        standard_error = statistics.stdev(counts) / math.sqrt(rounds)
+        model = expected_feedback_messages(num_receivers, 4.0, network_delay_rtts=1.0)
+        assert abs(mean - model) <= 4.0 * standard_error, (mean, model, standard_error)
 
     def test_timer_cdf_points_monotone(self):
         points = timer_cdf_points(BiasMethod.NONE, samples=2000, grid=20)

@@ -255,6 +255,55 @@ def test_cohort_suppression_timers_equal_the_exact_receivers_timers(method, rece
     assert vectorised.tolist() == pytest.approx(exact, rel=1e-12, abs=0.0)
 
 
+def test_cohort_hears_the_lowest_echo_of_the_whole_cascade(monkeypatch):
+    """A cohort member is cancelled by the lowest rate echoed so far.
+
+    Member 1 fires before member 0's echo arrives, and the echo of its rate
+    0.5 cancels member 2 (0.52 is within delta = 10 % of it).  The cohort
+    used to hear only the first report's echo (rate 1.0), so member 2
+    reported too.
+    """
+    import numpy as np
+
+    spec = get_scenario("scaling").spec(num_receivers=5, duration=10.0)
+    built = get_engine("cohort").build(spec.with_overrides(**{"engine.kind": "cohort"}), seed=1)
+    cohort = built.cohorts[0]
+    assert cohort.n == 3 and cohort.config.cancellation_delta == 0.1
+    calc, rtt = np.array([1.0, 0.5, 0.52]), np.full(3, 0.1)
+    monkeypatch.setattr(cohort, "_rates", lambda np_, anchor: (calc, np.full(3, 0.01), rtt))
+    monkeypatch.setattr(
+        cohort, "_suppression_timers", lambda np_, ratio, max_delay: np.array([0.0, 0.05, 1.0])
+    )
+    cohort._emit_feedback(np, 0.0)
+    assert (cohort.reports_injected, cohort.suppressed) == (2, 1)
+
+
+def test_cohort_injects_the_first_responders_up_to_the_cap(monkeypatch):
+    """Late responders past 35 cancelled members still fill the cap, in timer order.
+
+    Member 4 fires first (rate 1.0) and its echo cancels members 5-39
+    (0.99); members 0-3 fire last, each more than delta below the lowest
+    rate so far.  The round has five responders and the cap of 4 keeps the
+    first four, which the cohort only reaches by widening its head past the
+    cancelled members.
+    """
+    import numpy as np
+
+    spec = get_scenario("scaling").spec(num_receivers=42, duration=10.0)
+    built = get_engine("cohort").build(spec.with_overrides(**{"engine.kind": "cohort"}), seed=1)
+    cohort = built.cohorts[0]
+    assert cohort.n == 40 and cohort.engine.max_reports_per_step == 4
+    calc = np.array([0.5, 0.4, 0.3, 0.2, 1.0] + [0.99] * 35)
+    timers = np.array([5.0, 5.1, 5.2, 5.3, 0.0] + [1.0 + 0.01 * k for k in range(35)])
+    monkeypatch.setattr(
+        cohort, "_rates", lambda np_, anchor: (calc, np.full(40, 0.01), np.full(40, 0.1))
+    )
+    monkeypatch.setattr(cohort, "_suppression_timers", lambda np_, ratio, max_delay: timers)
+    cohort._emit_feedback(np, 0.0)
+    assert (cohort.reports_injected, cohort.suppressed) == (4, 36)
+    assert sorted(cohort._reported.values()) == [0, 1, 2, 4]
+
+
 #: Declared cross-validation tolerances (mirrors the scaling figure): the
 #: cohort's independent loss draws track the Section-3 lower envelope, the
 #: exact engine's correlated losses sit between that envelope and 1.

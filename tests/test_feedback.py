@@ -1,9 +1,10 @@
 """Tests for the biased feedback timers and cancellation rules."""
 
 import random
+from bisect import bisect_left, bisect_right
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import find, given, settings
 from hypothesis import strategies as st
 
 from repro.core.feedback import (
@@ -13,6 +14,7 @@ from repro.core.feedback import (
     exponential_timer_value,
     should_cancel,
     slowstart_bias_ratio,
+    suppression_round,
     truncate_rate_ratio,
 )
 
@@ -138,6 +140,125 @@ class TestCancellation:
         if should_cancel(calc, echo, 0.1):
             assert should_cancel(calc, echo, 0.5)
             assert should_cancel(calc, echo, 1.0)
+
+
+# The echo loop FeedbackRoundSimulator.run_round used before the kernel, kept
+# as the oracle for suppression_round.  Only the echo's arrival changed: it is
+# taken per receiver (sent_at + echo_delays[i]) instead of with one delay.
+
+
+def echo_loop_oracle(timers, values, echo_delays, delta):
+    order = sorted(range(len(values)), key=lambda i: timers[i])
+    echoes = []  # (sent_at, value)
+    responders = []
+    for i in order:
+        fire_time = timers[i]
+        cancelled = False
+        for sent_at, echoed_value in echoes:
+            if sent_at + echo_delays[i] >= fire_time:
+                break
+            if should_cancel(values[i], echoed_value, delta):
+                cancelled = True
+                break
+        if cancelled:
+            continue
+        responders.append(i)
+        echoes.append((fire_time, values[i]))
+        echoes.sort(key=lambda e: e[0])
+    return responders
+
+
+def mutated_kernel(timers, values, echo_delays, delta, mutant):
+    """suppression_round with one deliberate defect, for the oracle to catch.
+
+    ``"arrival_inclusive"`` hears an echo arriving exactly at the timer (``<=``
+    instead of ``<``); ``"first_echo_only"`` hears only the first response's
+    echo, the cohort engine's former rule.
+    """
+    search = bisect_right if mutant == "arrival_inclusive" else bisect_left
+    fired, lowest, responders = [], [], []
+    for i in sorted(range(len(timers)), key=timers.__getitem__):
+        delay = echo_delays[i]
+        heard = search(fired, timers[i], key=lambda t: t + delay)
+        if heard and should_cancel(values[i], lowest[heard - 1], delta):
+            continue
+        fired.append(timers[i])
+        if mutant == "first_echo_only":
+            lowest.append(lowest[0] if lowest else values[i])
+        else:
+            lowest.append(min(values[i], lowest[-1]) if lowest else values[i])
+        responders.append(i)
+    return responders
+
+
+# Timers, delays and values on coarse grids make ties and echoes arriving
+# exactly at a timer common; free floats cover the rest.
+_TIMES = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.25, 2.0]), st.floats(0.0, 4.0))
+_DELAYS = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.floats(0.0, 2.0))
+_VALUES = st.one_of(st.sampled_from([0.1, 0.45, 0.5, 0.52, 0.9, 1.0]), st.floats(0.0, 1.0))
+
+
+@st.composite
+def feedback_rounds(draw):
+    n = draw(st.integers(min_value=1, max_value=40))
+    timers = draw(st.lists(_TIMES, min_size=n, max_size=n))
+    values = draw(st.lists(_VALUES, min_size=n, max_size=n))
+    delays = draw(st.lists(_DELAYS, min_size=n, max_size=n))
+    delta = draw(st.sampled_from([0.0, 0.1, 1.0]))
+    return timers, values, delays, delta
+
+
+class TestSuppressionRound:
+    @settings(max_examples=300, deadline=None)
+    @given(round_=feedback_rounds())
+    def test_kernel_matches_the_echo_loop_oracle(self, round_):
+        assert suppression_round(*round_) == echo_loop_oracle(*round_)
+
+    @settings(max_examples=100, deadline=None)
+    @given(round_=feedback_rounds(), data=st.data())
+    def test_a_timer_ordered_head_keeps_the_first_responders(self, round_, data):
+        # The cohort engine widens a timer-ordered head of its members until
+        # it holds max_reports_per_step responders; that is exact only if a
+        # member's fate never depends on a later timer.
+        timers, values, delays, delta = round_
+        order = sorted(range(len(timers)), key=timers.__getitem__)
+        size = data.draw(st.integers(min_value=1, max_value=len(order)))
+        head = order[:size]
+        responders = suppression_round(
+            [timers[i] for i in head], [values[i] for i in head], [delays[i] for i in head], delta
+        )
+        full = suppression_round(timers, values, delays, delta)
+        assert [head[k] for k in responders] == [i for i in full if i in head]
+
+    @pytest.mark.parametrize("mutant", ["arrival_inclusive", "first_echo_only"])
+    def test_oracle_catches_mutant(self, mutant):
+        # The generator above reaches a round on which each mutant and the
+        # oracle disagree, so the property test would fail on either defect.
+        find(
+            feedback_rounds(),
+            lambda r: mutated_kernel(*r, mutant) != echo_loop_oracle(*r),
+            settings=settings(max_examples=2000, database=None),
+        )
+
+    def test_lowest_echo_so_far_cancels(self):
+        # Receiver 1 fires before receiver 0's echo arrives; the echo of its
+        # 0.5 then cancels receiver 2 (within 10 % of it), which receiver 0's
+        # 1.0 alone would not.
+        assert suppression_round([0.0, 0.05, 1.0], [1.0, 0.5, 0.52], [0.1] * 3, 0.1) == [0, 1]
+
+    def test_echo_at_the_timer_is_not_heard(self):
+        assert suppression_round([0.0, 1.0], [0.5, 0.5], [1.0, 1.0], 1.0) == [0, 1]
+        assert suppression_round([0.0, 1.0], [0.5, 0.5], [0.5, 0.5], 1.0) == [0]
+
+    def test_ties_fire_in_index_order(self):
+        assert suppression_round([1.0, 0.0, 1.0], [0.5, 0.5, 0.5], [0.5] * 3, 1.0) == [1]
+        assert suppression_round([1.0, 1.0], [0.5, 0.5], [0.0, 0.0], 1.0) == [0, 1]
+
+    def test_delta_checked_without_any_echo(self):
+        with pytest.raises(ValueError, match="delta"):
+            suppression_round([0.0], [0.5], [1.0], 1.5)
+        with pytest.raises(ValueError, match="delta"):
+            suppression_round([], [], [], -0.1)
 
 
 class TestPolicyAndSlowstart:
