@@ -20,6 +20,8 @@ replaces the (too large) initial RTT.
 from __future__ import annotations
 
 from collections import deque
+from itertools import chain
+from operator import mul
 from typing import Deque, List, Optional, Sequence
 
 from repro.core.equations import mathis_loss_rate, padhye_loss_rate
@@ -44,6 +46,10 @@ class LossIntervalHistory:
         self._intervals: Deque[float] = deque(maxlen=len(weights))  # most recent first
         self._open_interval = 0.0  # packets since the last loss event
         self._have_loss = False
+        # Weighted average of the closed intervals and the weight sum of the
+        # open-interval average, kept until the closed intervals change.
+        self._closed_average: Optional[float] = None
+        self._open_weight = 0.0
 
     # ------------------------------------------------------------ recording
 
@@ -58,6 +64,7 @@ class LossIntervalHistory:
         if self._have_loss:
             # The packet that starts the loss event terminates the interval.
             self._intervals.appendleft(max(self._open_interval, 1.0))
+            self._closed_average = None
         self._have_loss = True
         self._open_interval = 0.0
 
@@ -74,6 +81,7 @@ class LossIntervalHistory:
             self._have_loss = True
         self._intervals.clear()
         self._intervals.appendleft(interval)
+        self._closed_average = None
         self._open_interval = 0.0
 
     def scale_intervals(self, factor: float) -> None:
@@ -82,6 +90,7 @@ class LossIntervalHistory:
             raise ValueError("factor must be positive")
         scaled = [max(1.0, interval * factor) for interval in self._intervals]
         self._intervals = deque(scaled, maxlen=len(self.weights))
+        self._closed_average = None
 
     # ------------------------------------------------------------ statistics
 
@@ -113,8 +122,16 @@ class LossIntervalHistory:
         makes the average larger (i.e. the loss event rate smaller)."""
         if not self.has_loss:
             return 0.0
-        closed = self._weighted_average(self._intervals)
-        with_open = self._weighted_average([self._open_interval] + list(self._intervals))
+        closed = self._closed_average
+        if closed is None:
+            closed = self._closed_average = self._weighted_average(self._intervals)
+            self._open_weight = sum(self.weights[: len(self._intervals) + 1])
+        # The open interval taken as the newest, summed in the order
+        # _weighted_average would sum it, so the result is the same float.
+        with_open = (
+            sum(map(mul, self.weights, chain((self._open_interval,), self._intervals)))
+            / self._open_weight
+        )
         return max(closed, with_open)
 
     @property

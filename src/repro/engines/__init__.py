@@ -20,13 +20,16 @@ from repro.engines.registry import (
     engines,
     get_engine,
     register_engine,
+    register_lazy_engine,
 )
 
 # Importing the built-in engine modules registers them (same pattern as
-# repro.protocols).  Both modules are import-light: numpy and the scenario
-# builder load lazily inside build().
+# repro.protocols); numpy and the scenario builder load lazily inside
+# build().  The cohort module is only imported by the first
+# get_engine("cohort"), so exact-only processes never compile it.
 from repro.engines import exact as _exact  # noqa: E402,F401
-from repro.engines import cohort as _cohort  # noqa: E402,F401
+
+register_lazy_engine("cohort", "repro.engines.cohort")
 
 __all__ = [
     "EngineFactory",

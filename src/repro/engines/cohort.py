@@ -40,7 +40,14 @@ Scale: the per-step cost is ``O(num_receivers)`` numpy work, independent of
 the packet rate, so 10k-100k receivers cost a fixed small overhead on top
 of the tracer-only exact simulation.  The builder also prunes unused
 trailing dumbbell/star receiver nodes so topology construction stays
-proportional to the tracer count.
+proportional to the tracer count.  Memory is the members' state, 81 bytes
+each (the loss history, open interval, RTT jitter and an int8 event
+count; the private-loss and RTT-offset arrays are written only on a star):
+a step makes its member-sized temporaries one block of ``_BLOCK`` members
+at a time and keeps only the earliest timers of the eligible members.
+Every block draws its random numbers in the order one whole-cohort draw
+would, so records do not depend on the block size.  At 10^6 receivers
+(``scaling``, 60 s) a run peaks at about 116 MB resident.
 """
 
 from __future__ import annotations
@@ -51,7 +58,7 @@ from dataclasses import dataclass, field, replace
 from itertools import repeat
 from operator import attrgetter, is_not
 from time import perf_counter
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.equations import MAX_LOSS_RATE, MIN_LOSS_RATE
 from repro.core.feedback import MIN_RECEIVER_ESTIMATE, BiasMethod, suppression_round
@@ -80,6 +87,20 @@ def _available() -> Optional[str]:
     if _numpy() is None:
         return "numpy is not installed (pip install 'repro[cohort]')"
     return None
+
+
+#: Members per block of a step's vectorised work.  Every member-sized
+#: temporary of a step is made and used one block at a time, so a cohort's
+#: peak memory is its state and not its step scratch.  numpy's Generator
+#: fills an array from one stream in row-major order, so drawing block by
+#: block returns the numbers one whole-cohort draw would: records do not
+#: depend on this value.
+_BLOCK = 8192
+
+
+def _blocks(n: int) -> List[Tuple[int, int]]:
+    """``[start, stop)`` bounds of the member blocks of an ``n``-member cohort."""
+    return [(start, min(start + _BLOCK, n)) for start in range(0, n, _BLOCK)]
 
 
 _DST_NODE = re.compile(r"^dst(\d+)$")
@@ -166,8 +187,9 @@ class _CohortPlan:
 
     flow_index: int
     flow_name: str
-    #: Position of every cohort member among the flow's receivers (int array).
-    member_index: Any
+    #: Position of every cohort member among the flow's receivers: a range
+    #: for a receiver run, a list for an explicit receiver tuple.
+    member_index: Sequence[int]
 
 
 def _partition_spec(spec: Any, engine: Any) -> Tuple[Any, List[_CohortPlan]]:
@@ -191,7 +213,7 @@ def _partition_spec(spec: Any, engine: Any) -> Tuple[Any, List[_CohortPlan]]:
         if _is_run(receivers):
             # Static by definition: the head of the run traces, the rest is cohort.
             kept_index = range(engine.tracer_receivers)
-            member_index = np.arange(engine.tracer_receivers, count)
+            member_index = range(engine.tracer_receivers, count)
         else:
             # Read off the spec without a Python frame per receiver.
             exact = np.fromiter(map(attrgetter("join_at"), receivers), float, count) > 0.0
@@ -199,8 +221,8 @@ def _partition_spec(spec: Any, engine: Any) -> Tuple[Any, List[_CohortPlan]]:
                 map(is_not, map(attrgetter("leave_at"), receivers), repeat(None)), bool, count
             )
             static = np.flatnonzero(~exact)
-            member_index = static[engine.tracer_receivers :]
-            if not len(member_index):
+            member_index = static[engine.tracer_receivers :].tolist()
+            if not member_index:
                 new_flows.append(flow)
                 continue
             exact[static[: engine.tracer_receivers]] = True
@@ -259,6 +281,8 @@ class _FlowCohort:
         # the rate kernel sweeps whole slots, which must be contiguous.
         self.intervals = np.zeros((self.history_len, n), dtype=float)
         self.open_pkts = np.zeros(n, dtype=float)
+        # Loss events per member in the current step, capped at history_len.
+        self._events = np.zeros(n, dtype=np.min_scalar_type(-self.history_len))
         self.seeded = False
         # Per-receiver loss and delay offsets from private (non-shared)
         # path segments, resolved against the *original* topology.
@@ -269,12 +293,12 @@ class _FlowCohort:
 
         packet_size = int(self.config.packet_size)
         self._refresh_rows = None
+        # Both stay untouched zero pages outside a star: no resident memory.
         private = np.zeros(n, dtype=float)
-        delays = np.zeros(n, dtype=float)
-        anchor_delay = 0.0
+        rtt_offset = np.zeros(n, dtype=float)
         if isinstance(spec.topology, StarSpec):
             star, receivers = spec.topology, self._receivers
-            nodes = [_node_of(receivers, i) for i in plan.member_index.tolist()]
+            nodes = [_node_of(receivers, i) for i in plan.member_index]
             for i, node in enumerate(nodes):
                 leaf = _star_leaf(star, node)
                 if leaf is not None:
@@ -282,15 +306,16 @@ class _FlowCohort:
                     # cannot anticipate collision load, so receivers behind
                     # them should stay exact tracers.
                     private[i] = leaf.impairment.expected_loss_rate(packet_size)
-                    delays[i] = leaf.delay
+                    rtt_offset[i] = leaf.delay
             # The first receiver present from t=0 is always an exact one.
             anchor = next((r for r in self._receivers if r.join_at <= 0.0), None)
             anchor_leaf = _star_leaf(star, anchor.node) if anchor is not None else None
             if anchor_leaf is not None:
-                anchor_delay = anchor_leaf.delay
+                rtt_offset -= anchor_leaf.delay
+            rtt_offset *= 2.0  # twice the leaf delay beyond the anchor's
             self._init_channel_refresh(np, star, nodes, spec.dynamics.mobility, packet_size)
         self.private_loss = private
-        self.rtt_offset = 2.0 * (delays - anchor_delay)
+        self.rtt_offset = rtt_offset
         # Static multiplicative RTT jitter (access-link serialisation and
         # queueing differ slightly per receiver).
         self.rtt_jitter = self.rng.uniform(0.95, 1.05, size=n)
@@ -440,6 +465,7 @@ class _FlowCohort:
 
     def _advance_state(self, np: Any, anchor: Any, dt: Optional[float]) -> None:
         history = anchor.history
+        rng, blocks, depth = self.rng, _blocks(self.n), self.history_len
         if not self.seeded:
             if not history.has_loss:
                 return
@@ -449,9 +475,12 @@ class _FlowCohort:
             # i.i.d. assumption.  Broadcasting the anchor's history instead
             # would zero the cross-receiver variance and with it the
             # order-statistic degradation the cohort exists to reproduce.
-            draws = self.rng.exponential(mean_interval, size=(self.n, self.history_len))
-            np.maximum(draws.T, 1.0, out=self.intervals)
-            self.open_pkts[:] = self.rng.random(self.n) * max(history.open_interval, 0.0)
+            # Each member draws its whole history (newest first) in turn.
+            for start, stop in blocks:
+                draws = rng.exponential(mean_interval, size=(stop - start, depth))
+                np.maximum(draws.T, 1.0, out=self.intervals[:, start:stop])
+            rng.random(out=self.open_pkts)
+            self.open_pkts *= max(history.open_interval, 0.0)
             self._anchor_events = anchor.detector.loss_events
             self.seeded = True
             return
@@ -460,63 +489,86 @@ class _FlowCohort:
         # Packets a cohort receiver saw this round: the multicast stream is
         # one rate for everyone.
         packets = max(self.sender.current_rate * dt / self.config.packet_size, 0.0)
-        shared_events = anchor.detector.loss_events - self._anchor_events
+        shared_events = float(anchor.detector.loss_events - self._anchor_events)
         self._anchor_events = anchor.detector.loss_events
         mean_interval = max(history.average_loss_interval(), 1.0)
         # Expected loss events per receiver this step: the shared-bottleneck
         # events the anchor measured plus each receiver's private-link loss.
-        lam = float(shared_events) + packets * self.private_loss
-        events = self.rng.poisson(lam) if np.any(lam > 0) else np.zeros(self.n, dtype=int)
-        events = np.minimum(events, self.history_len)
-        hit = events > 0
-        if np.any(hit):
-            # Shift per-receiver histories by their event count, filling the
-            # fresh slots with independent Exp(mean) interval draws — the
-            # Section-3 model of per-receiver loss-interval variation.
-            for count in range(1, self.history_len + 1):
-                rows = events == count
-                hits = int(np.count_nonzero(rows))
-                if not hits:
+        # A zero mean draws no number, so a block whose members all expect
+        # none skips the draw; its tally is None and its events are not read.
+        events, private = self._events, self.private_loss
+        tallies = []
+        for start, stop in blocks:
+            private_block = private[start:stop]
+            if not (shared_events or (packets and private_block.any())):
+                tallies.append(None)
+                continue
+            counts = np.minimum(rng.poisson(shared_events + packets * private_block), depth)
+            events[start:stop] = counts
+            tallies.append(np.bincount(counts, minlength=depth + 1))
+        # Shift per-receiver histories by their event count, filling the
+        # fresh slots with independent Exp(mean) interval draws — the
+        # Section-3 model of per-receiver loss-interval variation.  All
+        # members with one count draw before any member with the next.
+        intervals = self.intervals
+        for count in range(1, depth + 1):
+            for (start, stop), tally in zip(blocks, tallies):
+                if tally is None or not tally[count]:
                     continue
-                draws = self.rng.exponential(mean_interval, size=(hits, count))
+                rows = np.flatnonzero(events[start:stop] == count)
+                rows += start
+                draws = rng.exponential(mean_interval, size=(len(rows), count))
                 np.maximum(draws, 1.0, out=draws)
-                self.intervals[count:, rows] = self.intervals[: self.history_len - count, rows]
-                self.intervals[:count, rows] = draws.T
-            # Residual open interval: a uniform fraction of this round's
-            # packets for receivers whose last event fell inside the round.
-            self.open_pkts[hit] = packets * self.rng.random(int(np.count_nonzero(hit)))
-        self.open_pkts[~hit] += packets
+                intervals[count:, rows] = intervals[: depth - count, rows]
+                intervals[:count, rows] = draws.T
+        # Residual open interval: a uniform fraction of this round's packets
+        # for receivers whose last event fell inside the round.
+        for (start, stop), tally in zip(blocks, tallies):
+            open_pkts = self.open_pkts[start:stop]
+            if tally is None or tally[0] == stop - start:
+                open_pkts += packets
+                continue
+            hit = events[start:stop] > 0
+            open_pkts[hit] = packets * rng.random(stop - start - int(tally[0]))
+            np.add(open_pkts, packets, out=open_pkts, where=~hit)
 
     # ------------------------------------------------------------- reporting
 
-    def _rates(self, np: Any, anchor: Any) -> Tuple[Any, Any, Any]:
-        """Vectorised (calculated rate, loss-event rate, rtt) per receiver."""
+    def _rates(self, np: Any, anchor: Any, members: Any = slice(None)) -> Tuple[Any, Any, Any]:
+        """Vectorised (calculated rate, loss-event rate, rtt) of ``members``.
+
+        ``members`` is a slice or an index array.  The arithmetic is
+        elementwise, so a member's values do not depend on which others are
+        computed with it: a step takes them block by block and recomputes
+        the few it reports.
+        """
         # Weighted sums accumulated newest interval first, one elementwise
         # multiply-add per history slot.  A BLAS product of an (n, 8) history
         # is no faster (and several times slower when its threads contend for
         # cores), and it rounds differently from one CPU's kernel to the
         # next, which made a record's low bits depend on the host.
         intervals, weights = self.intervals, self.weights
-        closed = intervals[0] * weights[0]
+        closed = intervals[0, members] * weights[0]
         # average_loss_interval: include the open interval when that raises
         # the average (history discounting of the open interval).
-        with_open = self.open_pkts * weights[0]
+        with_open = self.open_pkts[members] * weights[0]
         for slot in range(1, self.history_len):
-            closed += intervals[slot] * weights[slot]
-            with_open += intervals[slot - 1] * weights[slot]
+            closed += intervals[slot, members] * weights[slot]
+            with_open += intervals[slot - 1, members] * weights[slot]
         avg = np.maximum(closed / self.weight_sum, with_open / self.weight_sum)
         p = np.clip(1.0 / np.maximum(avg, 1.0), MIN_LOSS_RATE, MAX_LOSS_RATE)
         anchor_rtt = anchor.rtt.rtt
-        rtt = np.maximum(anchor_rtt * self.rtt_jitter + self.rtt_offset, 1e-3)
+        rtt = np.maximum(anchor_rtt * self.rtt_jitter[members] + self.rtt_offset[members], 1e-3)
         # Padhye Equation (1), vectorised (rto = 4 * rtt as in TFRC).
         term_fast = rtt * np.sqrt(2.0 * p / 3.0)
         term_timeout = (4.0 * rtt) * (3.0 * np.sqrt(3.0 * p / 8.0)) * p * (1.0 + 32.0 * p * p)
         calc = self.config.packet_size / (term_fast + term_timeout)
         return calc, p, rtt
 
-    def _suppression_timers(self, np: Any, ratio: Any, max_delay: float) -> Any:
-        """Biased feedback timers, mirroring repro.core.feedback vectorised."""
-        u = 1.0 - self.rng.random(self.n)  # uniform in (0, 1]
+    def _suppression_timers(self, np: Any, uniform: Any, ratio: Any, max_delay: float) -> Any:
+        """Biased feedback timers from uniforms in [0, 1), mirroring
+        repro.core.feedback vectorised."""
+        u = 1.0 - uniform  # uniform in (0, 1]
         method = self.config.bias_method
         estimate = self.config.receiver_estimate
         if method is BiasMethod.MODIFIED_N:
@@ -535,45 +587,86 @@ class _FlowCohort:
         offset = self.config.offset_fraction
         return offset * ratio * max_delay + (1.0 - offset) * exponential
 
+    def _timer_order(
+        self, np: Any, anchor: Any, send_rate: float, keep: int, rng: Any
+    ) -> Tuple[Any, Any, int]:
+        """The eligible members with the ``keep`` earliest timers, in timer order.
+
+        A member is eligible when its calculated rate is below ``send_rate``.
+        Every member draws one uniform from ``rng``, in member order, whether
+        or not it is eligible; only the eligible members' uniforms become
+        timers.  Returns their positions and timers, ordered by timer with
+        ties in member order, and how many members were eligible.
+        """
+        max_delay = self.config.feedback_delay_for_rate(max(send_rate * 8.0, 1.0))
+        floor = max(send_rate, 1e-9)
+        members, timers, eligible_count = np.empty(0, dtype=np.intp), np.empty(0), 0
+        for start, stop in _blocks(self.n):
+            calc = self._rates(np, anchor, slice(start, stop))[0]
+            uniform = rng.random(stop - start)
+            eligible = np.flatnonzero(calc < send_rate)
+            eligible_count += len(eligible)
+            if not len(eligible):
+                continue
+            ratio = np.clip(calc[eligible] / floor, 0.0, 1.0)
+            block_timers = self._suppression_timers(np, uniform[eligible], ratio, max_delay)
+            if len(members) == keep:
+                # A later member needs an earlier timer than the last kept
+                # one to displace it: an equal timer ranks after it.
+                early = block_timers < timers[-1]
+                eligible, block_timers = eligible[early], block_timers[early]
+            eligible += start
+            members = np.concatenate((members, eligible))
+            timers = np.concatenate((timers, block_timers))
+            order = np.argsort(timers, kind="stable")[:keep]
+            members, timers = members[order], timers[order]
+        return members, timers, eligible_count
+
     def _emit_feedback(self, np: Any, now: float) -> None:
         anchor = self._anchor()
         if anchor is None:
             return
-        calc, p, rtt = self._rates(np, anchor)
         send_rate = self.sender.current_rate
-        eligible = calc < send_rate
-        ratio = np.clip(calc / max(send_rate, 1e-9), 0.0, 1.0)
-        max_delay = self.config.feedback_delay_for_rate(max(send_rate * 8.0, 1.0))
-        timers = self._suppression_timers(np, ratio, max_delay)
+        cap = self.engine.max_reports_per_step
+        drawn_from = self.rng.bit_generator.state
+        members, timers, eligible = self._timer_order(
+            np, anchor, send_rate, max(_BLOCK, cap), self.rng
+        )
         reporters: List[int] = []
-        if np.any(eligible):
+        if eligible:
             # Each member hears the echo of the lowest rate reported so far
             # one RTT after it was sent.  A member's fate depends only on
             # earlier timers, so the timer-ordered head that holds ``cap``
             # responders decides the step; most rounds fill the cap within a
             # few members, even when 10^5 are eligible.
-            candidates = np.flatnonzero(eligible)
-            order = candidates[np.argsort(timers[candidates], kind="stable")]
-            size = cap = self.engine.max_reports_per_step
+            size = cap
             delta = self.config.cancellation_delta
             while True:
-                head = order[:size]
+                if len(members) < min(size, eligible):
+                    # The head outgrew what the pass kept: replay its draws.
+                    replay = np.random.Generator(np.random.PCG64())
+                    replay.bit_generator.state = drawn_from
+                    members, timers, _ = self._timer_order(np, anchor, send_rate, size, replay)
+                head = members[:size]
+                calc, _, rtt = self._rates(np, anchor, head)
                 responders = suppression_round(
-                    timers[head].tolist(), calc[head].tolist(), rtt[head].tolist(), delta
+                    timers[:size].tolist(), calc.tolist(), rtt.tolist(), delta
                 )
-                if len(responders) >= cap or size >= len(order):
+                if len(responders) >= cap or size >= eligible:
                     break
                 size *= 4
             reporters = head[responders[:cap]].tolist()
-            self.suppressed += len(candidates) - len(reporters)
+            self.suppressed += eligible - len(reporters)
         # The CLR (when it is a cohort receiver) refreshes its report every
         # step regardless of suppression: CLR reports are never suppressed.
         # A cohort member the sender knows of has reported before.
         clr_index = self._reported.get(self.sender.clr_id)
         if clr_index is not None and clr_index not in reporters:
             reporters.insert(0, clr_index)
-        for index in reporters:
-            self._inject_report(index, float(calc[index]), float(p[index]), float(rtt[index]), now)
+        if reporters:
+            calc, p, rtt = self._rates(np, anchor, np.asarray(reporters))
+            for index, rate, loss, rtt_s in zip(reporters, calc.tolist(), p.tolist(), rtt.tolist()):
+                self._inject_report(index, rate, loss, rtt_s, now)
 
     def _inject_report(self, index: int, calc: float, p: float, rtt: float, now: float) -> None:
         receiver_id = self.member_id(index)

@@ -12,11 +12,14 @@ never care which backend executes a scenario.
 This module stays import-light on purpose: it is pulled in by
 ``EngineSpec`` validation, which happens on every spec construction, so it
 must not drag numpy or the builder stack along.  Engine modules import
-those lazily inside ``build``.
+those lazily inside ``build``, and an engine module nobody runs need not be
+imported at all: :func:`register_lazy_engine` names its kind up front and
+:func:`get_engine` imports the module on first use.
 """
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
@@ -65,28 +68,42 @@ class EngineFactory:
 
 
 _REGISTRY: Dict[str, EngineFactory] = {}
+#: Kinds whose module registers them when imported, not imported yet.
+_LAZY: Dict[str, str] = {}
 
 
 def register_engine(factory: EngineFactory) -> EngineFactory:
     """Register an engine; duplicate kinds are an error."""
-    if factory.kind in _REGISTRY:
+    lazy_module = _LAZY.get(factory.kind)
+    if factory.kind in _REGISTRY or lazy_module not in (None, factory.build.__module__):
         raise ValueError(f"engine {factory.kind!r} already registered")
+    _LAZY.pop(factory.kind, None)
     _REGISTRY[factory.kind] = factory
     return factory
 
 
+def register_lazy_engine(kind: str, module: str) -> None:
+    """Register ``kind`` as the engine that importing ``module`` registers."""
+    if kind in _REGISTRY or kind in _LAZY:
+        raise ValueError(f"engine {kind!r} already registered")
+    _LAZY[kind] = module
+
+
 def get_engine(kind: str) -> EngineFactory:
+    module = _LAZY.get(kind)
+    if module is not None:
+        importlib.import_module(module)
     try:
         return _REGISTRY[kind]
     except KeyError:
         raise ValueError(
-            f"unknown engine {kind!r}; registered: {', '.join(sorted(_REGISTRY))}"
+            f"unknown engine {kind!r}; registered: {', '.join(engine_kinds())}"
         ) from None
 
 
 def engine_kinds() -> List[str]:
-    return sorted(_REGISTRY)
+    return sorted({*_REGISTRY, *_LAZY})
 
 
 def engines() -> List[EngineFactory]:
-    return [_REGISTRY[kind] for kind in sorted(_REGISTRY)]
+    return [get_engine(kind) for kind in engine_kinds()]

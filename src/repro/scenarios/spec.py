@@ -927,14 +927,16 @@ class EngineSpec:
         How many of each TFMCC flow's receivers stay exact per-packet
         agents (wired into the normal monitor/trace probes); the rest are
         aggregated into the cohort.  Receivers with membership schedules
-        always stay exact.
+        always stay exact.  An integer >= 1 (not a bool).
     ``step_interval``
-        Cohort update period in simulated seconds; ``None`` steps once per
-        sender feedback round (the paper's natural feedback granularity).
+        Cohort update period in simulated seconds, a finite number > 0;
+        ``None`` steps once per sender feedback round (the paper's natural
+        feedback granularity).
     ``max_reports_per_step``
         Safety cap on the cohort's reports per step: the first this many
         responders left after suppression (in timer order) are injected
-        into the sender.  It is not part of the protocol.
+        into the sender.  It is not part of the protocol.  An integer >= 1
+        (not a bool).
     """
 
     kind: str = "exact"
@@ -953,12 +955,21 @@ class EngineSpec:
                 f"unknown engine kind {self.kind!r}; "
                 f"registered: {', '.join(engine_kinds())}"
             )
-        if self.tracer_receivers < 1:
-            raise ValueError("engine.tracer_receivers must be >= 1")
-        if self.step_interval is not None and self.step_interval <= 0:
-            raise ValueError("engine.step_interval must be positive")
-        if self.max_reports_per_step < 1:
-            raise ValueError("engine.max_reports_per_step must be >= 1")
+        for name in ("tracer_receivers", "max_reports_per_step"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise ValueError(f"engine.{name} must be an integer >= 1, got {value!r}")
+        # The step is scheduled at now + step_interval: a NaN time would sit
+        # in the event heap out of order.
+        interval = self.step_interval
+        if interval is not None and (
+            isinstance(interval, bool)
+            or not isinstance(interval, (int, float))
+            or not 0 < interval < math.inf
+        ):
+            raise ValueError(
+                f"engine.step_interval must be a finite number > 0 or None, got {interval!r}"
+            )
 
 
 # -------------------------------------------------------------------- scenario

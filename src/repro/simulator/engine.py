@@ -257,7 +257,7 @@ class Simulator:
 
     def schedule(self, delay: float, callback: Callable[..., Any], *args: Any) -> EventHandle:
         """Schedule ``callback(*args)`` to run ``delay`` seconds from now."""
-        if delay < 0:
+        if not delay >= 0:  # also refuses NaN
             raise SimulationError(f"cannot schedule event in the past (delay={delay})")
         time = self.now + delay
         seq = self._seq
@@ -268,7 +268,7 @@ class Simulator:
 
     def schedule_at(self, time: float, callback: Callable[..., Any], *args: Any) -> EventHandle:
         """Schedule ``callback(*args)`` to run at absolute simulation ``time``."""
-        if time < self.now:
+        if not time >= self.now:  # also refuses NaN
             raise SimulationError(
                 f"cannot schedule event at {time} before current time {self.now}"
             )
@@ -316,7 +316,7 @@ class Simulator:
 
         See :meth:`reschedule_at`, which this is the relative-time form of.
         """
-        if delay < 0:
+        if not delay >= 0:  # also refuses NaN
             raise SimulationError(f"cannot schedule event in the past (delay={delay})")
         return self.reschedule_at(handle, self.now + delay, callback, *args)
 
@@ -341,7 +341,7 @@ class Simulator:
         ``time`` in floating point: a link drain must fire at exactly the
         instant its serialiser frees up.
         """
-        if time < self.now:
+        if not time >= self.now:  # also refuses NaN
             raise SimulationError(
                 f"cannot schedule event at {time} before current time {self.now}"
             )

@@ -1,5 +1,6 @@
 """Tests for the discrete-event engine."""
 
+import math
 from functools import partial
 from heapq import heappop
 
@@ -83,6 +84,31 @@ def test_schedule_in_past_rejected():
     sim.run()
     with pytest.raises(SimulationError):
         sim.schedule_at(1.0, lambda: None)
+
+
+@pytest.mark.parametrize("method", ["schedule", "schedule_at", "reschedule", "reschedule_at"])
+def test_nan_time_rejected(method):
+    # NaN compares false with everything, so a `time < now` guard let it into
+    # the heap, where it broke the heap order and the clock.
+    sim = Simulator(seed=1)
+    sim.schedule(1.0, lambda: None)
+    sim.run()
+    args = (math.nan, lambda: None) if method.startswith("schedule") else (None, math.nan, lambda: None)
+    with pytest.raises(SimulationError):
+        getattr(sim, method)(*args)
+    assert sim.peek() is None and sim.now == 1.0
+
+
+def test_nan_queue_trace_interval_fails_at_the_first_schedule():
+    # The spec still accepts a NaN sampling period; it used to end the run
+    # after 18 events with a plausible-looking record.
+    from repro.scenarios.build import run_scenario
+    from repro.scenarios.registry import get_scenario
+
+    spec = get_scenario("fairness").spec(duration=2.0, num_tcp=1)
+    spec = spec.with_overrides(**{"metrics.trace_queue_interval": math.nan, "metrics.with_trace": True})
+    with pytest.raises(SimulationError, match="nan"):
+        run_scenario(spec, seed=1)
 
 
 def test_events_scheduled_during_run_execute():

@@ -34,6 +34,34 @@ def test_registry_has_builtin_engines():
     assert get_engine("exact").build is not None
 
 
+def test_cohort_module_loads_on_first_use():
+    """Exact-only processes never import the cohort module; the first
+    get_engine("cohort") does, and the kind is listed and valid before."""
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    code = "\n".join(
+        [
+            "import sys",
+            "from repro.engines import engine_kinds, get_engine",
+            "from repro.scenarios import EngineSpec",
+            "get_engine('exact')",
+            "EngineSpec(kind='cohort')",
+            "assert 'cohort' in engine_kinds(), engine_kinds()",
+            "assert 'repro.engines.cohort' not in sys.modules",
+            "assert get_engine('cohort').kind == 'cohort'",
+            "assert 'repro.engines.cohort' in sys.modules",
+        ]
+    )
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}, check=True
+    )
+
+
 def test_unknown_engine_is_an_error():
     with pytest.raises(ValueError, match="unknown engine"):
         get_engine("warp-drive")
@@ -42,10 +70,12 @@ def test_unknown_engine_is_an_error():
 
 
 def test_duplicate_registration_rejected():
-    with pytest.raises(ValueError, match="already registered"):
-        register_engine(
-            EngineFactory(kind="exact", description="dupe", build=lambda *a, **k: None)
-        )
+    # "cohort" is taken whether or not its module has been imported yet.
+    for kind in ("exact", "cohort"):
+        with pytest.raises(ValueError, match="already registered"):
+            register_engine(
+                EngineFactory(kind=kind, description="dupe", build=lambda *a, **k: None)
+            )
 
 
 def test_engine_spec_validation():
@@ -55,6 +85,26 @@ def test_engine_spec_validation():
         EngineSpec(step_interval=-1.0)
     with pytest.raises(ValueError, match="max_reports_per_step"):
         EngineSpec(max_reports_per_step=0)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("step_interval", float("nan")),
+        ("step_interval", float("inf")),
+        ("step_interval", True),
+        ("tracer_receivers", True),
+        ("max_reports_per_step", True),
+        ("max_reports_per_step", 2.5),
+    ],
+)
+def test_engine_spec_refuses_non_finite_intervals_and_non_integer_counts(field, value):
+    with pytest.raises(ValueError, match=f"engine.{field}"):
+        EngineSpec(kind="cohort", **{field: value})
+    # The same check guards every way in, --set included.
+    spec = get_scenario("scaling").spec(num_receivers=1000, duration=60.0)
+    with pytest.raises(ValueError, match=f"engine.{field}"):
+        spec.with_overrides(**{"engine.kind": "cohort", f"engine.{field}": value})
 
 
 def test_engine_spec_flows_through_overrides_and_json():
@@ -239,8 +289,8 @@ def test_cohort_suppression_timers_equal_the_exact_receivers_timers(method, rece
     ratio = np.concatenate(([0.0, 1e-4, 0.5, 0.7, 0.9, 1.0], rng.random(394)))
     max_delay = 2.5
 
-    cohort = SimpleNamespace(n=400, config=config, rng=SimpleNamespace(random=lambda n: uniforms))
-    vectorised = _FlowCohort._suppression_timers(cohort, np, ratio, max_delay)
+    cohort = SimpleNamespace(config=config)
+    vectorised = _FlowCohort._suppression_timers(cohort, np, uniforms, ratio, max_delay)
 
     draws = iter(uniforms.tolist())
     policy = FeedbackTimerPolicy(
@@ -253,6 +303,25 @@ def test_cohort_suppression_timers_equal_the_exact_receivers_timers(method, rece
     )
     exact = [policy.draw(max_delay, r).delay for r in ratio.tolist()]
     assert vectorised.tolist() == pytest.approx(exact, rel=1e-12, abs=0.0)
+
+
+def _fix_rates_and_timers(monkeypatch, cohort, calc, rtt, timers):
+    """Give every cohort member a fixed rate, RTT and feedback timer.
+
+    The members fit one block and all are eligible, so the timers are drawn
+    for all of them in one call.
+    """
+    import numpy as np
+
+    def rates(np_, anchor, members=slice(None)):
+        return calc[members], np.full(len(calc), 0.01)[members], rtt[members]
+
+    def suppression_timers(np_, uniform, ratio, max_delay):
+        assert len(uniform) == len(timers)
+        return timers
+
+    monkeypatch.setattr(cohort, "_rates", rates)
+    monkeypatch.setattr(cohort, "_suppression_timers", suppression_timers)
 
 
 def test_cohort_hears_the_lowest_echo_of_the_whole_cascade(monkeypatch):
@@ -270,10 +339,7 @@ def test_cohort_hears_the_lowest_echo_of_the_whole_cascade(monkeypatch):
     cohort = built.cohorts[0]
     assert cohort.n == 3 and cohort.config.cancellation_delta == 0.1
     calc, rtt = np.array([1.0, 0.5, 0.52]), np.full(3, 0.1)
-    monkeypatch.setattr(cohort, "_rates", lambda np_, anchor: (calc, np.full(3, 0.01), rtt))
-    monkeypatch.setattr(
-        cohort, "_suppression_timers", lambda np_, ratio, max_delay: np.array([0.0, 0.05, 1.0])
-    )
+    _fix_rates_and_timers(monkeypatch, cohort, calc, rtt, np.array([0.0, 0.05, 1.0]))
     cohort._emit_feedback(np, 0.0)
     assert (cohort.reports_injected, cohort.suppressed) == (2, 1)
 
@@ -295,10 +361,7 @@ def test_cohort_injects_the_first_responders_up_to_the_cap(monkeypatch):
     assert cohort.n == 40 and cohort.engine.max_reports_per_step == 4
     calc = np.array([0.5, 0.4, 0.3, 0.2, 1.0] + [0.99] * 35)
     timers = np.array([5.0, 5.1, 5.2, 5.3, 0.0] + [1.0 + 0.01 * k for k in range(35)])
-    monkeypatch.setattr(
-        cohort, "_rates", lambda np_, anchor: (calc, np.full(40, 0.01), np.full(40, 0.1))
-    )
-    monkeypatch.setattr(cohort, "_suppression_timers", lambda np_, ratio, max_delay: timers)
+    _fix_rates_and_timers(monkeypatch, cohort, calc, np.full(40, 0.1), timers)
     cohort._emit_feedback(np, 0.0)
     assert (cohort.reports_injected, cohort.suppressed) == (4, 36)
     assert sorted(cohort._reported.values()) == [0, 1, 2, 4]

@@ -208,6 +208,16 @@ def feedback_rounds(draw):
     return timers, values, delays, delta
 
 
+#: For each mutant, the smallest round ``hypothesis.find`` reached on which it
+#: and the oracle disagree: an echo sent at a timer with no delay, heard by the
+#: mutant only; and a cascade in which the second response's lower echo
+#: cancels a receiver the first response's echo would not.
+_MUTANT_WITNESSES = {
+    "arrival_inclusive": ([0.0, 0.0], [0.1, 0.1], [0.0, 0.0], 0.0),
+    "first_echo_only": ([0.25, 0.0, 0.0], [0.1, 0.45, 0.1], [0.0, 0.0, 0.0], 0.0),
+}
+
+
 class TestSuppressionRound:
     @settings(max_examples=300, deadline=None)
     @given(round_=feedback_rounds())
@@ -230,10 +240,20 @@ class TestSuppressionRound:
         full = suppression_round(timers, values, delays, delta)
         assert [head[k] for k in responders] == [i for i in full if i in head]
 
-    @pytest.mark.parametrize("mutant", ["arrival_inclusive", "first_echo_only"])
+    @pytest.mark.parametrize("mutant", sorted(_MUTANT_WITNESSES))
     def test_oracle_catches_mutant(self, mutant):
-        # The generator above reaches a round on which each mutant and the
-        # oracle disagree, so the property test would fail on either defect.
+        # A round the generator above reaches (the slow search below finds
+        # one) on which the mutant and the oracle disagree.
+        round_ = _MUTANT_WITNESSES[mutant]
+        assert mutated_kernel(*round_, mutant) != echo_loop_oracle(*round_)
+        assert suppression_round(*round_) == echo_loop_oracle(*round_)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("mutant", sorted(_MUTANT_WITNESSES))
+    def test_generator_reaches_a_round_that_catches_mutant(self, mutant):
+        # The property test would fail on either defect: its generator
+        # reaches a round where the mutant and the oracle disagree.  The
+        # search is unbounded in time (11-86 s), hence the slow marker.
         find(
             feedback_rounds(),
             lambda r: mutated_kernel(*r, mutant) != echo_loop_oracle(*r),

@@ -105,6 +105,59 @@ class TestLossIntervalHistory:
         assert min(used) - 1e-6 <= avg <= max(used) + 1e-6
 
 
+def average_loss_interval_oracle(history):
+    """``average_loss_interval`` as it was before it cached the closed part."""
+    if not history.has_loss:
+        return 0.0
+
+    def weighted_average(intervals):
+        if not intervals:
+            return 0.0
+        used = list(intervals)[: len(history.weights)]
+        weights = history.weights[: len(used)]
+        return sum(w * i for w, i in zip(weights, used)) / sum(weights)
+
+    closed = weighted_average(history.intervals)
+    with_open = weighted_average([history.open_interval] + history.intervals)
+    return max(closed, with_open)
+
+
+_HISTORY_OPS = st.one_of(
+    st.tuples(st.just("packet"), st.floats(0.0, 1e4)),
+    st.tuples(st.just("loss"), st.none()),
+    st.tuples(st.just("seed"), st.floats(0.5, 1e4)),
+    st.tuples(st.just("scale"), st.floats(0.01, 10.0)),
+    st.tuples(st.just("in_order"), st.none()),
+)
+
+
+class TestCachedAverage:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        weights=st.sampled_from(
+            [DEFAULT_LOSS_INTERVAL_WEIGHTS, loss_interval_weights(16), [3.0, 2.0, 1.0]]
+        ),
+        ops=st.lists(_HISTORY_OPS, max_size=60),
+    )
+    def test_equals_the_uncached_average_bit_for_bit(self, weights, ops):
+        history = LossIntervalHistory(weights)
+        detector = LossEventDetector(history, initial_rtt=0.1)
+        detector.on_packet(0, 0.0)  # the next in-order packet takes the fast path
+        for op, value in ops:
+            if op == "packet":
+                history.record_packet(value)
+            elif op == "loss":
+                history.record_loss_event()
+            elif op == "seed":
+                history.seed_first_interval(value)
+            elif op == "scale":
+                history.scale_intervals(value)
+            else:
+                seq = detector._expected_seq
+                assert detector.on_in_order_packet(seq, seq * 0.01, 0.1)
+            assert history.average_loss_interval() == average_loss_interval_oracle(history)
+
+
 class TestLossEventDetector:
     def test_in_order_packets_produce_no_loss(self):
         history = make_history()
