@@ -20,58 +20,32 @@ The package bundles:
   every simulated figure of the paper with a check verdict.
 """
 
-from repro.core.config import TFMCCConfig
-from repro.core.feedback import BiasMethod
-from repro.core.receiver import TFMCCReceiver
-from repro.core.sender import TFMCCSender
-from repro.metrics import TraceRecorder, jain_fairness
-from repro.protocols import ProtocolFactory, get_protocol, protocol_kinds, register_protocol
-from repro.scenarios.build import build_scenario, run_scenario
-from repro.scenarios.registry import get_scenario, scenario_names
-from repro.scenarios.spec import FlowSpec, ScenarioSpec
-from repro.scenarios.sweep import SweepRunner
-from repro.session import TFMCCSession
-from repro.simulator.engine import Simulator
-from repro.simulator.link import GilbertElliottLoss
-from repro.simulator.monitor import ThroughputMonitor, fairness_index
-from repro.simulator.multicast import MulticastGroup
-from repro.simulator.sources import CBRSource, OnOffSource, TrafficSink
-from repro.simulator.topology import LinkSpec, Network
-from repro.tcp.reno import TCPRenoSender
-from repro.tcp.sink import TCPSink
+from repro._lazy import lazy_exports
 
 __version__ = "1.2.0"
 
-__all__ = [
-    "BiasMethod",
-    "CBRSource",
-    "FlowSpec",
-    "GilbertElliottLoss",
-    "LinkSpec",
-    "MulticastGroup",
-    "Network",
-    "OnOffSource",
-    "ProtocolFactory",
-    "ScenarioSpec",
-    "Simulator",
-    "SweepRunner",
-    "TCPRenoSender",
-    "TCPSink",
-    "TFMCCConfig",
-    "TFMCCReceiver",
-    "TFMCCSender",
-    "TFMCCSession",
-    "ThroughputMonitor",
-    "TraceRecorder",
-    "TrafficSink",
-    "build_scenario",
-    "fairness_index",
-    "get_protocol",
-    "get_scenario",
-    "jain_fairness",
-    "protocol_kinds",
-    "register_protocol",
-    "run_scenario",
-    "scenario_names",
-    "__version__",
-]
+_EXPORTS = {
+    "repro.core.config": ("TFMCCConfig",),
+    "repro.core.feedback": ("BiasMethod",),
+    "repro.core.receiver": ("TFMCCReceiver",),
+    "repro.core.sender": ("TFMCCSender",),
+    "repro.metrics.stats": ("jain_fairness",),
+    "repro.metrics.trace": ("TraceRecorder",),
+    "repro.protocols": ("ProtocolFactory", "get_protocol", "protocol_kinds", "register_protocol"),
+    "repro.scenarios.build": ("build_scenario", "run_scenario"),
+    "repro.scenarios.registry": ("get_scenario", "scenario_names"),
+    "repro.scenarios.spec": ("FlowSpec", "ScenarioSpec"),
+    "repro.scenarios.sweep": ("SweepRunner",),
+    "repro.session": ("TFMCCSession",),
+    "repro.simulator.engine": ("Simulator",),
+    "repro.simulator.link": ("GilbertElliottLoss",),
+    "repro.simulator.monitor": ("ThroughputMonitor", "fairness_index"),
+    "repro.simulator.multicast": ("MulticastGroup",),
+    "repro.simulator.sources": ("CBRSource", "OnOffSource", "TrafficSink"),
+    "repro.simulator.topology": ("LinkSpec", "Network"),
+    "repro.tcp.reno": ("TCPRenoSender",),
+    "repro.tcp.sink": ("TCPSink",),
+}
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, globals(), _EXPORTS)
+__all__.append("__version__")

@@ -51,32 +51,20 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
+from contextlib import nullcontext
 from typing import Any, Dict, List, Optional, Sequence
 
-import os
+# Each command imports what it runs inside its handler, so ``list``, ``show``
+# and ``--help`` load neither the simulator, the sweep pool, the service
+# daemon nor the report package (and the numpy its models need).  The
+# report's default output directory is mirrored here; a test pins it equal.
+from repro.scenarios.registry import SweepRun, scenarios
+from repro.service import DEFAULT_HOST, DEFAULT_PORT, DEFAULT_SERVER, ENV_SERVER
 
-# Mirrors repro.report.runner.DEFAULT_OUT_DIR; the report package (and the
-# numpy its analysis models need) is imported lazily in cmd_report so the
-# rest of the CLI keeps its stdlib-only footprint.
 REPORT_OUT_DIR = os.path.join("results", "figures")
-from contextlib import nullcontext
-
-from repro import telemetry
-from repro.scenarios.cache import ResultCache
-from repro.scenarios.executor import RunExecutor
-from repro.scenarios.registry import scenarios
-from repro.scenarios.store import ResultStore, encode_record
-from repro.scenarios.sweep import (
-    SweepRun,
-    SweepRunner,
-    compact_stores,
-    heartbeat_path,
-    manifest_path,
-    run_fingerprint,
-    shard_skew,
-)
 
 
 def _parse_value(text: str) -> Any:
@@ -226,6 +214,12 @@ def cmd_show(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    from repro import telemetry
+    from repro.scenarios.cache import ResultCache
+    from repro.scenarios.executor import RunExecutor
+    from repro.scenarios.store import ResultStore, encode_record
+    from repro.scenarios.sweep import run_fingerprint
+
     run = _named_run(args, args.seed)
     fingerprint = run_fingerprint(run)  # resolves the spec: bad input fails here
     cache = ResultCache(args.cache) if args.cache else None
@@ -269,6 +263,17 @@ def _parse_shard(text: Optional[str]) -> Optional[tuple]:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    from repro import telemetry
+    from repro.scenarios.cache import ResultCache
+    from repro.scenarios.store import ResultStore
+    from repro.scenarios.sweep import (
+        SweepRunner,
+        compact_stores,
+        heartbeat_path,
+        manifest_path,
+        shard_skew,
+    )
+
     if args.compact:
         if not args.out:
             raise SystemExit("error: --compact requires --out for the merged store")
@@ -489,6 +494,7 @@ def _print_job_line(job: Dict[str, Any], out) -> None:
 
 
 def cmd_submit(args: argparse.Namespace) -> int:
+    from repro.scenarios.store import encode_record
     from repro.service.client import ServiceError
 
     client = _service_client(args)
@@ -822,9 +828,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_report.set_defaults(func=cmd_report)
 
     # ------------------------------------------------------------- service
-
-    from repro.service.client import DEFAULT_SERVER, ENV_SERVER
-    from repro.service.server import DEFAULT_HOST, DEFAULT_PORT
 
     server_flag = argparse.ArgumentParser(add_help=False)
     server_flag.add_argument(

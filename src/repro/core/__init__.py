@@ -13,33 +13,22 @@ This subpackage implements the paper's primary contribution:
   and receiver agents that run on the packet-level simulator.
 """
 
-from repro.core.config import TFMCCConfig
-from repro.core.equations import (
-    loss_events_per_rtt,
-    mathis_loss_rate,
-    mathis_throughput,
-    padhye_loss_rate,
-    padhye_throughput,
-)
-from repro.core.feedback import BiasMethod, FeedbackTimerPolicy
-from repro.core.loss_history import LossEventDetector, LossIntervalHistory
-from repro.core.receiver import TFMCCReceiver
-from repro.core.rtt import ReceiverRTTEstimator, SenderRTTEstimator
-from repro.core.sender import TFMCCSender
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BiasMethod",
-    "FeedbackTimerPolicy",
-    "LossEventDetector",
-    "LossIntervalHistory",
-    "ReceiverRTTEstimator",
-    "SenderRTTEstimator",
-    "TFMCCConfig",
-    "TFMCCReceiver",
-    "TFMCCSender",
-    "loss_events_per_rtt",
-    "mathis_loss_rate",
-    "mathis_throughput",
-    "padhye_loss_rate",
-    "padhye_throughput",
-]
+_EXPORTS = {
+    "repro.core.config": ("TFMCCConfig",),
+    "repro.core.equations": (
+        "loss_events_per_rtt",
+        "mathis_loss_rate",
+        "mathis_throughput",
+        "padhye_loss_rate",
+        "padhye_throughput",
+    ),
+    "repro.core.feedback": ("BiasMethod", "FeedbackTimerPolicy"),
+    "repro.core.loss_history": ("LossEventDetector", "LossIntervalHistory"),
+    "repro.core.receiver": ("TFMCCReceiver",),
+    "repro.core.rtt": ("ReceiverRTTEstimator", "SenderRTTEstimator"),
+    "repro.core.sender": ("TFMCCSender",),
+}
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, globals(), _EXPORTS)

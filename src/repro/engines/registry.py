@@ -9,10 +9,14 @@ a ready-to-run object with the same duck-typed surface as
 and ``.sim`` — so callers (the run/sweep path, the ledger, tests)
 never care which backend executes a scenario.
 
-This module stays import-light on purpose: it is pulled in by
-``EngineSpec`` validation, which happens on every spec construction, so it
-must not drag numpy or the builder stack along.  Engine modules import
-those lazily inside ``build``, and an engine module nobody runs need not be
+This module stays import-light on purpose, as does everything a spec
+consults while it validates (the protocol and channel registries, the
+package ``__init__`` files, whose exports resolve on first use through
+:mod:`repro._lazy`): constructing a spec, ``repro show`` and ``repro list``
+must not drag numpy, the simulator or the sweep pool along.  Engine and
+protocol modules import those inside ``build``; the run path
+(:mod:`repro.scenarios.build`) imports them at top, so a pool parent has
+them before its workers fork.  An engine module nobody runs need not be
 imported at all: :func:`register_lazy_engine` names its kind up front and
 :func:`get_engine` imports the module on first use.
 """

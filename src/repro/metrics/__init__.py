@@ -14,44 +14,29 @@ Three layers, lowest first:
 The :mod:`repro.report` package composes these into per-figure datasets.
 """
 
-from repro.metrics.aggregate import (
-    aggregate_field,
-    group_records,
-    load_records,
-    merge_shards,
-    record_engine,
-    record_param,
-    scaling_points,
-)
-from repro.metrics.stats import (
-    coefficient_of_variation,
-    degradation_curve,
-    jain_fairness,
-    loss_interval_stats,
-    model_tcp_rate_bps,
-    summary_stats,
-    tcp_friendliness_ratio,
-    windowed_fairness,
-)
-from repro.metrics.trace import QueueOccupancyProbe, TraceRecorder, summarise_trace
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "TraceRecorder",
-    "QueueOccupancyProbe",
-    "summarise_trace",
-    "jain_fairness",
-    "windowed_fairness",
-    "coefficient_of_variation",
-    "summary_stats",
-    "tcp_friendliness_ratio",
-    "model_tcp_rate_bps",
-    "loss_interval_stats",
-    "degradation_curve",
-    "load_records",
-    "merge_shards",
-    "record_engine",
-    "record_param",
-    "group_records",
-    "aggregate_field",
-    "scaling_points",
-]
+_EXPORTS = {
+    "repro.metrics.trace": ("TraceRecorder", "QueueOccupancyProbe", "summarise_trace"),
+    "repro.metrics.stats": (
+        "jain_fairness",
+        "windowed_fairness",
+        "coefficient_of_variation",
+        "summary_stats",
+        "tcp_friendliness_ratio",
+        "model_tcp_rate_bps",
+        "loss_interval_stats",
+        "degradation_curve",
+    ),
+    "repro.metrics.aggregate": (
+        "load_records",
+        "merge_shards",
+        "record_engine",
+        "record_param",
+        "group_records",
+        "aggregate_field",
+        "scaling_points",
+    ),
+}
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, globals(), _EXPORTS)

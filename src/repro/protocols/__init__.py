@@ -30,7 +30,8 @@ from repro.protocols.registry import (
     register_protocol,
 )
 
-# Built-in protocols self-register on import.
+# Built-in protocols self-register on import.  Each imports its agents inside
+# its ``build``, so validating a spec does not load the simulator.
 from repro.protocols import background as _background  # noqa: F401
 from repro.protocols import tcp as _tcp  # noqa: F401
 from repro.protocols import tfmcc as _tfmcc  # noqa: F401

@@ -9,7 +9,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.protocols.registry import BuiltFlow, ProtocolFactory, register_protocol
-from repro.simulator.sources import CBRSource, OnOffSource, TrafficSink
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.scenarios.build import BuiltScenario
@@ -27,6 +26,8 @@ def _check_params(params) -> None:
 
 
 def _finish(built: "BuiltScenario", flow: "FlowSpec", source) -> BuiltFlow:
+    from repro.simulator.sources import TrafficSink
+
     sink = TrafficSink(built.sim, flow.name, monitor=built.monitor)
     built.network.attach(flow.src, source)
     built.network.attach(flow.dst, sink)
@@ -44,6 +45,8 @@ def _finish(built: "BuiltScenario", flow: "FlowSpec", source) -> BuiltFlow:
 
 
 def _build_cbr(built: "BuiltScenario", flow: "FlowSpec") -> BuiltFlow:
+    from repro.simulator.sources import CBRSource
+
     p = flow.params
     source = CBRSource(
         built.sim,
@@ -56,6 +59,8 @@ def _build_cbr(built: "BuiltScenario", flow: "FlowSpec") -> BuiltFlow:
 
 
 def _build_onoff(built: "BuiltScenario", flow: "FlowSpec") -> BuiltFlow:
+    from repro.simulator.sources import OnOffSource
+
     p = flow.params
     source = OnOffSource(
         built.sim,

@@ -11,8 +11,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.protocols.registry import BuiltFlow, ProtocolFactory, register_protocol
-from repro.tcp.reno import TCPRenoSender
-from repro.tcp.sink import TCPSink
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.scenarios.build import BuiltScenario
@@ -32,6 +30,9 @@ def _check_params(params) -> None:
 
 
 def _build_tcp(built: "BuiltScenario", flow: "FlowSpec") -> BuiltFlow:
+    from repro.tcp.reno import TCPRenoSender
+    from repro.tcp.sink import TCPSink
+
     # Construction order (sender, sink, attach src, attach dst, start, stop)
     # is part of the determinism contract.
     sender = TCPRenoSender(

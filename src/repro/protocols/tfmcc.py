@@ -15,7 +15,6 @@ from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional
 from repro.core.config import TFMCCConfig
 from repro.core.feedback import BiasMethod
 from repro.protocols.registry import BuiltFlow, ProtocolFactory, register_protocol
-from repro.session import TFMCCSession
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.scenarios.build import BuiltScenario
@@ -72,6 +71,8 @@ def config_to_params(config: TFMCCConfig) -> Dict[str, Any]:
 
 
 def _build_tfmcc(built: "BuiltScenario", flow: "FlowSpec") -> BuiltFlow:
+    from repro.session import TFMCCSession
+
     session = TFMCCSession(
         built.sim,
         built.network,

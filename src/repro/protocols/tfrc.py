@@ -13,8 +13,6 @@ from typing import TYPE_CHECKING
 
 from repro.protocols.registry import BuiltFlow, ProtocolFactory, register_protocol
 from repro.protocols.tfmcc import CONFIG_PARAM_NAMES, config_from_params
-from repro.tfrc.receiver import TFRCReceiver
-from repro.tfrc.sender import TFRCSender
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.scenarios.build import BuiltScenario
@@ -22,6 +20,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 def _build_tfrc(built: "BuiltScenario", flow: "FlowSpec") -> BuiltFlow:
+    from repro.tfrc.receiver import TFRCReceiver
+    from repro.tfrc.sender import TFRCSender
+
     config = config_from_params(flow.params)
     sender = TFRCSender(
         built.sim, flow.name, flow.dst, config=config, monitor=built.monitor

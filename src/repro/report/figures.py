@@ -1,7 +1,7 @@
 """Paper-figure definitions: which runs to execute, how to reduce them.
 
 Each :class:`FigureDef` names the simulation runs it needs (as
-:class:`~repro.scenarios.sweep.SweepRun` items: a registry name, params and a
+:class:`~repro.scenarios.registry.SweepRun` items: a registry name, params and a
 seed, where a dotted param such as ``metrics.with_series`` or ``engine.kind``
 is a spec override), a pure ``build`` function
 reducing the resulting records to a tabular dataset plus an optional
@@ -66,7 +66,7 @@ from repro.metrics.stats import (
     jain_fairness,
     windowed_fairness,
 )
-from repro.scenarios.sweep import SweepRun
+from repro.scenarios.registry import SweepRun
 
 #: Nominal RTT of the dumbbell topologies used by the report scenarios
 #: (2 * (bottleneck_delay + 2 * access_delay) plus serialisation slack).

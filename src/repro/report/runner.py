@@ -2,7 +2,7 @@
 
 For every requested figure the runner
 
-1. fingerprints the figure's :class:`~repro.scenarios.sweep.SweepRun` list
+1. fingerprints the figure's :class:`~repro.scenarios.registry.SweepRun` list
    (registry name, params and seed; dotted params such as
    ``metrics.with_series`` are spec overrides, as in a sweep),
 2. submits the runs unchanged to the shared
@@ -33,8 +33,9 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.report.figures import FIGURES, FigureData, FigureDef, figure_names
 from repro.scenarios.cache import ResultCache, canonical_json
 from repro.scenarios.executor import RunExecutor
+from repro.scenarios.registry import SweepRun
 from repro.scenarios.store import ResultStore
-from repro.scenarios.sweep import SweepRun, run_fingerprint
+from repro.scenarios.sweep import run_fingerprint
 
 DEFAULT_OUT_DIR = os.path.join("results", "figures")
 

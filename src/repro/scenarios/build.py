@@ -47,6 +47,12 @@ from repro.simulator.monitor import ThroughputMonitor, fairness_index
 from repro.simulator.sources import TrafficSink
 from repro.simulator.topology import Network
 
+# The protocol factories import their agents inside ``build``, so a spec
+# validates without the simulator.  The run path loads them here instead:
+# a sweep, service or report parent then has them before its pool forks.
+import repro.tcp  # noqa: F401
+import repro.tfrc  # noqa: F401
+
 
 def _topology_impairments(topo: TopologySpec) -> List[ImpairmentSpec]:
     """Every per-link impairment a topology spec carries."""

@@ -1,6 +1,6 @@
 """The one run executor behind ``repro run``, sweeps, reports and the service.
 
-Every path that turns a :class:`~repro.scenarios.sweep.SweepRun` into a
+Every path that turns a :class:`~repro.scenarios.registry.SweepRun` into a
 record submits it here.  :meth:`RunExecutor.submit` returns a stdlib
 :class:`~concurrent.futures.Future` resolving to an :class:`Outcome`; on
 the way a unit is, in this order,
@@ -38,8 +38,8 @@ from itertools import zip_longest
 from typing import Any, Deque, Dict, Iterable, Iterator, List, Optional
 
 from repro.scenarios.cache import ResultCache
+from repro.scenarios.registry import SweepRun
 from repro.scenarios.sweep import (
-    SweepRun,
     failure_record,
     pool_execute,
     resolve_spec_cached,

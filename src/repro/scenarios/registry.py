@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.scenarios.spec import (
     ChannelSpec,
@@ -135,6 +135,45 @@ def scenario_names() -> List[str]:
 
 def scenarios() -> List[ScenarioFactory]:
     return [_REGISTRY[name] for name in sorted(_REGISTRY)]
+
+
+def split_params(params: Mapping[str, Any]) -> "tuple[Dict[str, Any], Dict[str, Any]]":
+    """Split run parameters into (factory params, dotted override paths).
+
+    Keys containing a ``.`` are spec override paths applied with
+    :meth:`ScenarioSpec.with_overrides` after the factory built the spec —
+    e.g. ``flows.0.params.max_rtt`` to ablate a protocol parameter, or
+    ``topology.bottleneck_bps`` to vary the topology directly.
+    """
+    factory_params = {k: v for k, v in params.items() if "." not in k}
+    overrides = {k: v for k, v in params.items() if "." in k}
+    return factory_params, overrides
+
+
+@dataclass(frozen=True)
+class SweepRun:
+    """One unit of work: a concrete scenario plus its seed and position.
+
+    It lives with the registry, not the sweep, so naming and resolving a run
+    (``repro show``, a figure's run list) does not import the sweep pool.
+    """
+
+    index: int
+    seed: int
+    params: Dict[str, Any]
+    scenario: Optional[str] = None  # registry name, or None when spec_dict is set
+    spec_dict: Optional[Dict[str, Any]] = None
+
+    def resolve_spec(self) -> ScenarioSpec:
+        factory_params, overrides = split_params(self.params)
+        if self.spec_dict is not None:
+            spec = ScenarioSpec.from_dict(self.spec_dict)
+        else:
+            assert self.scenario is not None
+            spec = get_scenario(self.scenario).spec(**factory_params)
+        if overrides:
+            spec = spec.with_overrides(**overrides)
+        return spec
 
 
 # ------------------------------------------------------- paper-equivalent specs

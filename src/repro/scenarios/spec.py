@@ -44,6 +44,12 @@ T = TypeVar("T")
 _ATOMIC_TYPES = frozenset((str, int, float, bool, type(None)))
 
 
+def _finite_positive(value: Any) -> bool:
+    """A real number (not a bool) with ``0 < value < inf``: what an event
+    delay or a run length must be, since a NaN or infinite one never fires."""
+    return not isinstance(value, bool) and isinstance(value, (int, float)) and 0 < value < math.inf
+
+
 @lru_cache(maxsize=None)
 def _field_names(cls: type) -> Tuple[str, ...]:
     return tuple(f.name for f in fields(cls))
@@ -909,6 +915,17 @@ class MetricsSpec:
     with_trace: bool = False
     trace_queue_interval: float = 0.5
 
+    def __post_init__(self) -> None:
+        # Both periods are event delays (monitor bins, queue samples), so a
+        # NaN one used to fail deep inside the run without naming the field.
+        for name in ("interval", "trace_queue_interval"):
+            value = getattr(self, name)
+            if not _finite_positive(value):
+                raise ValueError(f"metrics.{name} must be a finite number > 0, got {value!r}")
+        fraction = self.warmup_fraction
+        if isinstance(fraction, bool) or not isinstance(fraction, (int, float)) or not 0 <= fraction < 1:
+            raise ValueError(f"metrics.warmup_fraction must be in [0, 1), got {fraction!r}")
+
 
 # -------------------------------------------------------------------- engine
 
@@ -962,11 +979,7 @@ class EngineSpec:
         # The step is scheduled at now + step_interval: a NaN time would sit
         # in the event heap out of order.
         interval = self.step_interval
-        if interval is not None and (
-            isinstance(interval, bool)
-            or not isinstance(interval, (int, float))
-            or not 0 < interval < math.inf
-        ):
+        if interval is not None and not _finite_positive(interval):
             raise ValueError(
                 f"engine.step_interval must be a finite number > 0 or None, got {interval!r}"
             )
@@ -1002,11 +1015,7 @@ class ScenarioSpec:
         # the service): the run loop ends on ``time >= duration``, which a NaN
         # or infinite duration never satisfies.
         duration = self.duration
-        if (
-            isinstance(duration, bool)
-            or not isinstance(duration, (int, float))
-            or not 0 < duration < math.inf
-        ):
+        if not _finite_positive(duration):
             raise ValueError(f"duration must be a positive finite number, got {duration!r}")
         if not self.flows:
             raise ValueError(f"scenario {self.name!r} defines no traffic")

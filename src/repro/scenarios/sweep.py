@@ -5,10 +5,10 @@ seeded repetitions into an ordered list of runs, submits them to the shared
 :class:`~repro.scenarios.executor.RunExecutor` and streams one JSON record
 per run, in run order, to a :class:`~repro.scenarios.store.ResultStore`.
 
-This module owns the *unit of work* (:class:`SweepRun`, how it resolves to a
-spec, how its record is stamped) and what is particular to a sweep: the
-ordered commit, the store, the manifest, the heartbeat, shards and
-compaction.  Cache lookups, worker processes, retries and dead-worker
+This module owns how a unit of work (:class:`~repro.scenarios.registry.SweepRun`,
+which resolves itself to a spec) is fingerprinted and stamped, and what is
+particular to a sweep: the ordered commit, the store, the manifest, the
+heartbeat, shards and compaction.  Cache lookups, worker processes, retries and dead-worker
 recovery belong to the executor.
 
 Determinism contract: each run is the pure function
@@ -71,7 +71,7 @@ from typing import (
 from repro import telemetry
 from repro.scenarios.build import run_scenario
 from repro.scenarios.cache import ResultCache, canonical_json, fingerprint_spec
-from repro.scenarios.registry import get_scenario
+from repro.scenarios.registry import SweepRun, get_scenario, split_params
 from repro.scenarios.spec import ScenarioSpec
 from repro.scenarios.store import ResultStore, open_log
 
@@ -91,41 +91,6 @@ def expand_grid(grid: Mapping[str, Sequence[Any]]) -> List[Dict[str, Any]]:
     for values in itertools.product(*(grid[k] for k in keys)):
         combos.append(dict(zip(keys, values)))
     return combos
-
-
-def split_params(params: Mapping[str, Any]) -> "tuple[Dict[str, Any], Dict[str, Any]]":
-    """Split run parameters into (factory params, dotted override paths).
-
-    Keys containing a ``.`` are spec override paths applied with
-    :meth:`ScenarioSpec.with_overrides` after the factory built the spec —
-    e.g. ``flows.0.params.max_rtt`` to ablate a protocol parameter, or
-    ``topology.bottleneck_bps`` to vary the topology directly.
-    """
-    factory_params = {k: v for k, v in params.items() if "." not in k}
-    overrides = {k: v for k, v in params.items() if "." in k}
-    return factory_params, overrides
-
-
-@dataclass(frozen=True)
-class SweepRun:
-    """One unit of work: a concrete scenario plus its seed and position."""
-
-    index: int
-    seed: int
-    params: Dict[str, Any]
-    scenario: Optional[str] = None  # registry name, or None when spec_dict is set
-    spec_dict: Optional[Dict[str, Any]] = None
-
-    def resolve_spec(self) -> ScenarioSpec:
-        factory_params, overrides = split_params(self.params)
-        if self.spec_dict is not None:
-            spec = ScenarioSpec.from_dict(self.spec_dict)
-        else:
-            assert self.scenario is not None
-            spec = get_scenario(self.scenario).spec(**factory_params)
-        if overrides:
-            spec = spec.with_overrides(**overrides)
-        return spec
 
 
 # Specs are immutable, so replications of the same grid point can share one

@@ -20,30 +20,24 @@ Quick use::
     record = client.result(job["id"])
 """
 
-from repro.service.client import (
-    DEFAULT_SERVER,
-    ENV_SERVER,
-    ServiceClient,
-    ServiceError,
-    default_server,
-)
-from repro.service.jobs import Job, JobJournal, expand_payload
-from repro.service.scheduler import Scheduler, ServiceDraining, UnknownJob
-from repro.service.server import DEFAULT_HOST, DEFAULT_PORT, ReproService
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DEFAULT_HOST",
-    "DEFAULT_PORT",
-    "DEFAULT_SERVER",
-    "ENV_SERVER",
-    "Job",
-    "JobJournal",
-    "ReproService",
-    "Scheduler",
-    "ServiceClient",
-    "ServiceDraining",
-    "ServiceError",
-    "UnknownJob",
-    "default_server",
-    "expand_payload",
-]
+# The address the daemon and its clients agree on lives here, so the CLI's
+# parser reads it without loading ``http.client`` or the daemon.
+
+#: Environment variable naming the default server for CLI subcommands.
+ENV_SERVER = "REPRO_SERVER"
+#: Default TCP endpoint (loopback only: the API is unauthenticated).
+DEFAULT_HOST = "127.0.0.1"
+DEFAULT_PORT = 8642
+DEFAULT_SERVER = f"http://{DEFAULT_HOST}:{DEFAULT_PORT}"
+
+_EXPORTS = {
+    "repro.service.client": ("ServiceClient", "ServiceError", "default_server"),
+    "repro.service.jobs": ("Job", "JobJournal", "expand_payload"),
+    "repro.service.scheduler": ("Scheduler", "ServiceDraining", "UnknownJob"),
+    "repro.service.server": ("ReproService",),
+}
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, globals(), _EXPORTS)
+__all__ = ["DEFAULT_HOST", "DEFAULT_PORT", "DEFAULT_SERVER", "ENV_SERVER", *__all__]

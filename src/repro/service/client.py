@@ -19,9 +19,7 @@ import socket
 import time
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
-#: Environment variable naming the default server for CLI subcommands.
-ENV_SERVER = "REPRO_SERVER"
-DEFAULT_SERVER = "http://127.0.0.1:8642"
+from repro.service import DEFAULT_SERVER, ENV_SERVER
 
 
 def default_server() -> str:

@@ -3,7 +3,7 @@
 A *job* is one client submission: a single run (``grid`` absent,
 ``replications == 1``) or a sweep grid.  Either way it expands — through
 the same :class:`~repro.scenarios.sweep.SweepRunner` machinery the batch
-CLI uses — into an ordered list of :class:`~repro.scenarios.sweep.SweepRun`
+CLI uses — into an ordered list of :class:`~repro.scenarios.registry.SweepRun`
 units, each the pure function ``(spec, seed)`` identified by its spec
 fingerprint.  The scheduler executes units; the job aggregates their
 completion into a state machine::
@@ -27,9 +27,10 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Set
 
+from repro.scenarios.registry import SweepRun
 from repro.scenarios.spec import ScenarioSpec
 from repro.scenarios.store import open_log
-from repro.scenarios.sweep import SweepRun, SweepRunner
+from repro.scenarios.sweep import SweepRunner
 
 #: Job lifecycle states; the last three are terminal.
 JOB_STATES = ("queued", "running", "done", "failed", "cancelled")

@@ -7,7 +7,7 @@ spec-fingerprint :class:`~repro.scenarios.cache.ResultCache`, the service
 :class:`~repro.scenarios.executor.RunExecutor` shared by every job.
 
 Execution is the executor's business: units are
-:class:`~repro.scenarios.sweep.SweepRun` objects submitted by fingerprint,
+:class:`~repro.scenarios.registry.SweepRun` objects submitted by fingerprint,
 so anything already cached is answered without touching the pool, two
 clients submitting the same ``(spec, seed)`` share one simulation
 (*coalescing*, counted in ``service.units_coalesced``), a unit that raises

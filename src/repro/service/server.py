@@ -36,14 +36,11 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional, Tuple
 from urllib.parse import urlparse
 
+from repro.service import DEFAULT_HOST, DEFAULT_PORT
 from repro.service.jobs import Job
 from repro.service.scheduler import Scheduler, ServiceDraining, UnknownJob
 from repro.telemetry.core import merge_snapshots
 from repro.telemetry.export import snapshot_from_source, to_prometheus
-
-#: Default TCP endpoint (loopback only: the API is unauthenticated).
-DEFAULT_HOST = "127.0.0.1"
-DEFAULT_PORT = 8642
 
 #: Largest accepted request body; a ScenarioSpec is a few KB, so anything
 #: bigger than this is a client error rather than a legitimate submission.

@@ -100,15 +100,20 @@ def test_nan_time_rejected(method):
 
 
 def test_nan_queue_trace_interval_fails_at_the_first_schedule():
-    # The spec still accepts a NaN sampling period; it used to end the run
-    # after 18 events with a plausible-looking record.
-    from repro.scenarios.build import run_scenario
+    # A NaN sampling period used to end the run after 18 events with a
+    # plausible-looking record.  The spec now refuses it by name; below the
+    # spec, a probe handed one still stops at its first reschedule.
+    from repro.metrics.trace import QueueOccupancyProbe, TraceRecorder
     from repro.scenarios.registry import get_scenario
 
     spec = get_scenario("fairness").spec(duration=2.0, num_tcp=1)
-    spec = spec.with_overrides(**{"metrics.trace_queue_interval": math.nan, "metrics.with_trace": True})
+    overrides = {"metrics.trace_queue_interval": math.nan, "metrics.with_trace": True}
+    with pytest.raises(ValueError, match="metrics.trace_queue_interval"):
+        spec.with_overrides(**overrides)
+    sim = Simulator(seed=1)
+    QueueOccupancyProbe(sim, TraceRecorder(), [], interval=math.nan).start()
     with pytest.raises(SimulationError, match="nan"):
-        run_scenario(spec, seed=1)
+        sim.run()
 
 
 def test_events_scheduled_during_run_execute():

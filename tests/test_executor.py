@@ -17,7 +17,6 @@ import os
 import pathlib
 import re
 import signal
-import sys
 import threading
 import time
 from concurrent.futures import Future
@@ -28,7 +27,7 @@ import repro
 from repro.scenarios import ResultCache, RunExecutor, SweepRun, pure_record
 from repro.scenarios.executor import WINDOW
 
-sweep_mod = sys.modules["repro.scenarios.sweep"]
+from repro.scenarios import sweep as sweep_mod
 
 PARAMS = {"duration": 4.0, "num_tcp": 1}
 

@@ -19,8 +19,9 @@ from repro.report.figures import (
     PlotSpec,
     register_figure,
 )
+from repro.scenarios.registry import SweepRun
 from repro.scenarios.store import ResultStore
-from repro.scenarios.sweep import SweepRun, run_fingerprint
+from repro.scenarios.sweep import run_fingerprint
 
 SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 

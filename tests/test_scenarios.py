@@ -123,6 +123,42 @@ def test_a_duration_that_never_ends_the_run_loop_is_refused(duration, capsys):
     assert match in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("interval", float("nan")),
+        ("interval", float("inf")),
+        ("interval", 0.0),
+        ("interval", True),
+        ("interval", "1"),
+        ("trace_queue_interval", float("nan")),
+        ("trace_queue_interval", -0.5),
+        ("warmup_fraction", 1.0),
+        ("warmup_fraction", -0.1),
+        ("warmup_fraction", float("nan")),
+        ("warmup_fraction", False),
+    ],
+    ids=repr,
+)
+def test_metrics_spec_refuses_a_bad_period_or_warmup_by_name(name, value):
+    """A NaN ``metrics.interval`` used to pass the spec and fail in the first
+    throughput bin with ``cannot convert float NaN to integer``."""
+    match = f"metrics.{name} must"
+    with pytest.raises(ValueError, match=match):
+        MetricsSpec(**{name: value})
+    spec = get_scenario("fairness").spec(num_tcp=1)
+    with pytest.raises(ValueError, match=match):
+        spec.with_overrides(**{f"metrics.{name}": value})
+    metrics = {**spec.to_dict()["metrics"], name: value}
+    with pytest.raises(ValueError, match=match):
+        ScenarioSpec.from_dict({**spec.to_dict(), "metrics": metrics})
+
+
+def test_metrics_spec_bounds_that_stay_valid():
+    assert MetricsSpec(interval=2, trace_queue_interval=1e-3, warmup_fraction=0).interval == 2
+    assert MetricsSpec(warmup_fraction=0.999).warmup_fraction == 0.999
+
+
 def test_a_nan_event_time_is_refused():
     """A heap cannot order NaN: the event would fire at an arbitrary point
     (measured: before t = 0) with ``now = nan``."""

@@ -27,6 +27,7 @@ import pytest
 import repro
 from repro import telemetry
 from repro.scenarios import get_scenario
+from repro.scenarios import sweep as sweep_mod  # patched before a pool forks
 from repro.scenarios.cache import ResultCache, pure_record
 from repro.scenarios.store import encode_record
 from repro.service import ReproService, ServiceClient, ServiceError
@@ -478,9 +479,6 @@ def test_service_record_carries_run_telemetry_like_repro_run(tmp_path):
 
 
 # ------------------------------------------------- failures behind the API
-
-
-sweep_mod = sys.modules["repro.scenarios.sweep"]
 
 
 def test_deterministic_unit_failure_ends_job_failed(service, client, monkeypatch):

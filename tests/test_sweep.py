@@ -12,7 +12,7 @@ from repro.scenarios import (
     expand_grid,
     get_scenario,
 )
-from repro.scenarios.sweep import SweepRun
+from repro.scenarios.registry import SweepRun
 
 TINY = {"duration": 4.0, "num_tcp": 2}
 

@@ -48,7 +48,7 @@ from repro.scenarios.sweep import heartbeat_path
 
 # The module whose ``run_scenario`` the worker entry point calls: patching it
 # (before a pool forks) is the seam for injecting failures into runs.
-sweep_mod = sys.modules["repro.scenarios.sweep"]
+from repro.scenarios import sweep as sweep_mod
 
 TINY = {"duration": 4.0, "num_tcp": 2}
 SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
