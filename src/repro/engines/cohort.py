@@ -110,14 +110,56 @@ _LEAF_NODE = re.compile(r"^leaf(\d+)$")
 # ----------------------------------------------------------- spec reduction
 
 
-def _star_leaf(star: Any, node: str) -> Optional[Any]:
-    """The leaf edge of a StarSpec that ``node`` sits behind, if it is one."""
+def _leaf_number(node: str) -> int:
+    """``i`` of a ``leaf<i>`` node name, -1 for any other node."""
     match = _LEAF_NODE.match(node)
-    if match:
-        index = int(match.group(1))
-        if index < len(star.leaves):
-            return star.leaves[index]
-    return None
+    return int(match.group(1)) if match else -1
+
+
+def _member_leaves(np: Any, star: Any, receivers: Any, member_index: Sequence[int]) -> Any:
+    """Index of the star leaf each cohort member sits behind (-1: none).
+
+    A receiver run on ``leaf{}`` nodes is one ``arange``; any other
+    spelling reads each member's node name.
+    """
+    if _is_run(receivers) and receivers.node == "leaf{}":
+        leaf = np.arange(member_index.start, member_index.stop) + receivers.first
+    else:
+        nodes = (_node_of(receivers, i) for i in member_index)
+        leaf = np.fromiter(map(_leaf_number, nodes), np.intp, len(member_index))
+    leaf[leaf >= len(star.leaves)] = -1
+    return leaf
+
+
+def _leaf_edges(np: Any, leaves: Any, leaf: Any) -> Tuple[List[Any], Any]:
+    """The distinct edges behind star leaves ``leaf`` and, per entry, which one.
+
+    A leaf run is one edge for every entry; an explicit tuple is looked up
+    once per distinct leaf, not once per member.
+    """
+    from repro.scenarios.spec import LeafRun
+
+    if isinstance(leaves, LeafRun):
+        return [leaves.edge], np.zeros(len(leaf), np.intp)
+    used, which = np.unique(leaf, return_inverse=True)
+    return [leaves[i] for i in used.tolist()], which
+
+
+def _distance_driven(edge: Any) -> Optional[Tuple[float, float, float, float, str]]:
+    """Path-loss parameters and modulation of an SNR-from-distance leaf, else None."""
+    channel = edge.impairment.channel
+    if channel is None or channel.kind != "snr_per":
+        return None
+    params = channel.params
+    if params.get("per") is not None:
+        return None  # fixed-PER override: nothing distance-driven
+    return (
+        float(params.get("tx_power_dbm", 20.0)),
+        float(params.get("noise_dbm", -90.0)),
+        float(params.get("ref_loss_db", 70.0)),
+        float(params.get("path_loss_exponent", 3.0)),
+        params.get("modulation", "qpsk"),
+    )
 
 
 def _used_nodes(spec: Any, flows: Tuple[Any, ...]) -> set:
@@ -148,7 +190,7 @@ def _pruned_topology(topology: Any, used: set) -> Any:
     only trailing indices no flow, dynamics event or extra link references
     are dropped.
     """
-    from repro.scenarios.spec import DumbbellSpec, StarSpec
+    from repro.scenarios.spec import DumbbellSpec, LeafRun, StarSpec
 
     if isinstance(topology, DumbbellSpec):
         indices = [int(m.group(1)) for m in map(_DST_NODE.match, used) if m]
@@ -156,10 +198,13 @@ def _pruned_topology(topology: Any, used: set) -> Any:
         if needed < topology.num_right:
             return replace(topology, num_right=needed)
     elif isinstance(topology, StarSpec):
-        indices = [int(m.group(1)) for m in map(_LEAF_NODE.match, used) if m]
-        needed = max(indices) + 1 if indices else 0
-        if needed < len(topology.leaves):
-            return replace(topology, leaves=topology.leaves[:needed])
+        leaves = topology.leaves
+        needed = max(map(_leaf_number, used), default=-1) + 1
+        if needed < len(leaves):
+            # A leaf run stays one: the tracers' few leaves are its head.
+            if needed and isinstance(leaves, LeafRun):
+                return replace(topology, leaves=replace(leaves, count=needed))
+            return replace(topology, leaves=leaves[:needed])
     return topology
 
 
@@ -297,23 +342,26 @@ class _FlowCohort:
         private = np.zeros(n, dtype=float)
         rtt_offset = np.zeros(n, dtype=float)
         if isinstance(spec.topology, StarSpec):
-            star, receivers = spec.topology, self._receivers
-            nodes = [_node_of(receivers, i) for i in plan.member_index]
-            for i, node in enumerate(nodes):
-                leaf = _star_leaf(star, node)
-                if leaf is not None:
-                    # Load-driven models (contention) report 0: the cohort
-                    # cannot anticipate collision load, so receivers behind
-                    # them should stay exact tracers.
-                    private[i] = leaf.impairment.expected_loss_rate(packet_size)
-                    rtt_offset[i] = leaf.delay
+            star = spec.topology
+            leaf = _member_leaves(np, star, self._receivers, plan.member_index)
+            rows = np.flatnonzero(leaf >= 0)
+            leaf = leaf[rows]
+            edges, which = _leaf_edges(np, star.leaves, leaf)
+            # Load-driven models (contention) report 0: the cohort cannot
+            # anticipate collision load, so receivers behind them should
+            # stay exact tracers.
+            loss = [edge.impairment.expected_loss_rate(packet_size) for edge in edges]
+            private[rows] = np.asarray(loss, dtype=float)[which]
+            rtt_offset[rows] = np.asarray([edge.delay for edge in edges], dtype=float)[which]
             # The first receiver present from t=0 is always an exact one.
             anchor = next((r for r in self._receivers if r.join_at <= 0.0), None)
-            anchor_leaf = _star_leaf(star, anchor.node) if anchor is not None else None
-            if anchor_leaf is not None:
-                rtt_offset -= anchor_leaf.delay
+            anchor_leaf = _leaf_number(anchor.node) if anchor is not None else -1
+            if 0 <= anchor_leaf < len(star.leaves):
+                rtt_offset -= star.leaves[anchor_leaf].delay
             rtt_offset *= 2.0  # twice the leaf delay beyond the anchor's
-            self._init_channel_refresh(np, star, nodes, spec.dynamics.mobility, packet_size)
+            self._init_channel_refresh(
+                np, rows, leaf, edges, which, spec.dynamics.mobility, packet_size
+            )
         self.private_loss = private
         self.rtt_offset = rtt_offset
         # Static multiplicative RTT jitter (access-link serialisation and
@@ -341,54 +389,45 @@ class _FlowCohort:
     # --------------------------------------------- channel loss-rate refresh
 
     def _init_channel_refresh(
-        self, np: Any, star: Any, member_nodes: List[str], mobility: Optional[Any], packet_size: int
+        self,
+        np: Any,
+        rows: Any,
+        leaf: Any,
+        edges: List[Any],
+        which: Any,
+        mobility: Optional[Any],
+        packet_size: int,
     ) -> None:
         """Precompute the arrays for mobility-driven per-step PER refresh.
 
         Cohort members have no live ``Link`` (their star leaves are pruned),
         so the exact engine's mobility driver cannot reach them; instead the
         cohort re-derives each member's private loss from the waypoint
-        schedule, vectorised, once per step.  Only star-leaf members with an
-        SNR-driven ``snr_per`` channel and known endpoint positions take
+        schedule, vectorised, once per step.  Only star-leaf members (member
+        ``rows[k]`` behind leaf ``leaf[k]``, edge ``edges[which[k]]``) with
+        an SNR-driven ``snr_per`` channel and known endpoint positions take
         part; everyone else keeps their static stationary rate.
         """
         self._mobility = mobility
         if mobility is None or mobility.position_at("hub", 0.0) is None:
             return
-        rows: List[int] = []
-        nodes: List[str] = []
-        path_params: List[Tuple[float, float, float, float]] = []
-        modulations: List[str] = []
-        for i, node in enumerate(member_nodes):
-            leaf = _star_leaf(star, node)
-            channel = leaf.impairment.channel if leaf is not None else None
-            if channel is None or channel.kind != "snr_per":
-                continue
-            params = channel.params
-            if params.get("per") is not None:
-                continue  # fixed-PER override: nothing distance-driven
-            if mobility.position_at(node, 0.0) is None:
-                continue
-            rows.append(i)
-            nodes.append(node)
-            path_params.append(
-                (
-                    float(params.get("tx_power_dbm", 20.0)),
-                    float(params.get("noise_dbm", -90.0)),
-                    float(params.get("ref_loss_db", 70.0)),
-                    float(params.get("path_loss_exponent", 3.0)),
-                )
-            )
-            modulations.append(params.get("modulation", "qpsk"))
-        if not rows:
+        paths = [_distance_driven(edge) for edge in edges]
+        driven = np.asarray([path is not None for path in paths], dtype=bool)
+        keep = [
+            k
+            for k in np.flatnonzero(driven[which]).tolist()
+            if mobility.position_at(f"leaf{leaf[k]}", 0.0) is not None
+        ]
+        if not keep:
             return
-        self._refresh_rows = np.asarray(rows, dtype=int)
-        self._refresh_nodes = nodes
-        self._refresh_tx = np.asarray([p[0] for p in path_params])
-        self._refresh_noise = np.asarray([p[1] for p in path_params])
-        self._refresh_ref_loss = np.asarray([p[2] for p in path_params])
-        self._refresh_exponent = np.asarray([p[3] for p in path_params])
-        self._refresh_modulations = np.asarray(modulations)
+        path = [paths[k] for k in which[keep].tolist()]
+        self._refresh_rows = rows[keep]
+        self._refresh_nodes = [f"leaf{i}" for i in leaf[keep].tolist()]
+        self._refresh_tx = np.asarray([p[0] for p in path])
+        self._refresh_noise = np.asarray([p[1] for p in path])
+        self._refresh_ref_loss = np.asarray([p[2] for p in path])
+        self._refresh_exponent = np.asarray([p[3] for p in path])
+        self._refresh_modulations = np.asarray([p[4] for p in path])
         self._refresh_packet_size = packet_size
 
     def _refresh_private_loss(self, np: Any, now: float) -> None:

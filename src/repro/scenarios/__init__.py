@@ -36,6 +36,7 @@ _EXPORTS = {
         "GilbertElliottSpec",
         "ImpairmentSpec",
         "EngineSpec",
+        "LeafRun",
         "MetricsSpec",
         "NetworkEventSpec",
         "ReceiverRun",

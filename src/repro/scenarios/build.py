@@ -40,6 +40,7 @@ from repro.scenarios.spec import (
     ScenarioSpec,
     StarSpec,
     TopologySpec,
+    edge_runs,
 )
 from repro.session import TFMCCSession
 from repro.simulator.engine import Simulator
@@ -58,7 +59,7 @@ def _topology_impairments(topo: TopologySpec) -> List[ImpairmentSpec]:
     """Every per-link impairment a topology spec carries."""
     imps = [link.impairment for link in topo.extra_links]
     if isinstance(topo, StarSpec):
-        imps.extend(leaf.impairment for leaf in topo.leaves)
+        imps.extend(edge.impairment for edge, _ in edge_runs(topo.leaves))
     elif isinstance(topo, ChainSpec):
         imps.extend(hop.impairment for hop in topo.hops)
     return imps
@@ -115,21 +116,27 @@ def build_network(sim: Simulator, topo: TopologySpec) -> Network:
         )
     elif isinstance(topo, StarSpec):
         jitter = topo.jitter
-        if jitter is None and topo.leaves:
+        runs = edge_runs(topo.leaves)
+        if jitter is None and runs:
             # Phase-effect mitigation: one packet time at the slowest leaf.
-            jitter = 1000.0 * 8.0 / min(leaf.bandwidth for leaf in topo.leaves)
+            jitter = 1000.0 * 8.0 / min(leaf.bandwidth for leaf, _ in runs)
         net = Network(sim)
         net.add_duplex_link("source", "hub", topo.hub_bps, topo.hub_delay, jitter=jitter or 0.0)
-        for i, leaf in enumerate(topo.leaves):
-            net.add_duplex_link(
-                f"leaf{i}",
-                "hub",
-                leaf.bandwidth,
-                leaf.delay,
-                leaf.queue_limit,
-                jitter=_jitter(leaf.impairment, jitter),
-                channel_factory=leaf.impairment.channel_factory(),
-            )
+        first = 0
+        for leaf, count in runs:
+            leaf_jitter = _jitter(leaf.impairment, jitter)
+            channel_factory = leaf.impairment.channel_factory()
+            for i in range(first, first + count):
+                net.add_duplex_link(
+                    f"leaf{i}",
+                    "hub",
+                    leaf.bandwidth,
+                    leaf.delay,
+                    leaf.queue_limit,
+                    jitter=leaf_jitter,
+                    channel_factory=channel_factory,
+                )
+            first += count
     elif isinstance(topo, ChainSpec):
         jitter = topo.jitter
         if jitter is None and topo.hops:

@@ -53,6 +53,7 @@ from repro.scenarios.spec import (
     FlowSpec,
     GilbertElliottSpec,
     ImpairmentSpec,
+    LeafRun,
     MetricsSpec,
     MobilitySpec,
     NetworkEventSpec,
@@ -1184,25 +1185,23 @@ def wireless_last_hop_spec(
     original paper never ran (see the DCCP-over-wireless discussion in
     PAPERS.md).  Cohort-friendly: receivers are star leaves, so cohort-mode
     private loss is derived analytically from the same channel spec.
+    The leaves are one :class:`LeafRun` and the receivers one
+    :class:`ReceiverRun`, so the spec's size does not grow with
+    ``num_receivers``.
     """
     wireless = ImpairmentSpec(
         channel=ChannelSpec("snr_per", {"snr_db": snr_db, "modulation": modulation})
     )
     leaf = EdgeSpec(wireless_bps, wireless_delay, impairment=wireless)
-    leaves = tuple(leaf for _ in range(num_receivers + 2))
     return ScenarioSpec(
         name="wireless_last_hop",
         description="TFMCC/TFRC/TCP over one bottleneck with snr_per wireless last hops",
         duration=duration,
-        topology=StarSpec(leaves=leaves, hub_bps=bottleneck_bps, hub_delay=0.01),
+        topology=StarSpec(
+            leaves=LeafRun(leaf, num_receivers + 2), hub_bps=bottleneck_bps, hub_delay=0.01
+        ),
         flows=(
-            FlowSpec(
-                kind="tfmcc",
-                src="source",
-                receivers=tuple(
-                    ReceiverSpec(node=f"leaf{i}") for i in range(num_receivers)
-                ),
-            ),
+            FlowSpec(kind="tfmcc", src="source", receivers=ReceiverRun("leaf{}", num_receivers)),
             FlowSpec(kind="tfrc", src="source", dst=f"leaf{num_receivers}"),
             FlowSpec(kind="tcp-reno", src="source", dst=f"leaf{num_receivers + 1}"),
         ),

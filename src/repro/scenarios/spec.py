@@ -50,6 +50,28 @@ def _finite_positive(value: Any) -> bool:
     return not isinstance(value, bool) and isinstance(value, (int, float)) and 0 < value < math.inf
 
 
+def _finite_nonnegative(value: Any) -> bool:
+    """A real number (not a bool) with ``0 <= value < inf``: a link delay."""
+    return not isinstance(value, bool) and isinstance(value, (int, float)) and 0 <= value < math.inf
+
+
+def _check_link(owner: str, link: Any) -> None:
+    """Refuse a link spec whose bandwidth, delay or queue limit no link can have.
+
+    A NaN or zero bandwidth would otherwise fail mid-run (an event scheduled
+    at NaN, a division by zero) and a negative delay or an empty queue at
+    build, none of them with a message naming the field.
+    """
+    if not _finite_positive(link.bandwidth):
+        raise ValueError(
+            f"{owner}: bandwidth must be a positive finite number, got {link.bandwidth!r}"
+        )
+    if not _finite_nonnegative(link.delay):
+        raise ValueError(f"{owner}: delay must be a finite number >= 0, got {link.delay!r}")
+    if type(link.queue_limit) is not int or link.queue_limit < 1:
+        raise ValueError(f"{owner}: queue_limit must be an int >= 1, got {link.queue_limit!r}")
+
+
 @lru_cache(maxsize=None)
 def _field_names(cls: type) -> Tuple[str, ...]:
     return tuple(f.name for f in fields(cls))
@@ -100,14 +122,15 @@ def _replace_nested(obj: Any, full_key: str, parts: Sequence[str], value: Any) -
     validation); integer path segments index into tuples, string segments
     key into plain mappings (``FlowSpec.params``) — a *leaf* mapping key may
     be new, so overrides can set protocol parameters the spec left at their
-    defaults.  An integer segment into a :class:`ReceiverRun` expands the
-    run to the tuple it stands for (one receiver of a run cannot differ
-    from the others); a field segment (``receivers.count``) replaces the
-    run's own field.  Raises a clear ``ValueError`` naming the full dotted
-    key on any bad segment.
+    defaults.  An integer segment into a run (:class:`ReceiverRun`,
+    :class:`LeafRun`) expands the run to the tuple it stands for (one item
+    of a run cannot differ from the others); a field segment
+    (``receivers.count``, ``leaves.edge``) replaces the run's own field.
+    Raises a clear ``ValueError`` naming the full dotted key on any bad
+    segment.
     """
     head, rest = parts[0], parts[1:]
-    if isinstance(obj, ReceiverRun) and head.isdecimal():
+    if isinstance(obj, _Run) and head.isdecimal():
         obj = tuple(obj)
     if isinstance(obj, tuple):
         try:
@@ -151,6 +174,49 @@ def _replace_nested(obj: Any, full_key: str, parts: Sequence[str], value: Any) -
     return replace(obj, **{head: new_value})
 
 
+class _Run:
+    """A run-length spelling of a tuple: ``count`` items made from a few fields.
+
+    Behaves as the tuple it stands for (length, indexing, slicing, iteration)
+    without holding it; a subclass is a frozen dataclass with a ``count``
+    field and says how to make item ``index``.  A run is a spelling of its
+    own: a run and its expansion build the same simulation, but they are
+    different specs with different canonical encodings (a mapping here, a
+    list there) and hence different fingerprints.  Nothing converts one
+    into the other, because recognising a run inside a list is the per-item
+    pass a run exists to avoid.
+
+    A virtual :class:`collections.abc.Sequence`: the ABC's ``count`` mixin
+    method would collide with the field.
+    """
+
+    __slots__ = ()
+    count: int
+
+    def _item(self, index: int) -> Any:
+        raise NotImplementedError
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __getitem__(self, index: Any) -> Any:
+        positions = range(self.count)[index]  # tuple semantics, IndexError included
+        if isinstance(positions, range):
+            return tuple(map(self._item, positions))
+        return self._item(positions)
+
+    def __iter__(self) -> Iterator[Any]:
+        return map(self._item, range(self.count))
+
+
+collections.abc.Sequence.register(_Run)
+
+
+def _check_count(owner: str, count: Any) -> None:
+    if type(count) is not int or count < 1:
+        raise ValueError(f"{owner}.count must be an int >= 1, got {count!r}")
+
+
 # --------------------------------------------------------------- impairments
 
 
@@ -162,6 +228,14 @@ class GilbertElliottSpec:
     p_bad_good: float
     loss_good: float = 0.0
     loss_bad: float = 1.0
+
+    def __post_init__(self) -> None:
+        for name in _field_names(GilbertElliottSpec):
+            p = getattr(self, name)
+            if isinstance(p, bool) or not isinstance(p, (int, float)) or not 0 <= p <= 1:
+                raise ValueError(
+                    f"gilbert_elliott.{name} must be a probability in [0, 1], got {p!r}"
+                )
 
     def build(self):
         """Construct a fresh Gilbert-Elliott channel model in the GOOD state."""
@@ -293,6 +367,9 @@ class EdgeSpec:
     queue_limit: int = 50
     impairment: ImpairmentSpec = NO_IMPAIRMENT
 
+    def __post_init__(self) -> None:
+        _check_link("edge", self)
+
     @staticmethod
     def from_dict(data: Mapping[str, Any]) -> "EdgeSpec":
         data = dict(data)
@@ -312,12 +389,54 @@ class DuplexLinkSpec:
     queue_limit: int = 50
     impairment: ImpairmentSpec = NO_IMPAIRMENT
 
+    def __post_init__(self) -> None:
+        _check_link(f"link {self.a}-{self.b}", self)
+
     @staticmethod
     def from_dict(data: Mapping[str, Any]) -> "DuplexLinkSpec":
         data = dict(data)
         imp = data.pop("impairment", None)
         impairment = ImpairmentSpec.from_dict(imp) if imp is not None else NO_IMPAIRMENT
         return _from_mapping(DuplexLinkSpec, {**data, "impairment": impairment})
+
+
+@dataclass(frozen=True)
+class LeafRun(_Run):
+    """``count`` identical star leaves, as one object: ``(edge,) * count``.
+
+    A uniform star of 10^5 leaves resolves, encodes and hashes as one
+    :class:`EdgeSpec` and a count, and builders take the edge once for the
+    whole run.  Encodes as a mapping (``{"count": N, "edge": {...}}``).
+    """
+
+    edge: EdgeSpec
+    count: int
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.edge, EdgeSpec):
+            raise ValueError(f"leaves.edge must be an EdgeSpec, got {self.edge!r}")
+        _check_count("leaves", self.count)
+
+    def _item(self, index: int) -> EdgeSpec:
+        return self.edge
+
+    @staticmethod
+    def from_dict(data: Mapping[str, Any]) -> "LeafRun":
+        missing = {"edge", "count"} - set(data)
+        if missing:
+            raise ValueError(f"leaves run lacks {sorted(missing)}")
+        edge = data["edge"]
+        if isinstance(edge, Mapping):
+            edge = EdgeSpec.from_dict(edge)
+        return _from_mapping(LeafRun, {**data, "edge": edge})
+
+
+def edge_runs(edges: Union[Tuple[EdgeSpec, ...], LeafRun]) -> List[Tuple[EdgeSpec, int]]:
+    """``(edge, count)`` per stretch of a leaf sequence: one pair for a run,
+    one per edge for an explicit tuple (whose edges are never compared)."""
+    if isinstance(edges, LeafRun):
+        return [(edges.edge, edges.count)]
+    return [(edge, 1) for edge in edges]
 
 
 @dataclass(frozen=True)
@@ -374,9 +493,13 @@ class DumbbellSpec(TopologySpec):
 
 @dataclass(frozen=True)
 class StarSpec(TopologySpec):
-    """A ``source`` behind a hub with per-leaf duplex links ``leaf0..N-1``."""
+    """A ``source`` behind a hub with per-leaf duplex links ``leaf0..N-1``.
 
-    leaves: Tuple[EdgeSpec, ...] = ()
+    ``leaves`` is an explicit tuple of :class:`EdgeSpec` or one
+    :class:`LeafRun`, which is kept as it is.
+    """
+
+    leaves: Union[Tuple[EdgeSpec, ...], LeafRun] = ()
     hub_bps: float = 100e6
     hub_delay: float = 0.001
     jitter: Optional[float] = None
@@ -425,7 +548,11 @@ def topology_from_dict(data: Mapping[str, Any]) -> TopologySpec:
         raise ValueError(f"unknown topology kind {kind!r}")
     extra = tuple(DuplexLinkSpec.from_dict(e) for e in data.pop("extra_links", ()))
     if cls in (StarSpec,):
-        data["leaves"] = tuple(EdgeSpec.from_dict(e) for e in data.pop("leaves", ()))
+        leaves = data.pop("leaves", ())
+        if isinstance(leaves, Mapping):
+            data["leaves"] = LeafRun.from_dict(leaves)
+        else:
+            data["leaves"] = tuple(EdgeSpec.from_dict(e) for e in leaves)
     if cls in (ChainSpec,):
         data["hops"] = tuple(EdgeSpec.from_dict(e) for e in data.pop("hops", ()))
     return _from_mapping(cls, {**data, "extra_links": extra})
@@ -476,22 +603,13 @@ _RUN_NODE = re.compile(r"[^{}]*\{\}[^{}]*")
 
 
 @dataclass(frozen=True)
-class ReceiverRun:
+class ReceiverRun(_Run):
     """``count`` static receivers on consecutively numbered nodes, as one object.
 
     Stands for ``tuple(ReceiverSpec(node.format(i)) for i in range(first,
     first + count))`` — members from t=0 to the end, ids assigned by the
-    session — and behaves as that tuple does (length, indexing, slicing,
-    iteration) without holding it, so a 10^5-receiver flow resolves, encodes
-    and hashes as three fields.  It is a spelling of its own: a run and its
-    expansion build the same simulation, but they are different specs with
-    different canonical encodings (a mapping here, a list there) and hence
-    different fingerprints.  Nothing converts one into the other, because
-    recognising a run inside a list is the per-receiver pass this class
-    exists to avoid.
-
-    A virtual :class:`collections.abc.Sequence`: the ABC's ``count`` mixin
-    method would collide with the field.
+    session — so a 10^5-receiver flow resolves, encodes and hashes as three
+    fields (see :class:`_Run` for what a run is and is not).
     """
 
     node: str
@@ -506,8 +624,7 @@ class ReceiverRun:
                 "receivers.node must be a node name with one '{}' index field, "
                 f"got {self.node!r}"
             )
-        if type(self.count) is not int or self.count < 1:
-            raise ValueError(f"receivers.count must be an int >= 1, got {self.count!r}")
+        _check_count("receivers", self.count)
         if type(self.first) is not int or self.first < 0:
             raise ValueError(f"receivers.first must be an int >= 0, got {self.first!r}")
 
@@ -515,17 +632,8 @@ class ReceiverRun:
         """Node of receiver ``index`` (0-based, unchecked), building no spec."""
         return self.node.format(self.first + index)
 
-    def __len__(self) -> int:
-        return self.count
-
-    def __getitem__(self, index: Any) -> Any:
-        positions = range(self.count)[index]  # tuple semantics, IndexError included
-        if isinstance(positions, range):
-            return tuple(ReceiverSpec(self.node_at(i)) for i in positions)
-        return ReceiverSpec(self.node_at(positions))
-
-    def __iter__(self) -> Iterator[ReceiverSpec]:
-        return (ReceiverSpec(self.node_at(i)) for i in range(self.count))
+    def _item(self, index: int) -> ReceiverSpec:
+        return ReceiverSpec(self.node_at(index))
 
     @staticmethod
     def from_dict(data: Mapping[str, Any]) -> "ReceiverRun":
@@ -533,9 +641,6 @@ class ReceiverRun:
         if missing:
             raise ValueError(f"receivers run lacks {sorted(missing)}")
         return _from_mapping(ReceiverRun, data)
-
-
-collections.abc.Sequence.register(ReceiverRun)
 
 
 @dataclass(frozen=True)

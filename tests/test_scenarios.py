@@ -159,6 +159,96 @@ def test_metrics_spec_bounds_that_stay_valid():
     assert MetricsSpec(warmup_fraction=0.999).warmup_fraction == 0.999
 
 
+BAD_LINK_FIELDS = [
+    ("bandwidth", float("nan")),
+    ("bandwidth", float("inf")),
+    ("bandwidth", 0.0),
+    ("bandwidth", -1e6),
+    ("bandwidth", True),
+    ("bandwidth", "1e6"),
+    ("delay", float("nan")),
+    ("delay", float("inf")),
+    ("delay", -1),
+    ("delay", -1e-9),
+    ("delay", None),
+    ("queue_limit", 0),
+    ("queue_limit", -5),
+    ("queue_limit", True),
+    ("queue_limit", 2.5),
+    ("queue_limit", 50.0),
+    ("queue_limit", "50"),
+]
+
+
+@pytest.mark.parametrize("name, value", BAD_LINK_FIELDS, ids=repr)
+def test_an_edge_refuses_a_bandwidth_delay_or_queue_no_link_can_have(name, value):
+    """``EdgeSpec(bandwidth=nan)`` used to construct and fail mid-run with
+    ``cannot schedule event at nan``, naming no field."""
+    match = f"edge: {name} must"
+    with pytest.raises(ValueError, match=match):
+        EdgeSpec(**{"bandwidth": 1e6, "delay": 0.01, name: value})
+    spec = get_scenario("bursty-loss").spec()  # an explicit leaf tuple
+    with pytest.raises(ValueError, match=match):
+        spec.with_overrides(**{f"topology.leaves.1.{name}": value})
+    data = spec.to_dict()
+    data["topology"]["leaves"][1][name] = value
+    with pytest.raises(ValueError, match=match):
+        ScenarioSpec.from_dict(data)
+    run = get_scenario("wireless_last_hop").spec()  # one leaf run
+    with pytest.raises(ValueError, match=match):
+        run.with_overrides(**{f"topology.leaves.edge.{name}": value})
+
+
+@pytest.mark.parametrize("name, value", BAD_LINK_FIELDS, ids=repr)
+def test_a_duplex_link_refuses_a_bandwidth_delay_or_queue_no_link_can_have(name, value):
+    match = f"link a-b: {name} must"
+    with pytest.raises(ValueError, match=match):
+        DuplexLinkSpec(**{"a": "a", "b": "b", "bandwidth": 1e6, "delay": 0.01, name: value})
+    spec = get_scenario("late-join").spec()
+    match = f"link router_right-slow_tail: {name} must"
+    with pytest.raises(ValueError, match=match):
+        spec.with_overrides(**{f"topology.extra_links.0.{name}": value})
+    data = spec.to_dict()
+    data["topology"]["extra_links"][0][name] = value
+    with pytest.raises(ValueError, match=match):
+        ScenarioSpec.from_dict(data)
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("p_good_bad", 1.5),
+        ("p_good_bad", -0.01),
+        ("p_bad_good", float("nan")),
+        ("loss_good", True),
+        ("loss_bad", 1.0000001),
+        ("loss_bad", "1"),
+    ],
+    ids=repr,
+)
+def test_gilbert_elliott_spec_refuses_a_probability_outside_0_1(name, value):
+    """``GilbertElliottSpec(p_good_bad=1.5)`` used to construct and fail only
+    when the channel was built."""
+    match = f"gilbert_elliott.{name} must be a probability"
+    with pytest.raises(ValueError, match=match):
+        GilbertElliottSpec(**{"p_good_bad": 0.1, "p_bad_good": 0.5, name: value})
+    spec = get_scenario("bursty-loss").spec()
+    key = f"topology.leaves.{len(spec.topology.leaves) - 1}.impairment.gilbert_elliott.{name}"
+    with pytest.raises(ValueError, match=match):
+        spec.with_overrides(**{key: value})
+    data = spec.to_dict()
+    data["topology"]["leaves"][-1]["impairment"]["gilbert_elliott"][name] = value
+    with pytest.raises(ValueError, match=match):
+        ScenarioSpec.from_dict(data)
+
+
+def test_link_bounds_that_stay_valid():
+    assert EdgeSpec(bandwidth=1, delay=0, queue_limit=1).delay == 0
+    assert DuplexLinkSpec("a", "b", 2_000_000, 0.0, queue_limit=1).bandwidth == 2_000_000
+    ge = GilbertElliottSpec(p_good_bad=0, p_bad_good=1, loss_good=0.0, loss_bad=1.0)
+    assert ge.build().stationary_loss_rate == 0.0
+
+
 def test_a_nan_event_time_is_refused():
     """A heap cannot order NaN: the event would fire at an arbitrary point
     (measured: before t = 0) with ``now = nan``."""

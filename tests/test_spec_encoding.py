@@ -13,10 +13,11 @@ three things:
   clock), stays a small constant — in the encoder and in the cohort build.
 
 A flow's receivers have two spellings, an explicit tuple and one
-:class:`ReceiverRun`.  The run behaves as the tuple it stands for and builds
-the same simulation, under a canonical encoding and fingerprint of its own;
-the ``scaling`` factory emits it, so the explicit path is exercised here on
-hand-expanded specs.
+:class:`ReceiverRun`, and so do a star's leaves (an explicit tuple and one
+:class:`LeafRun`).  A run behaves as the tuple it stands for and builds the
+same simulation, under a canonical encoding and fingerprint of its own; the
+``scaling`` and ``wireless_last_hop`` factories emit runs, so the explicit
+path is exercised here on hand-expanded specs.
 """
 
 import cProfile
@@ -25,6 +26,7 @@ import glob
 import json
 import os
 import pstats
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -50,6 +52,7 @@ from repro.scenarios.spec import (
     FlowSpec,
     GilbertElliottSpec,
     ImpairmentSpec,
+    LeafRun,
     MetricsSpec,
     MobilitySpec,
     NetworkEventSpec,
@@ -87,9 +90,12 @@ def registry_variants(name):
 
 
 def expanded(spec):
-    """``spec`` with every receiver run written out as the tuple it stands for."""
+    """``spec`` with every run written out as the tuple it stands for."""
     flows = tuple(dataclasses.replace(f, receivers=tuple(f.receivers)) for f in spec.flows)
-    return dataclasses.replace(spec, flows=flows)
+    topology = spec.topology
+    if isinstance(topology, StarSpec):
+        topology = dataclasses.replace(topology, leaves=tuple(topology.leaves))
+    return dataclasses.replace(spec, flows=flows, topology=topology)
 
 
 # ---------------------------------------------------------------- the oracle
@@ -146,10 +152,11 @@ links = st.builds(
     DuplexLinkSpec, a=nodes, b=nodes, bandwidth=positive, delay=fractions, impairment=impairments
 )
 extra_links = st.lists(links, max_size=3).map(tuple)
+leaf_runs = st.builds(LeafRun, edge=edges, count=st.integers(1, 6))
 topologies = st.one_of(
     st.builds(
         StarSpec,
-        leaves=st.lists(edges, min_size=1, max_size=4).map(tuple),
+        leaves=st.one_of(st.lists(edges, min_size=1, max_size=4).map(tuple), leaf_runs),
         jitter=jitters,
         extra_links=extra_links,
     ),
@@ -429,8 +436,8 @@ def test_mutating_the_encoded_dict_leaves_the_spec_alone():
 
     wireless = get_scenario("wireless_last_hop").spec()
     data = wireless.to_dict()
-    data["topology"]["leaves"][0]["impairment"]["channel"]["params"]["snr_db"] = -40.0
-    assert wireless.topology.leaves[0].impairment.channel.params["snr_db"] == 13.0
+    data["topology"]["leaves"]["edge"]["impairment"]["channel"]["params"]["snr_db"] = -40.0
+    assert wireless.topology.leaves.edge.impairment.channel.params["snr_db"] == 13.0
 
 
 # ------------------------------------------- two spellings of ``receivers``
@@ -564,6 +571,184 @@ def test_a_100k_receiver_cohort_run_builds_almost_no_receiver_objects(monkeypatc
     assert record["engine"]["receivers_cohort"] == 99_998
     assert sum(c["reports"] for c in record["engine"]["cohorts"]) > 0
     assert len(built) < 100, f"{len(built)} ReceiverSpec objects for one run"
+
+
+# ---------------------------------------------- two spellings of ``leaves``
+
+#: ``wireless_last_hop`` as its factory wrote it before leaf runs existed
+#: (an explicit tuple of leaves and of receivers); a stored or hand-written
+#: expanded spec must keep hashing to these.
+EXPANDED_WIRELESS_PINS = {
+    "wireless_last_hop|cohort|1": "44612d3cd7733ba0",
+    "wireless_last_hop|cohort|2": "eb63c24e735a7aa9",
+    "wireless_last_hop|exact|1": "a3ac942004c6bc64",
+    "wireless_last_hop|exact|2": "eb66610092e14ca7",
+}
+
+
+@pytest.mark.parametrize("count", [1, 2, 5])
+def test_a_leaf_run_behaves_as_the_tuple_it_stands_for(count):
+    edge = EdgeSpec(6e6, 0.005, impairment=ImpairmentSpec(loss_rate=0.01))
+    run, explicit = LeafRun(edge, count), (edge,) * count
+    assert tuple(run) == explicit and len(run) == count and list(reversed(run)) == list(explicit)
+    for index in range(-count, count):
+        assert run[index] is edge
+    for bounds in [(None, None), (1, None), (None, -1), (1, 3), (None, None, 2), (5, 1), (3, 99)]:
+        assert run[slice(*bounds)] == explicit[slice(*bounds)]
+    for index in (count, -count - 1):
+        with pytest.raises(IndexError):
+            run[index]
+    with pytest.raises(TypeError):
+        run["0"]
+    assert edge in run and EdgeSpec(1e6, 0.005) not in run
+    assert run != explicit
+    assert StarSpec(leaves=run).leaves is run
+    assert StarSpec(leaves=run).node_families() == StarSpec(leaves=explicit).node_families()
+
+
+def link_table(network):
+    """What a built network's links are, channel kind included."""
+    return [
+        (
+            link.name,
+            link.bandwidth,
+            link.delay,
+            link.jitter,
+            link.queue.limit,
+            None if link.channel is None else type(link.channel).__name__,
+        )
+        for link in network.links
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(leaf_runs, jitters, extra_links)
+def test_a_leaf_run_and_its_expansion_build_the_same_network(run, jitter, extra):
+    from repro.scenarios import build_network
+    from repro.simulator.engine import Simulator
+
+    star = StarSpec(leaves=run, jitter=jitter, extra_links=extra)
+    networks = [
+        build_network(Simulator(seed=1), topology)
+        for topology in (star, dataclasses.replace(star, leaves=tuple(run)))
+    ]
+    assert link_table(networks[0]) == link_table(networks[1])
+    channels = [link.channel for link in networks[0].links if link.channel is not None]
+    assert len(set(map(id, channels))) == len(channels)  # a fresh model per direction
+
+
+def wireless(num_receivers, engine, **params):
+    spec = get_scenario("wireless_last_hop").spec(
+        num_receivers=num_receivers, duration=8.0, snr_db=12.5, **params
+    )
+    return spec.with_overrides(**{"engine.kind": engine})
+
+
+@pytest.mark.parametrize("engine", ["exact", "cohort"])
+@pytest.mark.parametrize("num_receivers", [1, 3, 12])
+def test_a_leaf_run_and_its_expansion_produce_the_same_record(num_receivers, engine):
+    if engine == "cohort":
+        pytest.importorskip("numpy")
+    spec = wireless(num_receivers, engine)
+    assert isinstance(spec.topology.leaves, LeafRun)
+    leaves_written_out = dataclasses.replace(
+        spec, topology=dataclasses.replace(spec.topology, leaves=tuple(spec.topology.leaves))
+    )
+    for seed in (1, 2):
+        record = encode_record(run_scenario(spec, seed=seed))
+        assert record == encode_record(run_scenario(expanded(spec), seed=seed))  # events included
+        assert record == encode_record(run_scenario(leaves_written_out, seed=seed))
+
+
+def test_the_encoding_round_trips_and_the_expanded_dict_stays_a_tuple():
+    spec = get_scenario("wireless_last_hop").spec(num_receivers=3)
+    edge = spec.topology.leaves.edge
+    encoded = json.loads(spec.to_json())["topology"]["leaves"]
+    assert set(encoded) == {"count", "edge"} and encoded["count"] == 5
+    assert EdgeSpec.from_dict(encoded["edge"]) == edge
+    loaded = ScenarioSpec.from_json(spec.to_json())
+    assert loaded == spec and loaded.topology.leaves == LeafRun(edge, 5)
+    written_out = ScenarioSpec.from_json(expanded(spec).to_json())
+    assert written_out.topology.leaves == (edge,) * 5
+    assert type(written_out.topology.leaves) is tuple
+
+
+def test_the_expanded_leaves_keep_their_fingerprints_and_the_run_has_its_own():
+    with open(PINNED_PATH, encoding="utf-8") as fh:
+        pinned = json.load(fh)
+    for variant, spec in registry_variants("wireless_last_hop").items():
+        assert isinstance(spec.topology.leaves, LeafRun)
+        assert spec.flows[0].receivers == ReceiverRun("leaf{}", 2)
+        written_out = expanded(spec)
+        assert isinstance(written_out.to_dict()["topology"]["leaves"], tuple)
+        assert ScenarioSpec.from_json(written_out.to_json()) == written_out != spec
+        for seed in (1, 2):
+            key = f"wireless_last_hop|{variant}|{seed}"
+            assert fingerprint_spec(written_out, seed) == EXPANDED_WIRELESS_PINS[key]
+            assert fingerprint_spec(spec, seed) == pinned[key] != EXPANDED_WIRELESS_PINS[key]
+
+
+def test_the_wireless_spec_is_one_size_whatever_its_receiver_count():
+    small, large = (
+        canonical_json(get_scenario("wireless_last_hop").spec(num_receivers=n).to_dict())
+        for n in (10, 100_000)
+    )
+    # Only numbers differ: the two counts and the TFRC and TCP leaf names.
+    assert re.sub(r"\d+", "#", small) == re.sub(r"\d+", "#", large)
+    assert len(large) - len(small) == 4 * len("0000") and len(large) < 1200
+
+
+def test_an_indexed_override_expands_a_leaf_run_and_a_field_override_does_not():
+    spec = get_scenario("wireless_last_hop").spec(num_receivers=4)
+    edge = spec.topology.leaves.edge
+    slow = spec.with_overrides(**{"topology.leaves.3.delay": 0.05})
+    assert slow.topology.leaves == tuple(
+        dataclasses.replace(edge, delay=0.05) if i == 3 else edge for i in range(6)
+    )
+    more = spec.with_overrides(**{"topology.leaves.count": 9})
+    assert more.topology.leaves == LeafRun(edge, 9)
+    wider = spec.with_overrides(**{"topology.leaves.edge.bandwidth": 1e7})
+    assert wider.topology.leaves == LeafRun(dataclasses.replace(edge, bandwidth=1e7), 6)
+    for key, message in [
+        ("topology.leaves.6.delay", "index 6 out of range"),
+        ("topology.leaves.-1.delay", "LeafRun has no field '-1'"),
+        ("topology.leaves.size", "LeafRun has no field 'size'"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            spec.with_overrides(**{key: 1.0})
+
+
+BAD_LEAF_RUN_FIELDS = [
+    ("count", 0), ("count", -2), ("count", True), ("count", 3.0), ("count", float("nan")),
+    ("count", "4"), ("count", None), ("edge", None), ("edge", 6e6), ("edge", (6e6, 0.005)),
+]
+
+
+@pytest.mark.parametrize("field, value", BAD_LEAF_RUN_FIELDS)
+def test_a_malformed_leaf_run_is_a_value_error_naming_the_field(field, value):
+    edge = EdgeSpec(6e6, 0.005)
+    good = {"edge": edge, "count": 4}
+    with pytest.raises(ValueError, match=rf"leaves\.{field}"):
+        LeafRun(**{**good, field: value})
+    spec = get_scenario("wireless_last_hop").spec()
+    data = spec.to_dict()
+    data["topology"]["leaves"][field] = value
+    with pytest.raises(ValueError, match=rf"leaves\.{field}"):
+        ScenarioSpec.from_dict(data)
+    with pytest.raises(ValueError, match=rf"leaves\.{field}"):
+        spec.with_overrides(**{f"topology.leaves.{field}": value})
+
+
+def test_a_leaf_run_mapping_with_unknown_or_missing_keys_is_rejected():
+    from repro.scenarios.spec import topology_from_dict
+
+    edge = {"bandwidth": 6e6, "delay": 0.005}
+    with pytest.raises(ValueError, match="unknown LeafRun fields.*first"):
+        topology_from_dict({"kind": "star", "leaves": {"edge": edge, "count": 2, "first": 1}})
+    with pytest.raises(ValueError, match="leaves run lacks.*edge"):
+        topology_from_dict({"kind": "star", "leaves": {"count": 2}})
+    with pytest.raises(ValueError, match="leaves run lacks.*count.*edge"):
+        topology_from_dict({"kind": "star", "leaves": {}})
 
 
 # ------------------------------------------------------ guards against regrowth
