@@ -55,8 +55,9 @@ class ControlSimulator(Simulator):
         try:
             while not self._stopped:
                 if lane and (not queue or lane[-1] < queue[0]):
-                    time, _seq, handle = lane[-1]
-                    if handle.cancelled:
+                    entry = lane[-1]
+                    time, _seq, callback, args = entry
+                    if callback is None:
                         lane_pop(lane)
                         self._dead -= 1
                         continue
@@ -65,8 +66,9 @@ class ControlSimulator(Simulator):
                         break
                     lane_pop(lane)
                 elif queue:
-                    time, _seq, handle = queue[0]
-                    if handle.cancelled:
+                    entry = queue[0]
+                    time, _seq, callback, args = entry
+                    if callback is None:
                         pop(queue)
                         self._dead -= 1
                         continue
@@ -79,8 +81,8 @@ class ControlSimulator(Simulator):
                         self.now = max(self.now, until)
                     break
                 self.now = time
-                handle.fired = True
-                handle.callback(*handle.args)
+                entry[2] = None
+                callback(*args)
                 processed += 1
                 if processed >= limit:
                     break

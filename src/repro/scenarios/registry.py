@@ -663,8 +663,11 @@ def gilbert_elliott_from_burst(loss_rate: float, burst_length: float) -> Gilbert
     """Parameterise a Gilbert channel by average loss rate and mean burst length."""
     if not 0.0 < loss_rate < 1.0:
         raise ValueError("loss_rate must be in (0, 1)")
-    if burst_length < 1.0:
-        raise ValueError("burst_length must be >= 1 packet")
+    if not 1.0 <= burst_length < float("inf"):  # also refuses NaN
+        raise ValueError(f"burst_length must be finite and >= 1 packet, got {burst_length}")
+    odds = loss_rate / (1.0 - loss_rate)
+    if odds > burst_length:  # p_good_bad would exceed 1
+        raise ValueError(f"loss_rate {loss_rate} needs burst_length >= {odds:g}, got {burst_length}")
     p_bad_good = 1.0 / burst_length
     p_good_bad = loss_rate * p_bad_good / (1.0 - loss_rate)
     return GilbertElliottSpec(p_good_bad=p_good_bad, p_bad_good=p_bad_good)

@@ -8,22 +8,25 @@ callbacks scheduled at absolute simulation times.  Scheduling returns an
 Hot-path design notes
 ---------------------
 
-* The heap stores plain ``(time, seq, handle)`` tuples so that heap sifting
-  compares at C speed; :class:`EventHandle` objects are never compared
-  because ``(time, seq)`` is unique.
+* The heap entry is the handle: one list ``[time, seq, callback, args]``,
+  compared at C speed and never past ``seq`` (``(time, seq)`` is unique).
+  A kept timer is an :class:`EventHandle`, a ``list`` subclass;
+  :meth:`Simulator.call_at` pushes a plain list (link arrivals and drains).
+  The callback slot is blanked (None) when the event fires and when it is
+  cancelled, so an entry is pending exactly while its slot is set.
 * A multicast fan-out skips the heap.  While :meth:`Simulator.fan_out`
-  runs, ``schedule_at`` appends to a side list; at the end the list is
-  merged into the *lane*, a second source of the same tuples kept sorted
-  in descending order (the next entry is ``lane[-1]``).  One sort of a
+  runs, scheduling appends to a side list; at the end the list is merged
+  into the *lane*, a second source of the same entries kept sorted in
+  descending order (the next entry is ``lane[-1]``).  One sort of a
   receiver's worth of arrivals replaces a heap push and a heap pop per
   receiver.  Every pending entry lives in exactly one of the heap and the
   lane, and the run loop takes whichever head is smaller, so the pop order
   is the single-heap order by construction.
-* Cancellation is lazy (the tuple stays where it is and is skipped when it
-  surfaces), but the simulator counts live cancelled entries and filters
-  both sources once more than half of all entries are dead.  Compaction
-  keeps the surviving tuples, re-heapifies the heap and leaves the lane
-  sorted, so the pop order of surviving events is unchanged.
+* Cancellation is lazy (the blanked entry stays where it is and is skipped
+  when it surfaces), but the simulator counts live cancelled entries and
+  filters both sources once more than half of all entries are dead.
+  Compaction keeps the surviving entries, re-heapifies the heap and leaves
+  the lane sorted, so the pop order of surviving events is unchanged.
 * The run loop takes one event per step.  (A same-timestamp inner batch,
   saving the ``until`` check and the clock write for ties, measured slower
   than one flat step once two sources are read.)
@@ -33,9 +36,9 @@ Hot-path design notes
   ``list.pop``.
 * :meth:`Simulator.reschedule` (and its absolute-time form
   :meth:`Simulator.reschedule_at`) is a fast path for the dominant
-  recurring-timer pattern (media senders, CBR sources, link drains): when
-  the previous handle has already fired it is reused in place, so a
-  periodic timer costs zero allocations per tick.
+  recurring-timer pattern (media senders, CBR sources): when the previous
+  handle has already fired it is reused in place, so a periodic timer costs
+  zero allocations per tick.
 * Packet ids are drawn from a per-simulator counter
   (:meth:`Simulator.next_packet_uid`), never from module-level state, so two
   runs in one process produce identical traces.
@@ -48,6 +51,7 @@ from __future__ import annotations
 
 import random
 from heapq import heapify, heappop, heappush
+from operator import itemgetter
 from time import perf_counter
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -99,12 +103,11 @@ def _run_probe(tel: Any, sim: "Simulator") -> Tuple[_Pop, _Pop, Callable[[], Non
     observe = tel.observe
     wall_start = perf_counter()
 
-    def read(entry: Tuple[float, int, "EventHandle"]) -> None:
+    def read(entry: list) -> None:
         nonlocal batch, batch_time, heap_peak
-        time, _seq, handle = entry
-        if handle.cancelled:
+        time, _seq, callback, _args = entry
+        if callback is None:  # a cancelled entry
             return
-        callback = handle.callback
         func = getattr(callback, "__func__", callback)
         counts[func] = counts.get(func, 0) + 1
         if time == batch_time:
@@ -143,52 +146,42 @@ class SimulationError(RuntimeError):
     """Raised when the simulator is used incorrectly."""
 
 
-class EventHandle:
-    """Handle to a scheduled event.
+class EventHandle(list):
+    """A kept timer: the queued entry ``[time, seq, callback, args]`` itself.
 
-    The handle allows the owner to cancel the event before it fires and to
-    query whether it already fired.  Cancelled events stay queued (in the
-    heap or the lane) but are skipped by the main loop (lazy deletion) until
-    the owning simulator compacts its queue.
+    ``_sim`` is the owning simulator until :meth:`cancel`, which leaves None
+    when it cancelled a pending event and False when the event had fired.
+    A cancelled entry stays queued until it surfaces or the queue compacts.
     """
 
-    __slots__ = ("time", "seq", "callback", "args", "cancelled", "fired", "_sim")
-
-    def __init__(
-        self,
-        time: float,
-        seq: int,
-        callback: Callable[..., Any],
-        args: tuple,
-        sim: Optional["Simulator"] = None,
-    ):
-        self.time = time
-        self.seq = seq
-        self.callback = callback
-        self.args = args
-        self.cancelled = False
-        self.fired = False
-        self._sim = sim
+    __slots__ = ("_sim",)
 
     def cancel(self) -> None:
         """Cancel the event; a cancelled event never fires."""
-        if self.cancelled:
-            return
-        self.cancelled = True
-        if not self.fired and self._sim is not None:
-            self._sim._note_cancelled()
+        sim = self._sim
+        if sim:
+            self._sim = False if self[2] is None else None
+            sim.cancel(self)
 
     @property
     def pending(self) -> bool:
         """True while the event is scheduled and not yet fired or cancelled."""
-        return not self.cancelled and not self.fired
+        return self[2] is not None
 
-    def __lt__(self, other: "EventHandle") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
+    @property
+    def fired(self) -> bool:
+        return self[2] is None and self._sim is not None
+
+    @property
+    def cancelled(self) -> bool:
+        return not self._sim
+
+    time = property(itemgetter(0))
+    args = property(itemgetter(3))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else ("fired" if self.fired else "pending")
-        return f"EventHandle(t={self.time:.6f}, {state}, {self.callback!r})"
+        return f"EventHandle(t={self[0]:.6f}, {state}, {self[2]!r})"
 
 
 class Simulator:
@@ -207,11 +200,11 @@ class Simulator:
         #: hot-path speed; treat it as read-only — only the run loop may
         #: advance it.
         self.now = 0.0
-        self._queue: List[Tuple[float, int, EventHandle]] = []
+        self._queue: List[list] = []
         #: The fan-out lane: entries sorted in descending order, next at -1.
-        self._lane: List[Tuple[float, int, EventHandle]] = []
+        self._lane: List[list] = []
         #: The side list while a fan-out scope is open, else None.
-        self._fanout: Optional[List[Tuple[float, int, EventHandle]]] = None
+        self._fanout: Optional[List[list]] = None
         self._seq = 0
         self._dead = 0  # live cancelled entries still in the heap or lane
         self._running = False
@@ -259,12 +252,7 @@ class Simulator:
         """Schedule ``callback(*args)`` to run ``delay`` seconds from now."""
         if not delay >= 0:  # also refuses NaN
             raise SimulationError(f"cannot schedule event in the past (delay={delay})")
-        time = self.now + delay
-        seq = self._seq
-        self._seq = seq + 1
-        handle = EventHandle(time, seq, callback, args, self)
-        heappush(self._queue, (time, seq, handle))
-        return handle
+        return self.schedule_at(self.now + delay, callback, *args)
 
     def schedule_at(self, time: float, callback: Callable[..., Any], *args: Any) -> EventHandle:
         """Schedule ``callback(*args)`` to run at absolute simulation ``time``."""
@@ -274,22 +262,49 @@ class Simulator:
             )
         seq = self._seq
         self._seq = seq + 1
-        handle = EventHandle(time, seq, callback, args, self)
+        handle = EventHandle((time, seq, callback, args))
+        handle._sim = self
         side = self._fanout
         if side is None:
-            heappush(self._queue, (time, seq, handle))
+            heappush(self._queue, handle)
         else:
-            side.append((time, seq, handle))
+            side.append(handle)
         return handle
+
+    def call_at(self, time: float, callback: Callable[..., Any], *args: Any) -> list:
+        """:meth:`schedule_at` for events nobody keeps a handle to: returns
+        the bare entry, which :meth:`cancel` cancels."""
+        if not time >= self.now:  # also refuses NaN
+            raise SimulationError(
+                f"cannot schedule event at {time} before current time {self.now}"
+            )
+        seq = self._seq
+        self._seq = seq + 1
+        entry = [time, seq, callback, args]
+        side = self._fanout
+        if side is None:
+            heappush(self._queue, entry)
+        else:
+            side.append(entry)
+        return entry
+
+    def cancel(self, entry: list) -> None:
+        """Cancel a queued entry; a no-op once it has fired or was cancelled."""
+        if entry[2] is not None:
+            entry[2] = None
+            dead = self._dead + 1
+            self._dead = dead
+            if dead > _COMPACT_MIN_DEAD and dead * 2 > self._entries():
+                self._compact()
 
     def fan_out(self, calls: Sequence[Callable[[Any], Any]], arg: Any) -> None:
         """Call ``call(arg)`` for each of ``calls`` in one fan-out scope.
 
-        ``schedule_at`` calls made meanwhile go into a side list that is
-        sorted once and merged into the lane when the scope closes (see the
-        module notes); the run loop still fires them in ``(time, seq)``
-        order.  A scope does not nest, and :meth:`peek` does not see the
-        scope's own entries until it closes.
+        Events scheduled meanwhile go into a side list that is sorted once
+        and merged into the lane when the scope closes (see the module
+        notes); the run loop still fires them in ``(time, seq)`` order.  A
+        scope does not nest, and :meth:`peek` does not see the scope's own
+        entries until it closes.
         """
         if self._fanout is not None:
             raise SimulationError("fan-out scopes do not nest")
@@ -338,27 +353,22 @@ class Simulator:
         called, including its position in the tie-breaking order.
 
         The absolute form exists because ``now + (time - now)`` is not
-        ``time`` in floating point: a link drain must fire at exactly the
-        instant its serialiser frees up.
+        ``time`` in floating point: a retransmission timer must fire at
+        exactly its deadline.
         """
         if not time >= self.now:  # also refuses NaN
             raise SimulationError(
                 f"cannot schedule event at {time} before current time {self.now}"
             )
         if handle is not None:
-            if handle.fired and not handle.cancelled:
+            if handle[2] is None and handle._sim is self:  # fired, not cancelled
                 self.reschedule_fast_hits += 1
                 seq = self._seq
                 self._seq = seq + 1
-                handle.time = time
-                handle.seq = seq
-                handle.callback = callback
-                handle.args = args
-                handle.fired = False
-                heappush(self._queue, (time, seq, handle))
+                handle[:] = time, seq, callback, args
+                heappush(self._queue, handle)
                 return handle
-            if not handle.cancelled:
-                handle.cancel()
+            handle.cancel()
         return self.schedule_at(time, callback, *args)
 
     def stop(self) -> None:
@@ -372,24 +382,16 @@ class Simulator:
         side = self._fanout
         return len(self._queue) + len(self._lane) + (len(side) if side else 0)
 
-    def _note_cancelled(self) -> None:
-        """A pending handle was cancelled; compact once >50% of entries are dead."""
-        dead = self._dead + 1
-        self._dead = dead
-        if dead > _COMPACT_MIN_DEAD and dead * 2 > self._entries():
-            self._compact()
-
     def _compact(self) -> None:
         """Drop cancelled entries from every source and rebuild the heap.
 
         Each source is filtered in place, so the run loop's references stay
-        valid.  Filtering preserves each surviving ``(time, seq, handle)``
-        tuple and the lane's order, and ``heapify`` orders by the same key,
-        so the pop order of surviving events is identical to the
-        lazy-deletion order.
+        valid.  Filtering preserves each surviving entry and the lane's
+        order, and ``heapify`` orders by the same key, so the pop order of
+        surviving events is identical to the lazy-deletion order.
         """
         for entries in (self._queue, self._lane, self._fanout or []):
-            entries[:] = [entry for entry in entries if not entry[2].cancelled]
+            entries[:] = [entry for entry in entries if entry[2] is not None]
         heapify(self._queue)
         self._dead = 0
         self.compactions += 1
@@ -400,11 +402,11 @@ class Simulator:
         lane = self._lane
         while True:
             if lane and (not queue or lane[-1] < queue[0]):
-                if not lane[-1][2].cancelled:
+                if lane[-1][2] is not None:
                     return lane[-1][0]
                 lane.pop()
             elif queue:
-                if not queue[0][2].cancelled:
+                if queue[0][2] is not None:
                     return queue[0][0]
                 heappop(queue)
             else:
@@ -451,8 +453,9 @@ class Simulator:
                 # One event per step, from whichever source holds the
                 # smaller (time, seq).
                 if lane and (not queue or lane[-1] < queue[0]):
-                    time, _seq, handle = lane[-1]
-                    if handle.cancelled:
+                    entry = lane[-1]
+                    time, _seq, callback, args = entry
+                    if callback is None:
                         lane_pop(lane)
                         self._dead -= 1
                         continue
@@ -461,8 +464,9 @@ class Simulator:
                         break
                     lane_pop(lane)
                 elif queue:
-                    time, _seq, handle = queue[0]
-                    if handle.cancelled:
+                    entry = queue[0]
+                    time, _seq, callback, args = entry
+                    if callback is None:
                         pop(queue)
                         self._dead -= 1
                         continue
@@ -475,8 +479,8 @@ class Simulator:
                         self.now = max(self.now, until)
                     break
                 self.now = time
-                handle.fired = True
-                handle.callback(*handle.args)
+                entry[2] = None
+                callback(*args)
                 processed += 1
                 if processed >= limit:
                     break

@@ -113,14 +113,14 @@ class Link:
         #: (see :meth:`set_down`); every offered packet is dropped.
         self.down = False
         # Serialiser state.  The frame last started occupies the serialiser
-        # until ``_tx_end``; ``_tx_arrival`` is its arrival event (whose
-        # ``args[0]`` is the packet), kept so the counter readers can
+        # until ``_tx_end``; ``_tx_arrival`` is its arrival entry (whose
+        # ``[3][0]`` is the packet), kept so the counter readers can
         # discount it and set_down() can cut it.
         self._tx_end = 0.0
         self._tx_arrival = None
-        # Reusable drain-event handle: while packets wait, one recurring
-        # event walks the queue (dequeue + transmit), rather than allocating
-        # a fresh event per queued packet (see Simulator.reschedule_at).
+        self._arrive = dst.receive
+        # While packets wait, one drain event at a time walks the queue
+        # (dequeue + transmit); ``_drain`` is its entry, for set_down().
         self._draining = False
         self._drain = None
         # Statistics.  The send counters are committed when a transmission
@@ -168,7 +168,7 @@ class Link:
                 return False
             if not self._draining:
                 self._draining = True
-                self._drain = sim.reschedule_at(self._drain, self._tx_end, self._drain_queue)
+                self._drain = sim.call_at(self._tx_end, self._drain_queue)
             return True
         if self._queue_tracks_idle:
             # Applied lazily: the queue has been idle since the last frame
@@ -216,7 +216,7 @@ class Link:
     def _frame_on_serialiser(self) -> Optional[Packet]:
         """The packet whose serialisation has started but not finished."""
         if self.sim.now < self._tx_end:
-            return self._tx_arrival.args[0]
+            return self._tx_arrival[3][0]
         return None
 
     @property
@@ -248,7 +248,7 @@ class Link:
     # ------------------------------------------------------------ live mutation
     #
     # The time-scripted dynamics layer (repro.scenarios.spec.DynamicsSpec)
-    # changes link parameters mid-run.  All mutators keep the reusable drain
+    # changes link parameters mid-run.  All mutators keep the drain
     # event and the queue consistent: a packet already being serialised
     # finishes with the parameters it started with, subsequent packets use
     # the new ones.
@@ -309,13 +309,11 @@ class Link:
         while self.queue.dequeue() is not None:
             self.down_drops += 1
         if self._draining:
-            # reschedule_at() copes with the cancelled handle when the link
-            # later comes back up.
-            self._drain.cancel()
+            self.sim.cancel(self._drain)
             self._draining = False
         frame = self._frame_on_serialiser()
         if frame is not None:
-            self._tx_arrival.cancel()
+            self.sim.cancel(self._tx_arrival)
             self._packets_sent -= 1
             self._bytes_sent -= frame.size
             self._bytes_per_flow[frame.flow_id] -= frame.size
@@ -343,14 +341,15 @@ class Link:
         per_flow = self._bytes_per_flow
         per_flow[flow_id] = per_flow.get(flow_id, 0) + size
         # Propagation: the packet arrives `delay` after its last bit left.
-        self._tx_arrival = sim.schedule_at(end + self.delay, self.dst.receive, packet, self)
+        self._tx_arrival = sim.call_at(end + self.delay, self._arrive, packet, self)
 
     def _drain_queue(self) -> None:
         """The serialiser freed up with packets waiting: send the next one."""
         queue = self.queue
         self._transmit(queue.dequeue(), self.sim.now)
         if len(queue):
-            self._drain = self.sim.reschedule_at(self._drain, self._tx_end, self._drain_queue)
+            # This drain's own entry has fired: a fresh one takes its place.
+            self._drain = self.sim.call_at(self._tx_end, self._drain_queue)
         else:
             self._draining = False
 

@@ -3,7 +3,8 @@
 A node forwards packets according to a unicast routing table (destination
 node id -> next-hop neighbour, filled on first lookup; see
 :class:`RouteTable`) and a multicast forwarding table (group id -> set of
-downstream links) and delivers packets to locally attached agents.
+downstream links) and delivers packets to locally attached agents.  A
+unicast packet costs one :class:`HopTable` lookup per node.
 
 Agents (TCP senders/sinks, TFRC and TFMCC senders/receivers) subclass
 :class:`Agent` and are attached to a node under a flow id.  Multicast
@@ -12,7 +13,7 @@ receivers additionally register as members of a multicast group.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence
 
 from repro.simulator.packet import Packet
 
@@ -61,6 +62,26 @@ class RouteTable(dict):
         return self.get(dst) is not None  # type: ignore[arg-type]
 
 
+class HopTable(dict):
+    """Destination id -> the one call a unicast packet takes at a node."""
+
+    __slots__ = ("_node",)
+
+    def __init__(self, node: "Node"):
+        super().__init__()
+        self._node = node
+
+    def __missing__(self, dst: str) -> Callable[[Packet], Any]:
+        node = self._node
+        if dst == node.node_id:
+            call = node._deliver
+        else:
+            link = node.links.get(node.routes.get(dst))
+            call = node._unroutable if link is None else link.enqueue
+        self[dst] = call
+        return call
+
+
 class Agent:
     """Base class for protocol endpoints attached to a node.
 
@@ -91,7 +112,10 @@ class Agent:
         packet.sent_at = sim.now
         if packet.uid < 0:
             packet.uid = sim.next_packet_uid()
-        self.node.send(packet)
+        if packet.group is None:
+            self.node.hops[packet.dst](packet)
+        else:
+            self.node.receive(packet, None, packet.flow_id)
 
     def receive(self, packet: Packet) -> None:  # pragma: no cover - abstract
         raise NotImplementedError
@@ -105,6 +129,7 @@ class Node:
         self.node_id = node_id
         self.links: Dict[str, "Link"] = {}  # neighbour node id -> outgoing link
         self.routes = RouteTable(resolve)  # destination node id -> neighbour node id
+        self.hops = HopTable(self)
         # group -> downstream neighbour ids, in deterministic (tree-build)
         # order; any iterable works, MulticastGroup stores tuples.
         self.mcast_routes: Dict[str, Sequence[str]] = {}
@@ -113,9 +138,15 @@ class Node:
         self._mcast_cache: Dict[tuple, tuple] = {}
         self.agents: Dict[str, Agent] = {}  # flow id -> agent
         self.group_members: Dict[str, List[Agent]] = {}  # group -> local member agents
-        self.packets_forwarded = 0
         self.packets_delivered = 0
         self.packets_unroutable = 0
+
+    @property
+    def packets_forwarded(self) -> int:
+        """Packets offered to the node's outgoing links."""
+        return sum(
+            link._packets_sent + link.total_drops + len(link.queue) for link in self.links.values()
+        )
 
     # ------------------------------------------------------------ wiring
 
@@ -153,10 +184,10 @@ class Node:
 
     def send(self, packet: Packet) -> None:
         """Send a locally originated packet."""
-        if packet.is_multicast:
-            self.receive(packet, None, packet.flow_id)
+        if packet.group is None:
+            self.hops[packet.dst](packet)
         else:
-            self._forward_unicast(packet)
+            self.receive(packet, None, packet.flow_id)
 
     def receive(
         self,
@@ -174,10 +205,7 @@ class Node:
         """
         group = packet.group
         if group is None:  # unicast
-            if packet.dst == self.node_id:
-                self._deliver(packet)
-            else:
-                self._forward_unicast(packet)
+            self.hops[packet.dst](packet)
             return
         members = self.group_members.get(group)
         if members:
@@ -206,12 +234,10 @@ class Node:
                     if neighbour != incoming_id and neighbour in links
                 )
                 self._mcast_cache[key] = targets
-            count = len(targets)
-            self.packets_forwarded += count
-            if count > 1:
+            if len(targets) > 1:
                 # The arrivals these enqueues schedule skip the event heap.
                 self.sim.fan_out(targets, packet)
-            elif count:
+            elif targets:
                 targets[0](packet)
 
     # ------------------------------------------------------------ internals
@@ -225,21 +251,8 @@ class Node:
         self.packets_delivered += 1
         agent.receive(packet)
 
-    def _forward_unicast(self, packet: Packet) -> None:
-        if packet.dst == self.node_id:
-            self._deliver(packet)
-            return
-        try:
-            next_hop = self.routes[packet.dst]
-        except KeyError:
-            self.packets_unroutable += 1
-            return
-        link = self.links.get(next_hop)
-        if link is None:
-            self.packets_unroutable += 1
-            return
-        self.packets_forwarded += 1
-        link.enqueue(packet)
+    def _unroutable(self, packet: Packet) -> None:
+        self.packets_unroutable += 1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Node({self.node_id}, links={list(self.links)}, agents={list(self.agents)})"

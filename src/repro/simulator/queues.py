@@ -14,10 +14,6 @@ from typing import Deque, Optional
 from repro.simulator.packet import Packet
 
 
-class QueueFull(Exception):
-    """Internal signal that a packet was dropped (not raised across modules)."""
-
-
 class PacketQueue:
     """Interface for link queues."""
 

@@ -29,7 +29,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.simulator.engine import Simulator
 from repro.simulator.link import Link
-from repro.simulator.node import Agent, Node, RouteTable, RoutingError
+from repro.simulator.node import Agent, Node, RoutingError
 from repro.simulator.queues import DropTailQueue, PacketQueue
 
 #: Relative slack under which another neighbour's path counts as tied with
@@ -76,9 +76,9 @@ class Network:
         # dist).  Shared by unicast next hops, path/path_delay and multicast
         # trees, so queries and forwarding never disagree on tie-breaking.
         self._sssp_cache: Dict[str, Tuple[int, Dict, Dict]] = {}
-        # Route tables holding at least one next hop; cleared (not rebuilt)
-        # whenever a link is added or the topology changes.
-        self._filled_routes: List[RouteTable] = []
+        # Nodes that resolved a next hop: their route and hop tables are
+        # cleared (not rebuilt) whenever a link is added or the topology changes.
+        self._routed: Dict[str, Node] = {}
 
     # ------------------------------------------------------------ topology
 
@@ -250,6 +250,7 @@ class Network:
         :data:`_TIE_TOLERANCE` of it; then the first hop of ``src``'s own
         shortest-path tree decides, as a per-source table would.
         """
+        self._routed[src] = self.nodes[src]
         if dst == src or dst not in self.nodes:
             return None
         parents, dist = self._sssp(dst)
@@ -264,16 +265,14 @@ class Network:
                 while tree[hop] != src:
                     hop = tree[hop]
                 break
-        table = self.nodes[src].routes
-        if not table:
-            self._filled_routes.append(table)
         return hop
 
     def _clear_routes(self) -> None:
-        """Forget every filled next hop; each refills on its next lookup."""
-        for table in self._filled_routes:
-            table.clear()
-        self._filled_routes = []
+        """Forget every filled next hop and hop call; each refills on first use."""
+        for node in self._routed.values():
+            node.routes.clear()
+            node.hops.clear()
+        self._routed = {}
 
     def path(self, src: str, dst: str, weight: str = "delay") -> List[str]:
         """Shortest path between two nodes as a list of node ids.

@@ -3,7 +3,8 @@
 The sender models ns-2's one-way TCP agent: an infinite (FTP-like) source,
 segment-based sequence numbers, cumulative ACKs, slow start, congestion
 avoidance, fast retransmit / fast recovery and an exponential-backoff
-retransmission timer with Jacobson RTT estimation and Karn's rule.
+retransmission timer with Jacobson RTT estimation and Karn's rule.  The
+timer is a deadline: an ACK moves it without touching the event heap.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ from repro.simulator.monitor import ThroughputMonitor
 from repro.simulator.node import Agent
 from repro.simulator.packet import Packet, PacketType
 from repro.tcp.segments import TCPAck, TCPSegment
+
+DATA, ACK = PacketType.DATA, PacketType.ACK
 
 # Sizes follow common simulation practice: 1000-byte segments, 40-byte ACKs.
 DEFAULT_SEGMENT_SIZE = 1000
@@ -79,6 +82,7 @@ class TCPRenoSender(Agent):
         self.rto = 3.0
         self.backoff = 1
         self._rto_timer: Optional[EventHandle] = None
+        self._rto_deadline = 0.0
         # Statistics.
         self.segments_sent = 0
         self.retransmits = 0
@@ -118,29 +122,19 @@ class TCPRenoSender(Agent):
         """Number of unacknowledged segments in flight."""
         return self.next_seq - (self.highest_acked + 1)
 
-    def _window(self) -> float:
-        return min(self.cwnd, self.max_cwnd)
-
     def _send_allowed(self) -> None:
         """Send as many new segments as the window allows (back to back)."""
         if not self.running:
             return
-        while self.flight_size < int(self._window()):
-            self._transmit(self.next_seq, retransmit=False)
+        limit = self.highest_acked + 1 + int(min(self.cwnd, self.max_cwnd))
+        while self.next_seq < limit:
+            self._transmit(self.next_seq, False)
             self.next_seq += 1
 
     def _transmit(self, seq: int, retransmit: bool) -> None:
-        header = TCPSegment(seq=seq, timestamp=self.sim.now, is_retransmit=retransmit)
-        packet = Packet(
-            src=self.node_id,
-            dst=self.dst,
-            flow_id=self.flow_id,
-            size=self.segment_size,
-            ptype=PacketType.DATA,
-            seq=seq,
-            payload=header,
-        )
-        self.send(packet)
+        header = TCPSegment(seq, self.sim.now, retransmit)
+        size = self.segment_size
+        self.send(Packet(self.node_id, self.dst, self.flow_id, size, DATA, None, seq, 0.0, header))
         self.segments_sent += 1
         if retransmit:
             self.retransmits += 1
@@ -149,7 +143,7 @@ class TCPRenoSender(Agent):
 
     def receive(self, packet: Packet) -> None:
         """Handle an incoming ACK."""
-        if not self.running or packet.ptype is not PacketType.ACK:
+        if not self.running or packet.ptype is not ACK:
             return
         ack: TCPAck = packet.payload
         self.acks_received += 1
@@ -214,17 +208,22 @@ class TCPRenoSender(Agent):
         self.rto = min(self.max_rto, max(self.min_rto, self.srtt + 4.0 * self.rttvar))
 
     def _restart_rto_timer(self) -> None:
+        timer = self._rto_timer
         if not self.running:
-            if self._rto_timer is not None:
-                self._rto_timer.cancel()
+            if timer is not None:
+                timer.cancel()
             return
-        # reschedule() cancels a pending timer and reuses a fired one.
-        self._rto_timer = self.sim.reschedule(
-            self._rto_timer, self.rto * self.backoff, self._on_timeout
-        )
+        self._rto_deadline = deadline = self.sim.now + self.rto * self.backoff
+        if timer is None or not timer.pending or deadline < timer[0]:
+            # reschedule_at() cancels a pending timer and reuses a fired one.
+            self._rto_timer = self.sim.reschedule_at(timer, deadline, self._on_timeout)
 
     def _on_timeout(self) -> None:
         if not self.running:
+            return
+        sim, deadline = self.sim, self._rto_deadline
+        if sim.now < deadline:  # an ACK moved the deadline on
+            self._rto_timer = sim.reschedule_at(self._rto_timer, deadline, self._on_timeout)
             return
         if self.flight_size <= 0:
             # Nothing outstanding; just re-arm.

@@ -7,9 +7,9 @@ from typing import Optional, Set
 from repro.simulator.engine import Simulator
 from repro.simulator.monitor import ThroughputMonitor
 from repro.simulator.node import Agent
-from repro.simulator.packet import Packet, PacketType
+from repro.simulator.packet import Packet
 from repro.tcp.segments import TCPAck, TCPSegment
-from repro.tcp.reno import ACK_SIZE
+from repro.tcp.reno import ACK, ACK_SIZE, DATA
 
 
 class TCPSink(Agent):
@@ -37,7 +37,7 @@ class TCPSink(Agent):
         self.duplicate_segments = 0
 
     def receive(self, packet: Packet) -> None:
-        if packet.ptype is not PacketType.DATA:
+        if packet.ptype is not DATA:
             return
         segment: TCPSegment = packet.payload
         self.segments_received += 1
@@ -54,19 +54,6 @@ class TCPSink(Agent):
                     self.next_expected += 1
             else:
                 self._out_of_order.add(segment.seq)
-        ack = TCPAck(
-            ack=self.next_expected,
-            echo_timestamp=segment.timestamp,
-            echoed_retransmit=segment.is_retransmit,
-        )
-        self.send(
-            Packet(
-                src=self.node_id,
-                dst=self.src,
-                flow_id=self.flow_id,
-                size=ACK_SIZE,
-                ptype=PacketType.ACK,
-                seq=self.next_expected,
-                payload=ack,
-            )
-        )
+        seq = self.next_expected
+        ack = TCPAck(seq, segment.timestamp, segment.is_retransmit)
+        self.send(Packet(self.node_id, self.src, self.flow_id, ACK_SIZE, ACK, None, seq, 0.0, ack))

@@ -17,7 +17,8 @@ The top-level ``events`` count is the one field an engine change may move:
 it says how many events the engine spent, not what the network did
 (merging a link's serialisation and propagation events halved it).  A
 regeneration for such a change must show the old and new records equal
-once ``events`` is deleted; every other field moving is a behaviour change.
+once ``events`` is deleted (``--regen`` prints that per case); every other
+field moving is a behaviour change.
 """
 
 import json
@@ -105,6 +106,11 @@ def test_record_byte_identical_to_pre_redesign(golden, scenario, params, seed):
 
 
 def _regen():
+    """Rewrite the fixture and print, per case, ``events`` old -> new and
+    whether every other field of the record stayed equal."""
+    previous = {}
+    if os.path.exists(GOLDEN_PATH):
+        previous = {e["scenario"]: json.loads(e["record"]) for e in _load_golden()}
     os.makedirs(os.path.dirname(GOLDEN_PATH), exist_ok=True)
     with open(GOLDEN_PATH, "w", encoding="utf-8") as fh:
         for scenario, params, seed in GOLDEN_CASES:
@@ -115,6 +121,9 @@ def _regen():
                 "record": _execute(scenario, params, seed),
             }
             fh.write(json.dumps(entry, sort_keys=True) + "\n")
+            old, new = previous.get(scenario, {}), json.loads(entry["record"])
+            events = f"{old.pop('events', None)} -> {new.pop('events', None)}"
+            print(f"{scenario:<26} events {events:<20} rest {'equal' if old == new else 'MOVED'}")
     print(f"wrote {len(GOLDEN_CASES)} golden records to {GOLDEN_PATH}")
 
 

@@ -2,13 +2,13 @@
 
 import math
 from functools import partial
-from heapq import heappop
+from heapq import heapify, heappop, heappush
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import find, given, settings
 from hypothesis import strategies as st
 
-from repro.simulator.engine import SimulationError, Simulator
+from repro.simulator.engine import EventHandle, SimulationError, Simulator
 
 
 def test_events_run_in_time_order():
@@ -168,6 +168,34 @@ def test_handle_reports_fired():
     sim.run()
     assert handle.fired
     assert not handle.pending
+
+
+def test_the_heap_entry_is_the_handle():
+    sim = Simulator(seed=1)
+    callback = lambda tag: None
+    handle = sim.schedule_at(2.0, callback, "x")
+    assert isinstance(handle, EventHandle) and sim._queue == [handle]
+    assert list(handle) == [2.0, 0, callback, ("x",)]
+    assert handle.time == 2.0 and handle.args == ("x",)
+    entry = sim.call_at(1.0, callback, "y")
+    assert type(entry) is list and entry == [1.0, 1, callback, ("y",)]
+    sim.cancel(entry)
+    assert entry[2] is None and sim._dead == 1
+    sim.cancel(entry)  # a second cancel counts nothing
+    assert sim._dead == 1 and sim.peek() == 2.0 and sim._dead == 0
+    sim.run()
+    assert handle[2] is None and handle.fired
+
+
+def test_cancelling_a_fired_handle_keeps_it_fired_and_stops_its_reuse():
+    sim = Simulator(seed=1)
+    handle = sim.schedule(1.0, lambda: None)
+    sim.run()
+    handle.cancel()
+    assert handle.fired and handle.cancelled and not handle.pending
+    assert sim._dead == 0
+    fresh = sim.reschedule(handle, 1.0, lambda: None)
+    assert fresh is not handle and sim.reschedule_fast_hits == 0
 
 
 # --------------------------------------------------------------------------
@@ -550,8 +578,9 @@ class ReferenceSimulator(Simulator):
     """The single-heap engine: the run loop as it was before the fan-out lane.
 
     ``fan_out`` opens no scope, so every entry goes to the heap, and ``run``
-    is the earlier batched loop verbatim.  Differential oracle for the
-    lane-merging loop of :class:`Simulator`.
+    is the earlier batched loop, reading ``[time, seq, callback, args]``
+    entries.  Differential oracle for the lane-merging loop of
+    :class:`Simulator`.
     """
 
     def fan_out(self, calls, arg):
@@ -569,29 +598,31 @@ class ReferenceSimulator(Simulator):
         processed = 0
         try:
             while queue and not self._stopped:
-                time, _seq, handle = queue[0]
-                if handle.cancelled:
+                entry = queue[0]
+                if entry[2] is None:
                     pop(queue)
                     self._dead -= 1
                     continue
+                time = entry[0]
                 if until is not None and time >= until:
                     self.now = until
                     break
                 self.now = time
                 while True:
                     pop(queue)
-                    handle.fired = True
-                    handle.callback(*handle.args)
+                    callback = entry[2]
+                    entry[2] = None
+                    callback(*entry[3])
                     processed += 1
                     queue = self._queue
                     if processed >= limit or self._stopped:
                         break
-                    while queue and queue[0][2].cancelled:
+                    while queue and queue[0][2] is None:
                         pop(queue)
                         self._dead -= 1
                     if not queue or queue[0][0] != time:
                         break
-                    handle = queue[0][2]
+                    entry = queue[0]
                 if processed >= limit:
                     break
             else:
@@ -603,11 +634,174 @@ class ReferenceSimulator(Simulator):
         return self.now
 
 
+class _ParentHandle:
+    """The handle of the engine before the entry became the handle."""
+
+    __slots__ = ("time", "seq", "callback", "args", "cancelled", "fired", "_sim")
+
+    def __init__(self, time, seq, callback, args, sim):
+        self.time = time
+        self.seq = seq
+        self.callback = callback
+        self.args = args
+        self.cancelled = False
+        self.fired = False
+        self._sim = sim
+
+    def cancel(self):
+        if self.cancelled:
+            return
+        self.cancelled = True
+        if not self.fired:
+            self._sim._note_cancelled()
+
+    @property
+    def pending(self):
+        return not self.cancelled and not self.fired
+
+
+class ParentSimulator(Simulator):
+    """The engine before the entry became the handle, kept verbatim (minus
+    telemetry) as an oracle: the heap and the lane hold ``(time, seq,
+    handle)`` tuples, and a handle object carries the ``cancelled`` and
+    ``fired`` flags.  ``call_at`` is ``schedule_at`` here."""
+
+    def schedule(self, delay, callback, *args):
+        if not delay >= 0:
+            raise SimulationError(f"cannot schedule event in the past (delay={delay})")
+        time = self.now + delay
+        seq = self._seq
+        self._seq = seq + 1
+        handle = _ParentHandle(time, seq, callback, args, self)
+        heappush(self._queue, (time, seq, handle))
+        return handle
+
+    def schedule_at(self, time, callback, *args):
+        if not time >= self.now:
+            raise SimulationError(f"cannot schedule event at {time} before {self.now}")
+        seq = self._seq
+        self._seq = seq + 1
+        handle = _ParentHandle(time, seq, callback, args, self)
+        side = self._fanout
+        if side is None:
+            heappush(self._queue, (time, seq, handle))
+        else:
+            side.append((time, seq, handle))
+        return handle
+
+    call_at = schedule_at
+
+    def cancel(self, handle):
+        handle.cancel()
+
+    def reschedule_at(self, handle, time, callback, *args):
+        if not time >= self.now:
+            raise SimulationError(f"cannot schedule event at {time} before {self.now}")
+        if handle is not None:
+            if handle.fired and not handle.cancelled:
+                self.reschedule_fast_hits += 1
+                seq = self._seq
+                self._seq = seq + 1
+                handle.time = time
+                handle.seq = seq
+                handle.callback = callback
+                handle.args = args
+                handle.fired = False
+                heappush(self._queue, (time, seq, handle))
+                return handle
+            if not handle.cancelled:
+                handle.cancel()
+        return self.schedule_at(time, callback, *args)
+
+    def _note_cancelled(self):
+        dead = self._dead + 1
+        self._dead = dead
+        if dead > 64 and dead * 2 > self._entries():
+            self._compact()
+
+    def _compact(self):
+        for entries in (self._queue, self._lane, self._fanout or []):
+            entries[:] = [entry for entry in entries if not entry[2].cancelled]
+        heapify(self._queue)
+        self._dead = 0
+        self.compactions += 1
+
+    def peek(self):
+        queue = self._queue
+        lane = self._lane
+        while True:
+            if lane and (not queue or lane[-1] < queue[0]):
+                if not lane[-1][2].cancelled:
+                    return lane[-1][0]
+                lane.pop()
+            elif queue:
+                if not queue[0][2].cancelled:
+                    return queue[0][0]
+                heappop(queue)
+            else:
+                return None
+            self._dead -= 1
+
+    def run(self, until=None, max_events=None):
+        if self._running:
+            raise SimulationError("simulator is already running")
+        self._running = True
+        self._stopped = False
+        pop, lane_pop = heappop, list.pop
+        queue = self._queue
+        lane = self._lane
+        limit = max_events if max_events is not None else float("inf")
+        processed = 0
+        try:
+            while not self._stopped:
+                if lane and (not queue or lane[-1] < queue[0]):
+                    time, _seq, handle = lane[-1]
+                    if handle.cancelled:
+                        lane_pop(lane)
+                        self._dead -= 1
+                        continue
+                    if until is not None and time >= until:
+                        self.now = until
+                        break
+                    lane_pop(lane)
+                elif queue:
+                    time, _seq, handle = queue[0]
+                    if handle.cancelled:
+                        pop(queue)
+                        self._dead -= 1
+                        continue
+                    if until is not None and time >= until:
+                        self.now = until
+                        break
+                    pop(queue)
+                else:
+                    if until is not None:
+                        self.now = max(self.now, until)
+                    break
+                self.now = time
+                handle.fired = True
+                handle.callback(*handle.args)
+                processed += 1
+                if processed >= limit:
+                    break
+        finally:
+            self._running = False
+            self.events_processed += processed
+        return self.now
+
+
+class UncountedCancelSimulator(Simulator):
+    """Mutant: ``cancel`` blanks the slot but does not count the dead entry."""
+
+    def cancel(self, entry):
+        entry[2] = None
+
+
 #: Grid of delays: multiples of 1/4 are exact in binary, so ties are real.
 _DELAYS = st.sampled_from([0.0, 0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.5])
 _SLOTS = 6
 _schedule_op = st.tuples(
-    st.sampled_from(["at", "after", "re"]), _DELAYS, st.integers(0, _SLOTS - 1)
+    st.sampled_from(["at", "after", "re", "call"]), _DELAYS, st.integers(0, _SLOTS - 1)
 )
 _op = st.one_of(
     _schedule_op,
@@ -635,7 +829,8 @@ class _Program:
         self.behaviours = behaviours
         self.budget = budget
         self.tags = 0
-        self.slots = [None] * _SLOTS
+        self.slots = [None] * _SLOTS  # handles
+        self.entries = [None] * _SLOTS  # what call_at returned
         self.fired = []
 
     def fire(self, tag):
@@ -651,6 +846,8 @@ class _Program:
             elif kind == "cancel":
                 if self.slots[op[1]] is not None:
                     self.slots[op[1]].cancel()
+                if self.entries[op[1]] is not None:
+                    sim.cancel(self.entries[op[1]])
             elif kind == "churn":  # compaction from inside a callback
                 for handle in [sim.schedule(1e3, self.fire, -1) for _ in range(op[1])]:
                     handle.cancel()
@@ -665,6 +862,9 @@ class _Program:
         kind, delay, slot = op
         sim, tag = self.sim, self.tags
         self.tags += 1
+        if kind == "call":
+            self.entries[slot] = sim.call_at(sim.now + delay, self.fire, tag)
+            return
         if kind == "at":
             handle = sim.schedule_at(sim.now + delay, self.fire, tag)
         elif kind == "after":
@@ -677,34 +877,75 @@ class _Program:
 def _state(sim):
     """What a chunk of ``run`` leaves behind, with the dead-entry count checked."""
     pending = sim._queue + sim._lane
-    assert sim._dead == sum(entry[2].cancelled for entry in pending)
-    return sim.now, sim.events_processed, sim.peek(), sim.compactions, len(pending)
+    if isinstance(sim, ParentSimulator):
+        dead = sum(entry[2].cancelled for entry in pending)
+    else:
+        dead = sum(entry[2] is None for entry in pending)
+    assert sim._dead == dead
+    return sim.now, sim.events_processed, dead, sim.peek(), sim.compactions, len(pending)
+
+
+def run_program(engine, initial, behaviours, chunks, budget):
+    """Fired ``(tag, now)`` sequence and per-chunk states of one program."""
+    sim = engine(seed=1)
+    program = _Program(sim, behaviours, budget)
+    program.apply(initial)
+    trace = []
+    for offset, max_events in chunks + [(None, None)]:
+        until = None if offset is None else sim.now + offset
+        sim.run(until=until, max_events=max_events)
+        trace.append(_state(sim))
+    sim.run()
+    trace.append(_state(sim))
+    return program.fired, trace
+
+
+#: ``(initial ops, behaviours, run chunks, tag budget)``.
+_programs = st.tuples(
+    st.lists(_op, min_size=1, max_size=12),
+    st.lists(st.lists(_op, max_size=4), min_size=1, max_size=8),
+    st.lists(_chunk, max_size=8),
+    st.integers(20, 300),
+)
 
 
 @settings(max_examples=150, deadline=None)
-@given(
-    initial=st.lists(_op, min_size=1, max_size=12),
-    behaviours=st.lists(st.lists(_op, max_size=4), min_size=1, max_size=8),
-    chunks=st.lists(_chunk, max_size=8),
-    budget=st.integers(20, 300),
-)
-def test_lane_loop_matches_the_single_heap_reference(initial, behaviours, chunks, budget):
+@given(program=_programs)
+def test_lane_loop_matches_the_single_heap_reference(program):
     """Generated programs fire the same ``(tag, now)`` sequence, count the
-    same events and agree on ``peek()`` (and on compactions and pending
-    entries) after every chunk of ``run``, on the lane engine and on the
-    single-heap reference."""
-    runs = []
-    for engine in (Simulator, ReferenceSimulator):
-        sim = engine(seed=1)
-        program = _Program(sim, behaviours, budget)
-        program.apply(initial)
-        trace = []
-        for offset, max_events in chunks + [(None, None)]:
-            until = None if offset is None else sim.now + offset
-            sim.run(until=until, max_events=max_events)
-            trace.append(_state(sim))
-        sim.run()
-        trace.append(_state(sim))
-        runs.append((program.fired, trace))
-    assert runs[0] == runs[1]
-    assert sim._lane == []  # the reference never used the lane
+    same events and dead entries and agree on ``peek()`` (and on compactions
+    and pending entries) after every chunk of ``run``, on the lane engine,
+    on the single-heap reference and on the engine whose handles were
+    objects queued in tuples."""
+    runs = [run_program(engine, *program) for engine in _ENGINES]
+    assert runs[0] == runs[1] == runs[2]
+
+
+_ENGINES = (Simulator, ReferenceSimulator, ParentSimulator)
+
+#: A program on which the uncounted-cancel mutant leaves the oracles: one
+#: event cancelled, then a run that stops before it surfaces.
+_CANCEL_WITNESS = ([("after", 1.0, 0), ("cancel", 0)], [[]], [(0.5, None)], 20)
+
+
+def test_the_cancel_witness_passes_unmutated():
+    runs = [run_program(engine, *_CANCEL_WITNESS) for engine in _ENGINES]
+    assert runs[0] == runs[1] == runs[2]
+
+
+def _mutant_disagrees(program):
+    try:
+        return run_program(UncountedCancelSimulator, *program) != run_program(
+            ParentSimulator, *program
+        )
+    except AssertionError:  # the dead-entry count check in _state
+        return True
+
+
+def test_the_comparison_catches_the_uncounted_cancel_mutant():
+    assert _mutant_disagrees(_CANCEL_WITNESS)
+
+
+@pytest.mark.slow
+def test_generator_reaches_a_program_that_catches_the_uncounted_cancel_mutant():
+    find(_programs, _mutant_disagrees, settings=settings(max_examples=2000, database=None, deadline=None))

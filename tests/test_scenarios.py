@@ -7,6 +7,7 @@ scenarios rely on.
 """
 
 import json
+import math
 import random
 
 import pytest
@@ -523,6 +524,21 @@ def test_gilbert_elliott_validation_and_stationary_rate():
         gilbert_elliott_from_burst(loss_rate=0.0, burst_length=4.0)
     with pytest.raises(ValueError):
         gilbert_elliott_from_burst(loss_rate=0.1, burst_length=0.5)
+
+
+@pytest.mark.parametrize(
+    "loss_rate,burst_length", [(0.9, 1), (0.5, 0.999), (0.1, math.nan), (0.1, math.inf)]
+)
+def test_bursty_loss_refuses_a_burst_no_markov_chain_has(loss_rate, burst_length):
+    # loss_rate / (1 - loss_rate) > burst_length used to give p_good_bad > 1,
+    # and a NaN burst length got past `burst_length < 1.0`.
+    with pytest.raises(ValueError, match="burst_length") as raised:
+        get_scenario("bursty-loss").spec(loss_rate=loss_rate, burst_length=burst_length)
+    assert "p_good_bad" not in str(raised.value)
+    if loss_rate == 0.9:
+        assert "loss_rate" in str(raised.value)
+    spec = gilbert_elliott_from_burst(loss_rate=0.5, burst_length=1.0)  # the boundary holds
+    assert spec.p_good_bad == 1.0 and spec.build().stationary_loss_rate == pytest.approx(0.5)
 
 
 def test_gilbert_elliott_losses_are_bursty():

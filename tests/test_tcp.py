@@ -1,10 +1,17 @@
 """Tests for the TCP Reno substrate."""
 
-import pytest
+import inspect
+import textwrap
 
+import pytest
+from hypothesis import find, given, settings
+from hypothesis import strategies as st
+
+from repro.channel.models import ChannelModel
 from repro.simulator.engine import Simulator
 from repro.simulator.monitor import ThroughputMonitor
 from repro.simulator.topology import Network
+from repro.tcp import reno
 from repro.tcp.reno import TCPRenoSender
 from repro.tcp.sink import TCPSink
 
@@ -130,3 +137,104 @@ def test_stop_halts_transmission():
     sent_before = sender.segments_sent
     sim.run(until=12.0)
     assert sender.segments_sent == sent_before
+
+
+# ------------------------------------------------- the RTO deadline vs eager restarts
+
+
+class EagerRTOSender(TCPRenoSender):
+    """The sender before the retransmission timer became a deadline: every
+    restart cancels the pending timer and pushes a new one.  ``_on_timeout``
+    is inherited: ``_rto_deadline`` stays 0.0 here, so its early-fire branch
+    never runs and it is the eager sender's handler verbatim."""
+
+    def _restart_rto_timer(self):
+        if not self.running:
+            if self._rto_timer is not None:
+                self._rto_timer.cancel()
+            return
+        # reschedule() cancels a pending timer and reuses a fired one.
+        self._rto_timer = self.sim.reschedule(
+            self._rto_timer, self.rto * self.backoff, self._on_timeout
+        )
+
+
+class ScriptedDrops(ChannelModel):
+    """Drops the offered packets whose 0-based index is in ``drops`` and logs
+    every offered packet as ``(now, seq, is_retransmit)``."""
+
+    def __init__(self, drops):
+        self.drops = drops
+        self.offered = []
+
+    def should_drop(self, rng, now=0.0, packet=None):
+        header = packet.payload
+        self.offered.append((now, packet.seq, getattr(header, "is_retransmit", None)))
+        return len(self.offered) - 1 in self.drops
+
+
+#: Drop bursts ``(first offered packet, length)`` on one direction.
+_BURSTS = st.lists(st.tuples(st.integers(0, 400), st.integers(1, 12)), max_size=6)
+
+
+def _indices(bursts):
+    return frozenset(start + k for start, length in bursts for k in range(length))
+
+
+def rto_run(sender_class, data_bursts, ack_bursts, bandwidth=1e6, delay=0.02, until=12.0):
+    """Segments offered to the data link, ACKs offered back, and the sender's counters."""
+    sim = Simulator(seed=1)
+    net = Network(sim)
+    data = ScriptedDrops(_indices(data_bursts))
+    acks = ScriptedDrops(_indices(ack_bursts))
+    net.add_link("a", "b", bandwidth, delay, 20, channel=data)
+    net.add_link("b", "a", bandwidth, delay, 20, channel=acks)
+    sender = net.attach("a", sender_class(sim, "tcp", "b"))
+    net.attach("b", TCPSink(sim, "tcp", "a"))
+    sender.start(0.0)
+    sim.run(until=until)
+    counters = (sender.timeouts, sender.retransmits, sender.segments_sent, sender.cwnd)
+    return data.offered, acks.offered, counters
+
+
+@settings(max_examples=60, deadline=None)
+@given(data_bursts=_BURSTS, ack_bursts=_BURSTS, bandwidth=st.sampled_from([2e5, 1e6, 5e6]))
+def test_the_rto_deadline_sends_what_eager_restarts_send(data_bursts, ack_bursts, bandwidth):
+    deadline = rto_run(TCPRenoSender, data_bursts, ack_bursts, bandwidth)
+    assert deadline == rto_run(EagerRTOSender, data_bursts, ack_bursts, bandwidth)
+
+
+def lazy_earlier_deadline_restart():
+    """Mutant: a restart re-arms only a timer that is not pending, so a
+    deadline that moves earlier keeps the later timer."""
+    source = textwrap.dedent(inspect.getsource(TCPRenoSender._restart_rto_timer))
+    old = "if timer is None or not timer.pending or deadline < timer[0]:"
+    assert old in source
+    namespace = {}
+    exec(source.replace(old, "if timer is None or not timer.pending:"), vars(reno), namespace)
+    return namespace["_restart_rto_timer"]
+
+
+#: The first RTT sample cuts the RTO from its initial 3 s, so the deadline
+#: moves before the pending timer (at 0.048 s); the drop bursts then need
+#: timeouts, which the mutant takes late.
+_RTO_WITNESS = ([(30, 6)], [(40, 30)])
+
+
+def test_the_rto_witness_passes_unmutated():
+    assert rto_run(TCPRenoSender, *_RTO_WITNESS) == rto_run(EagerRTOSender, *_RTO_WITNESS)
+
+
+def test_the_comparison_catches_a_restart_that_ignores_an_earlier_deadline(monkeypatch):
+    monkeypatch.setattr(TCPRenoSender, "_restart_rto_timer", lazy_earlier_deadline_restart())
+    assert rto_run(TCPRenoSender, *_RTO_WITNESS) != rto_run(EagerRTOSender, *_RTO_WITNESS)
+
+
+@pytest.mark.slow
+def test_generator_reaches_drops_that_catch_the_earlier_deadline_mutant(monkeypatch):
+    monkeypatch.setattr(TCPRenoSender, "_restart_rto_timer", lazy_earlier_deadline_restart())
+    find(
+        st.tuples(_BURSTS, _BURSTS, st.sampled_from([2e5, 1e6, 5e6])),
+        lambda case: rto_run(TCPRenoSender, *case) != rto_run(EagerRTOSender, *case),
+        settings=settings(max_examples=2000, database=None, deadline=None),
+    )

@@ -3,12 +3,14 @@
 import contextlib
 import heapq
 import random
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import find, given, settings
 from hypothesis import strategies as st
 
 from repro.simulator.engine import Simulator
+from repro.simulator.link import Link
 from repro.simulator.multicast import MulticastGroup
 from repro.simulator.node import Agent, Node
 from repro.simulator.packet import Packet
@@ -466,3 +468,147 @@ class TestOnDemandRouting:
         assert len(calls) <= 3  # all-pairs routing ran n + 3 = 2,003
         filled = sum(len(node.routes) for node in built.network.nodes.values())
         assert filled <= 2 * n
+
+
+# ------------------------------------------------------- the unicast hop table
+
+
+def parent_forward_unicast(node, packet):
+    """``Node._forward_unicast`` before the hop table, verbatim but for the
+    ``packets_forwarded`` increment (that count is now read off the links)."""
+    if packet.dst == node.node_id:
+        node._deliver(packet)
+        return
+    try:
+        next_hop = node.routes[packet.dst]
+    except KeyError:
+        node.packets_unroutable += 1
+        return
+    link = node.links.get(next_hop)
+    if link is None:
+        node.packets_unroutable += 1
+        return
+    link.enqueue(packet)
+
+
+class ParentForwarding(dict):
+    """Stands in for a node's hop table: every lookup forwards the parent way."""
+
+    def __init__(self, node):
+        super().__init__()
+        self.node = node
+
+    def __getitem__(self, dst):
+        return lambda packet: parent_forward_unicast(self.node, packet)
+
+
+_fail_link = Network.fail_link
+
+
+def fail_link_keeping_hops(net, a, b):
+    """Mutant: ``fail_link`` leaves every filled hop table as it was."""
+    kept = {node_id: dict(node.hops) for node_id, node in net.nodes.items()}
+    _fail_link(net, a, b)
+    for node_id, node in net.nodes.items():
+        node.hops.update(kept[node_id])
+
+
+_HOP_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(["send", "send", "send", "fail", "restore", "delay"]),
+        st.integers(0, 20),
+        st.integers(0, 20),
+        DELAYS,
+        st.sampled_from([0.0, 0.001, 0.05, 0.5]),
+    ),
+    min_size=1,
+    max_size=25,
+)
+
+
+def hop_walk(edges, ops, oracle):
+    """Every hop each packet takes (``(uid, link)``), what each node received
+    and the node counters, with the hop table or the parent forwarding."""
+    sim = Simulator(seed=1)
+    net = Network(sim)
+    for a, b, delay in edges:
+        net.add_duplex_link(a, b, 1e6, delay, 5)
+    names = sorted(net.nodes)
+    agents = {name: net.attach(name, RecordingAgent(sim, "f")) for name in names}
+    if oracle:
+        for node in net.nodes.values():
+            node.hops = ParentForwarding(node)
+    hops = []
+    real_enqueue = Link.enqueue
+
+    def enqueue(link, packet):
+        hops.append((packet.uid, link.name))
+        return real_enqueue(link, packet)
+
+    with mock.patch.object(Link, "enqueue", enqueue):
+        for kind, i, j, delay, wait in ops:
+            a, b, _delay = edges[i % len(edges)]
+            if kind == "send":
+                src, dst = names[i % len(names)], (names + ["nowhere"])[j % (len(names) + 1)]
+                agents[src].send(Packet(src=src, dst=dst, flow_id="f", size=500))
+            elif kind == "fail":
+                net.fail_link(a, b)
+            elif kind == "restore":
+                net.restore_link(a, b)
+            else:
+                net.set_link_delay(a, b, delay)
+            sim.run(until=sim.now + wait)
+        sim.run()
+    received = {name: [(p.uid, p.src) for p in agent.received] for name, agent in agents.items()}
+    counters = {
+        name: (node.packets_forwarded, node.packets_delivered, node.packets_unroutable)
+        for name, node in net.nodes.items()
+    }
+    return hops, received, counters
+
+
+#: Two paths from n0 to n2; failing the short one while n0 has already
+#: forwarded over it must send the next packet round the long one.
+_HOP_WITNESS = (
+    [("n0", "n1", 0.001), ("n1", "n2", 0.001), ("n0", "n3", 0.1), ("n3", "n2", 0.1)],
+    [("send", 0, 2, 0.1, 0.5), ("fail", 0, 0, 0.1, 0.0), ("send", 0, 2, 0.1, 0.5)],
+)
+
+
+class TestHopTable:
+    @settings(max_examples=100, deadline=None)
+    @given(edges=graphs(), ops=_HOP_OPS)
+    def test_packets_take_the_hops_of_the_parent_forwarding_under_dynamics(self, edges, ops):
+        assert hop_walk(edges, ops, oracle=False) == hop_walk(edges, ops, oracle=True)
+
+    def test_the_witness_passes_unmutated(self):
+        walk = hop_walk(*_HOP_WITNESS, oracle=False)
+        assert walk == hop_walk(*_HOP_WITNESS, oracle=True)
+        assert [link for _uid, link in walk[0]] == ["n0->n1", "n1->n2", "n0->n3", "n3->n2"]
+
+    def test_the_comparison_catches_a_hop_table_fail_link_does_not_clear(self):
+        with mock.patch.object(Network, "fail_link", fail_link_keeping_hops):
+            assert hop_walk(*_HOP_WITNESS, oracle=False) != hop_walk(*_HOP_WITNESS, oracle=True)
+
+    @pytest.mark.slow
+    def test_generator_reaches_dynamics_that_catch_the_uncleared_hop_table(self):
+        with mock.patch.object(Network, "fail_link", fail_link_keeping_hops):
+            find(
+                st.tuples(graphs(), _HOP_OPS),
+                lambda case: hop_walk(*case, oracle=False) != hop_walk(*case, oracle=True),
+                settings=settings(max_examples=2000, database=None, deadline=None),
+            )
+
+    def test_a_node_counts_what_it_offers_its_links(self):
+        sim = Simulator(seed=1)
+        net = Network(sim)
+        net.add_duplex_link("a", "b", 1e5, 0.01, 2)
+        sender = net.attach("a", RecordingAgent(sim, "f"))
+        for _ in range(6):  # one on the serialiser, two queued, three dropped
+            sender.send(Packet(src="a", dst="b", flow_id="f", size=1000))
+        node = net.node("a")
+        assert node.packets_forwarded == 6
+        net.fail_link("a", "b")  # the queue and the frame become down drops
+        assert node.packets_forwarded == 6
+        sender.send(Packet(src="a", dst="b", flow_id="f", size=1000))
+        assert node.packets_forwarded == 6 and node.packets_unroutable == 1
