@@ -12,7 +12,7 @@ from repro.core.feedback import BiasMethod
 from repro.scenarios import get_scenario, run_scenario
 
 
-def test_ablation_cancellation_delta(benchmark):
+def test_ablation_cancellation_delta():
     """Responses and report quality as the cancellation threshold varies."""
 
     def run():
@@ -24,7 +24,7 @@ def test_ablation_cancellation_delta(benchmark):
             out.append((delta, responses, quality))
         return out
 
-    results = benchmark(run)
+    results = run()
     rows = [("delta", "responses per round", "report deviation")]
     for delta, responses, quality in results:
         rows.append((delta, round(responses, 1), round(quality, 3)))
@@ -35,7 +35,7 @@ def test_ablation_cancellation_delta(benchmark):
     assert by_delta[0.0][1] <= by_delta[1.0][1] + 1e-9
 
 
-def test_ablation_bias_method_full_protocol(benchmark):
+def test_ablation_bias_method_full_protocol():
     """Full packet-level run with biased vs unbiased feedback timers."""
     from repro.core.config import TFMCCConfig
 
@@ -49,7 +49,7 @@ def test_ablation_bias_method_full_protocol(benchmark):
             out[method.value] = run_scenario(ablated, seed=33)["tfmcc_tcp_ratio"]
         return out
 
-    ratios = benchmark.pedantic(run, iterations=1, rounds=1)
+    ratios = run()
     report(
         "Ablation: feedback bias method (TFMCC/TCP ratio)",
         [("method", "ratio")] + [(k, round(v, 2)) for k, v in ratios.items()],
@@ -58,7 +58,7 @@ def test_ablation_bias_method_full_protocol(benchmark):
     assert all(0.2 < ratio < 3.0 for ratio in ratios.values())
 
 
-def test_ablation_red_vs_droptail(benchmark):
+def test_ablation_red_vs_droptail():
     """Fairness with RED queues at the bottleneck (paper: fairness improves)."""
     from repro.simulator.queues import REDQueue
     from repro import Network, Simulator, TCPRenoSender, TCPSink, TFMCCSession, ThroughputMonitor
@@ -92,7 +92,7 @@ def test_ablation_red_vs_droptail(benchmark):
         red = run(lambda: REDQueue(limit=50, min_th=5, max_th=20, max_p=0.1))
         return droptail, red
 
-    droptail, red = benchmark.pedantic(run_both, iterations=1, rounds=1)
+    droptail, red = run_both()
     report(
         "Ablation: queue discipline at the bottleneck",
         [("queue", "TFMCC/TCP ratio"), ("drop-tail", round(droptail, 2)), ("RED", round(red, 2))],

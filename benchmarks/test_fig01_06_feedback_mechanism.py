@@ -35,14 +35,14 @@ def _report_curves(title, x_name, x_values, curves, digits):
     report(title, rows)
 
 
-def test_fig01_bias_cdf(benchmark):
+def test_fig01_bias_cdf():
     """Figure 1: CDF of the feedback time for the biasing methods."""
     methods = {
         "exponential": BiasMethod.NONE,
         "offset": BiasMethod.OFFSET,
         "modified_n": BiasMethod.MODIFIED_N,
     }
-    cdfs = benchmark(lambda: {k: timer_cdf_points(m, samples=5000) for k, m in methods.items()})
+    cdfs = {k: timer_cdf_points(m, samples=5000) for k, m in methods.items()}
     times = [t for t, _p in cdfs["exponential"]]
     curves = {label: [p for _t, p in points][::20] for label, points in cdfs.items()}
     _report_curves("Figure 1: feedback-time CDF", "time (RTT)", times[::20], curves, 3)
@@ -51,7 +51,7 @@ def test_fig01_bias_cdf(benchmark):
     assert cdfs["offset"][10][1] <= cdfs["exponential"][10][1] + 1e-9
 
 
-def test_fig02_time_value_distribution(benchmark):
+def test_fig02_time_value_distribution():
     """Figure 2: time-value scatter of sent feedback, offset vs unbiased."""
 
     def scatter():
@@ -61,7 +61,7 @@ def test_fig02_time_value_distribution(benchmark):
             out[label] = sim.time_value_scatter(100)
         return out
 
-    rounds = benchmark(scatter)
+    rounds = scatter()
     rows = [("variant", "responses", "best value sent")]
     for label, result in rounds.items():
         rows.append((label, result.responses, round(min(result.response_values), 3)))
@@ -69,18 +69,18 @@ def test_fig02_time_value_distribution(benchmark):
     assert all(result.responses >= 1 for result in rounds.values())
 
 
-def test_fig03_cancellation_methods(benchmark):
+def test_fig03_cancellation_methods():
     """Figure 3: responses per worst-case round for delta = 1.0 / 0.1 / 0.0."""
     counts = (1, 10, 100, 1000, 5000)
     deltas = {"all_suppressed": 1.0, "ten_percent_lower_suppressed": 0.1, "higher_suppressed": 0.0}
     variants = {label: {"cancellation_delta": delta} for label, delta in deltas.items()}
-    curves = benchmark(_round_model, "average_responses", counts, 5, 3, variants)
+    curves = _round_model("average_responses", counts, 5, 3, variants)
     _report_curves("Figure 3: feedback cancellation methods", "n", counts, curves, 1)
     # delta = 0 ("higher suppressed") produces the most feedback at large n.
     assert curves["higher_suppressed"][-1] >= curves["ten_percent_lower_suppressed"][-1]
 
 
-def test_fig04_expected_messages(benchmark):
+def test_fig04_expected_messages():
     """Figure 4: expected number of feedback messages over (T', n)."""
     counts = (1, 100, 10000, 100000)
 
@@ -93,7 +93,7 @@ def test_fig04_expected_messages(benchmark):
             for n in counts
         }
 
-    messages = benchmark(surface)
+    messages = surface()
     _report_curves(
         "Figure 4: expected number of feedback messages", "T' (RTTs)", (2, 3, 4, 5, 6), messages, 1
     )
@@ -103,19 +103,19 @@ def test_fig04_expected_messages(benchmark):
     assert messages["n=100000"][2] > messages["n=10000"][2]
 
 
-def test_fig05_response_time(benchmark):
+def test_fig05_response_time():
     """Figure 5: feedback delay for the bias variants."""
     counts = (1, 10, 100, 1000)
-    curves = benchmark(_round_model, "average_response_time", counts, 5, 5, BIAS_VARIANTS)
+    curves = _round_model("average_response_time", counts, 5, 5, BIAS_VARIANTS)
     _report_curves("Figure 5: response time (RTTs)", "n", counts, curves, 2)
     for series in curves.values():
         assert series[-1] < series[0]  # logarithmic decrease with n
 
 
-def test_fig06_report_quality(benchmark):
+def test_fig06_report_quality():
     """Figure 6: quality of the reported rate for the bias variants."""
     counts = (10, 100, 1000)
-    curves = benchmark(_round_model, "average_report_quality", counts, 8, 6, BIAS_VARIANTS)
+    curves = _round_model("average_report_quality", counts, 8, 6, BIAS_VARIANTS)
     _report_curves("Figure 6: deviation of reported rate from true minimum", "n", counts, curves, 3)
     # Biased feedback reports rates much closer to the true minimum than
     # unbiased exponential timers (paper: ~20 % vs a few percent).

@@ -11,9 +11,9 @@ from repro.analysis.tcp_model import loss_events_per_rtt_curve, peak_loss_events
 from repro.core.config import loss_interval_weights
 
 
-def test_fig07_throughput_scaling(benchmark):
+def test_fig07_throughput_scaling():
     """Figure 7: throughput vs number of receivers for two loss distributions."""
-    points = benchmark(throughput_scaling_curve, (1, 10, 100, 1000, 10000))
+    points = throughput_scaling_curve((1, 10, 100, 1000, 10000))
     rows = [("receivers", "constant-loss kbit/s", "realistic kbit/s")]
     rows += [(n, round(constant, 1), round(realistic, 1)) for n, constant, realistic in points]
     report("Figure 7: throughput scaling with receiver-set size", rows)
@@ -24,7 +24,7 @@ def test_fig07_throughput_scaling(benchmark):
     assert constant_1 / max(constant_max, 1e-9) > realistic_1 / max(realistic_max, 1e-9)
 
 
-def test_fig07_ablation_history_length(benchmark):
+def test_fig07_ablation_history_length():
     """Ablation: longer loss history alleviates the degradation (Section 3)."""
 
     def run():
@@ -33,7 +33,7 @@ def test_fig07_ablation_history_length(benchmark):
             for m in (8, 32)
         }
 
-    at_1000 = benchmark(run)
+    at_1000 = run()
     report(
         "Figure 7 ablation: loss-history length m",
         [("m", "kbit/s at n=1000")] + [(m, round(rate, 1)) for m, rate in at_1000.items()],
@@ -41,9 +41,9 @@ def test_fig07_ablation_history_length(benchmark):
     assert at_1000[32] > at_1000[8]
 
 
-def test_fig17_loss_events_per_rtt(benchmark):
+def test_fig17_loss_events_per_rtt():
     """Figure 17: loss events per RTT implied by the control equation."""
-    curve, peak = benchmark(lambda: (loss_events_per_rtt_curve(), peak_loss_events_per_rtt()))
+    curve, peak = loss_events_per_rtt_curve(), peak_loss_events_per_rtt()
     rows = [("loss event rate", "loss events per RTT")]
     for p, value in curve[::10]:
         rows.append((round(p, 5), round(value, 4)))

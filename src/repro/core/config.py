@@ -7,6 +7,7 @@ dataclass rather than scattered magic numbers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -35,6 +36,21 @@ def loss_interval_weights(num_intervals: int) -> List[float]:
         else:
             weights.append(1.0 - (i - half + 1) / (num_intervals - half + 1.0))
     return weights
+
+
+#: The TFMCCConfig fields that must be finite numbers > 0.
+POSITIVE_FIELDS = (
+    "packet_size",
+    "initial_rtt",
+    "max_rtt",
+    "feedback_rtts",
+    "slowstart_overshoot",
+    "clr_timeout_feedback_delays",
+    "clr_increase_limit_packets_per_rtt",
+    "previous_clr_timeout_rtts",
+    "sender_report_interval_rtts",
+    "initial_rate_packets",
+)
 
 
 @dataclass
@@ -137,10 +153,13 @@ class TFMCCConfig:
     initial_rate_packets: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.packet_size <= 0:
-            raise ValueError("packet_size must be positive")
-        if self.initial_rtt <= 0 or self.max_rtt <= 0:
-            raise ValueError("RTT values must be positive")
+        # Each is a divisor, a multiple of one or an event delay: a NaN one
+        # fails mid-run and an infinite one stalls or hangs it.
+        for name in POSITIVE_FIELDS:
+            value = getattr(self, name)
+            real = isinstance(value, (int, float)) and not isinstance(value, bool)
+            if not (real and 0 < value < math.inf):
+                raise ValueError(f"{name} must be a positive finite number, got {value!r}")
         if not 0.0 <= self.cancellation_delta <= 1.0:
             raise ValueError("cancellation_delta must be in [0, 1]")
         if not 0.0 < self.offset_fraction < 1.0:

@@ -11,6 +11,10 @@ processes, and diffed between runs.
 The split between *spec* and *builder* mirrors ns-2's OTcl-script /
 simulation-core split: everything in this module is inert data; the
 :mod:`repro.scenarios.build` module turns it into live simulator objects.
+
+Each numeric field declares its :class:`Domain` and each nested spec its
+decoder in ``field(metadata=...)``; one walk checks the domains on every
+construction and one decoder reads every dict form.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import copy
 import json
 import math
 import re
-from dataclasses import dataclass, field, fields, is_dataclass, replace
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from functools import lru_cache, partial
 from operator import attrgetter
 from typing import (
@@ -31,6 +35,7 @@ from typing import (
     Iterator,
     List,
     Mapping,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
@@ -44,37 +49,158 @@ T = TypeVar("T")
 _ATOMIC_TYPES = frozenset((str, int, float, bool, type(None)))
 
 
-def _finite_positive(value: Any) -> bool:
-    """A real number (not a bool) with ``0 < value < inf``: what an event
-    delay or a run length must be, since a NaN or infinite one never fires."""
-    return not isinstance(value, bool) and isinstance(value, (int, float)) and 0 < value < math.inf
+# ------------------------------------------------------------------- domains
 
 
-def _finite_nonnegative(value: Any) -> bool:
-    """A real number (not a bool) with ``0 <= value < inf``: a link delay."""
-    return not isinstance(value, bool) and isinstance(value, (int, float)) and 0 <= value < math.inf
+class Domain(NamedTuple):
+    """The values one numeric spec field may take, and how an error says so."""
+
+    text: str
+    ok: Callable[[Any], bool]
 
 
-def _check_link(owner: str, link: Any) -> None:
-    """Refuse a link spec whose bandwidth, delay or queue limit no link can have.
+def _real(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
-    A NaN or zero bandwidth would otherwise fail mid-run (an event scheduled
-    at NaN, a division by zero) and a negative delay or an empty queue at
-    build, none of them with a message naming the field.
-    """
-    if not _finite_positive(link.bandwidth):
-        raise ValueError(
-            f"{owner}: bandwidth must be a positive finite number, got {link.bandwidth!r}"
-        )
-    if not _finite_nonnegative(link.delay):
-        raise ValueError(f"{owner}: delay must be a finite number >= 0, got {link.delay!r}")
-    if type(link.queue_limit) is not int or link.queue_limit < 1:
-        raise ValueError(f"{owner}: queue_limit must be an int >= 1, got {link.queue_limit!r}")
+
+_INF = math.inf
+# Times, rates and periods are event delays: a NaN one never fires (the heap
+# cannot order it) and an infinite one never ends the run.  Each test takes a
+# float, the common case, without a call.
+POSITIVE = Domain(
+    "a positive finite number", lambda v: (type(v) is float or _real(v)) and 0 < v < _INF
+)
+NONNEGATIVE = Domain(
+    "a finite number >= 0", lambda v: (type(v) is float or _real(v)) and 0 <= v < _INF
+)
+FINITE = Domain(
+    "a finite number", lambda v: (type(v) is float or _real(v)) and -_INF < v < _INF
+)
+PROBABILITY = Domain(
+    "a probability in [0, 1]", lambda v: (type(v) is float or _real(v)) and 0 <= v <= 1
+)
+FRACTION = Domain("in [0, 1)", lambda v: (type(v) is float or _real(v)) and 0 <= v < 1)
+COUNT = Domain("an int >= 1", lambda v: type(v) is int and v >= 1)
+INDEX = Domain("an int >= 0", lambda v: type(v) is int and v >= 0)
+
+
+def optional(domain: Domain) -> Domain:
+    return Domain(f"{domain.text} or None", lambda v, ok=domain.ok: v is None or ok(v))
+
+
+def _field(
+    domain: Optional[Domain] = None, default: Any = MISSING, decode: Any = None, **kw: Any
+) -> Any:
+    """A spec field with its ``domain`` and, for a nested spec, its ``decode``:
+    a spec class, ``(Item,)`` for a tuple of them, or ``(Run, Item)`` for a
+    run (a mapping) or a tuple; any other keyword goes to ``field``."""
+    return field(default=default, metadata={"domain": domain, "decode": decode}, **kw)
 
 
 @lru_cache(maxsize=None)
 def _field_names(cls: type) -> Tuple[str, ...]:
     return tuple(f.name for f in fields(cls))
+
+
+class _Declared(NamedTuple):
+    names: FrozenSet[str]
+    required: FrozenSet[str]
+    checks: Tuple[Tuple[str, Domain], ...]
+    decoders: Tuple[Tuple[str, Any, bool], ...]
+
+
+@lru_cache(maxsize=None)
+def _declared(cls: type) -> _Declared:
+    """What the fields of ``cls`` declare, resolved once per class.
+
+    A single nested spec is checked to be an instance of its class (None
+    too, where that is the default).
+    """
+    checks, decoders = [], []
+    required = frozenset(f.name for f in fields(cls) if f.default is MISSING is f.default_factory)
+    for f in fields(cls):
+        domain, decode = f.metadata.get("domain"), f.metadata.get("decode")
+        if decode is not None:
+            decoders.append((f.name, decode, f.default is not None and f.name not in required))
+            if isinstance(decode, type):
+                text = f"an instance of {decode.__name__}"
+                domain = Domain(text, lambda v, c=decode: isinstance(v, c))
+                domain = optional(domain) if f.default is None else domain
+        if domain is not None:
+            checks.append((f.name, domain))
+    return _Declared(frozenset(_field_names(cls)), required, tuple(checks), tuple(decoders))
+
+
+def _refused(owner: str, name: str, domain: Domain, value: Any) -> ValueError:
+    return ValueError(f"{owner}.{name} must be {domain.text}, got {value!r}")
+
+
+def _decode(cls: Type[T], data: Mapping[str, Any]) -> T:
+    """Build spec ``cls`` from its dict form, nested specs by their declared
+    decoders; a topology's ``kind`` picks its class.  A None for a nested spec
+    that is not optional means its default (older dicts wrote it so)."""
+    if not isinstance(data, Mapping):
+        raise ValueError(f"a {cls.__name__} must be a mapping, got {data!r}")
+    data = dict(data)
+    if issubclass(cls, TopologySpec):
+        kind = data.pop("kind", None)
+        cls = _TOPOLOGY_KINDS.get(kind)
+        if cls is None:
+            raise ValueError(f"unknown topology kind {kind!r}")
+    declared = _declared(cls)
+    unknown = data.keys() - declared.names
+    if unknown:
+        raise ValueError(f"unknown {cls.__name__} fields: {sorted(unknown)}")
+    for name, decode, none_is_default in declared.decoders:
+        value = data.get(name)
+        if value is None:
+            if none_is_default:
+                data.pop(name, None)
+        elif isinstance(decode, type):
+            if isinstance(value, Mapping):
+                data[name] = _decode(decode, value)
+        elif len(decode) == 2 and isinstance(value, Mapping):
+            data[name] = _decode(decode[0], value)
+        elif isinstance(value, (list, tuple)):
+            data[name] = tuple(_decode(decode[-1], item) for item in value)
+        else:
+            raise ValueError(f"{cls.__name__}.{name} must be a list, got {value!r}")
+    missing = declared.required - data.keys()
+    if missing:
+        raise ValueError(f"missing {cls.__name__} fields: {sorted(missing)}")
+    return cls(**data)
+
+
+def _spec(owner: str) -> Callable[[Type[T]], Type[T]]:
+    """Make ``cls`` a frozen spec dataclass, checked on every construction.
+
+    ``owner`` names it in errors (a format field reads the instance).  The
+    walk refuses any field outside its declared domain, naming
+    ``<owner>.<field>``; the class's own ``__post_init__`` (or the nearest
+    inherited one) then keeps only the rules that span fields.
+    ``from_dict`` is :func:`_decode` unless the class brings its own.
+    """
+
+    def make(cls: Type[T]) -> Type[T]:
+        rules = cls.__dict__.get("__post_init__", getattr(cls, "_rules", None))
+        checks: Tuple[Tuple[str, Domain], ...] = ()
+
+        def __post_init__(self: Any) -> None:
+            for name, domain in checks:
+                value = getattr(self, name)
+                if not domain.ok(value):
+                    raise _refused(owner.format(self), name, domain, value)
+            if rules is not None:
+                rules(self)
+
+        cls.__post_init__, cls._rules = __post_init__, rules
+        if "from_dict" not in cls.__dict__:
+            cls.from_dict = classmethod(_decode)
+        cls = dataclass(frozen=True)(cls)
+        checks = _declared(cls).checks
+        return cls
+
+    return make
 
 
 def _plain(obj: Any) -> Any:
@@ -104,15 +230,6 @@ def _plain(obj: Any) -> Any:
     if is_dataclass(obj):
         return {name: _plain(getattr(obj, name)) for name in _field_names(cls)}
     return copy.deepcopy(obj)
-
-
-def _from_mapping(cls: Type[T], data: Mapping[str, Any]) -> T:
-    """Build a flat dataclass from a mapping, rejecting unknown keys."""
-    allowed = {f.name for f in fields(cls)}
-    unknown = set(data) - allowed
-    if unknown:
-        raise ValueError(f"unknown {cls.__name__} fields: {sorted(unknown)}")
-    return cls(**data)
 
 
 def _replace_nested(obj: Any, full_key: str, parts: Sequence[str], value: Any) -> Any:
@@ -165,10 +282,11 @@ def _replace_nested(obj: Any, full_key: str, parts: Sequence[str], value: Any) -
             f"override {full_key!r}: cannot descend into {type(obj).__name__} "
             f"at segment {head!r}"
         )
-    if head not in {f.name for f in fields(obj)}:
+    names = _field_names(type(obj))
+    if head not in names:
         raise ValueError(
             f"override {full_key!r}: {type(obj).__name__} has no field {head!r} "
-            f"(fields: {', '.join(sorted(f.name for f in fields(obj)))})"
+            f"(fields: {', '.join(sorted(names))})"
         )
     new_value = value if not rest else _replace_nested(getattr(obj, head), full_key, rest, value)
     return replace(obj, **{head: new_value})
@@ -212,30 +330,17 @@ class _Run:
 collections.abc.Sequence.register(_Run)
 
 
-def _check_count(owner: str, count: Any) -> None:
-    if type(count) is not int or count < 1:
-        raise ValueError(f"{owner}.count must be an int >= 1, got {count!r}")
-
-
 # --------------------------------------------------------------- impairments
 
 
-@dataclass(frozen=True)
+@_spec("gilbert_elliott")
 class GilbertElliottSpec:
     """Parameters of a two-state bursty-loss process (see ``repro.channel``)."""
 
-    p_good_bad: float
-    p_bad_good: float
-    loss_good: float = 0.0
-    loss_bad: float = 1.0
-
-    def __post_init__(self) -> None:
-        for name in _field_names(GilbertElliottSpec):
-            p = getattr(self, name)
-            if isinstance(p, bool) or not isinstance(p, (int, float)) or not 0 <= p <= 1:
-                raise ValueError(
-                    f"gilbert_elliott.{name} must be a probability in [0, 1], got {p!r}"
-                )
+    p_good_bad: float = _field(PROBABILITY)
+    p_bad_good: float = _field(PROBABILITY)
+    loss_good: float = _field(PROBABILITY, 0.0)
+    loss_bad: float = _field(PROBABILITY, 1.0)
 
     def build(self):
         """Construct a fresh Gilbert-Elliott channel model in the GOOD state."""
@@ -244,7 +349,7 @@ class GilbertElliottSpec:
         return GilbertElliottLoss(self.p_good_bad, self.p_bad_good, self.loss_good, self.loss_bad)
 
 
-@dataclass(frozen=True)
+@_spec("channel")
 class ChannelSpec:
     """A registered channel model plus its JSON parameters.
 
@@ -261,7 +366,7 @@ class ChannelSpec:
     params: Dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "params", dict(self.params))
+        object.__setattr__(self, "params", dict(self.params or {}))
         # Late import mirroring EngineSpec: the registry is only needed once
         # a spec actually names a channel kind.
         from repro.channel import get_channel
@@ -284,14 +389,8 @@ class ChannelSpec:
         """Analytic long-run loss rate of a fresh instance (0 if load-driven)."""
         return self.build().expected_loss_rate(packet_size)
 
-    @staticmethod
-    def from_dict(data: Mapping[str, Any]) -> "ChannelSpec":
-        data = dict(data)
-        params = dict(data.pop("params", None) or {})
-        return _from_mapping(ChannelSpec, {**data, "params": params})
 
-
-@dataclass(frozen=True)
+@_spec("impairment")
 class ImpairmentSpec:
     """Random loss and processing jitter applied to one link direction.
 
@@ -306,14 +405,12 @@ class ImpairmentSpec:
     that simulate the link, :meth:`expected_loss_rate` for those that model it.
     """
 
-    loss_rate: float = 0.0
-    jitter: Optional[float] = None
-    gilbert_elliott: Optional[GilbertElliottSpec] = None
-    channel: Optional[ChannelSpec] = None
+    loss_rate: float = _field(FRACTION, 0.0)
+    jitter: Optional[float] = _field(optional(NONNEGATIVE), None)
+    gilbert_elliott: Optional[GilbertElliottSpec] = _field(default=None, decode=GilbertElliottSpec)
+    channel: Optional[ChannelSpec] = _field(default=None, decode=ChannelSpec)
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.loss_rate < 1.0:
-            raise ValueError(f"impairment: loss_rate must be in [0, 1), got {self.loss_rate}")
         # Unset is 0.0 or None; the spec classes define no falsy instances.
         given = [n for n in ("loss_rate", "gilbert_elliott", "channel") if getattr(self, n)]
         if len(given) > 1:
@@ -338,19 +435,6 @@ class ImpairmentSpec:
         factory = self.channel_factory()
         return factory().expected_loss_rate(packet_size) if factory is not None else 0.0
 
-    @staticmethod
-    def from_dict(data: Mapping[str, Any]) -> "ImpairmentSpec":
-        data = dict(data)
-        ge = data.pop("gilbert_elliott", None)
-        if ge is not None:
-            ge = _from_mapping(GilbertElliottSpec, ge)
-        channel = data.pop("channel", None)
-        if channel is not None:
-            channel = ChannelSpec.from_dict(channel)
-        return _from_mapping(
-            ImpairmentSpec, {**data, "gilbert_elliott": ge, "channel": channel}
-        )
-
 
 NO_IMPAIRMENT = ImpairmentSpec()
 
@@ -358,49 +442,29 @@ NO_IMPAIRMENT = ImpairmentSpec()
 # ------------------------------------------------------------------ topology
 
 
-@dataclass(frozen=True)
+@_spec("edge")
 class EdgeSpec:
     """One duplex edge of a star or chain topology."""
 
-    bandwidth: float
-    delay: float
-    queue_limit: int = 50
-    impairment: ImpairmentSpec = NO_IMPAIRMENT
-
-    def __post_init__(self) -> None:
-        _check_link("edge", self)
-
-    @staticmethod
-    def from_dict(data: Mapping[str, Any]) -> "EdgeSpec":
-        data = dict(data)
-        imp = data.pop("impairment", None)
-        impairment = ImpairmentSpec.from_dict(imp) if imp is not None else NO_IMPAIRMENT
-        return _from_mapping(EdgeSpec, {**data, "impairment": impairment})
+    bandwidth: float = _field(POSITIVE)
+    delay: float = _field(NONNEGATIVE)
+    queue_limit: int = _field(COUNT, 50)
+    impairment: ImpairmentSpec = _field(default=NO_IMPAIRMENT, decode=ImpairmentSpec)
 
 
-@dataclass(frozen=True)
+@_spec("link {0.a}-{0.b}")
 class DuplexLinkSpec:
     """A named duplex link, used for extra links and custom topologies."""
 
     a: str
     b: str
-    bandwidth: float
-    delay: float
-    queue_limit: int = 50
-    impairment: ImpairmentSpec = NO_IMPAIRMENT
-
-    def __post_init__(self) -> None:
-        _check_link(f"link {self.a}-{self.b}", self)
-
-    @staticmethod
-    def from_dict(data: Mapping[str, Any]) -> "DuplexLinkSpec":
-        data = dict(data)
-        imp = data.pop("impairment", None)
-        impairment = ImpairmentSpec.from_dict(imp) if imp is not None else NO_IMPAIRMENT
-        return _from_mapping(DuplexLinkSpec, {**data, "impairment": impairment})
+    bandwidth: float = _field(POSITIVE)
+    delay: float = _field(NONNEGATIVE)
+    queue_limit: int = _field(COUNT, 50)
+    impairment: ImpairmentSpec = _field(default=NO_IMPAIRMENT, decode=ImpairmentSpec)
 
 
-@dataclass(frozen=True)
+@_spec("leaves")
 class LeafRun(_Run):
     """``count`` identical star leaves, as one object: ``(edge,) * count``.
 
@@ -409,26 +473,11 @@ class LeafRun(_Run):
     whole run.  Encodes as a mapping (``{"count": N, "edge": {...}}``).
     """
 
-    edge: EdgeSpec
-    count: int
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.edge, EdgeSpec):
-            raise ValueError(f"leaves.edge must be an EdgeSpec, got {self.edge!r}")
-        _check_count("leaves", self.count)
+    edge: EdgeSpec = _field(decode=EdgeSpec)
+    count: int = _field(COUNT)
 
     def _item(self, index: int) -> EdgeSpec:
         return self.edge
-
-    @staticmethod
-    def from_dict(data: Mapping[str, Any]) -> "LeafRun":
-        missing = {"edge", "count"} - set(data)
-        if missing:
-            raise ValueError(f"leaves run lacks {sorted(missing)}")
-        edge = data["edge"]
-        if isinstance(edge, Mapping):
-            edge = EdgeSpec.from_dict(edge)
-        return _from_mapping(LeafRun, {**data, "edge": edge})
 
 
 def edge_runs(edges: Union[Tuple[EdgeSpec, ...], LeafRun]) -> List[Tuple[EdgeSpec, int]]:
@@ -439,7 +488,7 @@ def edge_runs(edges: Union[Tuple[EdgeSpec, ...], LeafRun]) -> List[Tuple[EdgeSpe
     return [(edge, 1) for edge in edges]
 
 
-@dataclass(frozen=True)
+@_spec("topology")
 class TopologySpec:
     """Base class for topology descriptions.
 
@@ -448,7 +497,7 @@ class TopologySpec:
     rebuilt after they are added.
     """
 
-    extra_links: Tuple[DuplexLinkSpec, ...] = ()
+    extra_links: Tuple[DuplexLinkSpec, ...] = _field(default=(), decode=(DuplexLinkSpec,))
 
     kind = "abstract"
 
@@ -467,19 +516,19 @@ class TopologySpec:
         return frozenset(n for link in self.extra_links for n in (link.a, link.b)), {}
 
 
-@dataclass(frozen=True)
+@_spec("topology")
 class DumbbellSpec(TopologySpec):
     """Single shared bottleneck: ``src*`` and ``dst*`` behind two routers."""
 
-    num_left: int = 1
-    num_right: int = 1
-    bottleneck_bps: float = 1e6
-    bottleneck_delay: float = 0.02
-    access_bps: float = 12.5e6
-    access_delay: float = 0.001
-    queue_limit: int = 50
-    access_queue_limit: Optional[int] = None
-    access_jitter: Optional[float] = None
+    num_left: int = _field(COUNT, 1)
+    num_right: int = _field(COUNT, 1)
+    bottleneck_bps: float = _field(POSITIVE, 1e6)
+    bottleneck_delay: float = _field(NONNEGATIVE, 0.02)
+    access_bps: float = _field(POSITIVE, 12.5e6)
+    access_delay: float = _field(NONNEGATIVE, 0.001)
+    queue_limit: int = _field(COUNT, 50)
+    access_queue_limit: Optional[int] = _field(optional(COUNT), None)
+    access_jitter: Optional[float] = _field(optional(NONNEGATIVE), None)
 
     kind = "dumbbell"
 
@@ -491,7 +540,7 @@ class DumbbellSpec(TopologySpec):
         }
 
 
-@dataclass(frozen=True)
+@_spec("topology")
 class StarSpec(TopologySpec):
     """A ``source`` behind a hub with per-leaf duplex links ``leaf0..N-1``.
 
@@ -499,10 +548,10 @@ class StarSpec(TopologySpec):
     :class:`LeafRun`, which is kept as it is.
     """
 
-    leaves: Union[Tuple[EdgeSpec, ...], LeafRun] = ()
-    hub_bps: float = 100e6
-    hub_delay: float = 0.001
-    jitter: Optional[float] = None
+    leaves: Union[Tuple[EdgeSpec, ...], LeafRun] = _field(default=(), decode=(LeafRun, EdgeSpec))
+    hub_bps: float = _field(POSITIVE, 100e6)
+    hub_delay: float = _field(NONNEGATIVE, 0.001)
+    jitter: Optional[float] = _field(optional(NONNEGATIVE), None)
 
     kind = "star"
 
@@ -511,12 +560,12 @@ class StarSpec(TopologySpec):
         return named | {"source", "hub"}, {"leaf": len(self.leaves)}
 
 
-@dataclass(frozen=True)
+@_spec("topology")
 class ChainSpec(TopologySpec):
     """Linear multi-hop path ``n0 - n1 - ... - nK`` (one EdgeSpec per hop)."""
 
-    hops: Tuple[EdgeSpec, ...] = ()
-    jitter: Optional[float] = None
+    hops: Tuple[EdgeSpec, ...] = _field(default=(), decode=(EdgeSpec,))
+    jitter: Optional[float] = _field(optional(NONNEGATIVE), None)
 
     kind = "chain"
 
@@ -525,7 +574,7 @@ class ChainSpec(TopologySpec):
         return named, {"n": len(self.hops) + 1 if self.hops else 0}
 
 
-@dataclass(frozen=True)
+@_spec("topology")
 class CustomSpec(TopologySpec):
     """Arbitrary topology given purely as a list of duplex links."""
 
@@ -538,27 +587,12 @@ _TOPOLOGY_KINDS: Dict[str, Type[TopologySpec]] = {
     "chain": ChainSpec,
     "custom": CustomSpec,
 }
-
-
-def topology_from_dict(data: Mapping[str, Any]) -> TopologySpec:
-    data = dict(data)
-    kind = data.pop("kind", None)
-    cls = _TOPOLOGY_KINDS.get(kind)
-    if cls is None:
-        raise ValueError(f"unknown topology kind {kind!r}")
-    extra = tuple(DuplexLinkSpec.from_dict(e) for e in data.pop("extra_links", ()))
-    if cls in (StarSpec,):
-        leaves = data.pop("leaves", ())
-        if isinstance(leaves, Mapping):
-            data["leaves"] = LeafRun.from_dict(leaves)
-        else:
-            data["leaves"] = tuple(EdgeSpec.from_dict(e) for e in leaves)
-    if cls in (ChainSpec,):
-        data["hops"] = tuple(EdgeSpec.from_dict(e) for e in data.pop("hops", ()))
-    return _from_mapping(cls, {**data, "extra_links": extra})
+topology_from_dict = TopologySpec.from_dict
 
 
 # ------------------------------------------------------------------- traffic
+
+_OPTIONAL_POSITIVE = optional(POSITIVE)
 
 
 @dataclass(frozen=True, init=False, slots=True)
@@ -566,14 +600,15 @@ class ReceiverSpec:
     """One TFMCC receiver: where it sits and when it is a member.
 
     The one spec class a spec may hold thousands of, so its constructor is
-    written out: the generated frozen ``__init__`` pays one
-    ``object.__setattr__`` per field plus a ``__post_init__`` call.
+    written out (the generated frozen ``__init__`` pays one
+    ``object.__setattr__`` per field plus a ``__post_init__`` call) and
+    checks its two declared domains inline.
     """
 
     node: str
     receiver_id: Optional[str] = None
-    join_at: float = 0.0
-    leave_at: Optional[float] = None
+    join_at: float = _field(NONNEGATIVE, 0.0)
+    leave_at: Optional[float] = _field(_OPTIONAL_POSITIVE, None)
 
     def __init__(
         self,
@@ -582,6 +617,10 @@ class ReceiverSpec:
         join_at: float = 0.0,
         leave_at: Optional[float] = None,
     ) -> None:
+        if not NONNEGATIVE.ok(join_at):
+            raise _refused("receiver", "join_at", NONNEGATIVE, join_at)
+        if not _OPTIONAL_POSITIVE.ok(leave_at):
+            raise _refused("receiver", "leave_at", _OPTIONAL_POSITIVE, leave_at)
         if leave_at is not None and leave_at <= join_at:
             raise ValueError(
                 f"receiver at {node!r}: leave_at ({leave_at}) must be "
@@ -602,7 +641,7 @@ _set_leave_at = ReceiverSpec.leave_at.__set__
 _RUN_NODE = re.compile(r"[^{}]*\{\}[^{}]*")
 
 
-@dataclass(frozen=True)
+@_spec("receivers")
 class ReceiverRun(_Run):
     """``count`` static receivers on consecutively numbered nodes, as one object.
 
@@ -613,8 +652,8 @@ class ReceiverRun(_Run):
     """
 
     node: str
-    count: int
-    first: int = 0
+    count: int = _field(COUNT)
+    first: int = _field(INDEX, 0)
 
     def __post_init__(self) -> None:
         # One bare index field: ``str.format`` would otherwise evaluate
@@ -624,9 +663,6 @@ class ReceiverRun(_Run):
                 "receivers.node must be a node name with one '{}' index field, "
                 f"got {self.node!r}"
             )
-        _check_count("receivers", self.count)
-        if type(self.first) is not int or self.first < 0:
-            raise ValueError(f"receivers.first must be an int >= 0, got {self.first!r}")
 
     def node_at(self, index: int) -> str:
         """Node of receiver ``index`` (0-based, unchecked), building no spec."""
@@ -635,15 +671,8 @@ class ReceiverRun(_Run):
     def _item(self, index: int) -> ReceiverSpec:
         return ReceiverSpec(self.node_at(index))
 
-    @staticmethod
-    def from_dict(data: Mapping[str, Any]) -> "ReceiverRun":
-        missing = {"node", "count"} - set(data)
-        if missing:
-            raise ValueError(f"receivers run lacks {sorted(missing)}")
-        return _from_mapping(ReceiverRun, data)
 
-
-@dataclass(frozen=True)
+@_spec("flow")
 class FlowSpec:
     """One transport flow of any registered protocol kind.
 
@@ -668,20 +697,18 @@ class FlowSpec:
     kind: str
     src: str
     dst: Optional[str] = None
-    receivers: Union[Tuple[ReceiverSpec, ...], ReceiverRun] = ()
+    receivers: Union[Tuple[ReceiverSpec, ...], ReceiverRun] = _field(
+        default=(), decode=(ReceiverRun, ReceiverSpec)
+    )
     name: Optional[str] = None
-    start: float = 0.0
-    stop: Optional[float] = None
+    start: float = _field(NONNEGATIVE, 0.0)
+    stop: Optional[float] = _field(optional(POSITIVE), None)
     params: Dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if not isinstance(self.receivers, ReceiverRun):
             object.__setattr__(self, "receivers", tuple(self.receivers))
-        object.__setattr__(self, "params", dict(self.params))
-        # ``not >=`` rather than ``<``: NaN fails every comparison, and an
-        # event scheduled at NaN fires at an arbitrary point with ``now = nan``.
-        if not self.start >= 0:
-            raise ValueError(f"flow start must be >= 0, got {self.start}")
+        object.__setattr__(self, "params", dict(self.params or {}))
         if self.stop is not None and not self.stop > self.start:
             raise ValueError(
                 f"flow stop ({self.stop}) must be after start ({self.start})"
@@ -691,17 +718,6 @@ class FlowSpec:
         from repro.protocols import get_protocol
 
         get_protocol(self.kind).validate(self)
-
-    @staticmethod
-    def from_dict(data: Mapping[str, Any]) -> "FlowSpec":
-        data = dict(data)
-        receivers = data.pop("receivers", ())
-        if isinstance(receivers, Mapping):
-            receivers = ReceiverRun.from_dict(receivers)
-        else:
-            receivers = tuple(_from_mapping(ReceiverSpec, r) for r in receivers)
-        params = dict(data.pop("params", None) or {})
-        return _from_mapping(FlowSpec, {**data, "receivers": receivers, "params": params})
 
 
 def _canonicalise_flow_names(flows: Sequence[FlowSpec]) -> Tuple[FlowSpec, ...]:
@@ -745,7 +761,7 @@ EVENT_KINDS = (
 EVENT_DIRECTIONS = ("both", "forward", "reverse")
 
 
-@dataclass(frozen=True)
+@_spec("event")
 class NetworkEventSpec:
     """One scheduled network or membership event.
 
@@ -773,27 +789,25 @@ class NetworkEventSpec:
         ``flow`` names the TFMCC flow (default: the scenario's first).
     """
 
-    at: float
+    at: float = _field(NONNEGATIVE)
     kind: str
     # Link events.
     a: Optional[str] = None
     b: Optional[str] = None
-    bandwidth: Optional[float] = None
-    delay: Optional[float] = None
-    loss_rate: Optional[float] = None
-    gilbert_elliott: Optional[GilbertElliottSpec] = None
+    bandwidth: Optional[float] = _field(optional(POSITIVE), None)
+    delay: Optional[float] = _field(optional(NONNEGATIVE), None)
+    loss_rate: Optional[float] = _field(optional(FRACTION), None)
+    gilbert_elliott: Optional[GilbertElliottSpec] = _field(default=None, decode=GilbertElliottSpec)
     direction: str = "both"
     # Channel events.
-    channel: Optional[ChannelSpec] = None
-    snr_db: Optional[float] = None
+    channel: Optional[ChannelSpec] = _field(default=None, decode=ChannelSpec)
+    snr_db: Optional[float] = _field(optional(FINITE), None)
     # Membership events.
     flow: Optional[str] = None
     node: Optional[str] = None
     receiver_id: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if not self.at >= 0:  # also refuses NaN, which no heap can order
-            raise ValueError(f"event time must be >= 0, got {self.at}")
         if self.kind not in EVENT_KINDS:
             raise ValueError(
                 f"unknown event kind {self.kind!r} (known: {', '.join(EVENT_KINDS)})"
@@ -832,18 +846,11 @@ class NetworkEventSpec:
                 f"{self.kind} event does not take channel/snr_db "
                 "(use a channel_update event)"
             )
-        if self.loss_rate is not None and not 0.0 <= self.loss_rate < 1.0:
-            raise ValueError("loss_rate must be in [0, 1)")
-        if self.bandwidth is not None and self.bandwidth <= 0:
-            raise ValueError("bandwidth must be positive")
-        if self.delay is not None:
-            if self.delay < 0:
-                raise ValueError("delay cannot be negative")
-            if self.direction != "both":
-                raise ValueError(
-                    "delay changes apply to both directions (delay is the "
-                    "undirected routing weight); drop the direction override"
-                )
+        if self.delay is not None and self.direction != "both":
+            raise ValueError(
+                "delay changes apply to both directions (delay is the "
+                "undirected routing weight); drop the direction override"
+            )
 
     @property
     def has_link_changes(self) -> bool:
@@ -861,21 +868,8 @@ class NetworkEventSpec:
             return f"{self.node}"
         return f"{self.receiver_id}"
 
-    @staticmethod
-    def from_dict(data: Mapping[str, Any]) -> "NetworkEventSpec":
-        data = dict(data)
-        ge = data.pop("gilbert_elliott", None)
-        if ge is not None:
-            ge = _from_mapping(GilbertElliottSpec, ge)
-        channel = data.pop("channel", None)
-        if channel is not None:
-            channel = ChannelSpec.from_dict(channel)
-        return _from_mapping(
-            NetworkEventSpec, {**data, "gilbert_elliott": ge, "channel": channel}
-        )
 
-
-@dataclass(frozen=True)
+@_spec("waypoint")
 class WaypointSpec:
     """One mobility waypoint: ``node`` reaches ``(x, y)`` metres at time ``at``.
 
@@ -885,16 +879,12 @@ class WaypointSpec:
     """
 
     node: str
-    at: float
-    x: float
-    y: float
-
-    def __post_init__(self) -> None:
-        if self.at < 0:
-            raise ValueError(f"waypoint time must be >= 0, got {self.at}")
+    at: float = _field(NONNEGATIVE)
+    x: float = _field(FINITE)
+    y: float = _field(FINITE)
 
 
-@dataclass(frozen=True)
+@_spec("mobility")
 class MobilitySpec:
     """Waypoint mobility driving distance-derived wireless channels.
 
@@ -909,18 +899,16 @@ class MobilitySpec:
     """
 
     positions: Dict[str, Tuple[float, float]] = field(default_factory=dict)
-    waypoints: Tuple[WaypointSpec, ...] = ()
-    update_interval: float = 1.0
+    waypoints: Tuple[WaypointSpec, ...] = _field(default=(), decode=(WaypointSpec,))
+    update_interval: float = _field(POSITIVE, 1.0)
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self,
-            "positions",
-            {node: (float(xy[0]), float(xy[1])) for node, xy in dict(self.positions).items()},
-        )
+        positions = {n: (float(x), float(y)) for n, (x, y) in dict(self.positions or {}).items()}
+        for node, xy in positions.items():
+            if not all(map(FINITE.ok, xy)):
+                raise ValueError(f"mobility.positions[{node!r}] must be finite, got {xy!r}")
+        object.__setattr__(self, "positions", positions)
         object.__setattr__(self, "waypoints", tuple(self.waypoints))
-        if self.update_interval <= 0:
-            raise ValueError("mobility update_interval must be positive")
         last_at: Dict[str, float] = {}
         for wp in self.waypoints:
             if wp.at < last_at.get(wp.node, 0.0):
@@ -956,19 +944,8 @@ class MobilitySpec:
             seen.setdefault(wp.node, None)
         return tuple(seen)
 
-    @staticmethod
-    def from_dict(data: Mapping[str, Any]) -> "MobilitySpec":
-        data = dict(data)
-        waypoints = tuple(
-            _from_mapping(WaypointSpec, w) for w in data.pop("waypoints", ())
-        )
-        positions = dict(data.pop("positions", None) or {})
-        return _from_mapping(
-            MobilitySpec, {**data, "positions": positions, "waypoints": waypoints}
-        )
 
-
-@dataclass(frozen=True)
+@_spec("dynamics")
 class DynamicsSpec:
     """Time-scripted network dynamics: an ordered schedule of events.
 
@@ -978,22 +955,11 @@ class DynamicsSpec:
     every :class:`ScenarioSpec`) is inert — static scenarios are unaffected.
     """
 
-    events: Tuple[NetworkEventSpec, ...] = ()
-    mobility: Optional[MobilitySpec] = None
+    events: Tuple[NetworkEventSpec, ...] = _field(default=(), decode=(NetworkEventSpec,))
+    mobility: Optional[MobilitySpec] = _field(default=None, decode=MobilitySpec)
 
     def __bool__(self) -> bool:
         return bool(self.events) or self.mobility is not None
-
-    @staticmethod
-    def from_dict(data: Mapping[str, Any]) -> "DynamicsSpec":
-        data = dict(data)
-        events = tuple(NetworkEventSpec.from_dict(e) for e in data.pop("events", ()))
-        mobility = data.pop("mobility", None)
-        if mobility is not None:
-            mobility = MobilitySpec.from_dict(mobility)
-        return _from_mapping(
-            DynamicsSpec, {**data, "events": events, "mobility": mobility}
-        )
 
 
 NO_DYNAMICS = DynamicsSpec()
@@ -1002,7 +968,7 @@ NO_DYNAMICS = DynamicsSpec()
 # ------------------------------------------------------------------- metrics
 
 
-@dataclass(frozen=True)
+@_spec("metrics")
 class MetricsSpec:
     """What to measure and how to summarise it.
 
@@ -1013,29 +979,18 @@ class MetricsSpec:
     ``trace_queue_interval`` is the queue-occupancy sampling period.
     """
 
-    interval: float = 1.0
-    warmup_fraction: float = 0.25
+    interval: float = _field(POSITIVE, 1.0)
+    warmup_fraction: float = _field(FRACTION, 0.25)
     with_series: bool = False
     link_stats: bool = True
     with_trace: bool = False
-    trace_queue_interval: float = 0.5
-
-    def __post_init__(self) -> None:
-        # Both periods are event delays (monitor bins, queue samples), so a
-        # NaN one used to fail deep inside the run without naming the field.
-        for name in ("interval", "trace_queue_interval"):
-            value = getattr(self, name)
-            if not _finite_positive(value):
-                raise ValueError(f"metrics.{name} must be a finite number > 0, got {value!r}")
-        fraction = self.warmup_fraction
-        if isinstance(fraction, bool) or not isinstance(fraction, (int, float)) or not 0 <= fraction < 1:
-            raise ValueError(f"metrics.warmup_fraction must be in [0, 1), got {fraction!r}")
+    trace_queue_interval: float = _field(POSITIVE, 0.5)
 
 
 # -------------------------------------------------------------------- engine
 
 
-@dataclass(frozen=True)
+@_spec("engine")
 class EngineSpec:
     """Which simulation engine executes the scenario, and how.
 
@@ -1049,22 +1004,20 @@ class EngineSpec:
         How many of each TFMCC flow's receivers stay exact per-packet
         agents (wired into the normal monitor/trace probes); the rest are
         aggregated into the cohort.  Receivers with membership schedules
-        always stay exact.  An integer >= 1 (not a bool).
+        always stay exact.
     ``step_interval``
-        Cohort update period in simulated seconds, a finite number > 0;
-        ``None`` steps once per sender feedback round (the paper's natural
-        feedback granularity).
+        Cohort update period in simulated seconds; ``None`` steps once per
+        sender feedback round (the paper's natural feedback granularity).
     ``max_reports_per_step``
         Safety cap on the cohort's reports per step: the first this many
         responders left after suppression (in timer order) are injected
-        into the sender.  It is not part of the protocol.  An integer >= 1
-        (not a bool).
+        into the sender.  It is not part of the protocol.
     """
 
     kind: str = "exact"
-    tracer_receivers: int = 2
-    step_interval: Optional[float] = None
-    max_reports_per_step: int = 4
+    tracer_receivers: int = _field(COUNT, 2)
+    step_interval: Optional[float] = _field(optional(POSITIVE), None)
+    max_reports_per_step: int = _field(COUNT, 4)
 
     def __post_init__(self) -> None:
         # Validate the kind against the engine registry.  Imported lazily:
@@ -1077,17 +1030,6 @@ class EngineSpec:
                 f"unknown engine kind {self.kind!r}; "
                 f"registered: {', '.join(engine_kinds())}"
             )
-        for name in ("tracer_receivers", "max_reports_per_step"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-                raise ValueError(f"engine.{name} must be an integer >= 1, got {value!r}")
-        # The step is scheduled at now + step_interval: a NaN time would sit
-        # in the event heap out of order.
-        interval = self.step_interval
-        if interval is not None and not _finite_positive(interval):
-            raise ValueError(
-                f"engine.step_interval must be a finite number > 0 or None, got {interval!r}"
-            )
 
 
 # -------------------------------------------------------------------- scenario
@@ -1097,7 +1039,7 @@ _NUMBERED_NODE = re.compile(r"(.*?)(0|[1-9][0-9]*)")
 _NODE_OF = attrgetter("node")
 
 
-@dataclass(frozen=True)
+@_spec("scenario")
 class ScenarioSpec:
     """A complete, self-contained description of one simulation run.
 
@@ -1106,22 +1048,16 @@ class ScenarioSpec:
     """
 
     name: str
-    duration: float
-    topology: TopologySpec
-    metrics: MetricsSpec = field(default_factory=MetricsSpec)
-    dynamics: DynamicsSpec = NO_DYNAMICS
+    duration: float = _field(POSITIVE)
+    topology: TopologySpec = _field(decode=TopologySpec)
+    metrics: MetricsSpec = _field(default_factory=MetricsSpec, decode=MetricsSpec)
+    dynamics: DynamicsSpec = _field(default=NO_DYNAMICS, decode=DynamicsSpec)
     description: str = ""
-    flows: Tuple[FlowSpec, ...] = ()
-    engine: EngineSpec = field(default_factory=EngineSpec)
+    flows: Tuple[FlowSpec, ...] = _field(default=(), decode=(FlowSpec,))
+    engine: EngineSpec = _field(default_factory=EngineSpec, decode=EngineSpec)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "flows", _canonicalise_flow_names(self.flows))
-        # One check for every way in (constructor, from_dict, overrides, --set,
-        # the service): the run loop ends on ``time >= duration``, which a NaN
-        # or infinite duration never satisfies.
-        duration = self.duration
-        if not _finite_positive(duration):
-            raise ValueError(f"duration must be a positive finite number, got {duration!r}")
         if not self.flows:
             raise ValueError(f"scenario {self.name!r} defines no traffic")
         for event in self.dynamics.events:
@@ -1250,27 +1186,9 @@ class ScenarioSpec:
                     f"scenario dict spells its traffic twice: 'flows' and {families}"
                 )
             data["flows"] = ScenarioSpec._flows_from_stored_families(data)
-        topology = topology_from_dict(data.pop("topology"))
-        flows = tuple(FlowSpec.from_dict(f) for f in data.pop("flows", ()))
-        metrics = data.pop("metrics", None)
-        metrics = _from_mapping(MetricsSpec, metrics) if metrics is not None else MetricsSpec()
-        dynamics = data.pop("dynamics", None)
-        dynamics = DynamicsSpec.from_dict(dynamics) if dynamics is not None else NO_DYNAMICS
-        # Dicts serialised before the engine registry existed carry no
-        # "engine" key; they resolve to the default exact engine.
-        engine = data.pop("engine", None)
-        engine = _from_mapping(EngineSpec, engine) if engine is not None else EngineSpec()
-        return _from_mapping(
-            ScenarioSpec,
-            {
-                **data,
-                "topology": topology,
-                "flows": flows,
-                "metrics": metrics,
-                "dynamics": dynamics,
-                "engine": engine,
-            },
-        )
+        # Dicts stored before dynamics or the engine registry existed lack
+        # those keys and resolve to the defaults.
+        return _decode(ScenarioSpec, data)
 
     @staticmethod
     def from_json(text: str) -> "ScenarioSpec":

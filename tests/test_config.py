@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.config import TFMCCConfig, loss_interval_weights
+from repro.core.config import POSITIVE_FIELDS, TFMCCConfig, loss_interval_weights
 from repro.core.feedback import BiasMethod
 
 
@@ -65,3 +65,18 @@ def test_invalid_configurations_rejected(kwargs):
 def test_weight_generator_consistency_with_config():
     cfg = TFMCCConfig(num_loss_intervals=32)
     assert cfg.loss_interval_weights == loss_interval_weights(32)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), True], ids=repr)
+@pytest.mark.parametrize("name", POSITIVE_FIELDS)
+def test_positive_fields_refuse_non_finite_values_and_bools_by_name(name, value):
+    """``initial_rtt=inf`` used to run to a near-zero record, ``max_rtt=nan``
+    and ``feedback_rtts=nan`` to fail mid-run with ``cannot schedule event in
+    the past (delay=nan)``, and ``slowstart_overshoot=inf`` to hang a 3 s run."""
+    from repro.scenarios import get_scenario
+
+    with pytest.raises(ValueError, match=f"{name} must be a positive finite number"):
+        TFMCCConfig(**{name: value})
+    spec = get_scenario("fairness").spec(duration=3.0)
+    with pytest.raises(ValueError, match=f"{name} must be a positive finite number"):
+        spec.with_overrides(**{f"flows.0.params.{name}": value})

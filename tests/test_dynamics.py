@@ -329,7 +329,7 @@ class TestDynamicsSpec:
             NetworkEventSpec(at=1.0, kind="link_update", a="x", b="y", delay=0.1, direction="forward")
         with pytest.raises(ValueError, match="whole duplex link"):
             NetworkEventSpec(at=1.0, kind="link_down", a="x", b="y", direction="forward")
-        with pytest.raises(ValueError, match="must be >= 0"):
+        with pytest.raises(ValueError, match="event.at must be a finite number >= 0"):
             NetworkEventSpec(at=-1.0, kind="link_down", a="x", b="y")
 
     def test_membership_events_require_a_tfmcc_flow(self):

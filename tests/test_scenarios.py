@@ -185,7 +185,7 @@ BAD_LINK_FIELDS = [
 def test_an_edge_refuses_a_bandwidth_delay_or_queue_no_link_can_have(name, value):
     """``EdgeSpec(bandwidth=nan)`` used to construct and fail mid-run with
     ``cannot schedule event at nan``, naming no field."""
-    match = f"edge: {name} must"
+    match = f"edge.{name} must"
     with pytest.raises(ValueError, match=match):
         EdgeSpec(**{"bandwidth": 1e6, "delay": 0.01, name: value})
     spec = get_scenario("bursty-loss").spec()  # an explicit leaf tuple
@@ -202,11 +202,11 @@ def test_an_edge_refuses_a_bandwidth_delay_or_queue_no_link_can_have(name, value
 
 @pytest.mark.parametrize("name, value", BAD_LINK_FIELDS, ids=repr)
 def test_a_duplex_link_refuses_a_bandwidth_delay_or_queue_no_link_can_have(name, value):
-    match = f"link a-b: {name} must"
+    match = f"link a-b.{name} must"
     with pytest.raises(ValueError, match=match):
         DuplexLinkSpec(**{"a": "a", "b": "b", "bandwidth": 1e6, "delay": 0.01, name: value})
     spec = get_scenario("late-join").spec()
-    match = f"link router_right-slow_tail: {name} must"
+    match = f"link router_right-slow_tail.{name} must"
     with pytest.raises(ValueError, match=match):
         spec.with_overrides(**{f"topology.extra_links.0.{name}": value})
     data = spec.to_dict()
@@ -255,11 +255,11 @@ def test_a_nan_event_time_is_refused():
     (measured: before t = 0) with ``now = nan``."""
     nan = float("nan")
     spec = get_scenario("bandwidth_step").spec()
-    with pytest.raises(ValueError, match="event time"):
+    with pytest.raises(ValueError, match="event.at must"):
         spec.with_overrides(**{"dynamics.events.0.at": nan})
-    with pytest.raises(ValueError, match="flow start"):
+    with pytest.raises(ValueError, match="flow.start must"):
         spec.with_overrides(**{"flows.0.start": nan})
-    with pytest.raises(ValueError, match="flow stop"):
+    with pytest.raises(ValueError, match="flow.stop must"):
         spec.with_overrides(**{"flows.0.stop": nan})
 
 

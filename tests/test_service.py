@@ -229,6 +229,8 @@ def test_cancel_mid_run_stops_remaining_units(service, client):
 
 def test_malformed_submissions_and_unknown_routes(service, client):
     scaling = get_scenario("scaling").spec(num_receivers=4).to_dict()
+    fairness = get_scenario("fairness").spec(num_tcp=2).to_dict()
+    infinite_bottleneck = {**fairness["topology"], "bottleneck_bps": float("inf")}
 
     def with_receivers(receivers):
         return {"spec": {**scaling, "flows": [{**scaling["flows"][0], "receivers": receivers}]}}
@@ -251,6 +253,8 @@ def test_malformed_submissions_and_unknown_routes(service, client):
         # json.loads takes NaN and Infinity; a run of that length never ends.
         ({"scenario": "fairness", "params": {"duration": float("nan")}}, "duration"),
         ({"spec": {**scaling, "duration": float("inf")}}, "duration"),
+        # The body is JSON with a bare Infinity: refused at submit, by field.
+        ({"spec": {**fairness, "topology": infinite_bottleneck}}, "topology.bottleneck_bps"),
     ):
         status, body = client.request("POST", "/v1/jobs", payload)
         assert status == 400, body

@@ -548,9 +548,9 @@ def test_a_run_mapping_with_unknown_or_missing_keys_is_rejected():
     flow = {"kind": "tfmcc", "src": "src0"}
     with pytest.raises(ValueError, match="unknown ReceiverRun fields.*step"):
         FlowSpec.from_dict({**flow, "receivers": {"node": "dst{}", "count": 2, "step": 2}})
-    with pytest.raises(ValueError, match="receivers run lacks.*count"):
+    with pytest.raises(ValueError, match="missing ReceiverRun fields.*count"):
         FlowSpec.from_dict({**flow, "receivers": {"node": "dst{}"}})
-    with pytest.raises(ValueError, match="receivers run lacks.*count.*node"):
+    with pytest.raises(ValueError, match="missing ReceiverRun fields.*count.*node"):
         FlowSpec.from_dict({**flow, "receivers": {}})
 
 
@@ -745,9 +745,9 @@ def test_a_leaf_run_mapping_with_unknown_or_missing_keys_is_rejected():
     edge = {"bandwidth": 6e6, "delay": 0.005}
     with pytest.raises(ValueError, match="unknown LeafRun fields.*first"):
         topology_from_dict({"kind": "star", "leaves": {"edge": edge, "count": 2, "first": 1}})
-    with pytest.raises(ValueError, match="leaves run lacks.*edge"):
+    with pytest.raises(ValueError, match="missing LeafRun fields.*edge"):
         topology_from_dict({"kind": "star", "leaves": {"count": 2}})
-    with pytest.raises(ValueError, match="leaves run lacks.*count.*edge"):
+    with pytest.raises(ValueError, match="missing LeafRun fields.*count.*edge"):
         topology_from_dict({"kind": "star", "leaves": {}})
 
 
